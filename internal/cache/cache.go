@@ -19,18 +19,24 @@ type Config struct {
 	Assoc     int
 }
 
-// Line states.
-type way struct {
-	line  sig.Line
-	valid bool
-	dirty bool
-	spec  bool
-	lru   uint64
-}
+// A set's ways are laid out as two parallel arrays so the tag scan of an
+// 8-way set reads one 64-byte host cache line. A tag is line<<1 | tagValid;
+// an invalidated way keeps its line bits, which Fill reports as the victim
+// line. A meta word holds the way's LRU stamp with the dirty and
+// speculative bits above it. Lines must be below 2⁶³ (any byte address
+// divided by the line size is).
+const (
+	tagValid  = 1
+	metaDirty = 1 << 63
+	metaSpec  = 1 << 62
+	metaLRU   = metaSpec - 1
+)
 
 // Cache is a set-associative, LRU, single-line-size cache model.
 type Cache struct {
-	sets   [][]way
+	tags   []uint64 // way w of set s at s*assoc+w
+	meta   []uint64 // parallel to tags
+	assoc  int
 	mask   uint64
 	clock  uint64
 	lines  int
@@ -45,24 +51,39 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	return &Cache{
+		tags:  make([]uint64, nsets*cfg.Assoc),
+		meta:  make([]uint64, nsets*cfg.Assoc),
+		assoc: cfg.Assoc,
+		mask:  uint64(nsets - 1),
 	}
-	return &Cache{sets: sets, mask: uint64(nsets - 1)}
 }
 
-func (c *Cache) set(l sig.Line) []way { return c.sets[uint64(l)&c.mask] }
+// set returns the index of the line's set's first way.
+func (c *Cache) set(l sig.Line) int { return int(uint64(l)&c.mask) * c.assoc }
 
-func (c *Cache) find(l sig.Line) *way {
-	s := c.set(l)
-	for i := range s {
-		if s[i].valid && s[i].line == l {
-			return &s[i]
+// find returns the index of the way holding l, or -1.
+func (c *Cache) find(l sig.Line) int {
+	base := c.set(l)
+	want := uint64(l)<<1 | tagValid
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == want {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// flags packs the dirty and speculative bits of a meta word.
+func flags(dirty, spec bool) uint64 {
+	var f uint64
+	if dirty {
+		f |= metaDirty
+	}
+	if spec {
+		f |= metaSpec
+	}
+	return f
 }
 
 // Lookup reports whether the line is present, updating LRU state and hit
@@ -70,12 +91,8 @@ func (c *Cache) find(l sig.Line) *way {
 // and speculative (chunk writes are speculative until commit).
 func (c *Cache) Lookup(l sig.Line, write bool) bool {
 	c.clock++
-	if w := c.find(l); w != nil {
-		w.lru = c.clock
-		if write {
-			w.dirty = true
-			w.spec = true
-		}
+	if i := c.find(l); i >= 0 {
+		c.meta[i] = c.meta[i]&^metaLRU | flags(write, write) | c.clock
 		c.hits++
 		return true
 	}
@@ -84,42 +101,43 @@ func (c *Cache) Lookup(l sig.Line, write bool) bool {
 }
 
 // Contains reports presence without perturbing LRU or counters.
-func (c *Cache) Contains(l sig.Line) bool { return c.find(l) != nil }
+func (c *Cache) Contains(l sig.Line) bool { return c.find(l) >= 0 }
 
 // Fill inserts a line, evicting the LRU way if needed. It returns the
 // victim line and whether the victim was dirty (needing writeback).
 func (c *Cache) Fill(l sig.Line, dirty, spec bool) (victim sig.Line, victimDirty, evicted bool) {
 	c.clock++
-	if w := c.find(l); w != nil {
-		w.lru = c.clock
-		w.dirty = w.dirty || dirty
-		w.spec = w.spec || spec
+	if i := c.find(l); i >= 0 {
+		c.meta[i] = c.meta[i]&^metaLRU | flags(dirty, spec) | c.clock
 		return 0, false, false
 	}
-	s := c.set(l)
+	base := c.set(l)
+	tags := c.tags[base : base+c.assoc]
+	meta := c.meta[base : base+c.assoc]
 	vi := 0
-	for i := range s {
-		if !s[i].valid {
+	for i, t := range tags {
+		if t&tagValid == 0 {
 			vi = i
 			break
 		}
-		if s[i].lru < s[vi].lru {
+		if meta[i]&metaLRU < meta[vi]&metaLRU {
 			vi = i
 		}
 	}
-	v := &s[vi]
-	victim, victimDirty, evicted = v.line, v.dirty && v.valid, v.valid
-	if !v.valid {
+	victim, evicted = sig.Line(tags[vi]>>1), tags[vi]&tagValid != 0
+	victimDirty = evicted && meta[vi]&metaDirty != 0
+	if !evicted {
 		c.lines++
 	}
-	*v = way{line: l, valid: true, dirty: dirty, spec: spec, lru: c.clock}
+	tags[vi] = uint64(l)<<1 | tagValid
+	meta[vi] = flags(dirty, spec) | c.clock
 	return victim, victimDirty, evicted
 }
 
 // Invalidate drops a line; it reports whether the line was present.
 func (c *Cache) Invalidate(l sig.Line) bool {
-	if w := c.find(l); w != nil {
-		w.valid = false
+	if i := c.find(l); i >= 0 {
+		c.tags[i] &^= tagValid
 		c.lines--
 		return true
 	}
@@ -129,17 +147,16 @@ func (c *Cache) Invalidate(l sig.Line) bool {
 // CommitSpec turns the speculative bit of a written line into an ordinary
 // dirty bit (chunk commit). Missing lines (already evicted) are fine.
 func (c *Cache) CommitSpec(l sig.Line) {
-	if w := c.find(l); w != nil && w.spec {
-		w.spec = false
-		w.dirty = true
+	if i := c.find(l); i >= 0 && c.meta[i]&metaSpec != 0 {
+		c.meta[i] = c.meta[i]&^metaSpec | metaDirty
 	}
 }
 
 // SquashSpec invalidates a speculatively written line (chunk squash), so a
 // restarted chunk refetches clean data. Reports whether it was present.
 func (c *Cache) SquashSpec(l sig.Line) bool {
-	if w := c.find(l); w != nil && w.spec {
-		w.valid = false
+	if i := c.find(l); i >= 0 && c.meta[i]&metaSpec != 0 {
+		c.tags[i] &^= tagValid
 		c.lines--
 		return true
 	}
@@ -148,8 +165,8 @@ func (c *Cache) SquashSpec(l sig.Line) bool {
 
 // IsDirty reports whether the line is present and dirty.
 func (c *Cache) IsDirty(l sig.Line) bool {
-	w := c.find(l)
-	return w != nil && w.dirty
+	i := c.find(l)
+	return i >= 0 && c.meta[i]&metaDirty != 0
 }
 
 // Len returns the number of valid lines.

@@ -145,6 +145,89 @@ func TestFarmSweepMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestWorkloadSourcePointMatchesSession: a point labelled with a workload
+// source (zipf) rather than an application model runs on the farm, with the
+// in-process fingerprint and under the same journal key as the Session's.
+// The label sets cfg.Workload only when the point is resolved, so the
+// server must hash the resolved config, as workers and the Session do.
+func TestWorkloadSourcePointMatchesSession(t *testing.T) {
+	spec := &SweepSpec{
+		ChunksPerCore: 2,
+		Seed:          7,
+		Points: []Point{
+			{App: "zipf", Protocol: "ScalableBulk", Cores: 8},
+			{App: "Radix", Protocol: "TCC", Cores: 8},
+		},
+	}
+	dir := t.TempDir()
+	sess := scalablebulk.NewSession(spec.ChunksPerCore, spec.Seed, nil)
+	if _, err := sess.AttachJournal(filepath.Join(dir, "session.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if out := sess.SweepContext(context.Background(), spec.Points, 1); len(out.Failures) > 0 || out.Aborted {
+		t.Fatalf("reference sweep failed: %+v", out)
+	}
+	want := map[Point]string{}
+	for _, p := range spec.Points {
+		res, err := sess.Result(p.App, p.Protocol, p.Cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = scalablebulk.FingerprintSHA(res)
+	}
+	wantKeys := journalKeys(sess.Journal())
+	sess.Journal().Close()
+
+	farmJournal := filepath.Join(dir, "farm.jsonl")
+	base, _, stop := startServer(t, quickOpts(), farmJournal, "")
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wctx, wcancel := context.WithCancel(ctx)
+	defer wcancel()
+	wg := startWorker(wctx, fastClient(base), "w1", nil)
+	defer wg.Wait()
+	got := map[Point]string{}
+	out, err := fastClient(base).RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
+		got[p] = scalablebulk.FingerprintSHA(res)
+	})
+	wcancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed != len(spec.Points) || len(out.Failures) > 0 || out.Aborted {
+		t.Fatalf("outcome: %+v", out)
+	}
+	for p, fp := range want {
+		if got[p] != fp {
+			t.Errorf("%s/%s/%d: farm fingerprint %s != in-process %s",
+				p.App, p.Protocol, p.Cores, got[p], fp)
+		}
+	}
+	stop()
+	j, err := scalablebulk.OpenJournal(farmJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	gotKeys := journalKeys(j)
+	for p, k := range wantKeys {
+		if gotKeys[p] != k {
+			t.Errorf("%s/%s/%d: farm journal key %q != session %q",
+				p.App, p.Protocol, p.Cores, gotKeys[p], k)
+		}
+	}
+}
+
+// journalKeys maps each journaled point to its config hash.
+func journalKeys(j *scalablebulk.Journal) map[Point]string {
+	keys := map[Point]string{}
+	for _, jp := range j.Points() {
+		keys[jp.Point] = jp.ConfigHash
+	}
+	return keys
+}
+
 // TestWorkerKilledMidLease: a worker that takes a lease and dies (never
 // heartbeats) must not lose the point — the lease expires, the point
 // re-queues, a healthy worker completes it, and it completes exactly once.

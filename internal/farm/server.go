@@ -192,7 +192,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	restored := 0
 	for i, p := range spec.Points {
-		h := scalablebulk.ConfigHash(spec.Config(p))
+		// Hash the resolved config, as workers and the Session do: a
+		// workload-source label sets cfg.Workload during resolution.
+		// Validate has already resolved every point.
+		_, cfg, _ := spec.Resolve(p)
+		h := scalablebulk.ConfigHash(cfg)
 		sw.hashes = append(sw.hashes, h)
 		if s.opts.Journal == nil {
 			continue

@@ -19,6 +19,7 @@ import (
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/rng"
 	"scalablebulk/internal/trace"
 )
 
@@ -101,7 +102,7 @@ var _ mesh.Interposer = (*Injector)(nil)
 
 // New builds an injector for the profile, seeded for replay.
 func New(prof Profile, seed int64) *Injector {
-	return &Injector{prof: prof, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{prof: prof, rng: rng.New(seed)}
 }
 
 // Profile returns the injector's profile.

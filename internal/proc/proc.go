@@ -16,6 +16,7 @@ import (
 	"scalablebulk/internal/dir"
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/rng"
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/trace"
@@ -134,7 +135,7 @@ func New(env *dir.Env, proto dir.Protocol, gen Generator, id, target int, l1, l2
 		ID: id, env: env, proto: proto, gen: gen, cfg: cfg,
 		hier:   cache.NewHierarchy(l1, l2),
 		target: target,
-		rng:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
+		rng:    rng.New(cfg.Seed + int64(id)*7919),
 	}
 	if target <= 0 {
 		p.done = true // nothing to do: born finished

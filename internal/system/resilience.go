@@ -9,11 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"scalablebulk/internal/event"
+	"scalablebulk/internal/rng"
 	"scalablebulk/internal/workload"
 )
 
@@ -167,7 +167,7 @@ func firstLine(s string) string {
 // a final failure returns a *RetryError wrapping the last error.
 func RunWithRetry(ctx context.Context, prof workload.Profile, cfg Config, pol RetryPolicy) (*Result, error) {
 	pol = pol.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed*0x9e3779b9 + int64(cfg.Cores)))
+	jitter := rng.New(cfg.Seed*0x9e3779b9 + int64(cfg.Cores))
 	budget := cfg.MaxCycles
 	var attempts []RunAttempt
 	var backedOff time.Duration
@@ -197,7 +197,7 @@ func RunWithRetry(ctx context.Context, prof workload.Profile, cfg Config, pol Re
 		budget = event.Time(float64(budget) * pol.BudgetFactor)
 		pause := pol.Backoff << (n - 1)
 		if pol.Jitter > 0 {
-			pause += time.Duration(rng.Float64() * pol.Jitter * float64(pause))
+			pause += time.Duration(jitter.Float64() * pol.Jitter * float64(pause))
 		}
 		if pause > pol.MaxBackoff {
 			pause = pol.MaxBackoff

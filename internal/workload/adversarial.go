@@ -17,6 +17,7 @@ import (
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/mem"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/rng"
 	"scalablebulk/internal/sig"
 )
 
@@ -161,41 +162,44 @@ func hashName(s string) uint64 {
 	return h
 }
 
-func (a *adv) rng(proc int, seq uint64) *rand.Rand {
+// streamSeed is the seed of chunk (proc, seq)'s private stream.
+func (a *adv) streamSeed(proc int, seq uint64) int64 {
 	h := splitmix64(uint64(a.seed) ^ hashName(a.name))
 	h = splitmix64(h ^ uint64(proc))
 	h = splitmix64(h ^ seq)
-	return rand.New(rand.NewSource(int64(h)))
+	return int64(h)
 }
 
 // privateLine picks a line in the thread's private region with skewed reuse.
-func (a *adv) privateLine(rng *rand.Rand, proc int) sig.Line {
+func (a *adv) privateLine(r *rand.Rand, proc int) sig.Line {
 	page := uint64(privateBasePage+proc*privateStride) +
-		uint64(math.Pow(rng.Float64(), 2.5)*float64(advPrivatePages))
-	return sig.Line(page*mem.LinesPerPage + uint64(rng.Intn(mem.LinesPerPage)))
+		uint64(math.Pow(r.Float64(), 2.5)*float64(advPrivatePages))
+	return sig.Line(page*mem.LinesPerPage + uint64(r.Intn(mem.LinesPerPage)))
 }
 
 func (a *adv) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
-	rng := a.rng(proc, seq)
+	g := rng.Get(a.streamSeed(proc, seq))
+	defer rng.Put(g)
+	r := g.Rand
 	ck := &chunk.Chunk{
 		Tag:   msg.CTag{Proc: proc, Seq: seq},
 		Instr: 2000,
 	}
 	if warmup {
-		a.genWarmup(rng, proc, ck)
+		a.genWarmup(r, proc, ck)
 		return ck
 	}
 	switch a.p.Kind {
 	case "zipf":
-		a.genZipf(rng, proc, ck)
+		a.genZipf(r, proc, ck)
 	case "pipeline":
-		a.genPipeline(rng, proc, seq, ck)
+		a.genPipeline(r, proc, seq, ck)
 	case "convoy":
-		a.genConvoy(rng, proc, seq, ck)
+		a.genConvoy(r, proc, seq, ck)
 	case "stormdir":
-		a.genStorm(rng, proc, ck)
+		a.genStorm(r, proc, ck)
 	case "kvstore":
-		a.genKV(rng, proc, ck)
+		a.genKV(r, proc, ck)
 	default:
 		panic("workload: unknown adversarial kind " + a.p.Kind)
 	}
@@ -212,7 +216,7 @@ func (a *adv) add(ck *chunk.Chunk, l sig.Line, write bool) {
 // request state. stormdir is the exception: its whole region is first-touched
 // by cores 0..StormDirs-1 only, which is precisely what concentrates every
 // commit on those few directory modules.
-func (a *adv) genWarmup(rng *rand.Rand, proc int, ck *chunk.Chunk) {
+func (a *adv) genWarmup(r *rand.Rand, proc int, ck *chunk.Chunk) {
 	switch a.p.Kind {
 	case "zipf":
 		pages := poolPages(a.p.Lines)
@@ -247,7 +251,7 @@ func (a *adv) genWarmup(rng *rand.Rand, proc int, ck *chunk.Chunk) {
 		}
 	}
 	for k := 0; k < 4; k++ {
-		a.add(ck, a.privateLine(rng, proc), false)
+		a.add(ck, a.privateLine(r, proc), false)
 	}
 }
 
@@ -258,23 +262,23 @@ func poolPages(n int) int { return (n + mem.LinesPerPage - 1) / mem.LinesPerPage
 // a small hot pool shared by all cores. The head of the distribution is so
 // popular that concurrent chunks collide constantly — the true-sharing storm
 // the synthetic profiles keep at the paper's ~1.5% squash rate.
-func (a *adv) genZipf(rng *rand.Rand, proc int, ck *chunk.Chunk) {
-	z := rand.NewZipf(rng, a.p.Skew, 1, uint64(a.p.Lines-1))
+func (a *adv) genZipf(r *rand.Rand, proc int, ck *chunk.Chunk) {
+	z := rand.NewZipf(r, a.p.Skew, 1, uint64(a.p.Lines-1))
 	for len(ck.Accesses) < a.p.Accesses {
-		if rng.Float64() < a.p.PrivateFrac {
-			a.add(ck, a.privateLine(rng, proc), false)
+		if r.Float64() < a.p.PrivateFrac {
+			a.add(ck, a.privateLine(r, proc), false)
 			continue
 		}
 		rank := z.Uint64()
 		line := sig.Line(uint64(advZipfBase)*mem.LinesPerPage + rank)
-		a.add(ck, line, rng.Float64() < a.p.WriteFrac)
+		a.add(ck, line, r.Float64() < a.p.WriteFrac)
 	}
 }
 
 // genPipeline: stage p consumes the block stage p-1 produced and produces
 // its own. Concurrent neighbors conflict on every handoff slot — the squash
 // chains ripple down the pipe, the pathological case for eager invalidation.
-func (a *adv) genPipeline(rng *rand.Rand, proc int, seq uint64, ck *chunk.Chunk) {
+func (a *adv) genPipeline(r *rand.Rand, proc int, seq uint64, ck *chunk.Chunk) {
 	slots := mem.LinesPerPage / a.p.Payload
 	slot := int(seq) % slots
 	prev := (proc + a.threads - 1) % a.threads
@@ -287,7 +291,7 @@ func (a *adv) genPipeline(rng *rand.Rand, proc int, seq uint64, ck *chunk.Chunk)
 		a.add(ck, sig.Line(writeBase+uint64(k)), true)
 	}
 	for len(ck.Accesses) < a.p.Accesses {
-		a.add(ck, a.privateLine(rng, proc), rng.Float64() < 0.3)
+		a.add(ck, a.privateLine(r, proc), r.Float64() < 0.3)
 	}
 }
 
@@ -295,13 +299,13 @@ func (a *adv) genPipeline(rng *rand.Rand, proc int, seq uint64, ck *chunk.Chunk)
 // of the lock line all cores contend on — then does private work. Commits
 // serialize completely; the protocols must drain the convoy without
 // starvation or livelock.
-func (a *adv) genConvoy(rng *rand.Rand, proc int, seq uint64, ck *chunk.Chunk) {
+func (a *adv) genConvoy(r *rand.Rand, proc int, seq uint64, ck *chunk.Chunk) {
 	lock := uint64(advConvoyBase)*mem.LinesPerPage + seq%uint64(a.p.Locks)
 	a.add(ck, sig.Line(lock), true)
 	// Read the queue head (read-mostly sharing on the same page).
 	a.add(ck, sig.Line(uint64(advConvoyBase)*mem.LinesPerPage+uint64(a.p.Locks)), false)
 	for len(ck.Accesses) < a.p.Accesses {
-		a.add(ck, a.privateLine(rng, proc), rng.Float64() < 0.4)
+		a.add(ck, a.privateLine(r, proc), r.Float64() < 0.4)
 	}
 }
 
@@ -311,14 +315,14 @@ func (a *adv) genConvoy(rng *rand.Rand, proc int, seq uint64, ck *chunk.Chunk) {
 // conflicts — yet every commit's write group converges on the same couple of
 // directories: the case that serializes TCC and SEQ but not ScalableBulk
 // (§2.1), pushed to its limit.
-func (a *adv) genStorm(rng *rand.Rand, proc int, ck *chunk.Chunk) {
+func (a *adv) genStorm(r *rand.Rand, proc int, ck *chunk.Chunk) {
 	off := uint64(proc % mem.LinesPerPage)
 	for k := 0; k < a.p.Payload; k++ {
-		page := uint64(advStormBase + rng.Intn(a.p.StormPages))
+		page := uint64(advStormBase + r.Intn(a.p.StormPages))
 		a.add(ck, sig.Line(page*mem.LinesPerPage+off), true)
 	}
 	for len(ck.Accesses) < a.p.Accesses {
-		a.add(ck, a.privateLine(rng, proc), false)
+		a.add(ck, a.privateLine(r, proc), false)
 	}
 }
 
@@ -327,16 +331,16 @@ func (a *adv) genStorm(rng *rand.Rand, proc int, ck *chunk.Chunk) {
 // to an unrelated line via a hash), read-mostly with a small write fraction.
 // Hot-key writes collide across cores; the long tail streams through the
 // caches and scatters directory groups machine-wide.
-func (a *adv) genKV(rng *rand.Rand, proc int, ck *chunk.Chunk) {
-	z := rand.NewZipf(rng, a.p.Skew, 1, uint64(a.p.Lines-1))
+func (a *adv) genKV(r *rand.Rand, proc int, ck *chunk.Chunk) {
+	z := rand.NewZipf(r, a.p.Skew, 1, uint64(a.p.Lines-1))
 	for len(ck.Accesses) < a.p.Accesses {
-		if rng.Float64() < a.p.PrivateFrac {
-			a.add(ck, a.privateLine(rng, proc), rng.Float64() < 0.5)
+		if r.Float64() < a.p.PrivateFrac {
+			a.add(ck, a.privateLine(r, proc), r.Float64() < 0.5)
 			continue
 		}
 		key := z.Uint64()
 		slot := splitmix64(key) % uint64(a.p.Lines)
 		line := sig.Line(uint64(advKVBase)*mem.LinesPerPage + slot)
-		a.add(ck, line, rng.Float64() < a.p.WriteFrac)
+		a.add(ck, line, r.Float64() < a.p.WriteFrac)
 	}
 }

@@ -11,11 +11,11 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/mem"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/rng"
 	"scalablebulk/internal/sig"
 )
 
@@ -143,7 +143,9 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 	h := splitmix64(uint64(w.seed))
 	h = splitmix64(h ^ uint64(proc))
 	h = splitmix64(h ^ seq)
-	rng := rand.New(rand.NewSource(int64(h)))
+	g := rng.Get(int64(h))
+	defer rng.Put(g)
+	r := g.Rand
 	p := w.Prof
 
 	ck := &chunk.Chunk{
@@ -172,7 +174,7 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 		sharedSkew = 1
 	}
 	pickShared := func() uint64 {
-		u := math.Pow(rng.Float64(), sharedSkew)
+		u := math.Pow(r.Float64(), sharedSkew)
 		return sharedBasePage + dataPagesOffset + uint64(u*float64(dataPages))
 	}
 	for i := range sharedPool {
@@ -181,7 +183,7 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 
 	for len(ck.Accesses) < p.Accesses {
 		switch {
-		case rng.Float64() < p.ScatterFrac*p.WriteFrac:
+		case r.Float64() < p.ScatterFrac*p.WriteFrac:
 			// Radix-style bucket write ("the writes to these buckets are
 			// random ... no spatial locality", §6.1). Each thread owns a
 			// page-partitioned slice of the bucket array — concurrent
@@ -192,16 +194,16 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 			// serializes TCC and SEQ but not ScalableBulk (§2.1).
 			var page uint64
 			if warmup {
-				page = sharedBasePage + dataPagesOffset + uint64(rng.Intn(dataPages))
+				page = sharedBasePage + dataPagesOffset + uint64(r.Intn(dataPages))
 			} else {
 				epoch := seq >> 3
 				residue := (uint64(proc) + epoch) % uint64(w.threads)
 				// Stripe the partition across the region: the thread's
 				// pages are spread machine-wide, touching many homes.
-				idx := residue + uint64(rng.Intn(max(dataPages/w.threads, 1)))*uint64(w.threads)
+				idx := residue + uint64(r.Intn(max(dataPages/w.threads, 1)))*uint64(w.threads)
 				page = sharedBasePage + dataPagesOffset + idx%uint64(dataPages)
 			}
-			off := rng.Intn(mem.LinesPerPage)
+			off := r.Intn(mem.LinesPerPage)
 			line := sig.Line(page*mem.LinesPerPage + uint64(off))
 			ck.Accesses = append(ck.Accesses, chunk.Access{Line: line, Write: true})
 		default:
@@ -209,16 +211,16 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 			write := true
 			private := false
 			switch {
-			case rng.Float64() < p.ReadHotFrac:
+			case r.Float64() < p.ReadHotFrac:
 				// Hot read-mostly shared data: wide read groups.
-				page = sharedBasePage + uint64(rng.Intn(hotReadPages))
+				page = sharedBasePage + uint64(r.Intn(hotReadPages))
 				write = false
-			case rng.Float64() < p.SharedFrac:
-				page = sharedPool[rng.Intn(nShared)]
+			case r.Float64() < p.SharedFrac:
+				page = sharedPool[r.Intn(nShared)]
 			default:
 				// Private page with skewed reuse: u^skew concentrates on a
 				// hot subset, keeping it cache-resident.
-				u := math.Pow(rng.Float64(), p.PrivateSkew)
+				u := math.Pow(r.Float64(), p.PrivateSkew)
 				page = privBase + uint64(u*float64(w.pagesPerThread))
 				private = true
 			}
@@ -228,9 +230,9 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 			// rarely touch the same lines (real conflicts stay rare, §6.1).
 			var slot int
 			if private {
-				slot = int(math.Pow(rng.Float64(), p.PrivateSkew) * float64(slots))
+				slot = int(math.Pow(r.Float64(), p.PrivateSkew) * float64(slots))
 			} else {
-				slot = rng.Intn(slots)
+				slot = r.Intn(slots)
 			}
 			if slot >= slots {
 				slot = slots - 1
@@ -244,15 +246,15 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 				line := sig.Line(page*mem.LinesPerPage + uint64(off+i))
 				ck.Accesses = append(ck.Accesses, chunk.Access{
 					Line:  line,
-					Write: write && rng.Float64() < p.WriteFrac,
+					Write: write && r.Float64() < p.WriteFrac,
 				})
 			}
 		}
 	}
 	// True-sharing conflict: a write to one of the hot contended lines,
 	// which live on their own page so they never collide with hot reads.
-	if p.HotLines > 0 && rng.Float64() < p.ConflictFrac {
-		line := sig.Line(hotWritePage*mem.LinesPerPage + uint64(rng.Intn(p.HotLines)))
+	if p.HotLines > 0 && r.Float64() < p.ConflictFrac {
+		line := sig.Line(hotWritePage*mem.LinesPerPage + uint64(r.Intn(p.HotLines)))
 		ck.Accesses = append(ck.Accesses, chunk.Access{Line: line, Write: true})
 	}
 	return ck
