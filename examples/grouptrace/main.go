@@ -46,7 +46,7 @@ func (f *procSim) handle(m *msg.Msg) {
 		}
 	case msg.BulkInv:
 		var recall *msg.RecallInfo
-		if f.chk != nil && !f.done && f.chk.ConflictsWith(&m.WSig) {
+		if f.chk != nil && !f.done && f.chk.ConflictsWith(m.W()) {
 			fmt.Printf("%8d  P%d: bulk_inv from P%d squashes my in-flight chunk → commit_recall\n",
 				f.env.Eng.Now(), f.id, m.Tag.Proc)
 			recall = &msg.RecallInfo{Tag: f.chk.Tag, Try: uint64(f.chk.Retries), GVec: f.chk.Dirs}

@@ -74,6 +74,26 @@ func (s *Set) Or(o Set) {
 	}
 }
 
+// OrExcept merges o into s, leaving out bit x (x < 0 leaves out nothing).
+// A bit x already in s stays set. Directory modules use it to gather a
+// line's sharers minus the committing processor, one word at a time.
+func (s *Set) OrExcept(o Set, x int) {
+	xi, xb := -1, uint64(0)
+	if x >= 0 {
+		xi, xb = x/64, 1<<(x%64)
+	}
+	for i, w := range o.w {
+		if i == xi {
+			w &^= xb
+		}
+		if w == 0 {
+			continue
+		}
+		s.grow(i*64 + 63)
+		s.w[i] |= w
+	}
+}
+
 // Clear empties the set, retaining capacity.
 func (s *Set) Clear() {
 	for i := range s.w {

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -102,5 +103,55 @@ func TestPropertyMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// orExceptRef is the per-bit formulation OrExcept replaces.
+func orExceptRef(dst *Set, o Set, x int) {
+	o.ForEach(func(i int) {
+		if i != x {
+			dst.Add(i)
+		}
+	})
+}
+
+func TestOrExceptMatchesPerBit(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	members := func(n, max int) []int {
+		ms := make([]int, n)
+		for i := range ms {
+			ms[i] = r.Intn(max)
+		}
+		return ms
+	}
+	for i := 0; i < 3000; i++ {
+		o := FromMembers(members(r.Intn(8), 1+r.Intn(300))...)
+		d0 := members(r.Intn(8), 1+r.Intn(300))
+		var x int
+		switch i % 5 {
+		case 0:
+			x = -1
+		case 1:
+			x = 64*len(o.w) + r.Intn(200) // past o's length
+		case 2:
+			if len(d0) == 0 {
+				d0 = append(d0, 7)
+			}
+			x = d0[0] // already present in dst
+			o.Add(x)
+		case 3:
+			if ms := o.Members(); len(ms) > 0 {
+				x = ms[r.Intn(len(ms))] // present in o: must be left out
+			}
+		default:
+			x = r.Intn(400)
+		}
+		got, want := FromMembers(d0...), FromMembers(d0...)
+		got.OrExcept(o, x)
+		orExceptRef(&want, o, x)
+		if got.String() != want.String() {
+			t.Fatalf("case %d: OrExcept(%s, %d) into %v = %s, want %s",
+				i, o.String(), x, d0, got.String(), want.String())
+		}
 	}
 }

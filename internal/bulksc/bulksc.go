@@ -53,9 +53,12 @@ func DefaultConfig() Config {
 	return Config{ServiceTime: 6, PerInflight: 5, RetryBackoff: 30, CommitDeadline: DefaultCommitDeadline}
 }
 
+// inflight is the arbiter's record of a granted commit. rsig and wsig point
+// at the attempt's immutable signature snapshot (chunk.Sigs), shared with the
+// arb_request that delivered it.
 type inflight struct {
 	tag        msg.CTag
-	rsig, wsig sig.Sig
+	rsig, wsig *sig.Sig
 	writeLines []sig.Line
 	try        int
 }
@@ -119,9 +122,10 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	p.k.Started(proc, ck)
 	j := &commitJob{ck: ck, try: uint64(ck.Retries)}
 	p.jobs[proc] = j
+	sigs := ck.Snapshot()
 	p.env.Net.Send(&msg.Msg{
 		Kind: msg.ArbRequest, Src: proc, Dst: p.arbNode, Tag: ck.Tag,
-		RSig: ck.RSig, WSig: ck.WSig, WriteLines: ck.WriteLines,
+		RSig: &sigs.R, WSig: &sigs.W, WriteLines: ck.WriteLines,
 		TID: j.try,
 	})
 	p.armWatchdog(proc, ck)
@@ -189,7 +193,7 @@ func (p *Protocol) decide(m *msg.Msg) {
 		// The arbiter allows concurrent commits as long as the addresses a
 		// chunk wrote do not overlap the addresses accessed by any other
 		// committing chunk (§2.1).
-		if m.WSig.Overlaps(&f.wsig) || m.WSig.Overlaps(&f.rsig) || m.RSig.Overlaps(&f.wsig) {
+		if m.W().Overlaps(f.wsig) || m.W().Overlaps(f.rsig) || m.R().Overlaps(f.wsig) {
 			p.env.Trace.Emit(trace.Event{
 				Kind: trace.KRefused, Node: p.arbNode, Dir: true,
 				Tag: m.Tag, Try: int(m.TID), Cause: trace.CauseDenied,
@@ -200,7 +204,7 @@ func (p *Protocol) decide(m *msg.Msg) {
 		}
 	}
 	p.inflight = append(p.inflight, &inflight{
-		tag: m.Tag, rsig: m.RSig, wsig: m.WSig, writeLines: m.WriteLines, try: int(m.TID),
+		tag: m.Tag, rsig: m.R(), wsig: m.W(), writeLines: m.WriteLines, try: int(m.TID),
 	})
 	p.k.HoldBegin(p.arbNode, m.Tag, int(m.TID))
 	p.k.Formed(m.Tag.Proc, m.Tag.Seq, int(m.TID))
@@ -237,7 +241,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 		if p.env.Cores[node].MaybeDefer(m) {
 			return
 		}
-		p.env.Cores[node].BulkInvalidate(&m.WSig, m.WriteLines, m.Tag.Proc, nil)
+		p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, nil)
 		p.env.Net.Send(&msg.Msg{Kind: msg.ArbInvAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID})
 	case msg.ArbInvAck:
 		p.onInvAck(node, m)
@@ -273,13 +277,14 @@ func (p *Protocol) onGrant(node int, m *msg.Msg) {
 		p.complete(node, job)
 		return
 	}
+	w := &job.ck.Snapshot().W
 	for d := 0; d < n; d++ {
 		if d == node {
 			continue
 		}
 		p.env.Net.Send(&msg.Msg{
 			Kind: msg.ArbInv, Src: node, Dst: d, Tag: m.Tag, TID: job.try,
-			WSig: job.ck.WSig, WriteLines: job.ck.WriteLines,
+			WSig: w, WriteLines: job.ck.WriteLines,
 		})
 	}
 }

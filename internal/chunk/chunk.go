@@ -6,7 +6,7 @@
 package chunk
 
 import (
-	"sort"
+	"slices"
 
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
@@ -35,7 +35,7 @@ type Chunk struct {
 	// read and written appears in WSig — conflicts are detected against
 	// either set, and this mirrors how Bulk inserts).
 	RSig, WSig sig.Sig
-	// ReadLines and WriteLines are the distinct lines per set.
+	// ReadLines and WriteLines are the distinct lines per set, ascending.
 	ReadLines, WriteLines []sig.Line
 	// Dirs is the g_vec: ascending IDs of every home directory of the
 	// chunk's accesses. WriteDirs are those homing at least one write.
@@ -53,60 +53,107 @@ type Chunk struct {
 	// is squashed, or to Useful/CacheMiss when it commits (Figures 7/8).
 	ExecUseful uint64
 	ExecMiss   uint64
+
+	// sigs is the snapshot of RSig/WSig handed out by Snapshot; Finalize
+	// drops it so the next execution takes its own.
+	sigs *Sigs
+}
+
+// Sigs is an immutable snapshot of one chunk execution's finalized read and
+// write signatures. Commit messages and the protocols' per-attempt records
+// point at it (see Chunk.Snapshot).
+type Sigs struct {
+	R, W sig.Sig
 }
 
 // Finalize computes signatures, distinct line sets and the g_vec once the
-// chunk has executed. home maps a line to its home directory module.
+// chunk has executed. home maps a line to its home directory module; it is
+// called once per distinct line, with no order guaranteed.
+//
+// Finalize reuses the line-set and directory slices of an earlier
+// execution in place. Messages of an earlier attempt may still hold those
+// slices, so the contents they see must not change: a chunk's accesses are
+// fixed, so every re-finalization writes the same sorted lines back, and a
+// slice too small for the raw access list is replaced, never grown in
+// place. Once warm, Finalize does not allocate.
 func (c *Chunk) Finalize(home func(sig.Line) int) {
+	c.sigs = nil
 	c.RSig.Clear()
 	c.WSig.Clear()
-	c.ReadLines = c.ReadLines[:0]
-	c.WriteLines = c.WriteLines[:0]
 
-	written := make(map[sig.Line]bool, len(c.Accesses))
-	read := make(map[sig.Line]bool, len(c.Accesses))
+	nw := 0
 	for _, a := range c.Accesses {
 		if a.Write {
-			written[a.Line] = true
+			nw++
+		}
+	}
+	w := reuse(c.WriteLines, nw)
+	r := reuse(c.ReadLines, len(c.Accesses)-nw)
+	for _, a := range c.Accesses {
+		if a.Write {
+			w = append(w, a.Line)
 		} else {
-			read[a.Line] = true
+			r = append(r, a.Line)
 		}
 	}
+	slices.Sort(w)
+	w = slices.Compact(w)
+	slices.Sort(r)
+	r = slices.Compact(r)
+	// A line both read and written belongs to the write set only: drop
+	// the written lines from the read set by merging the two sorted lists.
+	k, j := 0, 0
+	for _, l := range r {
+		for j < len(w) && w[j] < l {
+			j++
+		}
+		if j < len(w) && w[j] == l {
+			continue
+		}
+		r[k] = l
+		k++
+	}
+	r = r[:k]
+	c.WriteLines, c.ReadLines = w, r
 
-	dirSet := make(map[int]bool, 8)
-	wDirSet := make(map[int]bool, 8)
-	for l := range written {
+	dirs := reuse(c.Dirs, len(w)+len(r))
+	wdirs := reuse(c.WriteDirs, len(w))
+	for _, l := range w {
 		c.WSig.Insert(l)
-		c.WriteLines = append(c.WriteLines, l)
 		d := home(l)
-		dirSet[d] = true
-		wDirSet[d] = true
+		dirs = append(dirs, d)
+		wdirs = append(wdirs, d)
 	}
-	for l := range read {
-		if written[l] {
-			continue // write set subsumes
-		}
+	for _, l := range r {
 		c.RSig.Insert(l)
-		c.ReadLines = append(c.ReadLines, l)
-		dirSet[home(l)] = true
+		dirs = append(dirs, home(l))
 	}
-	sortLines(c.ReadLines)
-	sortLines(c.WriteLines)
-
-	c.Dirs = c.Dirs[:0]
-	for d := range dirSet {
-		c.Dirs = append(c.Dirs, d)
-	}
-	sort.Ints(c.Dirs)
-	c.WriteDirs = c.WriteDirs[:0]
-	for d := range wDirSet {
-		c.WriteDirs = append(c.WriteDirs, d)
-	}
-	sort.Ints(c.WriteDirs)
+	slices.Sort(dirs)
+	c.Dirs = slices.Compact(dirs)
+	slices.Sort(wdirs)
+	c.WriteDirs = slices.Compact(wdirs)
 }
 
-func sortLines(ls []sig.Line) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+// reuse returns s emptied if it can hold n elements without growing, and a
+// fresh slice of capacity n otherwise (nil s stays nil when n is 0).
+func reuse[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// Snapshot returns the immutable copy of the signatures Finalize built,
+// taken on the first call after Finalize and shared by every message and
+// protocol record of this execution: all its commit attempts and all their
+// destinations. Re-execution rebuilds RSig and WSig in place while old
+// messages are still in flight, so those point at the snapshot, never at
+// the chunk's own signatures. Nothing may write to a snapshot.
+func (c *Chunk) Snapshot() *Sigs {
+	if c.sigs == nil {
+		c.sigs = &Sigs{R: c.RSig, W: c.WSig}
+	}
+	return c.sigs
 }
 
 // ReadOnlyDirs returns how many participating directories record only reads
@@ -123,17 +170,14 @@ func (c *Chunk) ConflictsWith(otherW *sig.Sig) bool {
 
 // TrulyConflictsWith reports whether an exact line of ws is really in the
 // chunk's read or write set; used only to classify squashes into "data
-// conflict" vs "signature aliasing" for the §6.1 statistics.
+// conflict" vs "signature aliasing" for the §6.1 statistics. It searches
+// the sorted line sets Finalize built.
 func (c *Chunk) TrulyConflictsWith(ws []sig.Line) bool {
-	mine := make(map[sig.Line]bool, len(c.ReadLines)+len(c.WriteLines))
-	for _, l := range c.ReadLines {
-		mine[l] = true
-	}
-	for _, l := range c.WriteLines {
-		mine[l] = true
-	}
 	for _, l := range ws {
-		if mine[l] {
+		if _, ok := slices.BinarySearch(c.ReadLines, l); ok {
+			return true
+		}
+		if _, ok := slices.BinarySearch(c.WriteLines, l); ok {
 			return true
 		}
 	}

@@ -24,7 +24,7 @@ func inject(r *rig, node int, m *msg.Msg) {
 func requestMsg(ck *chunkLike, dst int) *msg.Msg {
 	return &msg.Msg{
 		Kind: msg.CommitRequest, Src: ck.tag.Proc, Dst: dst, Tag: ck.tag,
-		RSig: ck.rsig, WSig: ck.wsig, GVec: ck.gvec,
+		RSig: &ck.rsig, WSig: &ck.wsig, GVec: ck.gvec,
 		WriteLines: ck.writes, TID: uint64(ck.try),
 	}
 }

@@ -53,10 +53,11 @@ const (
 
 // cstEntry is one Chunk State Table entry (Figure 6).
 type cstEntry struct {
-	tag  msg.CTag
-	try  int
-	rsig sig.Sig
-	wsig sig.Sig
+	tag msg.CTag
+	try int
+	// rsig and wsig point at the attempt's immutable signature snapshot
+	// (chunk.Sigs), shared with the commit_request that delivered it.
+	rsig, wsig *sig.Sig
 	// gvec is the participating modules in group (priority) order; the
 	// leader is gvec[0].
 	gvec       []int
@@ -247,10 +248,11 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 
 	gvec := p.orderGVec(ck.Dirs)
 	p.armWatchdog(ck.Tag, try, gvec)
+	sigs := ck.Snapshot()
 	for _, d := range gvec {
 		p.env.Net.Send(&msg.Msg{
 			Kind: msg.CommitRequest, Src: proc, Dst: d, Tag: ck.Tag,
-			RSig: ck.RSig, WSig: ck.WSig, GVec: gvec,
+			RSig: &sigs.R, WSig: &sigs.W, GVec: gvec,
 			WriteLines: ck.WriteLines, TID: uint64(try),
 		})
 	}
@@ -360,7 +362,7 @@ func (mod *module) getOrCreate(tag msg.CTag) *cstEntry {
 // are incompatible if their W signatures overlap or if the R signature of
 // one overlaps the W signature of the other.
 func incompatible(a, b *cstEntry) bool {
-	return a.wsig.Overlaps(&b.wsig) || a.wsig.Overlaps(&b.rsig) || a.rsig.Overlaps(&b.wsig)
+	return a.wsig.Overlaps(b.wsig) || a.wsig.Overlaps(b.rsig) || a.rsig.Overlaps(b.wsig)
 }
 
 // entryFor resolves the CST entry for an attempt, handling attempt
@@ -423,7 +425,7 @@ func (p *Protocol) onCommitRequest(mod *module, m *msg.Msg) {
 		return // stale or duplicate
 	}
 	p.env.Trace.Instant(trace.KCommitReq, mod.id, true, m.Tag, try)
-	e.rsig, e.wsig = m.RSig, m.WSig
+	e.rsig, e.wsig = m.R(), m.W()
 	e.gvec = m.GVec
 	e.writeLines = m.WriteLines
 	e.gotSigs = true

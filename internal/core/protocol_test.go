@@ -76,7 +76,7 @@ func (f *fakeProc) handle(m *msg.Msg) {
 		})
 	case msg.BulkInv:
 		var recall *msg.RecallInfo
-		if f.chk != nil && !f.squashedInFlight && f.chk.ConflictsWith(&m.WSig) {
+		if f.chk != nil && !f.squashedInFlight && f.chk.ConflictsWith(m.W()) {
 			f.squashedInFlight = true
 			f.squashes++
 			recall = &msg.RecallInfo{Tag: f.chk.Tag, Try: uint64(f.chk.Retries), GVec: f.chk.Dirs}
@@ -313,7 +313,7 @@ func TestReadBlockedDuringCommit(t *testing.T) {
 	// Inject the signatures directly and check the §3.1 load nack window.
 	r.proto.HandleDir(2, &msg.Msg{
 		Kind: msg.CommitRequest, Src: 0, Dst: 2, Tag: ck.Tag,
-		RSig: ck.RSig, WSig: ck.WSig, GVec: []int{2}, WriteLines: ck.WriteLines,
+		RSig: &ck.RSig, WSig: &ck.WSig, GVec: []int{2}, WriteLines: ck.WriteLines,
 	})
 	if !r.proto.ReadBlocked(2, 2000) {
 		t.Fatal("load to committing W line not blocked")

@@ -114,15 +114,9 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 		if h, ok := mapper.HomeIfMapped(l); !ok || h != home {
 			continue
 		}
-		li := s.tab(l)[l]
-		if li == nil {
-			continue
+		if li := s.tab(l)[l]; li != nil {
+			dst.OrExcept(li.Sharers, exclude)
 		}
-		li.Sharers.ForEach(func(p int) {
-			if p != exclude {
-				dst.Add(p)
-			}
-		})
 	}
 }
 
@@ -132,15 +126,9 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 // (BulkSC's committing processor, SEQ-PRO's occupier) use this.
 func (s *State) SharersOfAll(lines []sig.Line, exclude int, dst *bitset.Set) {
 	for _, l := range lines {
-		li := s.tab(l)[l]
-		if li == nil {
-			continue
+		if li := s.tab(l)[l]; li != nil {
+			dst.OrExcept(li.Sharers, exclude)
 		}
-		li.Sharers.ForEach(func(p int) {
-			if p != exclude {
-				dst.Add(p)
-			}
-		})
 	}
 }
 

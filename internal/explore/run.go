@@ -393,8 +393,8 @@ func conflicts(a, b *msg.Msg) bool {
 	if linesOverlap(a, b) {
 		return true
 	}
-	if a.WSig.Overlaps(&b.WSig) || a.WSig.Overlaps(&b.RSig) ||
-		a.RSig.Overlaps(&b.WSig) {
+	if a.W().Overlaps(b.W()) || a.W().Overlaps(b.R()) ||
+		a.R().Overlaps(b.W()) {
 		return true
 	}
 	return false

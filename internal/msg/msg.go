@@ -327,7 +327,11 @@ type RecallInfo struct {
 
 // Msg is a message in flight. A single flat struct (rather than one type per
 // kind) keeps the hot simulation path allocation-light; unused fields are
-// zero.
+// zero. Signatures travel by pointer, so the struct stays 184 bytes: only
+// commit_request, bulk_inv and their baseline counterparts carry one
+// (Table 1, §6.5), and they point at the committing chunk execution's
+// immutable snapshot (chunk.Sigs) instead of copying 512 bytes into every
+// message. A pointed-to signature is never mutated once sent.
 type Msg struct {
 	Kind Kind
 	Src  int // source node ID
@@ -335,7 +339,10 @@ type Msg struct {
 	Tag  CTag
 
 	// Commit-protocol payloads.
-	RSig, WSig sig.Sig    // signatures (CommitRequest, BulkInv, ArbRequest)
+	// RSig and WSig are the read and write signatures (CommitRequest,
+	// BulkInv, ArbRequest/ArbInv, SeqOccupy/SeqInval); nil means empty.
+	// Read them through R and W.
+	RSig, WSig *sig.Sig
 	GVec       []int      // participating directory modules, ascending IDs
 	InvalVec   bitset.Set // sharer processors to invalidate (Grab)
 	Recall     *RecallInfo
@@ -358,14 +365,34 @@ type Msg struct {
 	Abandon bool
 }
 
+// emptySig stands in for a nil signature field. Nothing writes to it.
+var emptySig sig.Sig
+
+// R returns the read signature, or the empty signature if none is carried.
+func (m *Msg) R() *sig.Sig {
+	if m.RSig == nil {
+		return &emptySig
+	}
+	return m.RSig
+}
+
+// W returns the write signature, or the empty signature if none is carried.
+func (m *Msg) W() *sig.Sig {
+	if m.WSig == nil {
+		return &emptySig
+	}
+	return m.WSig
+}
+
 func (m *Msg) String() string {
 	return fmt.Sprintf("%s %d→%d %s", m.Kind, m.Src, m.Dst, m.Tag)
 }
 
-// Clone returns a deep copy of the message. The fault injector uses it to
+// Clone returns a copy of the message. The fault injector uses it to
 // duplicate in-flight messages: the copy must not alias any mutable payload
 // (GVec, InvalVec, Recall, line lists), or a handler consuming one delivery
-// could corrupt the other.
+// could corrupt the other. The signatures are immutable once sent, so the
+// clone shares them.
 func (m *Msg) Clone() *Msg {
 	c := *m
 	if m.GVec != nil {

@@ -3,6 +3,7 @@ package msg
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"scalablebulk/internal/bitset"
 	"scalablebulk/internal/sig"
@@ -136,12 +137,16 @@ func TestClassNames(t *testing.T) {
 }
 
 // TestCloneDeepCopies verifies the duplicator contract: a clone shares no
-// mutable payload with the original.
+// mutable payload with the original, and shares the immutable signatures.
 func TestCloneDeepCopies(t *testing.T) {
 	var iv bitset.Set
 	iv.Add(3)
+	var r, w sig.Sig
+	r.Insert(30)
+	w.Insert(10)
 	m := &Msg{
 		Kind: Grab, Src: 1, Dst: 2, Tag: CTag{Proc: 3, Seq: 17},
+		RSig: &r, WSig: &w,
 		GVec:     []int{2, 5, 9},
 		InvalVec: iv,
 		Recall: &RecallInfo{
@@ -151,11 +156,13 @@ func TestCloneDeepCopies(t *testing.T) {
 		ReadLines:  []sig.Line{30},
 		TID:        6,
 	}
-	m.WSig.Insert(10)
 	c := m.Clone()
 
-	if c.Kind != m.Kind || c.Tag != m.Tag || c.TID != m.TID || c.WSig != m.WSig {
+	if c.Kind != m.Kind || c.Tag != m.Tag || c.TID != m.TID {
 		t.Fatal("clone does not copy scalar fields")
+	}
+	if c.RSig != m.RSig || c.WSig != m.WSig {
+		t.Fatal("clone must share the signature snapshots, not copy them")
 	}
 	c.GVec[0] = -1
 	c.InvalVec.Add(60)
@@ -170,7 +177,34 @@ func TestCloneDeepCopies(t *testing.T) {
 
 	// Nil payloads clone to nil (no gratuitous allocation).
 	n := (&Msg{Kind: CommitDone}).Clone()
-	if n.GVec != nil || n.Recall != nil || n.WriteLines != nil || n.ReadLines != nil {
+	if n.GVec != nil || n.Recall != nil || n.WriteLines != nil || n.ReadLines != nil ||
+		n.RSig != nil || n.WSig != nil {
 		t.Fatal("nil payloads must stay nil")
+	}
+}
+
+// TestSigAccessors: nil signature fields read as the empty signature, set
+// ones read as themselves, and reading never writes the shared empty value.
+func TestSigAccessors(t *testing.T) {
+	var m Msg
+	if !m.R().Empty() || !m.W().Empty() {
+		t.Fatal("nil signatures must read as empty")
+	}
+	if m.R() != m.W() {
+		t.Fatal("nil signatures must share one empty value")
+	}
+	var w sig.Sig
+	w.Insert(5)
+	m.WSig = &w
+	if m.W() != &w || !m.W().Member(5) || !m.R().Empty() {
+		t.Fatal("set signature not returned as carried")
+	}
+}
+
+// TestMsgIsSlim guards the message size: signatures travel by pointer, so
+// a message is a few scalars and slice headers, not two 256-byte values.
+func TestMsgIsSlim(t *testing.T) {
+	if sz := unsafe.Sizeof(Msg{}); sz > 192 {
+		t.Fatalf("msg.Msg is %d bytes, want <= 192", sz)
 	}
 }

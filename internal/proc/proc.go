@@ -685,7 +685,7 @@ func (p *Proc) Handle(m *msg.Msg) {
 			return
 		}
 		p.invTag, p.invTagOK = m.Tag, true
-		recall := p.bulkInvalidate(&m.WSig, m.WriteLines, nil)
+		recall := p.bulkInvalidate(m.W(), m.WriteLines, nil)
 		p.invTagOK = false
 		ack := &msg.Msg{Kind: msg.BulkInvAck, Src: p.ID, Dst: m.Src, Tag: m.Tag}
 		if recall != nil && p.cfg.OCIRecall {

@@ -227,7 +227,7 @@ func TestConservativeDeferral(t *testing.T) {
 	var w sig.Sig
 	w.Insert(ck.WriteLines[0])
 	m := &msg.Msg{Kind: msg.BulkInv, Src: 1, Dst: 0, Tag: msg.CTag{Proc: 1, Seq: 9},
-		WSig: w, WriteLines: []sig.Line{ck.WriteLines[0]}}
+		WSig: &w, WriteLines: []sig.Line{ck.WriteLines[0]}}
 	p.Handle(m)
 	if len(p.deferred) != 1 {
 		t.Fatal("invalidation not deferred while awaiting decision")

@@ -47,11 +47,12 @@ type modState struct {
 // occupancy describes who holds a module and with what write set (for read
 // nacking). The attempt index disambiguates occupancies of retried chunks:
 // a duplicated release of attempt N must not free attempt N+1's occupancy
-// of the same tag.
+// of the same tag. wsig points at the attempt's immutable signature
+// snapshot (chunk.Sigs), shared with the seq_occupy that delivered it.
 type occupancy struct {
 	tag  msg.CTag
 	try  uint64
-	wsig sig.Sig
+	wsig *sig.Sig
 }
 
 // job is the committing processor's sequential occupation chain. try is the
@@ -139,7 +140,7 @@ func (p *Protocol) occupyNext(proc int, j *job) {
 	d := j.ck.Dirs[j.nextIdx]
 	p.env.Net.Send(&msg.Msg{
 		Kind: msg.SeqOccupy, Src: proc, Dst: d, Tag: j.ck.Tag,
-		WSig: j.ck.WSig, TID: j.try,
+		WSig: &j.ck.Snapshot().W, TID: j.try,
 	})
 }
 
@@ -157,7 +158,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 			}
 		}
 		if ms.occupant == nil {
-			ms.occupant = &occupancy{tag: m.Tag, try: m.TID, wsig: m.WSig}
+			ms.occupant = &occupancy{tag: m.Tag, try: m.TID, wsig: m.W()}
 			p.k.HoldBegin(node, m.Tag, int(m.TID))
 			p.env.Eng.After(p.env.DirLookup, func() {
 				p.env.Net.Send(&msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
@@ -183,7 +184,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 		if len(ms.queue) > 0 {
 			next := ms.queue[0]
 			ms.queue = ms.queue[1:]
-			ms.occupant = &occupancy{tag: next.Tag, try: next.TID, wsig: next.WSig}
+			ms.occupant = &occupancy{tag: next.Tag, try: next.TID, wsig: next.W()}
 			p.k.HoldBegin(node, next.Tag, int(next.TID))
 			p.env.Eng.After(p.env.DirLookup, func() {
 				p.env.Net.Send(&msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: next.Tag.Proc, Tag: next.Tag, TID: next.TID})
@@ -212,7 +213,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			t := j.ck.Tag
 			immune = &t
 		}
-		squashed := p.env.Cores[node].BulkInvalidate(&m.WSig, m.WriteLines, m.Tag.Proc, immune)
+		squashed := p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, immune)
 		p.env.Net.Send(&msg.Msg{Kind: msg.SeqInvalAck, Src: node, Dst: m.Src, Tag: m.Tag})
 		if squashed != nil {
 			// The squashed chunk's occupation chain must unwind so other
@@ -274,10 +275,11 @@ func (p *Protocol) formed(proc int, j *job) {
 	for _, l := range j.ck.WriteLines {
 		p.env.State.ApplyCommitWrite(l, proc)
 	}
+	w := &j.ck.Snapshot().W
 	for _, t := range targets {
 		p.env.Net.Send(&msg.Msg{
 			Kind: msg.SeqInval, Src: proc, Dst: t, Tag: j.ck.Tag,
-			WSig: j.ck.WSig, WriteLines: j.ck.WriteLines,
+			WSig: w, WriteLines: j.ck.WriteLines,
 		})
 	}
 	p.releaseAll(proc, j)

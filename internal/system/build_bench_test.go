@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"scalablebulk/internal/workload"
@@ -24,6 +25,36 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(prof, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunCommitBound measures whole commit-bound runs — zipf on every
+// signature-era protocol at 64 cores and the 256-core convoy — where the
+// protocol engines, the commit messages and chunk finalization do the work.
+func BenchmarkRunCommitBound(b *testing.B) {
+	type point struct {
+		src, proto   string
+		cores, chunk int
+	}
+	var points []point
+	for _, proto := range []string{"ScalableBulk", "TCC", "SEQ", "BulkSC"} {
+		points = append(points, point{"zipf", proto, 64, 8})
+	}
+	points = append(points, point{"convoy", "ScalableBulk", 256, 4})
+	for _, pt := range points {
+		prof, _ := workload.SourceProfile(pt.src)
+		cfg := DefaultConfig(pt.cores, pt.proto)
+		cfg.Workload = pt.src
+		cfg.ChunksPerCore = pt.chunk
+		cfg.Seed = 1
+		b.Run(fmt.Sprintf("%s/%s/%d/%d", pt.src, pt.proto, pt.cores, pt.chunk), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(prof, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

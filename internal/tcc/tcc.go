@@ -20,6 +20,7 @@ package tcc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scalablebulk/internal/chunk"
@@ -96,7 +97,8 @@ type job struct {
 	phase2     bool // commit/mark messages sent; past the serialization point
 	started    int
 	aborted    bool
-	marksPer   map[int][]sig.Line
+	// marks[k] holds the written lines homed at ck.Dirs[k], ascending.
+	marks [][]sig.Line
 }
 
 // Protocol is the Scalable TCC engine; it implements protocol.Engine.
@@ -402,26 +404,31 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 		delete(p.jobs, proc)
 		return
 	}
-	j.marksPer = make(map[int][]sig.Line)
+	dirs := j.ck.Dirs
+	j.marks = make([][]sig.Line, len(dirs))
 	for _, l := range j.ck.WriteLines {
 		if h, ok := p.env.Map.HomeIfMapped(l); ok {
-			j.marksPer[h] = append(j.marksPer[h], l)
+			if k, found := slices.BinarySearch(dirs, h); found {
+				j.marks[k] = append(j.marks[k], l)
+			}
 		}
 	}
-	inSet := make(map[int]bool, len(j.ck.Dirs))
-	for _, d := range j.ck.Dirs {
-		inSet[d] = true
+	for _, d := range dirs {
 		p.env.Net.Send(&msg.Msg{
 			Kind: msg.TCCProbe, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
 			Line: sig.Line(j.ck.Retries),
 		})
 	}
 	// Skip message to every other directory in the machine (§2.1) — the
-	// broadcast that floods the network with small commit messages.
+	// broadcast that floods the network with small commit messages. dirs
+	// is ascending, so one walk alongside it finds the probed modules.
+	k := 0
 	for d := 0; d < p.env.Net.Nodes(); d++ {
-		if !inSet[d] {
-			p.env.Net.Send(&msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
+		if k < len(dirs) && dirs[k] == d {
+			k++
+			continue
 		}
+		p.env.Net.Send(&msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
 	}
 	if len(j.ck.Dirs) == 0 {
 		p.complete(proc, j)
@@ -448,12 +455,12 @@ func (p *Protocol) onProbeAck(proc int, m *msg.Msg) {
 		return
 	}
 	j.phase2 = true
-	for _, d := range j.ck.Dirs {
+	for k, d := range j.ck.Dirs {
 		p.env.Net.Send(&msg.Msg{
 			Kind: msg.TCCCommit, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
-			WriteLines: j.marksPer[d],
+			WriteLines: j.marks[k],
 		})
-		for _, l := range j.marksPer[d] {
+		for _, l := range j.marks[k] {
 			p.env.Net.Send(&msg.Msg{Kind: msg.TCCMark, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid, Line: l})
 		}
 	}
