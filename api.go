@@ -127,15 +127,6 @@ var ErrDeadlock = system.ErrDeadlock
 // (errors.Is); the concrete *AbortError carries the cause.
 var ErrAborted = system.ErrAborted
 
-// ErrShardHazard marks a sharded run that aborted fail-stop because a
-// page's first-touch home raced across shards in one parallel round
-// (errors.Is); rerun the point with Shards=0 — results are identical
-// whenever the sharded run completes at all.
-var ErrShardHazard = system.ErrShardHazard
-
-// ShardHazardError is the structured first-touch-collision abort report.
-type ShardHazardError = system.ShardHazardError
-
 // DeadlockError is the structured no-progress abort report.
 type DeadlockError = system.DeadlockError
 

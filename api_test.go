@@ -116,7 +116,7 @@ func TestPrefetchParallel(t *testing.T) {
 		t.Skip("parallel prefetch sweep")
 	}
 	par := NewSession(2, 1, nil)
-	if err := par.Prefetch(4); err != nil {
+	if err := par.Sweep(4); err != nil {
 		t.Fatal(err)
 	}
 	ser := NewSession(2, 1, nil)

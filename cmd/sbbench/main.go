@@ -64,23 +64,6 @@ type figureResult struct {
 	WallMS float64 `json:"render_wall_ms"`
 }
 
-// scalingResult is one (cores, shards) cell of the sharded-engine scaling
-// layer. Speedup is wall(shards=1) / wall(this cell) at the same core count,
-// so the 1-shard row is always 1.0 and >1.0 means the parallel engine beat
-// its own single-shard overhead baseline on this host.
-type scalingResult struct {
-	App           string  `json:"app"`
-	Cores         int     `json:"cores"`
-	Shards        int     `json:"shards"`
-	WallMS        float64 `json:"wall_ms"`
-	SimCycles     uint64  `json:"sim_cycles"`
-	CyclesPerSec  float64 `json:"cycles_per_sec"`
-	Speedup       float64 `json:"speedup"`
-	SerialRounds  uint64  `json:"serial_rounds"`
-	ParallelRound uint64  `json:"parallel_rounds"`
-	BarrierStalls uint64  `json:"barrier_stalls"`
-}
-
 type sweepResult struct {
 	Points         int     `json:"points"`
 	Parallelism    int     `json:"parallelism"`
@@ -95,7 +78,6 @@ type report struct {
 	Config      map[string]any         `json:"config"`
 	Micro       map[string]microResult `json:"micro"`
 	Protocols   []protocolResult       `json:"protocols"`
-	Scaling     []scalingResult        `json:"scaling,omitempty"`
 	Figures     []figureResult         `json:"figures"`
 	Sweep       sweepResult            `json:"sweep"`
 }
@@ -208,17 +190,6 @@ func run() int {
 		}
 		rep.Protocols = append(rep.Protocols, pr)
 	}
-
-	fmt.Fprintln(os.Stderr, "== sharded-engine scaling (Barnes) ==")
-	sc, err := scalingRuns(ctx, *chunks, *seed, *timeout, *quick)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbbench:", err)
-		if errors.Is(err, scalablebulk.ErrAborted) {
-			return 2
-		}
-		return 1
-	}
-	rep.Scaling = sc
 
 	fmt.Fprintln(os.Stderr, "== figure sweep ==")
 	sw, figs, code := sweep(ctx, *chunks, *seed, parallelism, !*quick && *server == "", *timeout, *crashDir, *server, reg)
@@ -401,8 +372,7 @@ func protocolRun(ctx context.Context, protocol, wl string, chunks int, seed int6
 	if err != nil {
 		return protocolResult{}, err
 	}
-	metrics.ObserveRun(reg, res.Coll, res.Traffic)
-	metrics.ObserveSharding(reg, res.Sharding, res.RingResidency)
+	metrics.ObserveRun(reg, res.Coll, res.Traffic, res.RingResidency)
 	pr := protocolResult{
 		Protocol:     protocol,
 		App:          prof.Name,
@@ -416,70 +386,6 @@ func protocolRun(ctx context.Context, protocol, wl string, chunks int, seed int6
 	fmt.Fprintf(os.Stderr, "  %-18s %8.1f ms  %12.0f cycles/s  %9d mallocs\n",
 		protocol, pr.WallMS, pr.CyclesPerSec, pr.Mallocs)
 	return pr, nil
-}
-
-// scalingRuns measures the sharded engine against the serial reference:
-// Shards ∈ {0, 1, 2, 4, 8} on 64- and 256-processor machines, plus a
-// 1024-processor serial-vs-8-shard pair in full mode (the machine the
-// figure extension in EXPERIMENTS.md targets). Total work is held constant
-// per core count via RunScaled. Speedup compares each cell against the
-// serial (Shards = 0) cell at the same core count, so >1.0 means the
-// sharded engine beat the reference engine outright on this host, and the
-// 1-shard row isolates the lockstep/staging overhead. Alongside timings it
-// enforces the engine's contract: every cell at one core count must
-// produce the serial cell's ResultFingerprint, or the benchmark fails
-// outright rather than publish timings of divergent simulations.
-func scalingRuns(ctx context.Context, chunks int, seed int64, timeout time.Duration, quick bool) ([]scalingResult, error) {
-	prof, _ := scalablebulk.AppByName("Barnes")
-	cells := map[int][]int{
-		64:  {0, 1, 2, 4, 8},
-		256: {0, 1, 2, 4, 8},
-	}
-	coreCounts := []int{64, 256}
-	if !quick {
-		// The 1024-core pair is minutes of wall time; -quick (CI) skips it.
-		cells[1024] = []int{0, 8}
-		coreCounts = append(coreCounts, 1024)
-	}
-	var out []scalingResult
-	for _, cores := range coreCounts {
-		var base float64
-		var baseFP string
-		for _, shards := range cells[cores] {
-			cfg := scalablebulk.DefaultConfig(cores, scalablebulk.ProtoScalableBulk)
-			cfg.Seed = seed
-			cfg.RunTimeout = timeout
-			cfg.Shards = shards
-			runtime.GC()
-			start := time.Now()
-			res, err := scalablebulk.RunScaledContext(ctx, prof, cfg, 64*chunks)
-			wall := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("scaling %d cores / %d shards: %w", cores, shards, err)
-			}
-			fp := scalablebulk.FingerprintSHA(res)
-			sr := scalingResult{
-				App: prof.Name, Cores: cores, Shards: shards,
-				WallMS:       float64(wall.Microseconds()) / 1000,
-				SimCycles:    uint64(res.Cycles),
-				CyclesPerSec: float64(res.Cycles) / wall.Seconds(),
-			}
-			if sh := res.Sharding; sh != nil {
-				sr.SerialRounds, sr.ParallelRound, sr.BarrierStalls =
-					sh.SerialRounds, sh.ParallelRounds, sh.BarrierStalls
-			}
-			if shards == 0 {
-				base, baseFP = sr.WallMS, fp
-			} else if fp != baseFP {
-				return nil, fmt.Errorf("scaling %d cores: fingerprint diverged between serial and %d shards", cores, shards)
-			}
-			sr.Speedup = base / sr.WallMS
-			fmt.Fprintf(os.Stderr, "  %4d cores %2d shards  %8.1f ms  speedup %.2fx\n",
-				cores, shards, sr.WallMS, sr.Speedup)
-			out = append(out, sr)
-		}
-	}
-	return out, nil
 }
 
 // sweep times the full figure sweep on the parallel engine and, when serial
@@ -605,9 +511,6 @@ func writeGobench(path string, rep *report) error {
 	}
 	for _, p := range rep.Protocols {
 		fmt.Fprintf(f, "BenchmarkRun%s 	       1 	 %.0f ns/op\n", sanitize(p.Protocol), p.WallMS*1e6)
-	}
-	for _, sc := range rep.Scaling {
-		fmt.Fprintf(f, "BenchmarkScaling%dc%ds 	       1 	 %.0f ns/op\n", sc.Cores, sc.Shards, sc.WallMS*1e6)
 	}
 	fmt.Fprintf(f, "BenchmarkSweepParallel 	       1 	 %.0f ns/op\n", rep.Sweep.ParallelWallMS*1e6)
 	if rep.Sweep.SerialWallMS > 0 {

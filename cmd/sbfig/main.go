@@ -31,7 +31,6 @@ func run() int {
 	fig := flag.Int("fig", 0, "figure number 7–19 (0 = all)")
 	chunks := flag.Int("chunks", 16, "chunks per core at 64 processors (whole-problem work = 64× this)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	shards := flag.Int("shards", 0, "event-engine shards per simulation (0 = serial); figure output is byte-identical at any value")
 	squash := flag.Bool("squash", false, "also print the §6.1 squash classification")
 	par := flag.Int("j", 0, "parallel simulations during prefetch (0 = all CPUs)")
 	journal := flag.String("journal", "", "JSONL checkpoint journal for the prefetch; an interrupted run resumes from it")
@@ -58,14 +57,9 @@ func run() int {
 	defer stop()
 
 	s := scalablebulk.NewSession(*chunks, *seed, os.Stdout)
-	if *wl != "" || *shards != 0 {
-		wlName, nShards := *wl, *shards
-		s.Configure = func(cfg *scalablebulk.Config) {
-			if wlName != "" {
-				cfg.Workload = wlName
-			}
-			cfg.Shards = nShards
-		}
+	if *wl != "" {
+		wlName := *wl
+		s.Configure = func(cfg *scalablebulk.Config) { cfg.Workload = wlName }
 	}
 	if *journal != "" && *server == "" {
 		n, err := s.AttachJournal(*journal)

@@ -45,7 +45,6 @@ func run() int {
 		"commit protocol (see -protocols for the registry)")
 	chunks := flag.Int("chunks", 32, "chunks committed per core")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	shards := flag.Int("shards", 0, "event-engine shards (0 = serial reference engine); results are byte-identical at any value")
 	faults := flag.String("faults", "off",
 		"fault-injection profile: off | "+strings.Join(fault.Names(), " | "))
 	faultSeed := flag.Int64("faultseed", 0, "fault injector seed (0: reuse -seed); one (profile, seed) pair replays bit-identically")
@@ -144,7 +143,6 @@ func run() int {
 	cfg.FaultSeed = *faultSeed
 	cfg.Check = *checkInv
 	cfg.RunTimeout = *timeout
-	cfg.Shards = *shards
 
 	ctx, stop := cliutil.SignalContext()
 	defer stop()

@@ -70,7 +70,6 @@ func run() int {
 		crashDir    = flag.String("crashdir", "crashes", "directory for per-point crash bundles ('' disables)")
 		chunks      = flag.Int("chunks", 4, "Session ChunksPerCore (whole-problem work = 64× this)")
 		seed        = flag.Int64("seed", 1, "base seed; round r uses seed+r")
-		shards      = flag.Int("shards", 0, "event-engine shards per run (0 = serial); fingerprints and journals are shard-invariant")
 		rounds      = flag.Int("rounds", 2, "seed rounds to sweep")
 		faults      = flag.String("faults", "chaos",
 			"fault-injection profile: off | "+strings.Join(fault.Names(), " | "))
@@ -197,7 +196,6 @@ func run() int {
 			cfg.Faults = profile
 			cfg.FaultSeed = *faultSeed
 			cfg.RunTimeout = *timeout
-			cfg.Shards = *shards
 			if *maxCycles > 0 {
 				cfg.MaxCycles = event.Time(*maxCycles)
 			}

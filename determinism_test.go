@@ -19,16 +19,9 @@ const detChunks = 1
 // serialFingerprint runs one point exactly the way Session.run does and
 // fingerprints it.
 func serialFingerprint(t *testing.T, app, protocol string, cores int, seed int64) string {
-	return fingerprintWith(t, app, protocol, cores, 0, seed)
-}
-
-// fingerprintWith is serialFingerprint with an explicit engine choice:
-// shards = 0 runs the serial calendar, N > 0 the sharded engine.
-func fingerprintWith(t *testing.T, app, protocol string, cores, shards int, seed int64) string {
 	t.Helper()
 	cfg := DefaultConfig(cores, protocol)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	prof, ok := AppByName(app)
 	if !ok {
 		// Registered workload sources (the adversarial family) fingerprint
@@ -40,17 +33,17 @@ func fingerprintWith(t *testing.T, app, protocol string, cores, shards int, seed
 	}
 	r, err := RunScaled(prof, cfg, 64*detChunks)
 	if err != nil {
-		t.Fatalf("%s/%s/%d shards=%d: %v", app, protocol, cores, shards, err)
+		t.Fatalf("%s/%s/%d: %v", app, protocol, cores, err)
 	}
 	return ResultFingerprint(r)
 }
 
-// TestDeterminismShardedEveryProtocol is the tentpole gate of the sharded
-// engine: every registered protocol (variants included) × every registered
-// workload source, run serially and at Shards ∈ {2, 4, 8}, must produce
-// byte-identical ResultFingerprints — results are independent of the shard
-// count and of OS scheduling.
-func TestDeterminismShardedEveryProtocol(t *testing.T) {
+// TestDeterminismEveryProtocolWorkload covers every registered protocol
+// (variants included) × every registered workload source at 16 processors:
+// each cell runs twice serially and once through a parallel Session sweep,
+// and all three ResultFingerprints must be byte-identical — results are
+// independent of process state, goroutine scheduling and sweep parallelism.
+func TestDeterminismEveryProtocolWorkload(t *testing.T) {
 	const cores, seed = 16, 7
 	apps := []string{"Barnes", "FFT"}
 	for _, w := range RegisteredWorkloads() {
@@ -58,20 +51,31 @@ func TestDeterminismShardedEveryProtocol(t *testing.T) {
 			apps = append(apps, w.Name)
 		}
 	}
+	var pts []Point
 	for _, p := range RegisteredProtocols() {
 		for _, app := range apps {
-			protocol, app := p.Name, app
-			t.Run(fmt.Sprintf("%s/%s", protocol, app), func(t *testing.T) {
-				t.Parallel()
-				want := fingerprintWith(t, app, protocol, cores, 0, seed)
-				for _, shards := range []int{2, 4, 8} {
-					if got := fingerprintWith(t, app, protocol, cores, shards, seed); got != want {
-						t.Errorf("shards=%d differs from serial:\n--- serial\n%s--- shards=%d\n%s",
-							shards, want, shards, got)
-					}
-				}
-			})
+			pts = append(pts, Point{app, p.Name, cores})
 		}
+	}
+	swept := NewSession(detChunks, seed, nil)
+	if err := swept.SweepList(pts, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		t.Run(fmt.Sprintf("%s/%s", pt.Protocol, pt.App), func(t *testing.T) {
+			t.Parallel()
+			first := serialFingerprint(t, pt.App, pt.Protocol, cores, seed)
+			if again := serialFingerprint(t, pt.App, pt.Protocol, cores, seed); again != first {
+				t.Errorf("two serial runs differ:\n--- run 1\n%s--- run 2\n%s", first, again)
+			}
+			r, err := swept.Result(pt.App, pt.Protocol, cores)
+			if err != nil {
+				t.Fatalf("sweep result: %v", err)
+			}
+			if got := ResultFingerprint(r); got != first {
+				t.Errorf("parallel sweep differs from serial:\n--- serial\n%s--- sweep\n%s", first, got)
+			}
+		})
 	}
 }
 

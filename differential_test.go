@@ -8,32 +8,12 @@ package scalablebulk
 // committed write diverges here.
 
 import (
-	"errors"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"scalablebulk/internal/sig"
 )
-
-// testShards reads SB_SHARDS, the engine shard count the conformance and
-// differential suites execute under. The CI race-matrix job sets it to re-run
-// these suites on the sharded engine under -race; results are S-invariant by
-// the sharded engine's contract, so every assertion applies verbatim.
-func testShards(t *testing.T) int {
-	t.Helper()
-	s := os.Getenv("SB_SHARDS")
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		t.Fatalf("SB_SHARDS=%q: want a non-negative shard count", s)
-	}
-	return n
-}
 
 // writeKey identifies one committed-write attribution.
 type writeKey struct {
@@ -49,7 +29,6 @@ func runWithWrites(t *testing.T, prof Profile, protocol string, cores, chunksPer
 	cfg := DefaultConfig(cores, protocol)
 	cfg.ChunksPerCore = chunksPerCore
 	cfg.Seed = 11
-	cfg.Shards = testShards(t)
 	// Check also drains in-flight protocol stragglers after the last core
 	// finishes (e.g. BulkSC's final ArbDone, which applies that chunk's
 	// writes at the arbiter), so the write multisets compare quiescent
@@ -58,21 +37,9 @@ func runWithWrites(t *testing.T, prof Profile, protocol string, cores, chunksPer
 	cfg.OnApplyWrite = func(l sig.Line, writer int) { writes[writeKey{l, writer}]++ }
 	r, err := Run(prof, cfg)
 	if err != nil {
-		skipOnShardHazard(t, err)
 		t.Fatalf("%s/%s: %v", prof.Name, protocol, err)
 	}
 	return r, writes
-}
-
-// skipOnShardHazard skips the (sub)test when a SB_SHARDS run hit the typed
-// first-touch hazard: the sharded engine aborts fail-stop rather than let a
-// schedule-dependent page mapping produce divergent results, and the serial
-// leg of the CI matrix still covers the point.
-func skipOnShardHazard(t *testing.T, err error) {
-	t.Helper()
-	if errors.Is(err, ErrShardHazard) {
-		t.Skipf("sharded first-touch hazard (covered by the serial leg): %v", err)
-	}
 }
 
 // conflictFreeProfile builds a workload whose chunk footprints are entirely
@@ -188,14 +155,12 @@ func runWorkloadWithWrites(t *testing.T, wl string, prof Profile, protocol strin
 	cfg := DefaultConfig(cores, protocol)
 	cfg.ChunksPerCore = chunksPerCore
 	cfg.Seed = 11
-	cfg.Shards = testShards(t)
 	cfg.Workload = wl
 	cfg.Check = true
 	cfg.OnApplyWrite = func(l sig.Line, writer int) { writes[writeKey{l, writer}]++ }
 	cfg.OnCommit = func(core int, seq uint64) { order[core] = append(order[core], seq) }
 	r, err := Run(prof, cfg)
 	if err != nil {
-		skipOnShardHazard(t, err)
 		t.Fatalf("%s/%s: %v", wl, protocol, err)
 	}
 	return r, writes, order

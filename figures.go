@@ -258,8 +258,7 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 			r.Attempts = attempts
 			s.nRestored.Add(1)
 			if s.Metrics != nil {
-				metrics.ObserveRun(s.Metrics, r.Coll, r.Traffic)
-				metrics.ObserveSharding(s.Metrics, r.Sharding, r.RingResidency)
+				metrics.ObserveRun(s.Metrics, r.Coll, r.Traffic, r.RingResidency)
 			}
 			return r, nil
 		}
@@ -297,8 +296,7 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 		}
 	}
 	if s.Metrics != nil {
-		metrics.ObserveRun(s.Metrics, res.Coll, res.Traffic)
-		metrics.ObserveSharding(s.Metrics, res.Sharding, res.RingResidency)
+		metrics.ObserveRun(s.Metrics, res.Coll, res.Traffic, res.RingResidency)
 	}
 	return res, nil
 }
@@ -547,10 +545,6 @@ func (s *Session) Inject(p Point, res *Result) {
 	}
 	s.mu.Unlock()
 }
-
-// Prefetch is the historical name of Sweep, kept for callers that predate
-// the sweep API.
-func (s *Session) Prefetch(parallelism int) error { return s.Sweep(parallelism) }
 
 func names(ps []Profile) []string {
 	out := make([]string, len(ps))

@@ -30,15 +30,10 @@ type LineInfo struct {
 }
 
 // State is the machine-wide directory content. Each module only ever
-// touches lines homed at it, so by default a single map keyed by line is
-// equivalent to per-module storage while keeping lookups one-hop. Sharded
-// runs call Partition so each shard's directory modules get their own map:
-// the parallel read-path rounds then mutate disjoint parts concurrently
-// without locks, while the (serialized) commit rounds look across parts.
+// touches lines homed at it, so a single map keyed by line is equivalent to
+// per-module storage while keeping lookups one-hop.
 type State struct {
-	lines  map[sig.Line]*LineInfo   // single-part storage (partOf == nil)
-	parts  []map[sig.Line]*LineInfo // per-shard storage after Partition
-	partOf func(sig.Line) int
+	lines map[sig.Line]*LineInfo
 
 	// OnApply, when non-nil, observes every committed-write application
 	// (invariant checking). Nil on performance runs.
@@ -48,42 +43,16 @@ type State struct {
 // NewState returns empty directory state.
 func NewState() *State { return &State{lines: make(map[sig.Line]*LineInfo)} }
 
-// Partition splits the storage into parts; partOf maps a line to the part
-// owning its home tile. Every entry is only ever created after the line's
-// page is mapped (reads reach the home they were routed to, commit write
-// sets are finalized through the mapper first), so partOf sees a stable
-// home for every line that has an entry. Existing entries migrate.
-func (s *State) Partition(parts int, partOf func(sig.Line) int) {
-	s.parts = make([]map[sig.Line]*LineInfo, parts)
-	for i := range s.parts {
-		s.parts[i] = make(map[sig.Line]*LineInfo)
-	}
-	for l, li := range s.lines {
-		s.parts[partOf(l)][l] = li
-	}
-	s.lines = nil
-	s.partOf = partOf
-}
-
-// tab returns the map holding (or due to hold) a line's entry.
-func (s *State) tab(l sig.Line) map[sig.Line]*LineInfo {
-	if s.partOf == nil {
-		return s.lines
-	}
-	return s.parts[s.partOf(l)]
-}
-
 // Get returns the entry for a line, or nil if it was never cached.
-func (s *State) Get(l sig.Line) *LineInfo { return s.tab(l)[l] }
+func (s *State) Get(l sig.Line) *LineInfo { return s.lines[l] }
 
 // Touch returns the entry for a line, creating it if needed.
 func (s *State) Touch(l sig.Line) *LineInfo {
-	t := s.tab(l)
-	if li, ok := t[l]; ok {
+	if li, ok := s.lines[l]; ok {
 		return li
 	}
 	li := &LineInfo{Owner: -1}
-	t[l] = li
+	s.lines[l] = li
 	return li
 }
 
@@ -114,7 +83,7 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 		if h, ok := mapper.HomeIfMapped(l); !ok || h != home {
 			continue
 		}
-		if li := s.tab(l)[l]; li != nil {
+		if li := s.lines[l]; li != nil {
 			dst.OrExcept(li.Sharers, exclude)
 		}
 	}
@@ -126,7 +95,7 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 // (BulkSC's committing processor, SEQ-PRO's occupier) use this.
 func (s *State) SharersOfAll(lines []sig.Line, exclude int, dst *bitset.Set) {
 	for _, l := range lines {
-		if li := s.tab(l)[l]; li != nil {
+		if li := s.lines[l]; li != nil {
 			dst.OrExcept(li.Sharers, exclude)
 		}
 	}
@@ -201,13 +170,9 @@ type Probe interface {
 }
 
 // Env is everything a protocol engine or read path needs from the machine.
-// On serial runs Eng is the *event.Engine and Net the *mesh.Network; on
-// sharded runs the protocol engines hold an Env with the coordinator's
-// GlobalView while each shard's tiles hold one with their ShardView and
-// ShardPort, so events and sends land on the owning shard.
 type Env struct {
-	Eng   event.Sched
-	Net   mesh.Port
+	Eng   *event.Engine
+	Net   *mesh.Network
 	Map   *mem.Mapper
 	State *State
 	Cores []Core
@@ -232,12 +197,6 @@ type Env struct {
 type ReadPath struct {
 	Env   *Env
 	Proto Protocol
-
-	// Nacks counts loads bounced by this read path's directory modules.
-	// It is kept here rather than on the shared stats.Collector so the
-	// parallel read-path rounds of a sharded run stay lock-free; the system
-	// layer folds it into Collector.ReadNacks when the run finishes.
-	Nacks uint64
 }
 
 // HandleDir processes read-path messages addressed to a directory module.
@@ -270,7 +229,7 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	tag := m.Tag
 
 	if rp.Proto != nil && rp.Proto.ReadBlocked(node, l) {
-		rp.Nacks++
+		env.Coll.ReadNacks++
 		r := env.Net.NewMsg()
 		r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadNack, node, requester, tag, l
 		env.Net.Send(r)

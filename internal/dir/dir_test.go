@@ -172,8 +172,8 @@ func TestReadPathNack(t *testing.T) {
 	if got == nil || got.Kind != msg.ReadNack {
 		t.Fatalf("got %v, want read_nack", got)
 	}
-	if rp.Nacks != 1 {
-		t.Fatalf("Nacks = %d", rp.Nacks)
+	if env.Coll.ReadNacks != 1 {
+		t.Fatalf("ReadNacks = %d", env.Coll.ReadNacks)
 	}
 }
 

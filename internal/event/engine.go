@@ -6,8 +6,11 @@
 // fire in the order they were scheduled (FIFO tie-breaking by a monotonically
 // increasing sequence number). All components of the simulated multicore —
 // cores, caches, the torus network, directory modules, and the commit
-// protocol engines — share a single Engine, so a given configuration and
-// random seed always produces bit-identical results.
+// protocol engines — share a single Engine on one goroutine, so a given
+// configuration and random seed always produces bit-identical results. The
+// simulator parallelizes across runs (Session sweeps, farm workers), not
+// within one: commit rounds serialize on the directories they touch, and a
+// sharded engine measured slower than this one (DESIGN.md §17).
 //
 // Internally the queue is a calendar (bucket) queue tuned for the event
 // horizon the machine model actually generates: almost every event lands
@@ -32,31 +35,6 @@ type Time uint64
 // scheduled time; Engine.Now() inside the handler returns that time.
 type Handler func()
 
-// Sched is the scheduling face a machine component holds: the clock plus the
-// At/After family. The serial *Engine implements it directly; under sharded
-// execution (see sharded.go) each component instead holds a *ShardView (whose
-// events stay on the owning tile's shard) or the *GlobalView (whose events
-// force a serialized round), so one component codebase runs under both
-// execution models.
-type Sched interface {
-	// Now returns the current simulation time.
-	Now() Time
-	// At schedules fn at absolute time t.
-	At(t Time, fn Handler) Ticket
-	// AtArg schedules fn(arg) at absolute time t without a closure.
-	AtArg(t Time, fn func(any), arg any) Ticket
-	// After schedules fn at Now()+d.
-	After(d Time, fn Handler) Ticket
-	// AfterArg is AtArg relative to now.
-	AfterArg(d Time, fn func(any), arg any) Ticket
-	// AfterGlobal schedules fn at Now()+d as a *global* event: one whose
-	// handler may touch cross-tile state (protocol engines, the workload
-	// generator, shared statistics). On the serial engine it is After; on a
-	// shard view it marks the event so the round that fires it executes
-	// serialized on the coordinator.
-	AfterGlobal(d Time, fn Handler) Ticket
-}
-
 // window is the calendar span: events within [now, now+window) live in the
 // per-cycle ring, later ones in the overflow heap. It must be a power of two
 // and comfortably exceed the common event horizon (memory at +300, capped
@@ -76,10 +54,6 @@ type item struct {
 	afn  func(any)
 	arg  any
 	dead bool
-	// global marks an event whose handler may touch cross-tile state. Only
-	// the sharded engine consults it (a due set containing any global event
-	// executes as a serialized round); the serial engine ignores it.
-	global bool
 }
 
 // bucket is one ring slot: a FIFO of same-cycle items. head indexes the next
@@ -179,7 +153,6 @@ func (e *Engine) release(it *item) {
 	it.afn = nil
 	it.arg = nil
 	it.dead = false
-	it.global = false
 	// Invalidate the sequence number so a stale Cancel (a ticket for an event
 	// that already fired) cannot match the pooled slot and assassinate the
 	// unrelated event that next reuses it.
@@ -237,106 +210,6 @@ func (e *Engine) After(d Time, fn Handler) Ticket { return e.At(e.now+d, fn) }
 // AfterArg is AtArg relative to now.
 func (e *Engine) AfterArg(d Time, fn func(any), arg any) Ticket {
 	return e.AtArg(e.now+d, fn, arg)
-}
-
-// AfterGlobal is After: on the serial engine every event already executes
-// under the single global clock, so the global marking is a no-op. It exists
-// so components can express "this handler touches cross-tile state" through
-// the Sched interface and have the sharded engine serialize such rounds.
-func (e *Engine) AfterGlobal(d Time, fn Handler) Ticket { return e.After(d, fn) }
-
-// put inserts an item with an externally assigned ordering key (the sharded
-// engine's (parent fire index, child index) composite packed into seq) in
-// key-sorted bucket position. The serial scheduling path keeps using
-// schedule()'s append-only fast path; put pays an insertion scan because the
-// sharded engine pushes barrier-handoff items whose keys may precede
-// same-cycle items the owning shard scheduled locally during the round.
-func (e *Engine) put(t Time, key uint64, global bool, fn Handler, afn func(any), arg any) Ticket {
-	if t < e.now {
-		panic(fmt.Sprintf("event: schedule at %d before now %d", t, e.now))
-	}
-	if e.buckets == nil {
-		e.buckets = make([]bucket, window)
-	}
-	if e.cursor < e.now {
-		e.cursor = e.now
-	}
-	it := e.alloc()
-	it.at = t
-	it.seq = key
-	it.global = global
-	it.fn, it.afn, it.arg = fn, afn, arg
-	if t < e.cursor+window {
-		b := &e.buckets[t&windowMask]
-		if b.head > 0 && b.head == len(b.items) {
-			b.reset()
-		}
-		pos := len(b.items)
-		for pos > b.head && b.items[pos-1].seq > key {
-			pos--
-		}
-		b.items = append(b.items, nil)
-		copy(b.items[pos+1:], b.items[pos:])
-		b.items[pos] = it
-		e.near++
-	} else {
-		e.over.push(it)
-	}
-	e.pending++
-	return Ticket{it, key}
-}
-
-// popDue removes and returns every live item scheduled at exactly time t, in
-// seq/key order, appending to buf; cancelled items due at t are discarded.
-// Items are returned unfired and unreleased: the sharded engine fires them
-// (skipping any cancelled mid-round) and releases them back to this calendar
-// afterwards.
-//
-// Unlike Step, popDue never moves the scan cursor past t: after the round the
-// coordinator will schedule barrier-replayed deliveries anywhere in
-// (t, next-round time], and a cursor parked at a future bucket would strand
-// them in slots the scan had already passed. With the cursor pinned to the
-// lockstep clock, every live item is always at cursor or later and the ring
-// window is [t, t+window) for both put and migrate.
-func (e *Engine) popDue(t Time, buf []*item) []*item {
-	e.now = t
-	if e.cursor < t {
-		e.cursor = t
-	}
-	if e.pending == 0 || e.buckets == nil {
-		return buf
-	}
-	e.migrate()
-	b := &e.buckets[t&windowMask]
-	for b.head < len(b.items) {
-		it := b.items[b.head]
-		if it.at != t {
-			if !it.dead {
-				break // future wrap of this slot; unreachable while live items pin the cursor
-			}
-			// A cancelled item from an earlier pass of this slot that the
-			// cursor jumped over; discard it in passing.
-			b.items[b.head] = nil
-			b.head++
-			e.near--
-			e.pending--
-			e.release(it)
-			continue
-		}
-		b.items[b.head] = nil
-		b.head++
-		e.near--
-		e.pending--
-		if it.dead {
-			e.release(it)
-			continue
-		}
-		buf = append(buf, it)
-	}
-	if b.head == len(b.items) {
-		b.reset()
-	}
-	return buf
 }
 
 // migrate moves overflow items whose time has entered the ring window into

@@ -58,26 +58,6 @@ type Spec struct {
 	// real network exhibits. Negative means unlimited; 0 selects the
 	// default.
 	MaxSkips int `json:"max_skips,omitempty"`
-	// Shards exists only so a spec hand-written from a sweep config fails
-	// loudly instead of silently: the checker owns the event loop (its
-	// choice points ARE the scheduler), so it always runs the serial
-	// engine, and LoadSpec rejects any spec requesting otherwise with
-	// *SpecShardsError. Results never depend on the shard count (that is
-	// the sharded engine's contract), so nothing is lost by pinning 0.
-	Shards int `json:"shards,omitempty"`
-}
-
-// SpecShardsError reports a spec file that requested a sharded execution
-// engine. The model checker single-steps the event loop through its own
-// scheduler, so Spec.Shards must be 0.
-type SpecShardsError struct {
-	Path   string
-	Shards int
-}
-
-func (e *SpecShardsError) Error() string {
-	return fmt.Sprintf("explore: %s: spec requests shards=%d; the checker drives the serial engine only (set shards to 0 or drop the field)",
-		e.Path, e.Shards)
 }
 
 // DefaultMaxSkips bounds how often one pending message may be passed over.

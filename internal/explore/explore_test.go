@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"errors"
 	"path/filepath"
 	"testing"
 
@@ -170,25 +169,6 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing spec file accepted")
-	}
-}
-
-// TestSpecRejectsShards: a spec copied from a sharded sweep config must fail
-// at load with the typed error — the checker only drives the serial engine.
-func TestSpecRejectsShards(t *testing.T) {
-	spec := DefaultSpec("ScalableBulk")
-	spec.Shards = 4
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := spec.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadSpec(path)
-	var se *SpecShardsError
-	if !errors.As(err, &se) {
-		t.Fatalf("LoadSpec(shards=4) = %v, want *SpecShardsError", err)
-	}
-	if se.Shards != 4 || se.Path != path {
-		t.Fatalf("error fields = %+v, want shards 4 at %s", se, path)
 	}
 }
 

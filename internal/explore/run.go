@@ -129,10 +129,6 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	cfg.WarmupChunks = spec.Warmup
 	cfg.Seed = spec.Seed
 	cfg.MaxCycles = spec.MaxCycles
-	// The checker is the scheduler: every delivery is a DFS choice point, so
-	// the machine must run the serial engine regardless of what any copied
-	// sweep config said (LoadSpec already rejects sharded specs).
-	cfg.Shards = 0
 	cfg.Check = true
 	cfg.FlightRecorder = 96
 	cfg.OnApplyWrite = func(l sig.Line, writer int) { out.writes[writeKey{l, writer}]++ }

@@ -24,9 +24,6 @@ func LoadSpec(path string) (Spec, error) {
 	if s.Proto == "" || s.Cores <= 0 || s.Chunks <= 0 {
 		return s, fmt.Errorf("explore: %s: incomplete spec (need proto, cores, chunks)", path)
 	}
-	if s.Shards != 0 {
-		return s, &SpecShardsError{Path: path, Shards: s.Shards}
-	}
 	return s.normalize(), nil
 }
 

@@ -1,4 +1,4 @@
-// Package farm is the sharded sweep farm: an HTTP/JSON job server that
+// Package farm is the distributed sweep farm: an HTTP/JSON job server that
 // accepts sweep specs (protocol × cores × workload points), dedupes
 // identical points through the checkpoint journal, and hands points to
 // worker processes under time-bounded leases with heartbeat renewal.

@@ -5,12 +5,7 @@
 // directory modules", §5 of the paper).
 package mem
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"scalablebulk/internal/sig"
-)
+import "scalablebulk/internal/sig"
 
 const (
 	// LineBytes is the cache-line size (Table 2: 32 B lines).
@@ -39,21 +34,6 @@ type Mapper struct {
 	dirs  int
 	pages map[Page]int
 	next  int // round-robin fallback for touches from out-of-range nodes
-
-	// Locked-mode support for sharded runs (EnableLocking): the page table
-	// is consulted concurrently by the shard workers during parallel
-	// read-path rounds, so accesses take mu. First touches remain legal in
-	// parallel rounds — a single toucher mapping a fresh page is
-	// order-independent — but if a *second* tile whose first-touch home
-	// would differ reaches a page mapped earlier in the same round, the
-	// mapping has become schedule-dependent and the hazard flag trips; the
-	// run aborts rather than risk a fingerprint that depends on S.
-	mu       sync.RWMutex
-	locked   bool
-	inRound  bool
-	roundNew map[Page]int // pages first-touched in the current parallel round
-	hazard   atomic.Bool
-	hazardPg atomic.Uint64
 }
 
 // NewMapper creates a mapper for a machine with the given number of
@@ -72,94 +52,19 @@ func (m *Mapper) Dirs() int { return m.dirs }
 // the toucher's tile on first touch.
 func (m *Mapper) Home(l sig.Line, toucher int) int {
 	p := PageOf(l)
-	if !m.locked {
-		if d, ok := m.pages[p]; ok {
-			return d
-		}
-		d := toucher % m.dirs
-		m.pages[p] = d
-		return d
-	}
-	m.mu.RLock()
-	d, ok := m.pages[p]
-	var newHome int
-	fresh := false
-	if ok && m.inRound {
-		newHome, fresh = m.roundNew[p]
-	}
-	m.mu.RUnlock()
-	if ok {
-		if fresh && toucher%m.dirs != newHome {
-			m.flagHazard(p)
-		}
-		return d
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if d, ok := m.pages[p]; ok {
-		// Another worker mapped the page between our read and write locks.
-		if m.inRound {
-			if h, fr := m.roundNew[p]; fr && toucher%m.dirs != h {
-				m.flagHazard(p)
-			}
-		}
 		return d
 	}
-	d = toucher % m.dirs
+	d := toucher % m.dirs
 	m.pages[p] = d
-	if m.inRound {
-		m.roundNew[p] = d
-	}
 	return d
-}
-
-func (m *Mapper) flagHazard(p Page) {
-	m.hazardPg.Store(uint64(p))
-	m.hazard.Store(true)
-}
-
-// EnableLocking switches the mapper into the thread-safe mode sharded runs
-// need. Serial runs never call it and keep the zero-overhead path.
-func (m *Mapper) EnableLocking() {
-	m.locked = true
-	m.roundNew = make(map[Page]int)
-}
-
-// BeginParallelRound arms first-touch hazard detection for one parallel
-// round (locked mode only; called by the system layer from the sharded
-// engine's round hooks).
-func (m *Mapper) BeginParallelRound() {
-	clear(m.roundNew)
-	m.inRound = true
-}
-
-// EndParallelRound disarms first-touch hazard detection.
-func (m *Mapper) EndParallelRound() { m.inRound = false }
-
-// Hazard reports whether a schedule-dependent first-touch collision was
-// detected, and the page it happened on.
-func (m *Mapper) Hazard() (Page, bool) {
-	if !m.hazard.Load() {
-		return 0, false
-	}
-	return Page(m.hazardPg.Load()), true
 }
 
 // HomeIfMapped returns the home of a line if its page has been touched.
 func (m *Mapper) HomeIfMapped(l sig.Line) (int, bool) {
-	if m.locked {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	d, ok := m.pages[PageOf(l)]
 	return d, ok
 }
 
 // MappedPages returns the number of pages that have been assigned a home.
-func (m *Mapper) MappedPages() int {
-	if m.locked {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
-	return len(m.pages)
-}
+func (m *Mapper) MappedPages() int { return len(m.pages) }

@@ -66,33 +66,9 @@ type Stats struct {
 	Delivered uint64               // handler invocations (≥ Messages under duplication)
 }
 
-// Port is the sending face a tile component holds: message allocation plus
-// injection, and the two topology queries protocol engines use at
-// construction. On serial runs every component holds the *Network itself; on
-// sharded runs tile components hold their shard's *ShardPort so sends from
-// parallel rounds are staged to the epoch barrier and Transient recycling
-// stays shard-local.
-type Port interface {
-	// NewMsg returns a zeroed message, reusing a recycled Transient one.
-	NewMsg() *msg.Msg
-	// Send injects a message for routing and delivery.
-	Send(*msg.Msg)
-	// Nodes returns the number of tiles.
-	Nodes() int
-	// Center returns the node nearest the torus center.
-	Center() int
-}
-
-// ShardRouter is the sharded engine's cross-shard handoff: scheduling a
-// delivery on the destination tile's shard calendar under the current
-// deterministic ordering key. *event.ShardedEngine implements it.
-type ShardRouter interface {
-	DeliverAt(shard int, at event.Time, local bool, fn func(any), arg any) event.Ticket
-}
-
 // Network is a deterministic 2D torus.
 type Network struct {
-	eng      event.Sched
+	eng      *event.Engine
 	w, h     int
 	linkLat  event.Time
 	localLat event.Time
@@ -128,12 +104,6 @@ type Network struct {
 	// whenever an observer or fault interposer is installed: those may
 	// retain or duplicate messages beyond the delivery handler.
 	freeMsgs []*msg.Msg
-
-	// Sharded-execution wiring, nil/empty on serial runs (see EnableSharding).
-	shard       ShardRouter
-	shardOf     []int
-	ports       []*ShardPort
-	onDeliverFn func(any)
 }
 
 // Link directions for dimension-order routing.
@@ -155,10 +125,8 @@ func dims(n int) (w, h int) {
 	return w, h
 }
 
-// New builds a torus for cfg.Nodes tiles. On serial runs eng is the
-// *event.Engine; on sharded runs it is the coordinator's GlobalView (the
-// network core only runs coordinator-side) and EnableSharding must follow.
-func New(eng event.Sched, cfg Config) *Network {
+// New builds a torus for cfg.Nodes tiles.
+func New(eng *event.Engine, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("mesh: need at least one node")
 	}
@@ -324,13 +292,6 @@ func (n *Network) scheduleDelivery(t event.Time, m *msg.Msg) {
 	if n.Sched != nil && n.Sched.Hold(Delivery{At: t, M: m}) {
 		return
 	}
-	if n.shard != nil {
-		// Land the delivery on the destination tile's shard, tagged with
-		// whether its handler is tile-isolated (parallel-round eligible).
-		s := n.shardOf[m.Dst]
-		n.shard.DeliverAt(s, t, m.Kind.ShardLocal(), n.ports[s].deliverFn, m)
-		return
-	}
 	n.eng.AtArg(t, n.deliverFn, m)
 }
 
@@ -372,134 +333,8 @@ func (n *Network) Latency(a, b int, k msg.Kind) event.Time {
 	return event.Time(n.Hops(a, b))*n.linkLat + event.Time(k.FlitsOf()) - 1
 }
 
-// Stats returns a copy of the traffic counters. Delivery counts accumulated
-// shard-locally during parallel rounds are folded in, so the totals are
-// identical to a serial run's.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	for _, p := range n.ports {
-		s.Delivered += p.delivered
-	}
-	return s
-}
+// Stats returns a copy of the traffic counters.
+func (n *Network) Stats() Stats { return n.stats }
 
 // ResetStats zeroes the traffic counters (used to exclude warm-up).
-func (n *Network) ResetStats() {
-	n.stats = Stats{}
-	for _, p := range n.ports {
-		p.delivered = 0
-	}
-}
-
-// EnableSharding switches the network into sharded-delivery mode: every
-// routed message lands on the destination tile's shard calendar (via se),
-// and tile components send through per-shard ports so that sends issued
-// inside parallel rounds are staged to the epoch barrier in deterministic
-// key order rather than mutating the (order-sensitive) busy-link state
-// concurrently. shardOf maps node → shard and must cover every node.
-func (n *Network) EnableSharding(se ShardRouter, shardOf []int, views []*event.ShardView) {
-	if len(shardOf) != n.Nodes() {
-		panic("mesh: shardOf must map every node")
-	}
-	n.shard = se
-	n.shardOf = shardOf
-	n.onDeliverFn = func(a any) { n.OnDeliver(a.(*msg.Msg)) }
-	n.ports = make([]*ShardPort, len(views))
-	for i, v := range views {
-		p := &ShardPort{n: n, view: v}
-		p.deliverFn = p.deliver
-		p.replaySendFn = p.replaySend
-		n.ports[i] = p
-	}
-}
-
-// PortOf returns the sending port for a shard. Tile components on sharded
-// runs hold this instead of the *Network.
-func (n *Network) PortOf(shard int) *ShardPort { return n.ports[shard] }
-
-// ShardPort is one shard's face of the network: allocation from a
-// shard-local freelist, sends that stage to the barrier during parallel
-// rounds, and the delivery handler for events landing on this shard.
-type ShardPort struct {
-	n    *Network
-	view *event.ShardView
-	// free recycles Transient messages delivered to this shard's tiles;
-	// shard-local, so parallel rounds recycle without locks.
-	free []*msg.Msg
-	// delivered counts handler invocations on this shard (folded into
-	// Network.Stats).
-	delivered uint64
-	// Bound once so the hot paths allocate no closures.
-	deliverFn    func(any)
-	replaySendFn func(any)
-}
-
-// NewMsg returns a zeroed message from the shard-local freelist.
-func (p *ShardPort) NewMsg() *msg.Msg {
-	if k := len(p.free); k > 0 {
-		m := p.free[k-1]
-		p.free = p.free[:k-1]
-		return m
-	}
-	return &msg.Msg{}
-}
-
-// Nodes returns the number of tiles.
-func (p *ShardPort) Nodes() int { return p.n.Nodes() }
-
-// Center returns the node nearest the torus center.
-func (p *ShardPort) Center() int { return p.n.Center() }
-
-// Send injects a message. During a parallel round the send is staged: the
-// barrier replays it coordinator-side in deterministic key order, so the
-// busy-link occupancy state is only ever touched by one goroutine and in
-// the exact order a serial run would touch it. Outside parallel rounds it
-// routes immediately.
-func (p *ShardPort) Send(m *msg.Msg) {
-	if p.view.Parallel() {
-		p.view.Stage(p.replaySendFn, m)
-		return
-	}
-	p.n.Send(m)
-}
-
-func (p *ShardPort) replaySend(a any) { p.n.Send(a.(*msg.Msg)) }
-
-// deliver runs a delivery landing on this shard. During parallel rounds the
-// observer tap is staged (child key 0, before any sends the handler stages)
-// so an installed OnDeliver sees messages in exact serial order at the
-// barrier; the handler itself runs on the shard worker. Transient recycling
-// follows the same observer-free rule as the serial path but targets the
-// shard-local freelist.
-func (p *ShardPort) deliver(arg any) {
-	m := arg.(*msg.Msg)
-	p.delivered++
-	n := p.n
-	if p.view.Parallel() {
-		if n.OnDeliver != nil {
-			p.view.Stage(n.onDeliverFn, m)
-		}
-		n.handlers[m.Dst](m)
-		if m.Kind.Transient() && n.Fault == nil && n.Sched == nil && n.OnSend == nil && n.OnDeliver == nil {
-			*m = msg.Msg{}
-			p.free = append(p.free, m)
-		}
-		return
-	}
-	if n.OnDeliver != nil {
-		n.OnDeliver(m)
-	}
-	n.Trace.MsgDeliver(m)
-	n.handlers[m.Dst](m)
-	if m.Kind.Transient() && n.Fault == nil && n.Sched == nil && n.OnSend == nil && n.OnDeliver == nil {
-		*m = msg.Msg{}
-		p.free = append(p.free, m)
-	}
-}
-
-// Interface conformance: both the network itself (serial runs) and a shard
-// port (sharded runs) are what tile components send through.
-var (
-	_ Port = (*Network)(nil)
-	_ Port = (*ShardPort)(nil)
-)
+func (n *Network) ResetStats() { n.stats = Stats{} }

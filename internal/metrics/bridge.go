@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"scalablebulk/internal/event"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/stats"
@@ -17,13 +16,15 @@ var GroupSizeBounds = []float64{1, 2, 3, 4, 6, 8, 12, 16}
 // QueueDepthBounds buckets sampled queued-chunk counts (Figures 16/17).
 var QueueDepthBounds = []float64{1, 2, 4, 8, 16, 32}
 
-// ObserveRun folds one finished run's collector and traffic counters into
-// the registry. It is called between runs (never on the DES hot loop), so a
-// live /metrics scrape during a soak sees per-point aggregates accumulate.
-func ObserveRun(r *Registry, coll *stats.Collector, traffic mesh.Stats) {
+// ObserveRun folds one finished run's collector and traffic counters, and
+// the event calendar's retained ring capacity, into the registry. It is
+// called between runs (never on the DES hot loop), so a live /metrics scrape
+// during a soak sees per-point aggregates accumulate.
+func ObserveRun(r *Registry, coll *stats.Collector, traffic mesh.Stats, ringResidency uint64) {
 	if r == nil {
 		return
 	}
+	r.Gauge("engine_ring_residency_items").Set(float64(ringResidency))
 	r.Counter("runs_total").Add(1)
 	r.Counter("chunks_committed_total").Add(coll.ChunksCommitted)
 	r.Counter("commit_failures_total").Add(coll.CommitFailures)
@@ -52,24 +53,4 @@ func ObserveRun(r *Registry, coll *stats.Collector, traffic mesh.Stats) {
 	for _, v := range coll.QueueSamples {
 		queue.Observe(float64(v))
 	}
-}
-
-// ObserveSharding folds one run's sharded-engine execution counters into the
-// registry: round mix, epoch-barrier stalls, staged cross-shard actions and
-// the calendar ring's retained capacity. sh is nil for serial runs — only the
-// residency gauge (meaningful for both engines) is published then.
-func ObserveSharding(r *Registry, sh *event.ShardStats, ringResidency uint64) {
-	if r == nil {
-		return
-	}
-	r.Gauge("engine_ring_residency_items").Set(float64(ringResidency))
-	if sh == nil {
-		return
-	}
-	r.Counter("shard_rounds_total").Add(sh.Rounds)
-	r.Counter("shard_serial_rounds_total").Add(sh.SerialRounds)
-	r.Counter("shard_parallel_rounds_total").Add(sh.ParallelRounds)
-	r.Counter("shard_barrier_stalls_total").Add(sh.BarrierStalls)
-	r.Counter("shard_staged_actions_total").Add(sh.StagedActions)
-	r.Gauge("shard_count").Set(float64(sh.Shards))
 }

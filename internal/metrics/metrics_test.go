@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"testing"
 
-	"scalablebulk/internal/event"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/stats"
 )
@@ -59,8 +58,8 @@ func TestObserveRun(t *testing.T) {
 	traffic.Messages, traffic.Delivered, traffic.FlitHops = 10, 11, 120
 	traffic.ByKind[0] = 10
 
-	ObserveRun(r, coll, traffic)
-	ObserveRun(nil, coll, traffic) // nil registry is a no-op
+	ObserveRun(r, coll, traffic, 17)
+	ObserveRun(nil, coll, traffic, 17) // nil registry is a no-op
 
 	s := r.Snapshot()
 	if s.Counters["chunks_committed_total"] != 1 ||
@@ -71,50 +70,8 @@ func TestObserveRun(t *testing.T) {
 	if h := s.Histograms["commit_latency_cycles"]; h.Count != 1 || h.Sum != 50 {
 		t.Errorf("latency histogram = %+v", h)
 	}
-}
-
-// TestObserveSharding drives a real two-shard engine through a mixed
-// local/global round sequence and folds its counters into the registry: the
-// epoch-barrier stall counter must come out nonzero (every parallel round
-// ends in at least one coordinator wait), and serial runs must still publish
-// the ring-residency gauge.
-func TestObserveSharding(t *testing.T) {
-	se := event.NewSharded(2)
-	defer se.Stop()
-	se.View(0).After(1, func() {})
-	se.View(1).After(1, func() {})
-	se.View(0).AfterGlobal(2, func() {})
-	for se.RoundStep() > 0 {
-	}
-	st := se.Stats()
-
-	r := NewRegistry()
-	ObserveSharding(r, &st, se.RingResidency())
-	ObserveSharding(nil, &st, 0) // nil registry is a no-op
-
-	s := r.Snapshot()
-	if s.Counters["shard_barrier_stalls_total"] == 0 {
-		t.Errorf("barrier stall counter is zero after a parallel round: %v", s.Counters)
-	}
-	if s.Counters["shard_parallel_rounds_total"] == 0 || s.Counters["shard_serial_rounds_total"] == 0 {
-		t.Errorf("round counters missing: %v", s.Counters)
-	}
-	if s.Gauges["shard_count"] != 2 {
-		t.Errorf("shard_count gauge = %v, want 2", s.Gauges["shard_count"])
-	}
-	if _, ok := s.Gauges["engine_ring_residency_items"]; !ok {
-		t.Errorf("ring residency gauge missing: %v", s.Gauges)
-	}
-
-	// Serial run: no shard stats, but residency still lands.
-	r2 := NewRegistry()
-	ObserveSharding(r2, nil, 17)
-	s2 := r2.Snapshot()
-	if s2.Gauges["engine_ring_residency_items"] != 17 {
-		t.Errorf("serial residency gauge = %v, want 17", s2.Gauges["engine_ring_residency_items"])
-	}
-	if len(s2.Counters) != 0 {
-		t.Errorf("serial run published shard counters: %v", s2.Counters)
+	if g := s.Gauges["engine_ring_residency_items"]; g != 17 {
+		t.Errorf("ring residency gauge = %v, want 17", g)
 	}
 }
 

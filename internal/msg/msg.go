@@ -264,17 +264,6 @@ func (k Kind) Transient() bool {
 	return false
 }
 
-// ShardLocal reports whether a message's delivery handler touches only its
-// destination tile's state (the tile's processor, caches, pending-read
-// bookkeeping, and home directory slice) — the classification the sharded
-// engine uses to fan a cycle out across shard workers. Exactly the read-path
-// (Transient) kinds qualify today: every commit-protocol kind reaches the
-// shared protocol engines, workload generator or statistics collector, so
-// their rounds serialize on the coordinator. The sets coincide but the
-// meanings differ (recyclable vs tile-isolated), so this is a separate
-// predicate: a future kind could be one without the other.
-func (k Kind) ShardLocal() bool { return k.Transient() }
-
 // ClassOf returns the traffic class of a message kind. Read requests and
 // nacks are attributed to MemRd here; the stats package reconstructs the
 // exact per-transaction classes from reply counts (see stats.TrafficFrom).

@@ -297,9 +297,7 @@ func (p *Proc) step(epoch uint64) {
 	}
 	local += gap
 	ck.ExecUseful += uint64(gap)
-	// Global: finishExecution reaches the mapper (signature finalization
-	// first-touch), the workload generator and the protocol engine.
-	p.env.Eng.AfterGlobal(local, func() { p.finishExecution(epoch) })
+	p.env.Eng.After(local, func() { p.finishExecution(epoch) })
 }
 
 // issueRead sends the miss to the line's home directory.
@@ -481,8 +479,7 @@ func (p *Proc) CommitRefused(tag msg.CTag) {
 		shift = 5
 	}
 	backoff := p.cfg.RetryBackoff<<uint(shift) + event.Time(p.rng.Intn(64))
-	// Global: the retry re-enters the protocol engine.
-	p.env.Eng.AfterGlobal(backoff, func() {
+	p.env.Eng.After(backoff, func() {
 		if p.committing == ck {
 			p.commitReqAt = p.env.Eng.Now()
 			p.awaiting = true

@@ -36,7 +36,7 @@ func TestWatchdogDisabledArmIsNoOp(t *testing.T) {
 	k.WD.Arm(0, false, msg.CTag{}, 0,
 		func() Disposition { probed = true; return Stalled },
 		func() { t.Error("stalled callback ran with the watchdog disabled") })
-	env.Eng.(*event.Engine).Run()
+	env.Eng.Run()
 	if probed {
 		t.Error("disabled watchdog still probed")
 	}
@@ -52,7 +52,7 @@ func TestWatchdogClosedStandsDown(t *testing.T) {
 	k.WD.Arm(3, true, msg.CTag{Proc: 3, Seq: 9}, 1,
 		func() Disposition { probes++; return Closed },
 		func() { t.Error("stalled callback ran on a decided attempt") })
-	env.Eng.(*event.Engine).Run()
+	env.Eng.Run()
 	if probes != 1 {
 		t.Errorf("probe ran %d times, want 1", probes)
 	}
@@ -77,7 +77,7 @@ func TestWatchdogWatchingRearmsUntilStalled(t *testing.T) {
 			return Stalled
 		},
 		func() { stalls++ })
-	env.Eng.(*event.Engine).Run()
+	env.Eng.Run()
 	if probes != 3 || stalls != 1 {
 		t.Errorf("probes=%d stalls=%d, want 3 probes and 1 stall", probes, stalls)
 	}

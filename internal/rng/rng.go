@@ -129,8 +129,8 @@ type Rand struct {
 	src source
 }
 
-// pool recycles generators across chunks; chunk generation may run on
-// several shard workers at once.
+// pool recycles generators across chunks; a Session sweep runs several
+// machines, and so several chunk generators, at once.
 var pool = sync.Pool{New: func() any {
 	r := new(Rand)
 	r.Rand = rand.New(&r.src)

@@ -56,15 +56,6 @@ type Config struct {
 	WarmupChunks int
 	Seed         int64
 
-	// Shards selects the execution engine: 0 runs the serial calendar
-	// queue, N ≥ 1 runs the deterministic sharded engine with N shard
-	// workers (clamped to Cores). Execution-only — results, fingerprints,
-	// ConfigHash and journal keys are byte-identical for every value, so
-	// it is deliberately excluded from the run's identity (like
-	// RunTimeout). Sharded runs do not support fault injection, trace
-	// sinks or the flight recorder; Build rejects those combinations.
-	Shards int
-
 	// Workload selects the chunk-stream source by registry spec: "" or
 	// "synthetic" for the default application models, an adversarial
 	// generator's name, or "replay:PATH" for a recorded trace. The spec is
@@ -196,32 +187,6 @@ func (e *DeadlockError) Error() string {
 // Unwrap lets errors.Is(err, ErrDeadlock) match.
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
-// ErrShardHazard marks a sharded run that aborted because a page's
-// first-touch home became schedule-dependent: two tiles with different
-// would-be homes raced to first-touch the same page inside one parallel
-// round, so the serial engine's mapping can no longer be reproduced. Retry
-// the run with Shards=0 (the serial engine resolves the touch order
-// deterministically); test with errors.Is.
-var ErrShardHazard = errors.New("sharded first-touch collision")
-
-// ShardHazardError is the structured ErrShardHazard abort.
-type ShardHazardError struct {
-	App      string
-	Protocol string
-	Cores    int
-	Shards   int
-	Cycle    event.Time
-	Page     uint64
-}
-
-func (e *ShardHazardError) Error() string {
-	return fmt.Sprintf("system: %s/%s/%d (shards=%d) aborted at cycle %d: first-touch collision on page %d is schedule-dependent; rerun with Shards=0",
-		e.App, e.Protocol, e.Cores, e.Shards, e.Cycle, e.Page)
-}
-
-// Unwrap lets errors.Is(err, ErrShardHazard) match.
-func (e *ShardHazardError) Unwrap() error { return ErrShardHazard }
-
 // MaxDumpLines bounds the machine dump embedded in DeadlockErrors and crash
 // bundles: a 64-core dump (one line per stuck processor plus per-module
 // protocol state) is truncated past this many lines with an elided-line
@@ -293,13 +258,9 @@ type Result struct {
 	// depend on how many escalations it took to fit the cycle budget.
 	Attempts []RunAttempt
 
-	// Sharding holds the sharded engine's execution counters when the run
-	// used Config.Shards > 0, nil otherwise. Execution-only observability:
-	// excluded from result fingerprints, which are independent of S.
-	Sharding *event.ShardStats
 	// RingResidency is the calendar ring's retained backing capacity at the
-	// end of the run (summed across shard calendars on sharded runs).
-	// Execution-only observability, excluded from fingerprints.
+	// end of the run. Execution-only observability, excluded from
+	// fingerprints.
 	RingResidency uint64
 }
 
@@ -341,11 +302,7 @@ func Run(prof workload.Profile, cfg Config) (*Result, error) {
 // Net before Start and drives its own interleaved loop instead. The exported
 // fields are the assembly's top-level components.
 type Machine struct {
-	// Eng is the serial calendar engine; nil on sharded machines, which
-	// run on Shard instead (use Now for the clock either way).
-	Eng *event.Engine
-	// Shard is the deterministic parallel engine, nil on serial machines.
-	Shard *event.ShardedEngine
+	Eng   *event.Engine
 	Net   *mesh.Network
 	Env   *dir.Env
 	Procs []*proc.Proc
@@ -359,21 +316,13 @@ type Machine struct {
 
 	prof workload.Profile
 	cfg  Config
-	// rps are the read paths (one per shard; a single entry on serial
-	// machines); their nack counters fold into the collector at Finish.
-	rps []*dir.ReadPath
 	// done counts finished processors (maintained by the proc.OnDone hook)
 	// so AllDone is O(1) instead of scanning every core per step.
 	done int
 }
 
-// Now returns the simulation clock, whichever engine drives the machine.
-func (m *Machine) Now() event.Time {
-	if m.Shard != nil {
-		return m.Shard.Now()
-	}
-	return m.Eng.Now()
-}
+// Now returns the simulation clock.
+func (m *Machine) Now() event.Time { return m.Eng.Now() }
 
 // Build assembles the machine for prof under cfg: network, directory
 // environment, tracer, fault injector, invariant checker, protocol engine,
@@ -384,68 +333,17 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("system: negative shard count %d", cfg.Shards)
-	}
-	shards := cfg.Shards
-	if shards > cfg.Cores {
-		shards = cfg.Cores
-	}
-	sharded := shards > 0
-	if sharded {
-		switch {
-		case cfg.Faults.Enabled():
-			return nil, fmt.Errorf("system: sharded execution does not support fault injection (delivery duplication breaks the deterministic ordering keys); run with Shards=0")
-		case cfg.TraceSink != nil:
-			return nil, fmt.Errorf("system: sharded execution does not support trace sinks; run with Shards=0")
-		case cfg.FlightRecorder > 0:
-			return nil, fmt.Errorf("system: sharded execution does not support the flight recorder; run with Shards=0")
-		}
-	}
-	var (
-		eng   *event.Engine
-		se    *event.ShardedEngine
-		sched event.Sched
-	)
-	if sharded {
-		se = event.NewSharded(shards)
-		sched = se.Global()
-	} else {
-		eng = event.New()
-		sched = eng
-	}
-	m := &Machine{Eng: eng, Shard: se, prof: prof, cfg: cfg}
-	net := mesh.New(sched, mesh.Config{
+	eng := event.New()
+	m := &Machine{Eng: eng, prof: prof, cfg: cfg}
+	net := mesh.New(eng, mesh.Config{
 		Nodes: cfg.Cores, LinkLatency: cfg.LinkLatency, Contention: cfg.Contention,
 	})
 	m.Net = net
 	env := &dir.Env{
-		Eng: sched, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(),
 		Coll: stats.New(), DirLookup: cfg.DirLookup, MemLatency: cfg.MemLatency,
 	}
 	m.Env = env
-
-	// Sharded wiring: tiles map to shards in contiguous blocks, the network
-	// routes deliveries onto the owning shard's calendar, the page mapper
-	// goes thread-safe with per-round first-touch hazard detection, and the
-	// directory state splits into per-shard parts.
-	var shardOf []int
-	if sharded {
-		shardOf = make([]int, cfg.Cores)
-		for i := range shardOf {
-			shardOf[i] = i * shards / cfg.Cores
-		}
-		net.EnableSharding(se, shardOf, se.Views())
-		env.Map.EnableLocking()
-		se.BeginParallelRound = env.Map.BeginParallelRound
-		se.EndParallelRound = env.Map.EndParallelRound
-		env.State.Partition(shards, func(l sig.Line) int {
-			if h, ok := env.Map.HomeIfMapped(l); ok {
-				return shardOf[h]
-			}
-			return 0
-		})
-	}
 
 	// Assemble the tracer: the caller's sink, the flight recorder, or both.
 	sink := cfg.TraceSink
@@ -538,44 +436,19 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("system: %w", err)
 		}
 	}
-	// Per-tile environments: on serial runs every component shares env; on
-	// sharded runs each shard's tiles get a copy whose Sched/Port land
-	// events and sends on the owning shard. The copies are made after all
-	// of env's observer wiring so they share it; slice/pointer fields
-	// (Cores, State, Coll, Map) alias the same objects.
 	env.Cores = make([]dir.Core, cfg.Cores)
-	tileEnv := func(int) *dir.Env { return env }
-	if sharded {
-		envs := make([]*dir.Env, shards)
-		for s := 0; s < shards; s++ {
-			e := *env
-			e.Eng = se.View(s)
-			e.Net = net.PortOf(s)
-			envs[s] = &e
-		}
-		tileEnv = func(node int) *dir.Env { return envs[shardOf[node]] }
-		m.rps = make([]*dir.ReadPath, shards)
-		for s := 0; s < shards; s++ {
-			m.rps[s] = &dir.ReadPath{Env: envs[s], Proto: proto}
-		}
-	} else {
-		m.rps = []*dir.ReadPath{{Env: env, Proto: proto}}
-	}
 	procs := make([]*proc.Proc, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		procs[i] = proc.New(tileEnv(i), proto, gen, i, cfg.ChunksPerCore, cfg.L1, cfg.L2, pcfg)
+		procs[i] = proc.New(env, proto, gen, i, cfg.ChunksPerCore, cfg.L1, cfg.L2, pcfg)
 		env.Cores[i] = procs[i]
 		if procs[i].Done() {
 			m.done++ // born finished (zero chunk target)
 		}
 	}
 	m.Procs = procs
+	rp := &dir.ReadPath{Env: env, Proto: proto}
 	for i := 0; i < cfg.Cores; i++ {
 		node := i
-		rp := m.rps[0]
-		if sharded {
-			rp = m.rps[shardOf[node]]
-		}
 		net.Register(node, func(mm *msg.Msg) {
 			if mm.Kind.SideOf() == msg.SideDir {
 				if !rp.HandleDir(node, mm) {
@@ -678,34 +551,14 @@ func (m *Machine) Finish() (*Result, error) {
 		// end-of-run checks see quiescent protocol state. Watchdogs only
 		// re-arm for live attempts, so the queue empties; the step bound is
 		// a backstop.
-		if m.Shard != nil {
-			m.Shard.Halt = nil
-			for steps := 0; m.Shard.RoundStep() > 0 && steps < 10_000_000; steps++ {
-			}
-		} else {
-			for steps := 0; m.Eng.Step() && steps < 10_000_000; steps++ {
-			}
+		for steps := 0; m.Eng.Step() && steps < 10_000_000; steps++ {
 		}
 		chk.Finish(cfg.Cores, cfg.ChunksPerCore)
 	}
-	// Fold the per-read-path nack counters (kept off the shared collector
-	// so parallel rounds stay lock-free) into the collector's total.
-	for _, rp := range m.rps {
-		m.Env.Coll.ReadNacks += rp.Nacks
-		rp.Nacks = 0
-	}
-
 	res := &Result{
 		App: m.prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
 		Coll: m.Env.Coll, Traffic: m.Net.Stats(), Proto: m.Proto,
-		Checked: chk != nil,
-	}
-	if m.Shard != nil {
-		ss := m.Shard.Stats()
-		res.Sharding = &ss
-		res.RingResidency = m.Shard.RingResidency()
-	} else {
-		res.RingResidency = m.Eng.RingResidency()
+		Checked: chk != nil, RingResidency: m.Eng.RingResidency(),
 	}
 	if m.Inj != nil {
 		fs := m.Inj.Stats()
@@ -761,14 +614,6 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if m.Shard != nil {
-		defer m.Shard.Stop()
-		// Stop the round at the event that finishes the last processor,
-		// exactly where the serial loop below stops stepping — trailing
-		// same-cycle events must not perturb the stats. Finish clears the
-		// hook before its quiescence drain.
-		m.Shard.Halt = m.AllDone
-	}
 	m.Start()
 
 	var deadline time.Time
@@ -777,17 +622,7 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result
 	}
 	steps := 0
 	for !m.AllDone() {
-		if m.Shard != nil {
-			if m.Shard.RoundStep() == 0 {
-				return nil, m.Deadlock("event queue empty", false)
-			}
-			if pg, bad := m.Env.Map.Hazard(); bad {
-				return nil, &ShardHazardError{
-					App: m.prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
-					Shards: m.Shard.Shards(), Cycle: m.Now(), Page: uint64(pg),
-				}
-			}
-		} else if !m.Eng.Step() {
+		if !m.Eng.Step() {
 			return nil, m.Deadlock("event queue empty", false)
 		}
 		if m.Now() > cfg.MaxCycles {
