@@ -13,7 +13,8 @@
 //	sbsim -workloads   # registered workload sources
 //
 // Exit codes: 0 success; 1 error (a panic writes a crash bundle when
-// -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout budget.
+// -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout budget;
+// 3 the point failed on the farm (-server).
 package main
 
 import (

@@ -278,13 +278,7 @@ func run() int {
 			return cliutil.ExitError
 		}
 	}
-	switch {
-	case rep.Aborted:
-		return cliutil.ExitAborted
-	case len(failures) > 0:
-		return cliutil.ExitPointFailures
-	}
-	return cliutil.ExitOK
+	return cliutil.ExitCode(len(failures), rep.Aborted)
 }
 
 // writeCheckSpec serializes a failed point as an sbcheck starting state: the

@@ -528,10 +528,10 @@ func (s *Session) Resume(ctx context.Context, path string, parallelism int) (*Sw
 
 // Inject stores res as the completed result for p, as if the session had run
 // the point itself: later Result calls and figure renders are served from
-// the cache. The farm thin clients (sbsim/sbfig/sbbench/sbsoak -server)
-// inject results computed by remote workers so figures render locally from
-// remote runs. A point that already has a cache slot keeps it (injection
-// never overwrites a run in flight or a completed result).
+// the cache. sbfig -server injects results computed by remote farm workers
+// so figures render locally from remote runs. A point that already has a
+// cache slot keeps it (injection never overwrites a run in flight or a
+// completed result).
 func (s *Session) Inject(p Point, res *Result) {
 	k := runKey{p.App, p.Protocol, p.Cores}
 	e := &cacheEntry{done: make(chan struct{}), res: res}

@@ -20,10 +20,11 @@ import (
 	"scalablebulk/internal/workload"
 )
 
-// Exit codes shared by every CLI (sbsim, sbfig, sbbench, sbsoak, sbserver,
-// sbworker): success, setup/internal error, aborted by signal or deadline,
-// and completed-with-point-failures. Failure beats abort so a crashed point
-// is never mistaken for a clean Ctrl-C.
+// Exit codes shared by every CLI (sbsim, sbfig, sbsoak, sbserver, sbworker):
+// success, setup/internal error, aborted by signal or deadline, and
+// completed-with-point-failures. Failure beats abort so a crashed point is
+// never mistaken for a clean Ctrl-C; ExitCode is the one place that rule
+// lives.
 const (
 	ExitOK            = 0
 	ExitError         = 1
@@ -39,10 +40,21 @@ func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
+// ExitCode maps a run's outcome to the shared exit-code contract: any point
+// failure gives ExitPointFailures even if the run was then aborted, a clean
+// abort gives ExitAborted, and a fully completed run gives ExitOK.
+func ExitCode(failures int, aborted bool) int {
+	switch {
+	case failures > 0:
+		return ExitPointFailures
+	case aborted:
+		return ExitAborted
+	}
+	return ExitOK
+}
+
 // SweepExitCode prints one FAIL line per failed point to w (tool prefixes
-// the lines, stderr style) and maps the outcome to the shared exit-code
-// contract: point failures beat aborts, a clean abort is ExitAborted, and a
-// fully completed sweep is ExitOK.
+// the lines, stderr style) and returns the sweep's ExitCode.
 func SweepExitCode(w io.Writer, tool string, out *scalablebulk.SweepOutcome) int {
 	if w == nil {
 		w = io.Discard
@@ -51,13 +63,7 @@ func SweepExitCode(w io.Writer, tool string, out *scalablebulk.SweepOutcome) int
 		fmt.Fprintf(w, "%s: FAIL %s/%s/%d: %v\n",
 			tool, f.Point.App, f.Point.Protocol, f.Point.Cores, f.Err)
 	}
-	switch {
-	case len(out.Failures) > 0:
-		return ExitPointFailures
-	case out.Aborted:
-		return ExitAborted
-	}
-	return ExitOK
+	return ExitCode(len(out.Failures), out.Aborted)
 }
 
 // NewLogger builds the structured logger behind every CLI's -log-format

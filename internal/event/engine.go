@@ -19,9 +19,9 @@
 // ring of per-cycle buckets where push and pop are O(1), while the rare
 // long-horizon events (the +200k commit watchdogs) wait in a small overflow
 // heap and migrate into the ring as the window slides over them. The old
-// container/heap implementation is preserved as HeapEngine (see heap.go) and
-// the two are cross-checked for identical firing order by the equivalence
-// tests in this package.
+// container/heap implementation survives for tests only (heap_test.go) as
+// the reference oracle: the equivalence tests in this package cross-check
+// the two for identical firing order.
 package event
 
 import (

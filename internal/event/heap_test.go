@@ -5,12 +5,11 @@ import (
 	"fmt"
 )
 
-// HeapEngine is the original container/heap-based scheduler, preserved as
-// the reference implementation: the equivalence tests in this package drive
+// HeapEngine is the original container/heap-based scheduler, kept for tests
+// only as the reference oracle: the equivalence tests in this package drive
 // it and the calendar-queue Engine through identical random schedules and
-// assert bit-identical firing order, and the benchmark suite (cmd/sbbench)
-// reports both so the event-queue optimization stays measured against its
-// baseline. Production code uses Engine.
+// assert bit-identical firing order, and BenchmarkEngineHeap keeps the
+// calendar queue measured against it. Production code uses Engine.
 type HeapEngine struct {
 	now   Time
 	seq   uint64
@@ -91,9 +90,6 @@ func (e *HeapEngine) At(t Time, fn Handler) HeapTicket {
 	return HeapTicket{it}
 }
 
-// After schedules fn to run d cycles from now.
-func (e *HeapEngine) After(d Time, fn Handler) HeapTicket { return e.At(e.now+d, fn) }
-
 // Step fires the single earliest pending event and advances the clock.
 func (e *HeapEngine) Step() bool {
 	for len(e.q) > 0 {
@@ -134,6 +130,3 @@ func (e *HeapEngine) RunUntil(limit Time) uint64 {
 	}
 	return e.fired - start
 }
-
-// RunFor is RunUntil(Now()+d).
-func (e *HeapEngine) RunFor(d Time) uint64 { return e.RunUntil(e.now + d) }

@@ -7,8 +7,8 @@ package sig
 //
 //   - the fuzz and property tests in this package assert the optimized
 //     kernels are bit-equivalent to these for all inputs, and
-//   - cmd/sbbench benchmarks both families so the kernel speedup stays
-//     measured against its baseline.
+//   - perfbench times both families (its sig.*_ns and sig.*_ref_ns
+//     metrics) so the kernel speedup stays measured against its baseline.
 //
 // Protocol code must never call these.
 

@@ -28,8 +28,8 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkNilSink is the same guard in benchmark form; cmd/sbbench wires it
-// into the baseline comparison.
+// BenchmarkNilSink is the same guard in benchmark form; CI runs it once with
+// the other internal benchmarks.
 func BenchmarkNilSink(b *testing.B) {
 	var tr *Tracer
 	m := &msg.Msg{Kind: msg.Grab, Src: 1, Dst: 2, Tag: msg.CTag{Proc: 1, Seq: 3}}
