@@ -2,6 +2,7 @@ package scalablebulk
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,44 @@ func TestSessionCachesRuns(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("session did not cache the run")
+	}
+}
+
+// TestSessionResultsDoNotPinMachines holds a Session's cached Results to
+// plain data: after the runs, the heap they keep alive must be a small
+// fraction of a machine (a 64-core machine is ≈ 20 MB of caches, directory
+// state and mesh). Not parallel: it measures the whole process heap.
+func TestSessionResultsDoNotPinMachines(t *testing.T) {
+	const maxPerPoint = 1 << 20
+	apps := []string{"Barnes", "FFT", "Ocean", "Radix"}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, check := range []bool{false, true} {
+		before := heap()
+		s := NewSession(1, 1, nil)
+		s.Configure = func(c *Config) { c.Check = check }
+		var results []*Result
+		for _, app := range apps {
+			r, err := s.Result(app, ProtoScalableBulk, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, r)
+		}
+		after := heap()
+		runtime.KeepAlive(s)
+		runtime.KeepAlive(results)
+		perPoint := (int64(after) - int64(before)) / int64(len(apps))
+		t.Logf("check=%v: %.2f MB retained per 64-core point", check, float64(perPoint)/(1<<20))
+		if perPoint > maxPerPoint {
+			t.Errorf("check=%v: %d bytes retained per point, want ≤ %d: a Result keeps its machine reachable",
+				check, perPoint, maxPerPoint)
+		}
 	}
 }
 

@@ -250,7 +250,7 @@ func BenchmarkAblationStarvationMAX(b *testing.B) {
 				c.ProtoOptions = sb
 			})
 			b.ReportMetric(float64(r.Cycles), fmt.Sprintf("max%d_exec", max))
-			b.ReportMetric(float64(r.Proto.Stats()["fail_reserved"]), fmt.Sprintf("max%d_resv", max))
+			b.ReportMetric(float64(r.ProtoStats["fail_reserved"]), fmt.Sprintf("max%d_resv", max))
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -242,9 +243,13 @@ type Result struct {
 
 	Coll    *stats.Collector
 	Traffic mesh.Stats
-	// Proto exposes the protocol engine for protocol-specific diagnostics
-	// (e.g. the failure-cause counters behind Engine.Stats).
-	Proto protocol.Engine
+	// ProtoStats is a copy of the protocol engine's Stats() taken at Finish
+	// (protocol-specific diagnostics such as failure-cause counters). A
+	// Result is plain data: it holds no engine, so it keeps no machine
+	// reachable. ProtoStats is run-scoped: it is not journaled, sent over
+	// the farm wire or fingerprinted, so a restored Result has nil
+	// ProtoStats.
+	ProtoStats map[string]uint64
 
 	// Faults holds the injector's counters when Config.Faults was enabled.
 	Faults *fault.Stats
@@ -466,8 +471,15 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	for w := 0; w < cfg.WarmupChunks; w++ {
 		for i := 0; i < cfg.Cores; i++ {
 			ck := gen.WarmupChunk(i, w)
+			// Accesses come in slot-aligned runs on one page, and a mapped
+			// page's home never moves, so one Home call per run assigns
+			// the same first-touch homes as one per access.
+			page := mem.Page(^uint64(0))
 			for _, a := range ck.Accesses {
-				env.Map.Home(a.Line, i)
+				if p := mem.PageOf(a.Line); p != page {
+					env.Map.Home(a.Line, i)
+					page = p
+				}
 				procs[i].Hierarchy().Fill(a.Line, false)
 				// Register directory sharers only for the recent working
 				// set (the tail of warmup): real directories track live
@@ -557,7 +569,7 @@ func (m *Machine) Finish() (*Result, error) {
 	}
 	res := &Result{
 		App: m.prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
-		Coll: m.Env.Coll, Traffic: m.Net.Stats(), Proto: m.Proto,
+		Coll: m.Env.Coll, Traffic: m.Net.Stats(), ProtoStats: maps.Clone(m.Proto.Stats()),
 		Checked: chk != nil, RingResidency: m.Eng.RingResidency(),
 	}
 	if m.Inj != nil {

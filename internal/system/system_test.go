@@ -156,7 +156,8 @@ func TestTCCBroadcastsSkips(t *testing.T) {
 }
 
 // TestResultValidate runs every protocol once and cross-checks the
-// accounting invariants Result.Validate encodes.
+// accounting invariants Result.Validate encodes, and that the Result carries
+// the engine's counters (every in-tree engine exports fail_watchdog).
 func TestResultValidate(t *testing.T) {
 	prof, _ := workload.ByName("FMM")
 	for _, protocol := range append(Protocols, core.NameNoOCI) {
@@ -164,6 +165,9 @@ func TestResultValidate(t *testing.T) {
 		res := mustRun(t, prof, cfg)
 		if err := res.Validate(); err != nil {
 			t.Errorf("%s: %v", protocol, err)
+		}
+		if _, ok := res.ProtoStats["fail_watchdog"]; !ok {
+			t.Errorf("%s: ProtoStats %v lacks the engine's counters", protocol, res.ProtoStats)
 		}
 	}
 }

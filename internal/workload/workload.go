@@ -151,6 +151,9 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 	ck := &chunk.Chunk{
 		Tag:   msg.CTag{Proc: proc, Seq: seq},
 		Instr: p.ChunkInstr,
+		// The loop below stops at p.Accesses; the hot-line write adds at
+		// most one more.
+		Accesses: make([]chunk.Access, 0, max(p.Accesses, 0)+1),
 	}
 	privBase := uint64(privateBasePage + proc*privateStride)
 

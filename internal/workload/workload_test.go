@@ -75,6 +75,31 @@ func TestAccessCountsAndChunkSize(t *testing.T) {
 	}
 }
 
+// TestWarmupChunkAllocs holds warm-up generation to three allocations per
+// chunk (the chunk, its access slice and the shared-page pool): the access
+// slice is sized up front, never grown. The length check keeps that size
+// justified: no chunk outgrows p.Accesses+1.
+func TestWarmupChunkAllocs(t *testing.T) {
+	for _, prof := range All() {
+		w := New(prof, 64, 9)
+		for i := 0; i < 20; i++ {
+			for _, ck := range []*chunk.Chunk{w.WarmupChunk(i%64, i), w.NextChunk(i%64, uint64(i))} {
+				if len(ck.Accesses) > prof.Accesses+1 {
+					t.Fatalf("%s: %d accesses, capacity sized for %d", prof.Name, len(ck.Accesses), prof.Accesses+1)
+				}
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			w.WarmupChunk(i%64, i)
+			i++
+		})
+		if allocs > 3 {
+			t.Errorf("%s: %.0f allocations per warm-up chunk, want ≤ 3", prof.Name, allocs)
+		}
+	}
+}
+
 func TestEighteenApplications(t *testing.T) {
 	if len(Splash2()) != 11 {
 		t.Fatalf("SPLASH-2 apps = %d, want 11 (§5)", len(Splash2()))

@@ -200,9 +200,9 @@ func (e *CrashError) Error() string {
 }
 
 // resultJSON is the restorable subset of Result persisted in the journal:
-// every field any figure reduction or ResultFingerprint reads. The live
-// protocol engine (Result.Proto) is run-scoped and not persisted — restored
-// results render figures, they don't expose engine diagnostics.
+// every field any figure reduction or ResultFingerprint reads. The engine
+// counters (Result.ProtoStats) are run-scoped and not persisted — restored
+// results render figures, and their ProtoStats is nil.
 type resultJSON struct {
 	App              string            `json:"app"`
 	Protocol         string            `json:"protocol"`
