@@ -134,20 +134,6 @@ type DeadlockError = system.DeadlockError
 // distinguishing a withdrawn budget from a deadlock.
 type AbortError = system.AbortError
 
-// RetryPolicy retries transient MaxCycles aborts under fault profiles with
-// escalating cycle budgets and bounded jittered backoff.
-type RetryPolicy = system.RetryPolicy
-
-// RunAttempt is one recorded attempt of a retried run.
-type RunAttempt = system.RunAttempt
-
-// RetryError reports a run that failed through every allowed attempt.
-type RetryError = system.RetryError
-
-// DefaultRetryPolicy is the soak runner's policy: 3 attempts, budget ×4 per
-// retry, 25ms base backoff with 50% jitter capped at 2s.
-func DefaultRetryPolicy() RetryPolicy { return system.DefaultRetryPolicy() }
-
 // RunContext is Run with cancellation and the Config.RunTimeout wall-clock
 // deadline; aborts surface as *AbortError, deadlocks as *DeadlockError.
 func RunContext(ctx context.Context, prof Profile, cfg Config) (*Result, error) {
@@ -157,13 +143,6 @@ func RunContext(ctx context.Context, prof Profile, cfg Config) (*Result, error) 
 // RunScaledContext is RunScaled with cancellation.
 func RunScaledContext(ctx context.Context, prof Profile, cfg Config, totalChunks int) (*Result, error) {
 	return system.RunScaledContext(ctx, prof, cfg, totalChunks)
-}
-
-// RunWithRetry runs with the retry policy applied to transient aborts; the
-// attempt history is recorded on the Result (success) or in the returned
-// *RetryError (final failure).
-func RunWithRetry(ctx context.Context, prof Profile, cfg Config, pol RetryPolicy) (*Result, error) {
-	return system.RunWithRetry(ctx, prof, cfg, pol)
 }
 
 // Splash2 returns the 11 SPLASH-2 application models.

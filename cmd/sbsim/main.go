@@ -52,7 +52,6 @@ func run() int {
 	checkInv := flag.Bool("check", false, "run the online invariant checker (violations fail the run)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); exceeding it aborts with exit code 2")
 	crashDir := flag.String("crashdir", "", "write a JSON crash bundle here if the run panics")
-	retry := flag.Bool("retry", false, "retry transient MaxCycles aborts under faults with escalated budgets")
 	wl := flag.String("workload", "", "workload source (see -workloads) or replay:PATH; empty = synthetic -app model")
 	record := flag.String("record", "", "record the run's chunk streams as a workload trace at FILE")
 	replay := flag.String("replay", "", "replay the workload trace at FILE, adopting its recorded machine shape")
@@ -92,7 +91,7 @@ func run() int {
 
 	if *server != "" {
 		return runOnFarm(*server, *app, *protocol, *cores, *chunks, *seed,
-			*faults, *faultSeed, *checkInv, *retry, *wl, *record, *replay,
+			*faults, *faultSeed, *checkInv, *wl, *record, *replay,
 			timeout.Milliseconds(), *asJSON)
 	}
 
@@ -164,11 +163,7 @@ func run() int {
 				err = fmt.Errorf("panic: %s", cr.Panic)
 			}
 		}()
-		if *retry {
-			res, err = scalablebulk.RunWithRetry(ctx, prof, cfg, scalablebulk.DefaultRetryPolicy())
-		} else {
-			res, err = scalablebulk.RunContext(ctx, prof, cfg)
-		}
+		res, err = scalablebulk.RunContext(ctx, prof, cfg)
 		return err
 	}()
 	if err != nil {
@@ -203,7 +198,7 @@ func run() int {
 // exactly as a local run would. Trace record/replay stay local-only — they
 // read and write files on this machine.
 func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
-	faults string, faultSeed int64, check, retry bool, wl, record, replay string,
+	faults string, faultSeed int64, check bool, wl, record, replay string,
 	timeoutMS int64, asJSON bool) int {
 	if record != "" || replay != "" {
 		fmt.Fprintln(os.Stderr, "sbsim: -record/-replay are local-only and cannot combine with -server")
@@ -213,10 +208,6 @@ func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
 	if _, ok := scalablebulk.WorkloadProfile(wl); ok {
 		appLabel = wl
 	}
-	retries := 1 // a single attempt, like the local non-retry path
-	if retry {
-		retries = 0 // the default escalating policy
-	}
 	spec := &farm.SweepSpec{
 		ChunksPerCore: chunks,
 		Scaling:       farm.ScalingFixed,
@@ -225,7 +216,6 @@ func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
 		Faults:        faults,
 		FaultSeed:     faultSeed,
 		RunTimeoutMS:  timeoutMS,
-		Retries:       retries,
 		Check:         check,
 		Points:        []farm.Point{{App: appLabel, Protocol: protocol, Cores: cores}},
 	}
@@ -288,10 +278,6 @@ func printResult(app, protocol string, cfg scalablebulk.Config, res *scalablebul
 	if res.Checked {
 		fmt.Printf("  invariants:            checked, none violated\n")
 	}
-	if len(res.Attempts) > 1 {
-		fmt.Printf("  retry attempts:        %d (final budget %d cycles)\n",
-			len(res.Attempts), res.Attempts[len(res.Attempts)-1].MaxCycles)
-	}
 }
 
 // emitJSON prints the run's headline measurements as one JSON object, for
@@ -334,9 +320,6 @@ func emitJSON(res *scalablebulk.Result) int {
 	}
 	if res.Checked {
 		out["invariantsChecked"] = true
-	}
-	if res.Attempts != nil {
-		out["attempts"] = res.Attempts
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -1,9 +1,11 @@
 // Command sbsoak is the long-soak runner: it sweeps applications ×
 // protocols × core counts under a fault profile across seed rounds, with
 // every resilience feature engaged — per-run wall-clock timeouts, per-point
-// panic isolation with crash bundles, retry-with-budget-escalation for
-// transient MaxCycles aborts, and a JSONL checkpoint journal so a soak
-// killed by SIGINT/SIGTERM resumes where it left off.
+// panic isolation with crash bundles, and a JSONL checkpoint journal so a
+// soak killed by SIGINT/SIGTERM resumes where it left off. A run is
+// deterministic, so a point that exceeds its cycle budget (-maxcycles) is
+// reported as a failure rather than retried: rerunning it with a larger
+// budget replays the same simulation.
 //
 // Usage:
 //
@@ -49,15 +51,14 @@ type roundReport struct {
 }
 
 type soakReport struct {
-	GeneratedBy string                      `json:"generated_by"`
-	Config      map[string]any              `json:"config"`
-	Rounds      []roundReport               `json:"rounds"`
-	Points      int                         `json:"points_total"`
-	Completed   int                         `json:"completed_total"`
-	Restored    int                         `json:"restored_total"`
-	Failures    []string                    `json:"failures,omitempty"`
-	Retried     []scalablebulk.JournalPoint `json:"retried,omitempty"`
-	Aborted     bool                        `json:"aborted"`
+	GeneratedBy string         `json:"generated_by"`
+	Config      map[string]any `json:"config"`
+	Rounds      []roundReport  `json:"rounds"`
+	Points      int            `json:"points_total"`
+	Completed   int            `json:"completed_total"`
+	Restored    int            `json:"restored_total"`
+	Failures    []string       `json:"failures,omitempty"`
+	Aborted     bool           `json:"aborted"`
 }
 
 func main() {
@@ -81,8 +82,7 @@ func run() int {
 		coresList = flag.String("cores", "8,16", "comma-separated core counts")
 		par       = flag.Int("j", 0, "sweep parallelism (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
-		maxCycles = flag.Int64("maxcycles", 0, "starting cycle budget per run (0 = Table 2 default); small values exercise retry escalation")
-		retries   = flag.Int("retries", 3, "max attempts per point under faults (1 disables retry)")
+		maxCycles = flag.Int64("maxcycles", 0, "cycle budget per run (0 = Table 2 default); a run that exceeds it fails its point")
 		outPath   = flag.String("o", "", "write a JSON soak report to this path (- for stdout)")
 		quick     = flag.Bool("quick", false, "CI smoke matrix: 2 apps × 4 protocols × 8 cores, 1 round, tiny chunks")
 		progress  = flag.Duration("progress", 30*time.Second, "sweep heartbeat period on stderr (0 disables)")
@@ -90,6 +90,10 @@ func run() int {
 		server    = flag.String("server", "", "run each round's sweep on a sweep-farm server at this base URL (the server owns the journal)")
 	)
 	flag.Parse()
+	if *maxCycles < 0 {
+		fmt.Fprintln(os.Stderr, "sbsoak: -maxcycles must be ≥ 0")
+		return cliutil.ExitError
+	}
 
 	if *protoList {
 		fmt.Print(cliutil.ProtocolList())
@@ -168,7 +172,7 @@ func run() int {
 			"faults": *faults, "apps": *apps, "protocols": *protos,
 			"cores": *coresList, "parallelism": parallelism,
 			"timeout": timeout.String(), "maxcycles": *maxCycles,
-			"retries": *retries, "quick": *quick,
+			"quick":    *quick,
 			"progress": progress.String(), "telemetry": *telemetry,
 		},
 	}
@@ -200,11 +204,6 @@ func run() int {
 				cfg.MaxCycles = event.Time(*maxCycles)
 			}
 		}
-		if *retries > 1 {
-			pol := scalablebulk.DefaultRetryPolicy()
-			pol.MaxAttempts = *retries
-			s.Retry = &pol
-		}
 		if journal != nil {
 			s.UseJournal(journal)
 		}
@@ -217,7 +216,7 @@ func run() int {
 				ChunksPerCore: *chunks, Seed: roundSeed,
 				Faults: *faults, FaultSeed: *faultSeed,
 				MaxCycles: uint64(*maxCycles), RunTimeoutMS: timeout.Milliseconds(),
-				Retries: *retries, Points: points,
+				Points: points,
 			}
 			client := &farm.Client{Base: *server, Corr: farm.NewCorrID()}
 			fmt.Fprintf(os.Stderr, "sbsoak: round seed=%d corr=%s\n", roundSeed, client.Corr)
@@ -258,13 +257,6 @@ func run() int {
 		}
 	}
 	rep.Failures = failures
-	if journal != nil {
-		for _, jp := range journal.Points() {
-			if len(jp.Attempts) > 1 {
-				rep.Retried = append(rep.Retried, jp)
-			}
-		}
-	}
 
 	fmt.Printf("sbsoak: done points=%d completed=%d restored=%d failures=%d aborted=%v\n",
 		rep.Points, rep.Completed, rep.Restored, len(failures), rep.Aborted)

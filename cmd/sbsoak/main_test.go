@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestFailureThenAbortExitsPointFailures runs a soak whose every point fails
-// (a 50-cycle budget, one attempt) over more rounds than it can finish, and
+// (a 50-cycle budget) over more rounds than it can finish, and
 // sends SIGTERM once the first FAIL line appears. The soak then ends aborted
 // with failures on record, and the shared contract says failure beats abort:
 // it must exit 3, not the clean-abort 2.
@@ -36,7 +36,7 @@ func TestFailureThenAbortExitsPointFailures(t *testing.T) {
 	cmd := exec.Command(os.Args[0],
 		"-apps", "Radix", "-proto", "TCC", "-cores", "8", "-chunks", "2",
 		"-rounds", "1000000", "-j", "1", "-faults", "off",
-		"-maxcycles", "50", "-retries", "1", "-progress", "0",
+		"-maxcycles", "50", "-progress", "0",
 		"-journal", "", "-crashdir", t.TempDir())
 	cmd.Env = append(os.Environ(), "SBSOAK_RUN_MAIN=1")
 	cmd.Stdout = io.Discard
@@ -64,5 +64,32 @@ func TestFailureThenAbortExitsPointFailures(t *testing.T) {
 	}
 	if got := exit.ExitCode(); got != cliutil.ExitPointFailures {
 		t.Fatalf("failed-then-aborted soak exit code = %d, want %d", got, cliutil.ExitPointFailures)
+	}
+}
+
+// TestNegativeMaxCyclesRejected: a negative -maxcycles is an error before
+// anything runs, in-process and farm mode alike, rather than silently
+// meaning the default budget locally and ~1.8e19 cycles on the farm.
+func TestNegativeMaxCyclesRejected(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-server", "http://127.0.0.1:1"}} {
+		args := append([]string{
+			"-apps", "Radix", "-proto", "TCC", "-cores", "8", "-chunks", "1",
+			"-rounds", "1", "-j", "1", "-faults", "off", "-maxcycles", "-1",
+			"-progress", "0", "-journal", "", "-crashdir", ""}, mode...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SBSOAK_RUN_MAIN=1")
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != cliutil.ExitError {
+			t.Fatalf("%v: exit %v, want code %d", mode, err, cliutil.ExitError)
+		}
+		if !strings.Contains(stderr.String(), "sbsoak: -maxcycles must be ≥ 0") {
+			t.Errorf("%v: stderr %q lacks the -maxcycles message", mode, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: a sweep ran before the flag was rejected:\n%s", mode, stdout.String())
+		}
 	}
 }

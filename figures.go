@@ -40,10 +40,6 @@ type Session struct {
 	// before the first Result/Sweep call and be deterministic: the
 	// checkpoint journal keys entries by the configured Config's hash.
 	Configure func(*Config)
-	// Retry, when non-nil, retries transient MaxCycles aborts under fault
-	// profiles with escalated cycle budgets (see RunWithRetry). Set before
-	// first use.
-	Retry *RetryPolicy
 	// CrashDir, when non-empty, receives one JSON crash bundle per
 	// panicking point (panics are isolated per point either way — a panic
 	// becomes that point's *CrashError while the rest of the sweep keeps
@@ -254,8 +250,7 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 	}
 	hash := ConfigHash(cfg)
 	if j := s.Journal(); j != nil {
-		if r, attempts, ok := j.Lookup(p, hash); ok {
-			r.Attempts = attempts
+		if r, ok := j.Lookup(p, hash); ok {
 			s.nRestored.Add(1)
 			if s.Metrics != nil {
 				metrics.ObserveRun(s.Metrics, r.Coll, r.Traffic, r.RingResidency)
@@ -279,16 +274,12 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 	if s.testPointHook != nil {
 		s.testPointHook(p)
 	}
-	if s.Retry != nil {
-		res, err = RunWithRetry(ctx, prof, cfg, *s.Retry)
-	} else {
-		res, err = RunContext(ctx, prof, cfg)
-	}
+	res, err = RunContext(ctx, prof, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if j := s.Journal(); j != nil {
-		if jerr := j.Record(p, hash, res, time.Since(start)); jerr != nil {
+		if jerr := j.Record(p, hash, res, time.Since(start), ""); jerr != nil {
 			// A completed point the journal cannot persist is a real
 			// failure for a durable sweep: surface it rather than let a
 			// resume silently redo (or worse, trust stale) work.
@@ -513,17 +504,6 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 	}
 	out.Restored = int(s.nRestored.Load() - restored0)
 	return out
-}
-
-// Resume attaches the checkpoint journal at path and sweeps every
-// SweepPoints point: verified-complete points are restored from the journal
-// and only the remainder is simulated, so an interrupted sweep continues
-// where it left off and still produces byte-identical figure output.
-func (s *Session) Resume(ctx context.Context, path string, parallelism int) (*SweepOutcome, error) {
-	if _, err := s.AttachJournal(path); err != nil {
-		return nil, err
-	}
-	return s.SweepContext(ctx, s.SweepPoints(), parallelism), nil
 }
 
 // Inject stores res as the completed result for p, as if the session had run

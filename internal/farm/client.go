@@ -229,8 +229,8 @@ func (c *Client) Result(ctx context.Context, job *Job, worker string, res *scala
 		SweepID: job.SweepID, LeaseID: job.LeaseID, Worker: worker, Corr: job.Corr,
 		PointID: job.PointID, Point: job.Point, ConfigHash: job.ConfigHash,
 		FingerprintSHA: scalablebulk.FingerprintSHA(res),
-		Result:         data, Attempts: res.Attempts,
-		WallMS: float64(wall.Microseconds()) / 1000,
+		Result:         data,
+		WallMS:         float64(wall.Microseconds()) / 1000,
 	}, nil)
 }
 
@@ -271,7 +271,6 @@ func (r *sweepRun) apply(pr PointResult) error {
 			return fmt.Errorf("farm: result for %s does not verify against its fingerprint",
 				pointLabel(pr.Point))
 		}
-		res.Attempts = pr.Attempts
 		r.out.Completed++
 		if pr.Restored {
 			r.out.Restored++

@@ -43,12 +43,11 @@ type Options struct {
 	// many distinct workers. 0 selects 3.
 	PoisonAfter int
 	// MaxAttempts caps lease grants per point; the effective cap is
-	// max(MaxAttempts, PoisonAfter). 0 selects the retry default of 3.
+	// max(MaxAttempts, PoisonAfter). 0 selects 3.
 	MaxAttempts int
-	// Requeue shapes the re-queue backoff (Backoff, MaxBackoff, Jitter);
-	// zero fields select the system retry defaults (25ms base, 2s cap,
-	// 0.5 jitter).
-	Requeue requeuePolicy
+	// Requeue shapes the re-queue backoff; zero fields select a 25ms base,
+	// a 2s cap and 0.5 jitter.
+	Requeue RequeuePolicy
 	// Seed seeds the backoff-jitter PRNG so scheduling noise is
 	// reproducible run to run.
 	Seed int64

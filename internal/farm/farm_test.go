@@ -90,7 +90,7 @@ func quickOpts() Options {
 		LeaseTTL:    500 * time.Millisecond,
 		PoisonAfter: 3,
 		MaxAttempts: 5,
-		Requeue:     requeuePolicy{Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Jitter: 0.5},
+		Requeue:     RequeuePolicy{Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Jitter: 0.5},
 		Seed:        1,
 	}
 }

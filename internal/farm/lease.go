@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"scalablebulk/internal/system"
 )
 
 // pointState is the lease table's per-point state machine:
@@ -241,9 +239,9 @@ func (t *leaseTable) requeue(e *pointEntry, msg string) {
 	}
 }
 
-// backoff mirrors system.RetryPolicy's schedule — base×2^(n-1) capped, plus
-// a uniform seeded jitter — so concurrent re-queues decorrelate without
-// nondeterministic randomness sources.
+// backoff is base×2^(n-1) capped at MaxBackoff, plus a uniform seeded
+// jitter, so concurrent re-queues decorrelate without nondeterministic
+// randomness sources.
 func (t *leaseTable) backoff(attempt int) time.Duration {
 	pol := t.opts.Requeue
 	pause := pol.Backoff
@@ -282,6 +280,15 @@ func (t *leaseTable) counts() (pending, leased, done, failed, poisoned int) {
 	return
 }
 
-// requeuePolicy is the subset of system.RetryPolicy the table's backoff
-// uses; aliased so Options can embed it without exporting system.
-type requeuePolicy = system.RetryPolicy
+// RequeuePolicy shapes the lease table's re-queue backoff after a lease
+// dies or a run fails.
+type RequeuePolicy struct {
+	// Backoff is the pause before a point's first re-queue, doubling with
+	// each further one.
+	Backoff time.Duration
+	// MaxBackoff bounds any single pause.
+	MaxBackoff time.Duration
+	// Jitter adds a uniform extra in [0, Jitter×pause] drawn from the
+	// server's seeded PRNG (negative disables).
+	Jitter float64
+}

@@ -24,7 +24,7 @@ func pts(n int) []Point {
 func testOpts() Options {
 	return Options{
 		LeaseTTL: 10 * time.Second, PoisonAfter: 3, MaxAttempts: 3,
-		Requeue: requeuePolicy{Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Jitter: 0.5},
+		Requeue: RequeuePolicy{Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Jitter: 0.5},
 	}.withDefaults()
 }
 

@@ -201,7 +201,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if s.opts.Journal == nil {
 			continue
 		}
-		res, attempts, ok := s.opts.Journal.Lookup(p, h)
+		res, ok := s.opts.Journal.Lookup(p, h)
 		if !ok {
 			continue
 		}
@@ -214,7 +214,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sw.results = append(sw.results, PointResult{
 			PointID: i, Point: p, Status: StatusDone, ConfigHash: h,
 			FingerprintSHA: scalablebulk.FingerprintSHA(res),
-			Result:         data, Attempts: attempts, Restored: true,
+			Result:         data, Restored: true,
 		})
 		restored++
 	}
@@ -433,8 +433,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	res.Attempts = req.Attempts
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	wi := s.touchWorker(req.Worker)
@@ -482,7 +480,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	sw.results = append(sw.results, PointResult{
 		PointID: req.PointID, Point: req.Point, Status: StatusDone,
 		ConfigHash: req.ConfigHash, FingerprintSHA: sha,
-		Result: req.Result, Attempts: req.Attempts,
+		Result: req.Result,
 	})
 	if wi != nil {
 		wi.done++
@@ -510,11 +508,11 @@ func (s *Server) journalLocked(p Point, hash string, res *scalablebulk.Result, w
 	if s.opts.Journal == nil {
 		return
 	}
-	if _, _, ok := s.opts.Journal.Lookup(p, hash); ok {
+	if _, ok := s.opts.Journal.Lookup(p, hash); ok {
 		return // already journaled (duplicate or cross-sweep dedup)
 	}
 	wall := time.Duration(wallMS * float64(time.Millisecond))
-	if err := s.opts.Journal.RecordCorr(p, hash, res, wall, corr); err != nil {
+	if err := s.opts.Journal.Record(p, hash, res, wall, corr); err != nil {
 		s.emit(Event{Kind: "journal_error", Point: pointLabel(p), Corr: corr,
 			Detail: err.Error()})
 	}

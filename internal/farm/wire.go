@@ -10,7 +10,6 @@ import (
 	scalablebulk "scalablebulk"
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/fault"
-	"scalablebulk/internal/system"
 )
 
 // Point aliases the root sweep point so farm wire types and Session-side
@@ -50,11 +49,8 @@ type SweepSpec struct {
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// MaxCycles overrides the deadlock-guard budget when nonzero.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// RunTimeoutMS bounds each attempt's wall-clock time when nonzero.
+	// RunTimeoutMS bounds each run's wall-clock time when nonzero.
 	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
-	// Retries caps RunWithRetry attempts per lease (≤0 selects the
-	// default policy's 3).
-	Retries int `json:"retries,omitempty"`
 	// Check wires the online invariant checker into every run.
 	Check bool `json:"check,omitempty"`
 	// Points is the sweep's point list, in submission order.
@@ -148,16 +144,6 @@ func (s *SweepSpec) Resolve(p Point) (scalablebulk.Profile, scalablebulk.Config,
 	return prof, cfg, err
 }
 
-// RetryPolicy is the per-attempt retry policy workers apply inside one
-// lease, derived from the spec's Retries knob.
-func (s *SweepSpec) RetryPolicy() scalablebulk.RetryPolicy {
-	pol := scalablebulk.DefaultRetryPolicy()
-	if s.Retries > 0 {
-		pol.MaxAttempts = s.Retries
-	}
-	return pol
-}
-
 // SubmitResponse answers POST /v1/sweep.
 type SubmitResponse struct {
 	SweepID string `json:"sweep_id"`
@@ -223,10 +209,9 @@ type resultRequest struct {
 	ConfigHash string `json:"config_hash"`
 	// FingerprintSHA is the worker's digest of the result fingerprint; the
 	// server re-derives it from Result and refuses a mismatch.
-	FingerprintSHA string              `json:"fingerprint_sha256"`
-	Result         json.RawMessage     `json:"result"` // MarshalResult bytes
-	Attempts       []system.RunAttempt `json:"attempts,omitempty"`
-	WallMS         float64             `json:"wall_ms,omitempty"`
+	FingerprintSHA string          `json:"fingerprint_sha256"`
+	Result         json.RawMessage `json:"result"` // MarshalResult bytes
+	WallMS         float64         `json:"wall_ms,omitempty"`
 }
 
 type failRequest struct {
@@ -252,14 +237,13 @@ const (
 // PointResult is one terminal point in a sweep's completion-ordered result
 // stream.
 type PointResult struct {
-	PointID        int                 `json:"point_id"`
-	Point          Point               `json:"point"`
-	Status         string              `json:"status"`
-	ConfigHash     string              `json:"config_hash"`
-	FingerprintSHA string              `json:"fingerprint_sha256,omitempty"`
-	Result         json.RawMessage     `json:"result,omitempty"`
-	Attempts       []system.RunAttempt `json:"attempts,omitempty"`
-	Error          string              `json:"error,omitempty"`
+	PointID        int             `json:"point_id"`
+	Point          Point           `json:"point"`
+	Status         string          `json:"status"`
+	ConfigHash     string          `json:"config_hash"`
+	FingerprintSHA string          `json:"fingerprint_sha256,omitempty"`
+	Result         json.RawMessage `json:"result,omitempty"`
+	Error          string          `json:"error,omitempty"`
 	// Restored marks a point satisfied from the journal without a run.
 	Restored bool `json:"restored,omitempty"`
 }

@@ -110,17 +110,6 @@ func TestSpecConfigFixedScaling(t *testing.T) {
 	}
 }
 
-func TestRetryPolicy(t *testing.T) {
-	s := testSpec()
-	if got, want := s.RetryPolicy().MaxAttempts, scalablebulk.DefaultRetryPolicy().MaxAttempts; got != want {
-		t.Errorf("default retries = %d, want policy default %d", got, want)
-	}
-	s.Retries = 1
-	if got := s.RetryPolicy().MaxAttempts; got != 1 {
-		t.Errorf("explicit retries = %d, want 1", got)
-	}
-}
-
 func TestRPCFaultByName(t *testing.T) {
 	for _, name := range RPCFaultNames() {
 		p, err := RPCFaultByName(name, 1)

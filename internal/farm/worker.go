@@ -11,8 +11,8 @@ import (
 	scalablebulk "scalablebulk"
 )
 
-// Worker is the farm's execution side: lease a point, run it under the
-// spec's retry policy while heartbeating the lease, deliver the result (or
+// Worker is the farm's execution side: lease a point, run it while
+// heartbeating the lease, deliver the result (or
 // the failure, with a crash report when the run panicked), repeat.
 type Worker struct {
 	Client *Client
@@ -213,7 +213,7 @@ func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profi
 	if w.OnPoint != nil {
 		w.OnPoint(w.ID, job.Point)
 	}
-	return scalablebulk.RunWithRetry(ctx, prof, cfg, job.Spec.RetryPolicy())
+	return scalablebulk.RunContext(ctx, prof, cfg)
 }
 
 // failJob reports a failure, best-effort and bounded.

@@ -3,6 +3,7 @@ package system
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -127,10 +128,10 @@ func TestRunPanicWrapping(t *testing.T) {
 	}
 }
 
-// TestRetryEscalationConverges: under a fault profile, a MaxCycles abort is
-// transient — RunWithRetry escalates the budget until the run converges on
-// the same deterministic result a clean run produces, and records the
-// attempt history.
+// TestRetryEscalationConverges: under a fault profile a MaxCycles abort only
+// means the budget was short. Retrying with a larger budget replays the same
+// deterministic run and converges on the result a clean run produces, so an
+// escalating retry is the same as one run with the final budget.
 func TestRetryEscalationConverges(t *testing.T) {
 	prof := mustApp(t, "Radix")
 	cfg := DefaultConfig(8, ProtoScalableBulk)
@@ -148,50 +149,44 @@ func TestRetryEscalationConverges(t *testing.T) {
 	}
 
 	cfg.MaxCycles = clean.Cycles / 2
-	if _, err := Run(prof, cfg); !Retryable(err, cfg) {
-		t.Fatalf("halved budget should be a retryable abort, got %v", err)
+	_, err = Run(prof, cfg)
+	var de *DeadlockError
+	if !errors.As(err, &de) || !de.BudgetExhausted {
+		t.Fatalf("halved budget should be a budget-exhausted abort, got %v", err)
 	}
 
-	var slept []time.Duration
-	pol := RetryPolicy{MaxAttempts: 4, BudgetFactor: 4,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	res, err := RunWithRetry(context.Background(), prof, cfg, pol)
+	cfg.MaxCycles *= 4
+	res, err := Run(prof, cfg)
 	if err != nil {
-		t.Fatalf("retry did not converge: %v", err)
+		t.Fatalf("4x budget did not converge: %v", err)
 	}
 	if res.Cycles != clean.Cycles {
 		t.Errorf("retried result diverged: %d cycles, clean run %d", res.Cycles, clean.Cycles)
 	}
-	if len(res.Attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (one abort, one success)", len(res.Attempts))
+	if res.ChunksCommitted != clean.ChunksCommitted || res.Squashes != clean.Squashes {
+		t.Errorf("retried run committed %d chunks with %d squashes, clean run %d with %d",
+			res.ChunksCommitted, res.Squashes, clean.ChunksCommitted, clean.Squashes)
 	}
-	if a := res.Attempts[0]; a.Outcome == "ok" || a.AbortCycle == 0 {
-		t.Errorf("first attempt should record the abort: %+v", a)
-	}
-	if a := res.Attempts[1]; a.Outcome != "ok" || a.MaxCycles != cfg.MaxCycles*4 {
-		t.Errorf("second attempt should succeed at 4x budget: %+v", a)
-	}
-	if len(slept) != 1 {
-		t.Errorf("backoffs = %d, want 1", len(slept))
+	if !reflect.DeepEqual(res.Breakdown, clean.Breakdown) || !reflect.DeepEqual(res.Traffic, clean.Traffic) {
+		t.Errorf("retried run's cycle breakdown or traffic diverged from the clean run")
 	}
 }
 
 // TestRetryRefusesFaultFreeDeadlock: without a fault profile a MaxCycles
-// abort is a real bug, not noise — RunWithRetry fails after one attempt and
-// the error still matches ErrDeadlock.
+// abort is a real stall, not noise. The run fails once with a
+// budget-exhausted *DeadlockError that still matches ErrDeadlock.
 func TestRetryRefusesFaultFreeDeadlock(t *testing.T) {
 	cfg := quickCfg(8, ProtoScalableBulk)
 	cfg.MaxCycles = 1000
-	pol := RetryPolicy{Sleep: func(time.Duration) {}}
-	_, err := RunWithRetry(context.Background(), mustApp(t, "Radix"), cfg, pol)
-	var re *RetryError
-	if !errors.As(err, &re) {
-		t.Fatalf("expected *RetryError, got %v", err)
+	_, err := Run(mustApp(t, "Radix"), cfg)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("expected *DeadlockError, got %v", err)
 	}
-	if len(re.Attempts) != 1 {
-		t.Errorf("attempts = %d, want 1 (non-retryable)", len(re.Attempts))
+	if !de.BudgetExhausted {
+		t.Errorf("abort at MaxCycles=%d not marked BudgetExhausted: %v", cfg.MaxCycles, err)
 	}
 	if !errors.Is(err, ErrDeadlock) {
-		t.Errorf("RetryError should unwrap to the deadlock: %v", err)
+		t.Errorf("budget abort should match ErrDeadlock: %v", err)
 	}
 }

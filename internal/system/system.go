@@ -162,9 +162,9 @@ type DeadlockError struct {
 	Reason   string // "event queue empty" or "exceeded MaxCycles=N"
 	Dump     string // per-processor pipeline state + protocol module state
 	// BudgetExhausted marks a MaxCycles abort (as opposed to an empty event
-	// queue). Under an enabled fault profile these are treated as transient
-	// — slow but live — and are retried by RunWithRetry with an escalated
-	// budget.
+	// queue): the machine may still have been live. A run is deterministic,
+	// so re-running it with a larger MaxCycles replays the same prefix and
+	// carries on — there is nothing to retry.
 	BudgetExhausted bool
 	// Flight is the flight recorder's tail (rendered text lines, oldest
 	// first) when Config.FlightRecorder was enabled: the last trace events
@@ -256,12 +256,6 @@ type Result struct {
 	// Checked reports whether the invariant checker ran (and found nothing:
 	// a run with violations returns an error instead).
 	Checked bool
-
-	// Attempts is the retry history when the run went through RunWithRetry
-	// (a single entry for a first-attempt success). Deliberately excluded
-	// from result fingerprints: the measurements of a completed run do not
-	// depend on how many escalations it took to fit the cycle budget.
-	Attempts []RunAttempt
 
 	// RingResidency is the calendar ring's retained backing capacity at the
 	// end of the run. Execution-only observability, excluded from

@@ -3,7 +3,7 @@ package scalablebulk
 // Execution-resilience support for sweeps and soaks: per-point crash bundles
 // (a panicking point becomes a JSON report instead of killing the sweep) and
 // a JSONL checkpoint journal of completed points, fingerprint-verified on
-// load so Session.Resume can skip verified-complete work and an interrupted
+// load so a resumed sweep can skip verified-complete work and an interrupted
 // sweep still produces byte-identical figure output. See DESIGN.md §10.
 
 import (
@@ -96,12 +96,11 @@ type CrashReport struct {
 	// Corr is the farm correlation ID of the sweep that ran the point, when
 	// the crash happened under a farm lease — the grep key tying this bundle
 	// to the client log, server event log and journal entry.
-	Corr        string              `json:"corr,omitempty"`
-	Cycle       event.Time          `json:"cycle_reached,omitempty"`
-	Panic       string              `json:"panic"`
-	MachineDump string              `json:"machine_dump,omitempty"` // truncated (system.MaxDumpLines)
-	Stack       string              `json:"stack"`
-	Attempts    []system.RunAttempt `json:"attempts,omitempty"`
+	Corr        string     `json:"corr,omitempty"`
+	Cycle       event.Time `json:"cycle_reached,omitempty"`
+	Panic       string     `json:"panic"`
+	MachineDump string     `json:"machine_dump,omitempty"` // truncated (system.MaxDumpLines)
+	Stack       string     `json:"stack"`
 	// FlightRecorder is the trace ring's tail (oldest first) when the run had
 	// Config.FlightRecorder enabled: the last events before the crash.
 	FlightRecorder []string `json:"flight_recorder,omitempty"`
@@ -241,8 +240,7 @@ func (r *resultJSON) restore() *Result {
 
 // MarshalResult encodes the restorable subset of a Result — the same fields
 // the checkpoint journal persists — as JSON. The farm wire protocol ships
-// worker results to the server through this encoding; the attempt history
-// travels separately (it is excluded from fingerprints).
+// worker results to the server through this encoding.
 func MarshalResult(r *Result) ([]byte, error) { return json.Marshal(toResultJSON(r)) }
 
 // UnmarshalResult decodes a MarshalResult encoding back into a restored
@@ -259,16 +257,16 @@ func UnmarshalResult(data []byte) (*Result, error) {
 
 // journalEntry is one JSONL line: a completed point keyed by (point,
 // config-hash), its full restorable result, the SHA-256 of its
-// ResultFingerprint (verified on load), and the attempt history.
+// ResultFingerprint (verified on load). Entries written when runs carried a
+// retry history hold an "attempts" array too; decoding ignores it.
 type journalEntry struct {
-	V           int                 `json:"v"`
-	App         string              `json:"app"`
-	Protocol    string              `json:"protocol"`
-	Cores       int                 `json:"cores"`
-	ConfigHash  string              `json:"config_hash"`
-	Fingerprint string              `json:"fingerprint_sha256"`
-	WallMS      float64             `json:"wall_ms"`
-	Attempts    []system.RunAttempt `json:"attempts,omitempty"`
+	V           int     `json:"v"`
+	App         string  `json:"app"`
+	Protocol    string  `json:"protocol"`
+	Cores       int     `json:"cores"`
+	ConfigHash  string  `json:"config_hash"`
+	Fingerprint string  `json:"fingerprint_sha256"`
+	WallMS      float64 `json:"wall_ms"`
 	// Corr is the farm correlation ID of the sweep that recorded the entry
 	// ("" for in-process sweeps).
 	Corr   string      `json:"corr,omitempty"`
@@ -377,36 +375,30 @@ func (j *Journal) Len() int {
 // result's ResultFingerprint is re-hashed and compared against the recorded
 // digest; a mismatch (corruption, or a result produced by different code)
 // reports ok=false so the point is re-run rather than trusted.
-func (j *Journal) Lookup(p Point, configHash string) (res *Result, attempts []system.RunAttempt, ok bool) {
+func (j *Journal) Lookup(p Point, configHash string) (res *Result, ok bool) {
 	j.mu.Lock()
 	e := j.entries[journalKey{p.App, p.Protocol, p.Cores, configHash}]
 	j.mu.Unlock()
 	if e == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	res = e.Result.restore()
 	if fingerprintHash(ResultFingerprint(res)) != e.Fingerprint {
-		return nil, nil, false
+		return nil, false
 	}
-	return res, e.Attempts, true
+	return res, true
 }
 
 // Record appends one completed point, fsyncing so a subsequent kill cannot
-// lose it.
-func (j *Journal) Record(p Point, configHash string, res *Result, wall time.Duration) error {
-	return j.RecordCorr(p, configHash, res, wall, "")
-}
-
-// RecordCorr is Record with a correlation ID stamped into the entry — the
-// farm server records through this so `grep <corr>` finds the journal line
-// alongside the event log and crash bundles.
-func (j *Journal) RecordCorr(p Point, configHash string, res *Result, wall time.Duration, corr string) error {
+// lose it. corr is the farm correlation ID stamped into the entry ("" for
+// in-process sweeps), so `grep <corr>` finds the journal line alongside the
+// event log and crash bundles.
+func (j *Journal) Record(p Point, configHash string, res *Result, wall time.Duration, corr string) error {
 	e := &journalEntry{
 		V: 1, App: p.App, Protocol: p.Protocol, Cores: p.Cores,
 		ConfigHash:  configHash,
 		Fingerprint: fingerprintHash(ResultFingerprint(res)),
 		WallMS:      float64(wall.Microseconds()) / 1000,
-		Attempts:    res.Attempts,
 		Corr:        corr,
 		Result:      toResultJSON(res),
 	}
@@ -423,13 +415,12 @@ func (j *Journal) RecordCorr(p Point, configHash string, res *Result, wall time.
 	return j.f.Sync()
 }
 
-// JournalPoint summarizes one journal entry for reports: the point, how long
-// it took, and its retry history.
+// JournalPoint summarizes one journal entry for reports: the point and how
+// long it took.
 type JournalPoint struct {
-	Point      Point               `json:"point"`
-	ConfigHash string              `json:"config_hash"`
-	WallMS     float64             `json:"wall_ms"`
-	Attempts   []system.RunAttempt `json:"attempts,omitempty"`
+	Point      Point   `json:"point"`
+	ConfigHash string  `json:"config_hash"`
+	WallMS     float64 `json:"wall_ms"`
 }
 
 // Points lists the journal's entries (order unspecified).
@@ -440,7 +431,7 @@ func (j *Journal) Points() []JournalPoint {
 	for _, e := range j.entries {
 		out = append(out, JournalPoint{
 			Point:      Point{e.App, e.Protocol, e.Cores},
-			ConfigHash: e.ConfigHash, WallMS: e.WallMS, Attempts: e.Attempts,
+			ConfigHash: e.ConfigHash, WallMS: e.WallMS,
 		})
 	}
 	return out

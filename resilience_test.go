@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"scalablebulk/internal/fault"
 	"scalablebulk/internal/sig"
 )
 
@@ -175,7 +176,7 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 		t.Fatalf("cancellation did not interrupt the sweep (%d/%d points)", checkpointed, len(pts))
 	}
 	for _, jp := range j.Points() {
-		if _, _, ok := j.Lookup(jp.Point, jp.ConfigHash); !ok {
+		if _, ok := j.Lookup(jp.Point, jp.ConfigHash); !ok {
 			t.Errorf("journal entry %v does not verify", jp.Point)
 		}
 	}
@@ -223,7 +224,7 @@ func TestJournalRoundTripVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(p, hash, res, time.Second); err != nil {
+	if err := j.Record(p, hash, res, time.Second, ""); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -232,7 +233,7 @@ func TestJournalRoundTripVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, ok := j2.Lookup(p, hash)
+	got, ok := j2.Lookup(p, hash)
 	if !ok {
 		t.Fatal("recorded entry does not restore")
 	}
@@ -243,7 +244,7 @@ func TestJournalRoundTripVerifies(t *testing.T) {
 		t.Errorf("BottleneckRatio diverged after restore: %v != %v",
 			got.Coll.BottleneckRatio(), res.Coll.BottleneckRatio())
 	}
-	if _, _, ok := j2.Lookup(p, "deadbeef00000000"); ok {
+	if _, ok := j2.Lookup(p, "deadbeef00000000"); ok {
 		t.Error("Lookup matched a foreign config hash")
 	}
 	j2.Close()
@@ -261,11 +262,11 @@ func TestJournalRoundTripVerifies(t *testing.T) {
 	if j3.Len() != 1 {
 		t.Errorf("after truncated-tail recovery Len = %d, want 1", j3.Len())
 	}
-	if _, _, ok := j3.Lookup(p, hash); !ok {
+	if _, ok := j3.Lookup(p, hash); !ok {
 		t.Error("complete entry lost during truncated-tail recovery")
 	}
 	// And the file itself was truncated back, so appending stays valid JSONL.
-	if err := j3.Record(Point{"FFT", ProtoScalableBulk, 8}, hash, res, 0); err != nil {
+	if err := j3.Record(Point{"FFT", ProtoScalableBulk, 8}, hash, res, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	j3.Close()
@@ -277,6 +278,50 @@ func TestJournalRoundTripVerifies(t *testing.T) {
 		t.Errorf("post-recovery append not readable: Len = %d, want 2", j4.Len())
 	}
 	j4.Close()
+}
+
+// TestJournalRestoresEntriesWithAttempts: journal lines written while runs
+// still carried a retry history hold an "attempts" array. They must keep
+// restoring, fingerprint-verified, so existing soak and farm journals stay
+// usable. The fixture is a Radix point under the chaos profile that took two
+// attempts to fit its cycle budget.
+func TestJournalRestoresEntriesWithAttempts(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "journals", "radix-chaos-attempts.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line map[string]json.RawMessage
+	if err := json.Unmarshal(data, &line); err != nil || line["attempts"] == nil {
+		t.Fatalf("fixture is not a journal line with an attempts array (%v)", err)
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	prof, _ := AppByName("Radix")
+	cfg := DefaultConfig(8, ProtoScalableBulk)
+	cfg.ChunksPerCore = 4
+	cfg.Seed = 3
+	if cfg.Faults, err = fault.ByName("chaos"); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := j.Lookup(Point{"Radix", ProtoScalableBulk, 8}, ConfigHash(cfg))
+	if !ok {
+		t.Fatal("entry with an attempts array does not restore")
+	}
+	res, err := Run(prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ResultFingerprint(got) != ResultFingerprint(res) {
+		t.Error("restored result differs from a fresh run")
+	}
 }
 
 // TestJournalRejectsTamperedResult: an entry whose stored result no longer
@@ -296,7 +341,7 @@ func TestJournalRejectsTamperedResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record(p, ConfigHash(cfg), res, 0); err != nil {
+	if err := j.Record(p, ConfigHash(cfg), res, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -317,7 +362,7 @@ func TestJournalRejectsTamperedResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if _, _, ok := j2.Lookup(p, ConfigHash(cfg)); ok {
+	if _, ok := j2.Lookup(p, ConfigHash(cfg)); ok {
 		t.Error("tampered entry passed fingerprint verification")
 	}
 }
