@@ -1,6 +1,8 @@
 // Command sbworker is the sweep-farm execution side: it leases points from
-// an sbserver, runs them under the spec's retry policy while heartbeating
-// the lease, and delivers fingerprint-digested results.
+// an sbserver, runs them while heartbeating the lease, and delivers
+// fingerprint-digested results. It asks for a point only when one of its
+// -j slots is free; an idle worker's request waits on the server until work
+// arrives.
 //
 //	sbworker -server http://127.0.0.1:8356 -j 2
 //
@@ -31,7 +33,6 @@ func run() int {
 		server    = flag.String("server", "http://127.0.0.1:8356", "farm server base URL")
 		id        = flag.String("id", fmt.Sprintf("%s-%d", host, os.Getpid()), "worker identity reported to the server")
 		parallel  = flag.Int("j", 1, "concurrent leases")
-		poll      = flag.Duration("poll", 0, "idle poll interval (0 uses the server's hint)")
 		rpcFaults = flag.String("rpcfaults", "", "RPC fault-injection profile (flaky, lossy, chaos; empty disables)")
 		faultSeed = flag.Int64("rpcfaultseed", 1, "seed for the RPC fault injector")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
@@ -63,7 +64,6 @@ func run() int {
 		Client:   client,
 		ID:       *id,
 		Parallel: *parallel,
-		Poll:     *poll,
 		Log:      logger,
 	}
 	logger.Info("worker_start", "id", *id, "server", *server, "parallel", *parallel)

@@ -193,11 +193,15 @@ func (c *Client) FarmStatus(ctx context.Context, events int) (*FarmStatus, error
 	return &fs, nil
 }
 
-// Lease asks for work. A nil job with nil error means nothing is runnable
-// right now (retry after the hinted interval); ErrDraining means stop.
-func (c *Client) Lease(ctx context.Context, worker string) (*Job, time.Duration, error) {
+// Lease asks for work. haveSpecs lists the sweeps whose spec the caller
+// already holds; a job for one of them comes with a nil Spec. A nil job with
+// nil error means nothing became runnable while the server held the request
+// (ask again after the returned wait, which only an older server sets);
+// ErrDraining means stop.
+func (c *Client) Lease(ctx context.Context, worker string, haveSpecs ...string) (*Job, time.Duration, error) {
 	var resp leaseResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &resp); err != nil {
+	req := leaseRequest{Worker: worker, HaveSpecs: haveSpecs}
+	if err := c.do(ctx, http.MethodPost, "/v1/lease", req, &resp); err != nil {
 		return nil, 0, err
 	}
 	if resp.Draining {

@@ -98,7 +98,7 @@ func quickOpts() Options {
 func startWorker(ctx context.Context, c *Client, id string, onPoint func(string, Point)) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	w := &Worker{Client: c, ID: id, Poll: 20 * time.Millisecond, OnPoint: onPoint}
+	w := &Worker{Client: c, ID: id, OnPoint: onPoint}
 	go func() {
 		defer wg.Done()
 		w.Run(ctx)
@@ -586,7 +586,7 @@ func TestOrphanResultAccepted(t *testing.T) {
 	c := fastClient(base)
 	// Deliver with a fabricated sweep/lease the fresh server has never seen.
 	job := &Job{SweepID: spec.ID(), LeaseID: "l-ghost", PointID: 0, Point: p,
-		Spec: *spec, ConfigHash: scalablebulk.ConfigHash(cfg)}
+		Spec: spec, ConfigHash: scalablebulk.ConfigHash(cfg)}
 	if err := c.Result(ctx, job, "w-ghost", res, time.Second); err != nil {
 		t.Fatalf("orphan result rejected: %v", err)
 	}

@@ -134,6 +134,18 @@ func (t *leaseTable) acquire(worker, leaseID string) (*pointEntry, *lease) {
 	return nil, nil
 }
 
+// nextEligible is the earliest time a pending point leaves its backoff
+// window, or zero when no point is pending.
+func (t *leaseTable) nextEligible() time.Time {
+	var next time.Time
+	for _, e := range t.entries {
+		if e.state == statePending && (next.IsZero() || e.notBefore.Before(next)) {
+			next = e.notBefore
+		}
+	}
+	return next
+}
+
 // heartbeat renews a live lease; false means the lease is gone (expired and
 // re-queued, or resolved) and the worker should abandon the run.
 func (t *leaseTable) heartbeat(leaseID string) bool {

@@ -290,7 +290,6 @@ func TestCorrelationIDThreadsThrough(t *testing.T) {
 		w := &Worker{
 			Client: fastClient(base),
 			ID:     fmt.Sprintf("w%d", i+1),
-			Poll:   20 * time.Millisecond,
 			OnPoint: func(_ string, p Point) {
 				if p.App == "FFT" {
 					panic("injected panic for correlation test")

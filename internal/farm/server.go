@@ -1,11 +1,13 @@
 package farm
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,7 +54,15 @@ type Server struct {
 	draining atomic.Bool
 	// drained closes when draining is set and no leases remain live.
 	drained chan struct{}
+	// wake is closed and replaced whenever a held lease request should look
+	// again: a sweep arrived, a failed run re-queued its point, or the
+	// server is draining.
+	wake chan struct{}
 }
+
+// maxHold caps how long an empty lease request waits on the server, well
+// inside the client's 30 s request timeout.
+const maxHold = 10 * time.Second
 
 // NewServer builds a Server over opts (zero-value fields select defaults).
 // When the event log already holds events — the signature of a restart over
@@ -69,6 +79,7 @@ func NewServer(opts Options) *Server {
 		sweeps:  map[string]*sweep{},
 		workers: map[string]*workerInfo{},
 		drained: make(chan struct{}),
+		wake:    make(chan struct{}),
 	}
 	if prev := opts.Events.LastSeq(); prev > 0 {
 		s.emit(Event{Kind: "restarted", Detail: fmt.Sprintf("prev_max_seq=%d", prev)})
@@ -220,6 +231,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sweeps[id] = sw
 	s.order = append(s.order, id)
+	s.wakeLocked()
 	s.count("farm_sweeps_submitted")
 	s.emit(Event{Kind: "sweep_submitted", Sweep: id, Corr: corr,
 		Detail: fmt.Sprintf("points=%d restored=%d", len(spec.Points), restored)})
@@ -353,37 +365,87 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "worker id required", http.StatusBadRequest)
 		return
 	}
+	if resp, ok := s.awaitLease(r.Context(), &req); ok {
+		writeJSON(w, resp)
+	}
+}
 
+// awaitLease answers a lease request. With no work to grant it holds the
+// request, lock released, until a waker closes s.wake, the earliest
+// re-queue backoff window opens, or the hold bound passes: LeaseTTL/10 (the
+// idle-poll interval an older server hints), at most maxHold. Expiry stays
+// lazy; the bound is what catches a lease that lapses during the hold.
+// ok is false when the client went away mid-hold.
+func (s *Server) awaitLease(ctx context.Context, req *leaseRequest) (resp leaseResponse, ok bool) {
+	deadline := time.Now().Add(min(s.opts.LeaseTTL/10, maxHold))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Record the worker before holding: a worker is visible in FarmStatus
+	// from its first request on.
 	s.touchWorker(req.Worker)
-	if s.draining.Load() {
-		writeJSON(w, leaseResponse{Draining: true})
-		return
+	for {
+		if s.draining.Load() {
+			return leaseResponse{Draining: true}, true
+		}
+		job, next := s.grantLocked(req)
+		if job != nil {
+			return leaseResponse{Job: job}, true
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return leaseResponse{}, true
+		}
+		if !next.IsZero() {
+			wait = min(wait, next.Sub(s.opts.Clock()))
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		timer := time.NewTimer(wait)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+		timer.Stop()
+		s.mu.Lock()
+		if ctx.Err() != nil {
+			return leaseResponse{}, false
+		}
 	}
+}
+
+// grantLocked leases the first eligible point across sweeps in submission
+// order. With nothing eligible it returns the earliest time a pending point
+// leaves its backoff window (zero when none is pending). The spec is left
+// out for sweeps the worker listed as held. Caller holds s.mu.
+func (s *Server) grantLocked(req *leaseRequest) (*Job, time.Time) {
+	var next time.Time
 	for _, id := range s.order {
 		sw := s.sweeps[id]
 		s.expireLocked(sw)
-		s.leaseSeq++
-		leaseID := fmt.Sprintf("l-%d", s.leaseSeq)
-		e, l := sw.table.acquire(req.Worker, leaseID)
+		e, l := sw.table.acquire(req.Worker, fmt.Sprintf("l-%d", s.leaseSeq+1))
 		if e == nil {
+			if t := sw.table.nextEligible(); !t.IsZero() && (next.IsZero() || t.Before(next)) {
+				next = t
+			}
 			continue
 		}
+		s.leaseSeq++
 		s.count("farm_leases_granted")
 		s.emit(Event{Kind: "lease_granted", Sweep: sw.id, Corr: sw.corr,
 			Worker: req.Worker, Lease: l.id, PointID: e.id,
 			Point: pointLabel(e.point), Detail: fmt.Sprintf("attempt=%d", e.attempt)})
-		writeJSON(w, leaseResponse{Job: &Job{
+		job := &Job{
 			SweepID: sw.id, LeaseID: l.id, PointID: e.id, Point: e.point,
-			Spec: *sw.spec, ConfigHash: sw.hashes[e.id], Corr: sw.corr,
+			ConfigHash: sw.hashes[e.id], Corr: sw.corr,
 			TTLMS: s.opts.LeaseTTL.Milliseconds(), Attempt: e.attempt,
-		}})
-		return
+		}
+		if !slices.Contains(req.HaveSpecs, sw.id) {
+			job.Spec = sw.spec
+		}
+		return job, time.Time{}
 	}
-	// No work right now: poll again after a fraction of the lease TTL
-	// (work may appear when a lease expires or a new sweep arrives).
-	writeJSON(w, leaseResponse{RetryMS: s.opts.LeaseTTL.Milliseconds() / 10})
+	return nil, next
 }
 
 // handleHeartbeat renews a lease; 410 Gone tells the worker the lease was
@@ -545,6 +607,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 	s.expireLocked(sw)
 	if sw.table.fail(req.LeaseID, req.Crash != nil, req.Error) {
+		s.wakeLocked()
 		s.count("farm_point_failures")
 		if wi != nil {
 			wi.failed++
@@ -569,9 +632,17 @@ func (s *Server) Drain() <-chan struct{} {
 	defer s.mu.Unlock()
 	if !s.draining.Swap(true) {
 		s.emit(Event{Kind: "draining"})
+		s.wakeLocked()
 	}
 	s.checkDrained()
 	return s.drained
+}
+
+// wakeLocked releases every held lease request to look again. Caller holds
+// s.mu.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // checkDrained closes the drained channel when draining with no live

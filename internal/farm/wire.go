@@ -160,11 +160,13 @@ type SubmitResponse struct {
 // Job is one granted lease: the point to run, the spec it belongs to, the
 // server's config hash for version-skew detection, and the lease terms.
 type Job struct {
-	SweepID string    `json:"sweep_id"`
-	LeaseID string    `json:"lease_id"`
-	PointID int       `json:"point_id"` // index into the spec's Points
-	Point   Point     `json:"point"`
-	Spec    SweepSpec `json:"spec"`
+	SweepID string `json:"sweep_id"`
+	LeaseID string `json:"lease_id"`
+	PointID int    `json:"point_id"` // index into the spec's Points
+	Point   Point  `json:"point"`
+	// Spec is the sweep's spec. The server leaves it out when the lease
+	// request listed SweepID among the specs the worker already holds.
+	Spec *SweepSpec `json:"spec,omitempty"`
 	// Corr is the sweep's correlation ID (minted by the submitting client);
 	// the worker threads it through its logs, the result/fail reports and
 	// any crash bundle, so one grep follows the point across processes.
@@ -182,6 +184,10 @@ type Job struct {
 
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	// HaveSpecs lists the sweep IDs whose spec the worker already holds;
+	// a Job for one of them comes without its Spec. An older server ignores
+	// the field and always sends the spec.
+	HaveSpecs []string `json:"have_specs,omitempty"`
 }
 
 type leaseResponse struct {
@@ -189,7 +195,10 @@ type leaseResponse struct {
 	Job *Job `json:"job,omitempty"`
 	// Draining tells workers the server is shutting down: stop polling.
 	Draining bool `json:"draining,omitempty"`
-	// RetryMS hints how long to wait before polling again.
+	// RetryMS is how long to wait before asking again. Only an older
+	// server sets it: it answered an empty request at once. A current
+	// server holds an empty request until work arrives or the hold bound
+	// passes, leaves RetryMS zero, and the worker asks again at once.
 	RetryMS int64 `json:"retry_ms,omitempty"`
 }
 

@@ -5,15 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
 	scalablebulk "scalablebulk"
 )
 
-// Worker is the farm's execution side: lease a point, run it while
-// heartbeating the lease, deliver the result (or
-// the failure, with a crash report when the run panicked), repeat.
+// Worker is the farm's execution side. It asks for a lease only when one
+// of its Parallel slots is free, runs the point while heartbeating the
+// lease, delivers the result (or the failure, with a crash report when the
+// run panicked), and asks again. A current server holds an empty lease
+// request until work arrives, so the worker asks again at once; it sleeps
+// only on the RetryMS hint of an older server that answers at once. The
+// worker keeps the specs of the sweeps it leased from recently and lists
+// them in each request, so the server sends a sweep's spec once, not with
+// every job.
 type Worker struct {
 	Client *Client
 	// ID names this worker to the server; it is the unit the poison
@@ -21,9 +28,6 @@ type Worker struct {
 	ID string
 	// Parallel is the number of concurrent leases (≤0 selects 1).
 	Parallel int
-	// Poll paces idle polling when the server has no work (0 selects the
-	// server's hint, falling back to 500ms).
-	Poll time.Duration
 	// OnPoint, when non-nil, observes every leased point before it runs,
 	// inside the run's panic-isolation scope — the failure-mode tests use
 	// it to kill workers mid-lease or inject panics that become real crash
@@ -60,18 +64,22 @@ func (w *Worker) logJob(job *Job, msg string, args ...any) {
 // drains. Cancellation is graceful: in-flight points finish and deliver
 // (the run itself is only abandoned if the server says the lease is gone).
 func (w *Worker) Run(ctx context.Context) error {
-	par := w.Parallel
-	if par <= 0 {
-		par = 1
-	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, max(w.Parallel, 1))
 	defer wg.Wait()
+	specs := specCache{specs: map[string]*SweepSpec{}}
 	for {
-		if ctx.Err() != nil {
+		// Take the slot before leasing: a lease granted with no slot free
+		// would sit unheartbeated and could lapse before its run starts.
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
 			return nil
 		}
-		job, retry, err := w.Client.Lease(ctx, w.ID)
+		job, retry, err := w.Client.Lease(ctx, w.ID, specs.ids...)
+		if job == nil {
+			<-sem
+		}
 		if errors.Is(err, ErrDraining) {
 			w.logf("worker %s: server draining, exiting", w.ID)
 			return nil
@@ -83,32 +91,50 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		if job == nil {
-			wait := w.Poll
-			if wait <= 0 {
-				wait = retry
-			}
-			if wait <= 0 {
-				wait = 500 * time.Millisecond
-			}
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(wait):
+			if retry > 0 {
+				select {
+				case <-ctx.Done():
+					return nil
+				case <-time.After(retry):
+				}
 			}
 			continue
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil
+		if job.Spec == nil {
+			job.Spec = specs.specs[job.SweepID]
+		} else {
+			specs.put(job.SweepID, job.Spec)
 		}
 		wg.Add(1)
-		go func(job *Job) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			w.runJob(ctx, job)
-		}(job)
+		}()
 	}
+}
+
+// specCacheSize bounds the specs a worker keeps; a spec pushed out is sent
+// again with the sweep's next job.
+const specCacheSize = 8
+
+// specCache holds the specs of the sweeps a worker leased from most
+// recently. Only Run's goroutine touches it.
+type specCache struct {
+	ids   []string // oldest first; sent as leaseRequest.HaveSpecs
+	specs map[string]*SweepSpec
+}
+
+func (c *specCache) put(id string, spec *SweepSpec) {
+	if _, ok := c.specs[id]; ok {
+		return
+	}
+	if len(c.ids) == specCacheSize {
+		delete(c.specs, c.ids[0])
+		c.ids = slices.Delete(c.ids, 0, 1)
+	}
+	c.ids = append(c.ids, id)
+	c.specs[id] = spec
 }
 
 // runJob executes one leased point end to end. The run is detached from the
@@ -118,6 +144,10 @@ func (w *Worker) Run(ctx context.Context) error {
 // only waste cycles).
 func (w *Worker) runJob(ctx context.Context, job *Job) {
 	w.logJob(job, "lease_granted")
+	if job.Spec == nil {
+		w.failJob(job, "job came without a spec and none is cached", nil)
+		return
+	}
 	prof, cfg, err := job.Spec.Resolve(job.Point)
 	if err != nil {
 		w.failJob(job, fmt.Sprintf("resolve: %v", err), nil)
