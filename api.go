@@ -24,15 +24,13 @@ import (
 	"strings"
 
 	"scalablebulk/internal/check"
-	"scalablebulk/internal/core"
-	"scalablebulk/internal/protocol"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
 
-// Protocol names (Table 3 of the paper, plus the OCI ablation). These are
-// registry keys; RegisteredProtocols enumerates everything that linked in.
+// Protocol names (Table 3 of the paper, plus the OCI ablation);
+// RegisteredProtocols enumerates them with their descriptions.
 const (
 	// ProtoScalableBulk is the paper's protocol (package internal/core).
 	ProtoScalableBulk = system.ProtoScalableBulk
@@ -43,17 +41,16 @@ const (
 	// ProtoBulkSC is the BulkSC centralized-arbiter baseline.
 	ProtoBulkSC = system.ProtoBulkSC
 	// ProtoNoOCI is ScalableBulk with Optimistic Commit Initiation
-	// disabled — the Figure 4(c) conservative ablation. It registers itself
-	// from internal/core; nothing in internal/system names it.
-	ProtoNoOCI = core.NameNoOCI
+	// disabled — the Figure 4(c) conservative ablation.
+	ProtoNoOCI = system.ProtoNoOCI
 )
 
 // Protocols lists the four evaluated protocols in the paper's order.
 var Protocols = system.Protocols
 
-// ProtocolInfo describes one protocol in the registry.
+// ProtocolInfo describes one runnable protocol.
 type ProtocolInfo struct {
-	// Name is the registry key accepted by Config.Protocol.
+	// Name is accepted by Config.Protocol.
 	Name string
 	// Doc is the protocol's one-line description.
 	Doc string
@@ -62,20 +59,20 @@ type ProtocolInfo struct {
 	Evaluated bool
 }
 
-// RegisteredProtocols enumerates every protocol linked into the binary, the
-// paper's four first, variants after. The CLIs' -protocols flags print it.
+// RegisteredProtocols enumerates every runnable protocol, the paper's four
+// in Table 3 order first, variants after. The CLIs' -protocols flags print it.
 func RegisteredProtocols() []ProtocolInfo {
 	var out []ProtocolInfo
-	for _, d := range protocol.Descriptors() {
+	for _, d := range system.Descriptors {
 		out = append(out, ProtocolInfo{Name: d.Name, Doc: d.Doc, Evaluated: d.Evaluated})
 	}
 	return out
 }
 
-// IsProtocol reports whether name is a registered protocol — the check the
+// IsProtocol reports whether name is a runnable protocol — the check the
 // CLIs run on -protocol flags before building a machine.
 func IsProtocol(name string) bool {
-	_, ok := protocol.Lookup(name)
+	_, ok := system.LookupProtocol(name)
 	return ok
 }
 
@@ -159,9 +156,9 @@ func AppByName(name string) (Profile, bool) { return workload.ByName(name) }
 
 // --- Workload sources (DESIGN.md §14) ---
 
-// WorkloadInfo describes one registered workload source.
+// WorkloadInfo describes one named workload source.
 type WorkloadInfo struct {
-	// Name is the registry key accepted by Config.Workload and -workload.
+	// Name is accepted by Config.Workload and -workload.
 	Name string
 	// Doc is the source's one-line description.
 	Doc string
@@ -169,19 +166,19 @@ type WorkloadInfo struct {
 	Adversarial bool
 }
 
-// RegisteredWorkloads enumerates every workload source linked into the
-// binary, the synthetic default first. The CLIs' -workloads listing and the
+// RegisteredWorkloads enumerates every named workload source in table
+// order, the synthetic default first. The CLIs' -workloads listing and the
 // conformance/differential suites iterate it.
 func RegisteredWorkloads() []WorkloadInfo {
 	var out []WorkloadInfo
-	for _, d := range workload.Descriptors() {
+	for _, d := range workload.Descriptors {
 		out = append(out, WorkloadInfo{Name: d.Name, Doc: d.Doc, Adversarial: d.Adversarial})
 	}
 	return out
 }
 
 // IsWorkload reports whether spec is a valid Config.Workload value: a
-// registered source name or a "replay:PATH" spec (the file itself is only
+// source name or a "replay:PATH" spec (the file itself is only
 // read when a run is built).
 func IsWorkload(spec string) bool {
 	_, err := workload.Resolve(spec)

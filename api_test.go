@@ -26,10 +26,10 @@ func TestDefaultConfigMatchesTable2(t *testing.T) {
 		t.Error("L2 must be 512KB/8-way")
 	}
 	if cfg.ProtoOptions != nil {
-		t.Error("DefaultConfig leaves ProtoOptions nil (registry defaults apply)")
+		t.Error("DefaultConfig leaves ProtoOptions nil (table defaults apply)")
 	}
 	if !IsProtocol(ProtoScalableBulk) || !IsProtocol(ProtoNoOCI) {
-		t.Error("ScalableBulk and its OCI-off ablation must be registered")
+		t.Error("ScalableBulk and its OCI-off ablation must be runnable")
 	}
 }
 

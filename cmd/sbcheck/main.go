@@ -12,7 +12,7 @@
 //	sbcheck -unordered                       # adversarial: lift per-pair FIFO
 //	sbcheck -noreduce                        # cross-check the DPOR reduction
 //	sbcheck -schedule ce.json                # replay a recorded schedule
-//	sbcheck -protocols                       # list the protocol registry
+//	sbcheck -protocols                       # list the protocol table
 //
 // Exit codes: 0 exhausted (or replay reproduced) with no violation; 1
 // setup/internal error; 2 clean but bounded (a budget tripped before the
@@ -29,7 +29,7 @@ import (
 
 	"scalablebulk/internal/cliutil"
 	"scalablebulk/internal/explore"
-	"scalablebulk/internal/protocol"
+	"scalablebulk/internal/system"
 )
 
 type protoReport struct {
@@ -88,7 +88,7 @@ func run() int {
 		fromSpec = &s
 	}
 
-	names := protocol.Names()
+	names := system.ProtocolNames()
 	if fromSpec != nil {
 		names = []string{fromSpec.Proto}
 	} else if *protos != "" {

@@ -5,9 +5,9 @@
 // Usage:
 //
 //	sbsim -app Radix -cores 64 -protocol ScalableBulk -chunks 32
-//	sbsim -workload zipf -cores 16          # adversarial workload source
-//	sbsim -record run.sbwt -cores 4         # record the workload trace
-//	sbsim -replay run.sbwt -protocol TCC    # replay it under any protocol
+//	sbsim -workload zipf -cores 16                 # adversarial workload source
+//	sbsim -record run.sbwt -cores 4                # record the workload trace
+//	sbsim -workload replay:run.sbwt -protocol TCC  # replay it under any protocol
 //	sbsim -list        # application models
 //	sbsim -protocols   # registered commit protocols
 //	sbsim -workloads   # registered workload sources
@@ -54,7 +54,6 @@ func run() int {
 	crashDir := flag.String("crashdir", "", "write a JSON crash bundle here if the run panics")
 	wl := flag.String("workload", "", "workload source (see -workloads) or replay:PATH; empty = synthetic -app model")
 	record := flag.String("record", "", "record the run's chunk streams as a workload trace at FILE")
-	replay := flag.String("replay", "", "replay the workload trace at FILE, adopting its recorded machine shape")
 	server := flag.String("server", "", "run the point on a sweep-farm server at this base URL instead of in-process")
 	list := flag.Bool("list", false, "list application models and exit")
 	protoList := flag.Bool("protocols", false, "list registered commit protocols and exit")
@@ -81,9 +80,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		return cliutil.ExitError
 	}
-	if *replay != "" {
-		*wl = "replay:" + *replay
-	}
 	if err := cliutil.CheckWorkload(*wl); err != nil {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		return cliutil.ExitError
@@ -91,7 +87,7 @@ func run() int {
 
 	if *server != "" {
 		return runOnFarm(*server, *app, *protocol, *cores, *chunks, *seed,
-			*faults, *faultSeed, *checkInv, *wl, *record, *replay,
+			*faults, *faultSeed, *checkInv, *wl, *record,
 			timeout.Milliseconds(), *asJSON)
 	}
 
@@ -105,7 +101,7 @@ func run() int {
 	// header for a replayed trace (which also pins the machine shape, so the
 	// replay is bit-identical to the recording under any protocol).
 	var prof scalablebulk.Profile
-	if path, isReplay := strings.CutPrefix(*wl, "replay:"); isReplay {
+	if path, isReplay := strings.CutPrefix(*wl, workload.ReplayPrefix); isReplay {
 		tr, err := tracefmt.ReadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sbsim:", err)
@@ -195,13 +191,14 @@ func run() int {
 
 // runOnFarm is sbsim's thin-client mode: the point runs on a sweep-farm
 // server (possibly restored straight from its journal) and prints here
-// exactly as a local run would. Trace record/replay stay local-only — they
-// read and write files on this machine.
+// exactly as a local run would. Trace record and replay stay local-only —
+// they write and read files on this machine, and a replay adopts the trace's
+// machine shape, which a farm spec cannot carry.
 func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
-	faults string, faultSeed int64, check bool, wl, record, replay string,
+	faults string, faultSeed int64, check bool, wl, record string,
 	timeoutMS int64, asJSON bool) int {
-	if record != "" || replay != "" {
-		fmt.Fprintln(os.Stderr, "sbsim: -record/-replay are local-only and cannot combine with -server")
+	if record != "" || strings.HasPrefix(wl, workload.ReplayPrefix) {
+		fmt.Fprintln(os.Stderr, "sbsim: -record and -workload replay:PATH are local-only and cannot combine with -server")
 		return cliutil.ExitError
 	}
 	appLabel := app

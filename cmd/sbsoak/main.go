@@ -13,7 +13,7 @@
 //	sbsoak -quick                           # CI smoke matrix
 //	sbsoak -rounds 8 -faults loss -j 4      # 8 seed rounds of the loss profile
 //	sbsoak -proto ScalableBulk,TCC          # restrict the protocol matrix
-//	sbsoak -protocols                       # list the protocol registry
+//	sbsoak -protocols                       # list the protocol table
 //	sbsoak -journal soak.jsonl              # kill it; rerun resumes
 //
 // Exit codes: 0 all points completed; 1 setup/internal error; 2 aborted

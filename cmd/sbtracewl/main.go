@@ -1,15 +1,14 @@
-// Command sbtracewl records, inspects and verifies workload traces (the
-// internal/tracefmt format replayed by -workload replay:PATH).
+// Command sbtracewl inspects and verifies workload traces (the
+// internal/tracefmt format that sbsim -record writes and -workload
+// replay:PATH replays).
 //
 // Usage:
 //
-//	sbtracewl record -o run.sbwt -workload zipf -cores 16 -chunks 16
 //	sbtracewl inspect run.sbwt            # header + per-section statistics
 //	sbtracewl inspect -records run.sbwt   # also dump every record
 //	sbtracewl verify run.sbwt             # replay; check the embedded fingerprint
 //
-// record runs one simulation with the recording interposer and writes the
-// captured trace, embedding the run's protocol and ResultFingerprint SHA-256.
+// A recording embeds the run's protocol and ResultFingerprint SHA-256;
 // verify replays the trace under its recorded protocol and fails (exit 1) if
 // the replayed fingerprint diverges from the embedded one — the bit-identity
 // contract of DESIGN.md §14.
@@ -21,7 +20,6 @@ import (
 	"os"
 
 	"scalablebulk"
-	"scalablebulk/internal/cliutil"
 	"scalablebulk/internal/tracefmt"
 	"scalablebulk/internal/workload"
 )
@@ -31,8 +29,7 @@ func main() {
 }
 
 func usage() int {
-	fmt.Fprintln(os.Stderr, "usage: sbtracewl record|inspect|verify [flags] [trace]")
-	fmt.Fprintln(os.Stderr, "  sbtracewl record -o FILE [-workload SRC] [-app APP] [-protocol P] [-cores N] [-chunks N] [-seed S]")
+	fmt.Fprintln(os.Stderr, "usage: sbtracewl inspect|verify [flags] trace")
 	fmt.Fprintln(os.Stderr, "  sbtracewl inspect [-records] FILE")
 	fmt.Fprintln(os.Stderr, "  sbtracewl verify FILE")
 	return 2
@@ -43,8 +40,6 @@ func run() int {
 		return usage()
 	}
 	switch os.Args[1] {
-	case "record":
-		return record(os.Args[2:])
 	case "inspect":
 		return inspect(os.Args[2:])
 	case "verify":
@@ -52,65 +47,6 @@ func run() int {
 	default:
 		return usage()
 	}
-}
-
-func record(args []string) int {
-	fs := flag.NewFlagSet("sbtracewl record", flag.ExitOnError)
-	out := fs.String("o", "", "output trace file (required)")
-	wl := fs.String("workload", "", "workload source to record (default: synthetic -app model)")
-	app := fs.String("app", "Radix", "application model when recording the synthetic source")
-	protocol := fs.String("protocol", scalablebulk.ProtoScalableBulk, "commit protocol of the recording run")
-	cores := fs.Int("cores", 4, "number of processors")
-	chunks := fs.Int("chunks", 8, "chunks committed per core")
-	seed := fs.Int64("seed", 1, "deterministic seed")
-	_ = fs.Parse(args)
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "sbtracewl record: -o is required")
-		return 2
-	}
-	if err := cliutil.CheckProtocol(*protocol); err != nil {
-		fmt.Fprintln(os.Stderr, "sbtracewl:", err)
-		return 1
-	}
-	if err := cliutil.CheckWorkload(*wl); err != nil {
-		fmt.Fprintln(os.Stderr, "sbtracewl:", err)
-		return 1
-	}
-
-	prof, ok := scalablebulk.WorkloadProfile(*wl)
-	if !ok {
-		if prof, ok = scalablebulk.AppByName(*app); !ok {
-			fmt.Fprintf(os.Stderr, "sbtracewl: unknown app %q\n", *app)
-			return 1
-		}
-	}
-	cfg := scalablebulk.DefaultConfig(*cores, *protocol)
-	cfg.ChunksPerCore = *chunks
-	cfg.Seed = *seed
-	cfg.Workload = *wl
-	rec, factory, err := workload.Record(*wl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbtracewl:", err)
-		return 1
-	}
-	cfg.WorkloadFactory = factory
-
-	res, err := scalablebulk.Run(prof, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sbtracewl:", err)
-		return 1
-	}
-	rec.SetRunMeta(*protocol, scalablebulk.FingerprintSHA(res))
-	tr := rec.Trace()
-	if err := tracefmt.WriteFile(*out, tr); err != nil {
-		fmt.Fprintln(os.Stderr, "sbtracewl:", err)
-		return 1
-	}
-	st := tracefmt.SectionStats(tr.Chunks)
-	fmt.Printf("recorded %s: %s/%s under %s, %d cores, %d+%d chunks/core, %d accesses (%d writes), %d pages\n",
-		*out, tr.Header.App, tr.Header.Source, tr.Header.Protocol, tr.Header.Threads,
-		tr.Header.ChunksPerCore, tr.Header.WarmupPerCore, st.Accesses, st.Writes, st.Pages)
-	return 0
 }
 
 func inspect(args []string) int {

@@ -1,20 +1,16 @@
 package scalablebulk
 
-// Registry conformance suite: every protocol that registers itself — the
-// paper's four evaluated protocols AND every variant (today: the OCI-off
-// ablation; tomorrow: whatever a contributor adds per DESIGN.md §12) — must
-// honor the simulator-wide contracts the differential tests pin for the
-// evaluated four: bit-identical determinism under a fixed seed, all chunks
-// committed with zero squashes on a conflict-free workload, and identical
-// committed-write serialization under forced conflicts. A new protocol
-// registered through internal/protocol gets this suite for free; nothing
-// here names a concrete engine.
+// Protocol conformance suite: every row of the protocol table — the paper's
+// four evaluated protocols AND every variant (today: the OCI-off ablation;
+// tomorrow: whatever a contributor adds per DESIGN.md §12) — must honor the
+// simulator-wide contracts the differential tests pin for the evaluated
+// four: bit-identical determinism under a fixed seed, all chunks committed
+// with zero squashes on a conflict-free workload, and identical
+// committed-write serialization under forced conflicts. A new table row gets
+// this suite for free; nothing here names a concrete engine.
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"scalablebulk/internal/explore"
@@ -29,7 +25,7 @@ func conformanceNames() []string {
 	return out
 }
 
-// TestRegistryContents pins what links into the library: the four Table 3
+// TestRegistryContents pins the protocol table: the four Table 3
 // protocols in the paper's order (all marked evaluated), the OCI-off variant
 // after them (not evaluated), and a one-line doc for every entry.
 func TestRegistryContents(t *testing.T) {
@@ -136,7 +132,7 @@ func TestConformanceForcedConflict(t *testing.T) {
 	}
 }
 
-// TestWorkloadRegistryContents pins what the workload registry links in: the
+// TestWorkloadRegistryContents pins the workload-source table: the
 // synthetic default first, at least four adversarial generators, and a doc
 // line on every entry.
 func TestWorkloadRegistryContents(t *testing.T) {
@@ -258,25 +254,5 @@ func TestConformanceModelCheck(t *testing.T) {
 					rep.Violation, rep.Schedule.Choices, rep.Dump)
 			}
 		})
-	}
-}
-
-// TestVariantRegistersOutsideSystem enforces the registry's reason to exist:
-// a protocol variant (the OCI-off ablation) plugs in purely through
-// self-registration, with zero edits to internal/system — system.go neither
-// names the variant nor imports any concrete engine package.
-func TestVariantRegistersOutsideSystem(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("internal", "system", "system.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(src)
-	if strings.Contains(s, "NoOCI") {
-		t.Error("internal/system/system.go mentions NoOCI; variants must register themselves")
-	}
-	for _, pkg := range []string{"core", "tcc", "seqpro", "bulksc"} {
-		if strings.Contains(s, `"scalablebulk/internal/`+pkg+`"`) {
-			t.Errorf("internal/system/system.go imports engine package %s directly; it must only blank-import internal/protocol/all", pkg)
-		}
 	}
 }

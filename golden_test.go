@@ -1,10 +1,10 @@
 package scalablebulk
 
-// Golden fingerprint pinning: the protocol-registry refactor (and any future
-// refactor of the commit-engine kernel) must be behavior-preserving, bit for
-// bit. The fingerprints under testdata/goldens were generated from the
-// pre-registry switch-based wiring; every registered paper protocol plus the
-// OCI-off ablation must keep reproducing them exactly at 16 and 64 cores.
+// Golden fingerprint pinning: any refactor of the protocol wiring or the
+// commit-engine kernel must be behavior-preserving, bit for bit. The
+// fingerprints under testdata/goldens were generated from the original
+// switch-based wiring; every paper protocol plus the OCI-off ablation must
+// keep reproducing them exactly at 16 and 64 cores.
 //
 // Regenerate (only when a change is *intended* to move results) with:
 //
@@ -41,7 +41,7 @@ func TestGoldenFingerprints(t *testing.T) {
 // TestGoldenZipfFingerprints pins the zipf adversarial workload the same way:
 // every protocol × {16,64} under the hot-line conflict storm must keep
 // reproducing its recorded fingerprint bit for bit, so neither the workload
-// registry nor the generator family can drift silently.
+// table nor the generator family can drift silently.
 func TestGoldenZipfFingerprints(t *testing.T) {
 	goldenMatrix(t, "zipf", func(protocol string, cores int) string {
 		return filepath.Join("testdata", "goldens", fmt.Sprintf("zipf-%s-%d.txt", protocol, cores))

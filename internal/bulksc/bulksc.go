@@ -36,21 +36,14 @@ type Config struct {
 	RetryBackoff event.Time
 	// CommitDeadline is the stall watchdog: an attempt still awaiting its
 	// arbiter decision this many cycles after the request is abandoned and
-	// retried. Zero selects DefaultCommitDeadline; WatchdogDisabled turns
-	// it off.
+	// retried. Zero selects protocol.DefaultCommitDeadline;
+	// protocol.WatchdogDisabled turns it off.
 	CommitDeadline event.Time
 }
 
-// DefaultCommitDeadline and WatchdogDisabled alias the machine-wide values in
-// internal/protocol, kept here so existing callers keep compiling.
-const (
-	DefaultCommitDeadline = protocol.DefaultCommitDeadline
-	WatchdogDisabled      = protocol.WatchdogDisabled
-)
-
 // DefaultConfig mirrors a fast centralized arbiter.
 func DefaultConfig() Config {
-	return Config{ServiceTime: 6, PerInflight: 5, RetryBackoff: 30, CommitDeadline: DefaultCommitDeadline}
+	return Config{ServiceTime: 6, PerInflight: 5, RetryBackoff: 30, CommitDeadline: protocol.DefaultCommitDeadline}
 }
 
 // inflight is the arbiter's record of a granted commit. rsig and wsig point
@@ -88,10 +81,7 @@ type Protocol struct {
 	jobs map[int]*commitJob // committing processor → job
 }
 
-var (
-	_ protocol.Engine   = (*Protocol)(nil)
-	_ protocol.Debugger = (*Protocol)(nil)
-)
+var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a BulkSC engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
@@ -105,16 +95,10 @@ func New(env *dir.Env, cfg Config) *Protocol {
 		arbNode: env.Net.Center(), jobs: make(map[int]*commitJob)}
 }
 
-// Name implements dir.Protocol.
-func (p *Protocol) Name() string { return Name }
-
 // Stats implements protocol.Engine.
 func (p *Protocol) Stats() map[string]uint64 {
 	return map[string]uint64{"fail_watchdog": p.k.WD.Fired}
 }
-
-// ArbiterNode returns the tile hosting the centralized arbiter.
-func (p *Protocol) ArbiterNode() int { return p.arbNode }
 
 // RequestCommit implements dir.Protocol: send the signatures to the central
 // arbiter and wait for OK / not-OK.
@@ -343,7 +327,7 @@ func (p *Protocol) DebugModule(i int) string {
 // invalidation: the arbiter checked it against everything still in flight.
 func (p *Protocol) ReadBlocked(node int, l sig.Line) bool { return false }
 
-// PendingAttempts implements protocol.AttemptEnumerator: live commit jobs
+// PendingAttempts implements protocol.Engine: live commit jobs
 // plus arbiter in-flight table entries.
 func (p *Protocol) PendingAttempts() int {
 	return len(p.jobs) + len(p.inflight)

@@ -1,5 +1,5 @@
 // Package cliutil holds small helpers shared by the cmd/ front-ends:
-// rendering the protocol registry for every CLI's -protocols list flag,
+// rendering the protocol table for every CLI's -protocols list flag,
 // validating -protocol selections before a machine is built, the shared
 // process exit-code contract, and the SIGINT/SIGTERM cancellation context
 // every long-running tool installs.
@@ -16,7 +16,7 @@ import (
 	"syscall"
 
 	scalablebulk "scalablebulk"
-	"scalablebulk/internal/protocol"
+	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
 
@@ -83,12 +83,12 @@ func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
 	}
 }
 
-// ProtocolList renders the registry as the listing every CLI's -protocols
-// flag prints: one line per protocol — evaluated (Table 3) entries first,
-// variants after — with its one-line description.
+// ProtocolList renders the protocol table as the listing every CLI's
+// -protocols flag prints: one line per protocol — evaluated (Table 3)
+// entries first, variants after — with its one-line description.
 func ProtocolList() string {
 	var b strings.Builder
-	for _, d := range protocol.Descriptors() {
+	for _, d := range system.Descriptors {
 		kind := "evaluated"
 		if !d.Evaluated {
 			kind = "variant"
@@ -98,13 +98,13 @@ func ProtocolList() string {
 	return b.String()
 }
 
-// CheckProtocol validates one -protocol flag value against the registry, so
+// CheckProtocol validates one -protocol flag value against the table, so
 // a typo fails at flag handling with the full list of registered names
 // instead of deep inside system.Run.
 func CheckProtocol(name string) error {
-	if _, ok := protocol.Lookup(name); !ok {
+	if _, ok := system.LookupProtocol(name); !ok {
 		return fmt.Errorf("unknown protocol %q (registered: %s; -protocols describes them)",
-			name, strings.Join(protocol.Names(), ", "))
+			name, strings.Join(system.ProtocolNames(), ", "))
 	}
 	return nil
 }
@@ -114,7 +114,7 @@ func CheckProtocol(name string) error {
 // family, plus the replay spec syntax.
 func WorkloadList() string {
 	var b strings.Builder
-	for _, d := range workload.Descriptors() {
+	for _, d := range workload.Descriptors {
 		kind := "default"
 		if d.Adversarial {
 			kind = "adversarial"

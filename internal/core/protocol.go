@@ -110,21 +110,14 @@ type Config struct {
 	// this many cycles after its commit_request is failed machine-wide (a
 	// synthesized g_failure + commit_failure) so the processor retries with
 	// backoff instead of hanging to MaxCycles. Generous enough never to
-	// fire on a fault-free run; zero selects DefaultCommitDeadline and
-	// WatchdogDisabled turns the watchdog off.
+	// fire on a fault-free run; zero selects protocol.DefaultCommitDeadline
+	// and protocol.WatchdogDisabled turns the watchdog off.
 	CommitDeadline event.Time
 }
 
-// DefaultCommitDeadline and WatchdogDisabled alias the machine-wide values in
-// internal/protocol, kept here so existing callers keep compiling.
-const (
-	DefaultCommitDeadline = protocol.DefaultCommitDeadline
-	WatchdogDisabled      = protocol.WatchdogDisabled
-)
-
 // DefaultConfig returns the configuration used in the paper's evaluation.
 func DefaultConfig() Config {
-	return Config{OCI: true, MaxSquashes: 12, CommitDeadline: DefaultCommitDeadline}
+	return Config{OCI: true, MaxSquashes: 12, CommitDeadline: protocol.DefaultCommitDeadline}
 }
 
 // FailStats counts group-formation failures by cause; used by the ablation
@@ -165,7 +158,6 @@ type attemptKey struct {
 
 var (
 	_ protocol.Engine       = (*Protocol)(nil)
-	_ protocol.Debugger     = (*Protocol)(nil)
 	_ protocol.HoldObserver = (*Protocol)(nil)
 )
 
@@ -187,9 +179,6 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	}
 	return p
 }
-
-// Name implements dir.Protocol.
-func (p *Protocol) Name() string { return Name }
 
 // Stats implements protocol.Engine: group-formation failures by cause.
 func (p *Protocol) Stats() map[string]uint64 {
@@ -843,7 +832,7 @@ func (p *Protocol) deallocate(mod *module, e *cstEntry, success bool) {
 	}
 }
 
-// PendingAttempts implements protocol.AttemptEnumerator: open watchdog-
+// PendingAttempts implements protocol.Engine: open watchdog-
 // tracked attempts plus live CST entries — zero once every commit decided
 // and every module tore its entries down.
 func (p *Protocol) PendingAttempts() int {

@@ -6,6 +6,7 @@ import (
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/protocol"
 	"scalablebulk/internal/sig"
 )
 
@@ -68,12 +69,12 @@ func TestWatchdogNoOpAfterSuccess(t *testing.T) {
 	}
 }
 
-// TestWatchdogDisabled: WatchdogDisabled must not arm anything, so the
-// dropped-g hang is reproduced (the chunk stays uncommitted) instead of
+// TestWatchdogDisabled: protocol.WatchdogDisabled must not arm anything, so
+// the dropped-g hang is reproduced (the chunk stays uncommitted) instead of
 // recovered — this pins the opt-out knob.
 func TestWatchdogDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CommitDeadline = WatchdogDisabled
+	cfg.CommitDeadline = protocol.WatchdogDisabled
 	r := newRig(t, 8, cfg)
 	r.net.Fault = &dropInterposer{budget: 1, pick: func(m *msg.Msg) bool { return m.Kind == msg.Grab }}
 	ck := r.mkChunk(0, 1, []sig.Line{1000, 2000}, []sig.Line{5000})

@@ -141,8 +141,6 @@ type Core interface {
 
 // Protocol is a chunk-commit protocol engine (ScalableBulk or a baseline).
 type Protocol interface {
-	// Name returns the Table 3 protocol name.
-	Name() string
 	// RequestCommit starts committing chunk ck from processor p. The chunk
 	// is finalized (signatures and g_vec built).
 	RequestCommit(p int, ck *chunk.Chunk)

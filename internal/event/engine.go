@@ -207,11 +207,6 @@ func (e *Engine) schedule(t Time) *item {
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d Time, fn Handler) Ticket { return e.At(e.now+d, fn) }
 
-// AfterArg is AtArg relative to now.
-func (e *Engine) AfterArg(d Time, fn func(any), arg any) Ticket {
-	return e.AtArg(e.now+d, fn, arg)
-}
-
 // migrate moves overflow items whose time has entered the ring window into
 // their buckets. Ring buckets are FIFO by sequence number; an item that
 // waited in the overflow heap may carry an older sequence number than

@@ -10,7 +10,6 @@ import (
 
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
-	"scalablebulk/internal/protocol"
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/system"
 )
@@ -260,11 +259,9 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	// Quiescence: the engine must hold no live protocol state after every
 	// chunk committed — leaked CST entries, ghost occupancies or stranded
 	// queue entries count even when no end-to-end invariant noticed them.
-	if ae, ok := m.Proto.(protocol.AttemptEnumerator); ok {
-		if n := ae.PendingAttempts(); n != 0 {
-			fail(KindQuiescence, "%d protocol attempt(s)/entries live after completion", n)
-			return out, nil
-		}
+	if n := m.Proto.PendingAttempts(); n != 0 {
+		fail(KindQuiescence, "%d protocol attempt(s)/entries live after completion", n)
+		return out, nil
 	}
 	out.digest = e.finalDigest(m, out)
 	// A completed machine dumps empty (nothing is stuck), but keep the
@@ -289,14 +286,10 @@ func (e *explorer) digest(m *system.Machine, ctrl *controller) uint64 {
 	for _, p := range m.Procs {
 		fmt.Fprintln(h, p.DebugState())
 	}
-	if d, ok := m.Proto.(protocol.Debugger); ok {
-		for i := range m.Procs {
-			fmt.Fprintln(h, d.DebugModule(i))
-		}
+	for i := range m.Procs {
+		fmt.Fprintln(h, m.Proto.DebugModule(i))
 	}
-	if ae, ok := m.Proto.(protocol.AttemptEnumerator); ok {
-		fmt.Fprintln(h, ae.PendingAttempts())
-	}
+	fmt.Fprintln(h, m.Proto.PendingAttempts())
 	for i := range ctrl.pending {
 		describeMsg(h, ctrl.pending[i].M)
 		fmt.Fprintln(h, ctrl.skips[i])

@@ -298,14 +298,6 @@ type Dist struct {
 	Max    float64   `json:"max,omitempty"`
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (d Dist) Mean() float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return d.Sum / float64(d.Count)
-}
-
 // SweepProgress is the server-side per-sweep aggregation exposed over
 // GET /api/v1/sweeps/{id}/progress, folded into SweepStatus, and streamed as
 // SSE "progress" events: state counts, throughput, live lease ages, the

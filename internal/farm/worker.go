@@ -33,17 +33,9 @@ type Worker struct {
 	// it to kill workers mid-lease or inject panics that become real crash
 	// bundles.
 	OnPoint func(workerID string, p Point)
-	// Printf, when non-nil, receives progress lines.
-	Printf func(format string, args ...any)
 	// Log, when non-nil, receives structured progress lines; every
 	// job-scoped line carries the sweep's correlation ID.
 	Log *slog.Logger
-}
-
-func (w *Worker) logf(format string, args ...any) {
-	if w.Printf != nil {
-		w.Printf(format, args...)
-	}
 }
 
 // logJob emits one structured line about a leased job, stamped with the
@@ -81,7 +73,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			<-sem
 		}
 		if errors.Is(err, ErrDraining) {
-			w.logf("worker %s: server draining, exiting", w.ID)
 			return nil
 		}
 		if err != nil {
@@ -201,7 +192,6 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 	if leaseGone {
 		// The server presumed us dead and re-queued the point; someone
 		// else owns it now. Abandon silently.
-		w.logf("worker %s: lease %s gone, abandoning %s", w.ID, job.LeaseID, pointLabel(job.Point))
 		w.logJob(job, "lease_gone")
 		return
 	}
@@ -219,11 +209,9 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Minute)
 	defer cancel()
 	if err := w.Client.Result(dctx, job, w.ID, res, time.Since(start)); err != nil {
-		w.logf("worker %s: result delivery for %s failed: %v", w.ID, pointLabel(job.Point), err)
 		w.logJob(job, "result_delivery_failed", "error", err.Error())
 		return
 	}
-	w.logf("worker %s: completed %s (attempt %d)", w.ID, pointLabel(job.Point), job.Attempt)
 	w.logJob(job, "completed")
 }
 
@@ -250,9 +238,8 @@ func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profi
 func (w *Worker) failJob(job *Job, msg string, crash *scalablebulk.CrashReport) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := w.Client.Fail(ctx, job, w.ID, msg, crash); err != nil {
-		w.logf("worker %s: fail report for %s lost: %v", w.ID, pointLabel(job.Point), err)
-	}
-	w.logf("worker %s: failed %s: %s", w.ID, pointLabel(job.Point), msg)
+	// A lost report is harmless: the lease expires and the server requeues
+	// the point.
+	_ = w.Client.Fail(ctx, job, w.ID, msg, crash)
 	w.logJob(job, "run_failed", "error", msg, "crashed", crash != nil)
 }

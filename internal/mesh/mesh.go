@@ -166,9 +166,6 @@ func (n *Network) NewMsg() *msg.Msg {
 // Nodes returns the number of tiles.
 func (n *Network) Nodes() int { return n.w * n.h }
 
-// Dims returns the torus width and height.
-func (n *Network) Dims() (w, h int) { return n.w, n.h }
-
 // Register installs the message handler for a node. Each node has exactly
 // one handler (the tile demultiplexer installed by the system assembly).
 func (n *Network) Register(node int, h Handler) {

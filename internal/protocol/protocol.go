@@ -1,26 +1,22 @@
-// Package protocol is the pluggable protocol layer: the Engine contract a
-// commit protocol implements, the self-registration registry that the system
-// assembly, figure harness and CLIs enumerate instead of hardcoding a
-// protocol switch, and the shared machinery every engine builds on (the
-// commit-deadline constants here, the watchdog/ack/trace kernel in the
-// kernel subpackage).
+// Package protocol is the commit-protocol contract: the Engine interface a
+// chunk-commit protocol implements, the processor Tuning it may require, and
+// the shared machinery every engine builds on (the commit-deadline constants
+// here, the watchdog/ack/trace kernel in the kernel subpackage).
 //
-// A protocol package registers itself from an init function:
+// The runnable protocols are one ordered table in internal/system, the only
+// package that constructs engines. Adding a protocol (or a variant of one) is
+// one row there:
 //
-//	func init() {
-//		protocol.Register(protocol.Descriptor{
-//			Name:           "TCC",
-//			Doc:            "Scalable TCC: centralized TID vendor + probe/skip broadcast",
-//			Rank:           1,
-//			Evaluated:      true,
-//			DefaultOptions: func() any { return DefaultConfig() },
-//			New: func(env *dir.Env, opts any) (protocol.Engine, error) { ... },
-//		})
-//	}
+//	{
+//		Name:           ProtoTCC,
+//		Doc:            "Scalable TCC: global TID order, per-directory probe/mark before write-set push (§2.2)",
+//		Evaluated:      true,
+//		DefaultOptions: func() any { return tcc.DefaultConfig() },
+//		New:            engine(ProtoTCC, tcc.New),
+//	},
 //
-// and becomes runnable by name everywhere — system.Run, the figure sweeps,
-// and every CLI's -protocol flag — with zero edits to the assembly code.
-// See DESIGN.md §12 for the full contract and a worked example.
+// after which system.Run, the figure sweeps and every CLI's -protocol flag
+// accept the name. See DESIGN.md §12 for the full contract.
 package protocol
 
 import (
@@ -53,8 +49,8 @@ func EffectiveDeadline(d event.Time) event.Time {
 
 // Engine is a chunk-commit protocol engine as the processor and system
 // layers consume it: the dir.Protocol message/commit entry points plus the
-// protocol-specific counter export the CLIs and diagnostics read. Engines
-// are built by a Descriptor's factory over a dir.Env.
+// diagnostics the CLIs, deadlock dumps and the model checker read. Engines
+// are built by a system.Descriptor's constructor over a dir.Env.
 type Engine interface {
 	dir.Protocol
 	// Stats exports the engine's protocol-specific counters (watchdog
@@ -62,25 +58,15 @@ type Engine interface {
 	// stable name. It is read after the run; keys with zero values may be
 	// omitted or included freely.
 	Stats() map[string]uint64
-}
-
-// Debugger is optionally implemented by engines that can render per-module
-// state for deadlock dumps (system.DeadlockError, crash bundles).
-type Debugger interface {
-	// DebugModule renders module i's protocol state, or "" if idle.
+	// DebugModule renders module i's protocol state for deadlock dumps
+	// (system.DeadlockError, crash bundles), or "" if idle.
 	DebugModule(i int) string
-}
-
-// AttemptEnumerator is optionally implemented by engines that can report how
-// much protocol state is still live — open commit attempts plus any
-// directory-side residue (occupancies, pipeline entries, arbiter in-flight
-// slots). The model-checking explorer uses it as a quiescence oracle: a run
-// that finished every chunk must report zero, so leaked directory state that
-// no end-to-end invariant notices still fails the check. All in-tree engines
-// implement it.
-type AttemptEnumerator interface {
 	// PendingAttempts counts live commit attempts plus directory-side
-	// residue; zero means the engine is quiescent.
+	// residue (occupancies, pipeline entries, arbiter in-flight slots);
+	// zero means the engine is quiescent. The model-checking explorer uses
+	// it as a quiescence oracle: a run that finished every chunk must
+	// report zero, so leaked directory state that no end-to-end invariant
+	// notices still fails the check.
 	PendingAttempts() int
 }
 

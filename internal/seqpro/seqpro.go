@@ -24,19 +24,12 @@ type Config struct {
 	// CommitDeadline is the stall watchdog: an occupation chain still
 	// incomplete this many cycles after its request unwinds (occupied
 	// modules release) and the processor retries. Zero selects
-	// DefaultCommitDeadline; WatchdogDisabled turns it off.
+	// protocol.DefaultCommitDeadline; protocol.WatchdogDisabled turns it off.
 	CommitDeadline event.Time
 }
 
-// DefaultCommitDeadline and WatchdogDisabled alias the machine-wide values in
-// internal/protocol, kept here so existing callers keep compiling.
-const (
-	DefaultCommitDeadline = protocol.DefaultCommitDeadline
-	WatchdogDisabled      = protocol.WatchdogDisabled
-)
-
 // DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config { return Config{CommitDeadline: DefaultCommitDeadline} }
+func DefaultConfig() Config { return Config{CommitDeadline: protocol.DefaultCommitDeadline} }
 
 // modState is one directory module's occupancy.
 type modState struct {
@@ -79,10 +72,7 @@ type Protocol struct {
 	jobs map[int]*job
 }
 
-var (
-	_ protocol.Engine   = (*Protocol)(nil)
-	_ protocol.Debugger = (*Protocol)(nil)
-)
+var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a SEQ-PRO engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
@@ -93,9 +83,6 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	}
 	return p
 }
-
-// Name implements dir.Protocol.
-func (p *Protocol) Name() string { return Name }
 
 // Stats implements protocol.Engine.
 func (p *Protocol) Stats() map[string]uint64 {
@@ -375,7 +362,7 @@ func (p *Protocol) ReadBlocked(node int, l sig.Line) bool {
 	return occ != nil && occ.wsig.Member(l)
 }
 
-// PendingAttempts implements protocol.AttemptEnumerator: live occupation
+// PendingAttempts implements protocol.Engine: live occupation
 // chains plus directory-side residue. A ghost occupancy (held module with no
 // live job) or a stranded queue entry counts here even though every chunk
 // committed — exactly the leak class the PR 1 livelock fix closed.

@@ -1,0 +1,70 @@
+package system
+
+import (
+	"strings"
+	"testing"
+
+	"scalablebulk/internal/workload"
+)
+
+// TestTables checks the protocol and workload-source tables: names are
+// unique within each table, every row is complete and has a Doc, no source
+// name collides with the replay:PATH spec syntax, and each protocol's
+// constructor accepts its default option block and rejects a block of the
+// wrong type.
+func TestTables(t *testing.T) {
+	uniqueNames := func(t *testing.T, names []string) {
+		seen := map[string]bool{}
+		for _, name := range names {
+			if seen[name] {
+				t.Errorf("name %q appears twice in the table", name)
+			}
+			seen[name] = true
+		}
+	}
+	t.Run("protocol_unique_names", func(t *testing.T) { uniqueNames(t, ProtocolNames()) })
+	t.Run("protocol_complete_rows", func(t *testing.T) {
+		for _, d := range Descriptors {
+			if d.Name == "" || d.Doc == "" || d.New == nil || d.DefaultOptions == nil {
+				t.Errorf("incomplete protocol row %+v", d)
+			}
+		}
+	})
+	t.Run("source_unique_names", func(t *testing.T) { uniqueNames(t, workload.Names()) })
+	t.Run("source_names", func(t *testing.T) {
+		for _, d := range workload.Descriptors {
+			if d.Name == "" || d.Doc == "" {
+				t.Errorf("workload row without a name or Doc: %+v", d)
+			}
+		}
+	})
+	t.Run("source_factories", func(t *testing.T) {
+		for _, d := range workload.Descriptors {
+			if d.New == nil {
+				t.Errorf("workload %q has no factory", d.Name)
+			}
+		}
+	})
+	t.Run("replay_prefix", func(t *testing.T) {
+		for _, name := range workload.Names() {
+			if strings.HasPrefix(name, workload.ReplayPrefix) {
+				t.Errorf("workload %q collides with the replay spec syntax", name)
+			}
+		}
+	})
+	prof, _ := workload.ByName("Radix")
+	for _, d := range Descriptors {
+		t.Run("options/"+d.Name, func(t *testing.T) {
+			cfg := DefaultConfig(4, d.Name)
+			cfg.WarmupChunks = 1
+			cfg.ProtoOptions = d.DefaultOptions()
+			if _, err := Build(prof, cfg); err != nil {
+				t.Errorf("default options rejected: %v", err)
+			}
+			cfg.ProtoOptions = struct{}{}
+			if _, err := Build(prof, cfg); err == nil || !strings.Contains(err.Error(), "options must be") {
+				t.Errorf("wrong option type: err = %v, want an option-type error", err)
+			}
+		})
+	}
+}

@@ -1,9 +1,7 @@
 // Package system assembles and runs the full simulated machine of Table 2:
 // 32 or 64 tiles on a 2D torus, each with a 1-IPC core, private 32KB L1 and
-// 512KB L2, and a directory module, under any commit protocol registered in
-// internal/protocol (the four Table 3 protocols link in via
-// internal/protocol/all; variants register themselves without this package
-// changing).
+// 512KB L2, and a directory module, under any commit protocol of the table in
+// protocols.go (the four Table 3 protocols and the OCI-off ablation).
 package system
 
 import (
@@ -25,25 +23,11 @@ import (
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/proc"
 	"scalablebulk/internal/protocol"
-	_ "scalablebulk/internal/protocol/all" // link every in-tree protocol
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/trace"
 	"scalablebulk/internal/workload"
 )
-
-// Names of the four Table 3 protocols, as registered in internal/protocol.
-// Variants are addressed by their registry name (protocol.Names lists all).
-const (
-	ProtoScalableBulk = "ScalableBulk"
-	ProtoTCC          = "TCC"
-	ProtoSEQ          = "SEQ"
-	ProtoBulkSC       = "BulkSC"
-)
-
-// Protocols lists the evaluated protocols in the paper's order, read from
-// the registry (imported-package inits run before this assignment).
-var Protocols = protocol.Evaluated()
 
 // Config describes one simulation (defaults are Table 2).
 type Config struct {
@@ -57,7 +41,7 @@ type Config struct {
 	WarmupChunks int
 	Seed         int64
 
-	// Workload selects the chunk-stream source by registry spec: "" or
+	// Workload selects the chunk-stream source by spec: "" or
 	// "synthetic" for the default application models, an adversarial
 	// generator's name, or "replay:PATH" for a recorded trace. The spec is
 	// part of the run's identity (journal config hashes cover it).
@@ -76,7 +60,7 @@ type Config struct {
 	L1, L2 cache.Config
 
 	// ProtoOptions is the selected protocol's typed option block (e.g.
-	// core.Config for ScalableBulk). Nil selects the registry descriptor's
+	// core.Config for ScalableBulk). Nil selects the protocol table's
 	// DefaultOptions; a wrong concrete type is an error at Run.
 	ProtoOptions any
 
@@ -87,10 +71,6 @@ type Config struct {
 	// it with an *AbortError (Cause context.DeadlineExceeded). Purely a
 	// budget: it cannot perturb the results of a run that completes.
 	RunTimeout time.Duration
-
-	// OnAbort, when set, receives the machine state if the run aborts
-	// (deadlock or MaxCycles) — a debugging hook.
-	OnAbort func(procs []*proc.Proc, proto protocol.Engine)
 
 	// Faults, when non-nil and enabled, interposes the seeded fault
 	// injector on every network delivery.
@@ -205,7 +185,7 @@ func truncateLines(s string, max int) string {
 }
 
 // dumpMachine renders the stuck processors and the protocol's per-module
-// state (any engine exposing protocol.Debugger), truncated to MaxDumpLines.
+// state, truncated to MaxDumpLines.
 func dumpMachine(procs []*proc.Proc, proto protocol.Engine) string {
 	var b strings.Builder
 	for _, p := range procs {
@@ -213,11 +193,9 @@ func dumpMachine(procs []*proc.Proc, proto protocol.Engine) string {
 			fmt.Fprintln(&b, p.DebugState())
 		}
 	}
-	if d, ok := proto.(protocol.Debugger); ok {
-		for i := 0; i < len(procs); i++ {
-			if s := d.DebugModule(i); s != "" {
-				fmt.Fprintln(&b, s)
-			}
+	for i := 0; i < len(procs); i++ {
+		if s := proto.DebugModule(i); s != "" {
+			fmt.Fprintln(&b, s)
 		}
 	}
 	return truncateLines(strings.TrimRight(b.String(), "\n"), MaxDumpLines)
@@ -397,10 +375,10 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	pcfg.Seed = cfg.Seed
 	pcfg.OnCommit = cfg.OnCommit
 	pcfg.OnDone = func(int) { m.done++ }
-	desc, ok := protocol.Lookup(cfg.Protocol)
+	desc, ok := LookupProtocol(cfg.Protocol)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown protocol %q (registered: %s)",
-			cfg.Protocol, strings.Join(protocol.Names(), ", "))
+			cfg.Protocol, strings.Join(ProtocolNames(), ", "))
 	}
 	opts := cfg.ProtoOptions
 	if opts == nil {
@@ -505,11 +483,8 @@ func (m *Machine) AllDone() bool { return m.done >= len(m.Procs) }
 func (m *Machine) Dump() string { return dumpMachine(m.Procs, m.Proto) }
 
 // Deadlock builds the structured no-progress abort for the machine's current
-// state, running the Config.OnAbort hook first.
+// state.
 func (m *Machine) Deadlock(reason string, budget bool) error {
-	if m.cfg.OnAbort != nil {
-		m.cfg.OnAbort(m.Procs, m.Proto)
-	}
 	de := &DeadlockError{
 		App: m.prof.Name, Protocol: m.cfg.Protocol, Cores: m.cfg.Cores,
 		Cycle: m.Now(), Reason: reason, Dump: m.Dump(),

@@ -3,7 +3,6 @@ package system
 import (
 	"testing"
 
-	"scalablebulk/internal/core"
 	"scalablebulk/internal/workload"
 )
 
@@ -25,7 +24,7 @@ func mustRun(t *testing.T, prof workload.Profile, cfg Config) *Result {
 // TestAllProtocolsAllAppsSmoke runs every (protocol, app) pair on a small
 // machine: the whole system must terminate with every chunk committed.
 func TestAllProtocolsAllAppsSmoke(t *testing.T) {
-	for _, protocol := range append(Protocols, core.NameNoOCI) {
+	for _, protocol := range ProtocolNames() {
 		for _, prof := range workload.All() {
 			prof, protocol := prof, protocol
 			t.Run(protocol+"/"+prof.Name, func(t *testing.T) {
@@ -160,7 +159,7 @@ func TestTCCBroadcastsSkips(t *testing.T) {
 // the engine's counters (every in-tree engine exports fail_watchdog).
 func TestResultValidate(t *testing.T) {
 	prof, _ := workload.ByName("FMM")
-	for _, protocol := range append(Protocols, core.NameNoOCI) {
+	for _, protocol := range ProtocolNames() {
 		cfg := quickCfg(16, protocol)
 		res := mustRun(t, prof, cfg)
 		if err := res.Validate(); err != nil {

@@ -38,21 +38,14 @@ type Config struct {
 	VendorServiceTime event.Time
 	// CommitDeadline is the stall watchdog: a commit still in phase 1 this
 	// many cycles after its request is aborted (probes become skips) and the
-	// processor retries. Zero selects DefaultCommitDeadline; WatchdogDisabled
-	// turns it off.
+	// processor retries. Zero selects protocol.DefaultCommitDeadline;
+	// protocol.WatchdogDisabled turns it off.
 	CommitDeadline event.Time
 }
 
-// DefaultCommitDeadline and WatchdogDisabled alias the machine-wide values in
-// internal/protocol, kept here so existing callers keep compiling.
-const (
-	DefaultCommitDeadline = protocol.DefaultCommitDeadline
-	WatchdogDisabled      = protocol.WatchdogDisabled
-)
-
 // DefaultConfig mirrors a fast centralized TID vendor.
 func DefaultConfig() Config {
-	return Config{VendorServiceTime: 4, CommitDeadline: DefaultCommitDeadline}
+	return Config{VendorServiceTime: 4, CommitDeadline: protocol.DefaultCommitDeadline}
 }
 
 // entry is one directory's record of a TID: a skip, or a probe.
@@ -115,10 +108,7 @@ type Protocol struct {
 	jobs map[int]*job
 }
 
-var (
-	_ protocol.Engine   = (*Protocol)(nil)
-	_ protocol.Debugger = (*Protocol)(nil)
-)
+var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a Scalable TCC engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
@@ -136,16 +126,10 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	return p
 }
 
-// Name implements dir.Protocol.
-func (p *Protocol) Name() string { return Name }
-
 // Stats implements protocol.Engine.
 func (p *Protocol) Stats() map[string]uint64 {
 	return map[string]uint64{"fail_watchdog": p.k.WD.Fired}
 }
-
-// VendorNode returns the tile hosting the TID vendor.
-func (p *Protocol) VendorNode() int { return p.vendorNode }
 
 // RequestCommit implements dir.Protocol: first obtain a TID from the
 // centralized vendor (§2.1).
@@ -564,7 +548,7 @@ func (p *Protocol) ReadBlocked(node int, l sig.Line) bool {
 	return false
 }
 
-// PendingAttempts implements protocol.AttemptEnumerator: live commit jobs
+// PendingAttempts implements protocol.Engine: live commit jobs
 // plus directory pipeline entries not yet retired.
 func (p *Protocol) PendingAttempts() int {
 	n := len(p.jobs)

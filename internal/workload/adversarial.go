@@ -3,8 +3,8 @@ package workload
 // The adversarial generator family: seeded, deterministic chunk streams
 // aimed at commit-protocol weak spots rather than at reproducing the paper's
 // applications. Each named instance is one parameter block (the same
-// named-profile template as internal/fault's injection profiles) registered
-// as a workload source, so every suite that iterates the registry — golden,
+// named-profile template as internal/fault's injection profiles) listed in
+// the workload-source table, so every suite that iterates it — golden,
 // conformance, differential, soak — confronts every protocol with these
 // patterns for free. Like the synthetic generator, chunk (proc, seq) is a
 // pure function of (params, threads, seed), so squashed chunks re-execute
@@ -66,67 +66,40 @@ type AdvParams struct {
 	StormPages int
 }
 
-// advInstances are the registered named generators. Parameters are sized so
-// conflicts and hotspots fire hard at 8–64 cores while short test runs still
-// complete under every protocol's watchdog.
-var advInstances = []struct {
-	name, doc string
-	p         AdvParams
-}{
-	{
-		name: "zipf",
-		doc:  "zipfian hot-line sharing: all cores read/write a skewed hot pool (conflict storm)",
-		p: AdvParams{Kind: "zipf", Accesses: 24, WriteFrac: 0.35,
-			PrivateFrac: 0.45, Skew: 1.2, Lines: 64},
-	},
-	{
-		name: "pipeline",
-		doc:  "producer-consumer pipeline: core p writes the block core p+1 reads (neighbor squash chains)",
-		p: AdvParams{Kind: "pipeline", Accesses: 24, PrivateFrac: 0.3,
-			Payload: 8},
-	},
-	{
-		name: "convoy",
-		doc:  "lock convoy: every chunk writes one of a few lock lines (total commit serialization)",
-		p: AdvParams{Kind: "convoy", Accesses: 16, PrivateFrac: 0.5,
-			Locks: 2},
-	},
-	{
-		name: "stormdir",
-		doc:  "directory-hotspot storm: disjoint write sets that all home at two directory modules",
-		p: AdvParams{Kind: "stormdir", Accesses: 24, PrivateFrac: 0.35,
-			Payload: 8, StormDirs: 2, StormPages: 128},
-	},
-	{
-		name: "kvstore",
-		doc:  "millions-of-users KV store: zipf-popular keys over a huge space, read-mostly, no spatial locality",
-		p: AdvParams{Kind: "kvstore", Accesses: 32, WriteFrac: 0.06,
-			PrivateFrac: 0.25, Skew: 1.07, Lines: 1 << 17},
-	},
+// advSources are the named adversarial generators, in listing order (by
+// name). Parameters are sized so conflicts and hotspots fire hard at 8–64
+// cores while short test runs still complete under every protocol's
+// watchdog.
+var advSources = []Descriptor{
+	adversarial("convoy",
+		"lock convoy: every chunk writes one of a few lock lines (total commit serialization)",
+		AdvParams{Kind: "convoy", Accesses: 16, PrivateFrac: 0.5,
+			Locks: 2}),
+	adversarial("kvstore",
+		"millions-of-users KV store: zipf-popular keys over a huge space, read-mostly, no spatial locality",
+		AdvParams{Kind: "kvstore", Accesses: 32, WriteFrac: 0.06,
+			PrivateFrac: 0.25, Skew: 1.07, Lines: 1 << 17}),
+	adversarial("pipeline",
+		"producer-consumer pipeline: core p writes the block core p+1 reads (neighbor squash chains)",
+		AdvParams{Kind: "pipeline", Accesses: 24, PrivateFrac: 0.3,
+			Payload: 8}),
+	adversarial("stormdir",
+		"directory-hotspot storm: disjoint write sets that all home at two directory modules",
+		AdvParams{Kind: "stormdir", Accesses: 24, PrivateFrac: 0.35,
+			Payload: 8, StormDirs: 2, StormPages: 128}),
+	adversarial("zipf",
+		"zipfian hot-line sharing: all cores read/write a skewed hot pool (conflict storm)",
+		AdvParams{Kind: "zipf", Accesses: 24, WriteFrac: 0.35,
+			PrivateFrac: 0.45, Skew: 1.2, Lines: 64}),
 }
 
-// AdvByName returns the parameter block of a registered adversarial
-// generator (for tests and tooling).
-func AdvByName(name string) (AdvParams, bool) {
-	for _, in := range advInstances {
-		if in.name == name {
-			return in.p, true
-		}
-	}
-	return AdvParams{}, false
-}
-
-func init() {
-	for _, in := range advInstances {
-		in := in
-		Register(Descriptor{
-			Name:        in.name,
-			Doc:         in.doc,
-			Adversarial: true,
-			New: func(prof Profile, threads int, seed int64) (Source, error) {
-				return newAdv(in.name, in.p, threads, seed), nil
-			},
-		})
+// adversarial is the table row of one named adversarial parameter block.
+func adversarial(name, doc string, p AdvParams) Descriptor {
+	return Descriptor{
+		Name: name, Doc: doc, Adversarial: true,
+		New: func(_ Profile, threads int, seed int64) (Source, error) {
+			return newAdv(name, p, threads, seed), nil
+		},
 	}
 }
 

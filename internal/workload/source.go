@@ -1,17 +1,14 @@
 package workload
 
-// The pluggable workload-source layer (DESIGN.md §14): the synthetic
-// SPLASH-2/PARSEC generator, the adversarial family, and trace replay all
-// implement one Source contract behind a named registry (mirroring the
-// protocol registry of §12), so internal/system builds chunk streams without
-// naming any concrete generator and every registered source is iterated by
-// the conformance and differential suites for free.
+// The workload-source layer (DESIGN.md §14): the synthetic SPLASH-2/PARSEC
+// generator, the adversarial family, and trace replay all implement one
+// Source contract. The named sources are one ordered table (Descriptors), so
+// internal/system builds chunk streams without naming any concrete generator
+// and the conformance and differential suites iterate every source.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"scalablebulk/internal/chunk"
 )
@@ -42,16 +39,16 @@ type Validator interface {
 // name. threads and seed come from the run's Config.
 type Factory func(prof Profile, threads int, seed int64) (Source, error)
 
-// SourceName is the registry key of the default synthetic generator.
+// SourceName is the name of the default synthetic generator.
 const SourceName = "synthetic"
 
-// replayPrefix introduces a trace-replay spec: "replay:PATH".
-const replayPrefix = "replay:"
+// ReplayPrefix introduces a trace-replay spec: "replay:PATH".
+const ReplayPrefix = "replay:"
 
-// Descriptor declares one registered workload source.
+// Descriptor is one row of the workload-source table.
 type Descriptor struct {
-	// Name is the registry key, matched exactly against Config.Workload and
-	// the CLIs' -workload flags.
+	// Name is matched exactly against Config.Workload and the CLIs'
+	// -workload flags.
 	Name string
 	// Doc is the one-line description printed by the CLIs' -workloads list.
 	Doc string
@@ -63,60 +60,31 @@ type Descriptor struct {
 	New Factory
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Descriptor{}
-)
+// Descriptors is every named workload source, in listing order: the
+// synthetic default, then the adversarial family. No name may start with
+// "replay:", which is the trace-replay spec syntax.
+var Descriptors = append([]Descriptor{{
+	Name: SourceName,
+	Doc:  "synthetic SPLASH-2/PARSEC application models (§5, the default)",
+	New: func(prof Profile, threads int, seed int64) (Source, error) {
+		return New(prof, threads, seed), nil
+	},
+}}, advSources...)
 
-// Register adds a workload source to the registry; source families call it
-// from init. It panics on duplicates or incomplete descriptors — programming
-// errors caught on first use, exactly like the protocol registry.
-func Register(d Descriptor) {
-	if d.Name == "" || d.New == nil {
-		panic(fmt.Sprintf("workload: incomplete descriptor %+v", d))
-	}
-	if strings.HasPrefix(d.Name, replayPrefix) {
-		panic(fmt.Sprintf("workload: %q collides with the replay spec syntax", d.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[d.Name]; dup {
-		panic(fmt.Sprintf("workload: duplicate registration of %q", d.Name))
-	}
-	registry[d.Name] = d
-}
-
-// Lookup returns the descriptor registered under name.
+// Lookup returns the table row named name.
 func Lookup(name string) (Descriptor, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	d, ok := registry[name]
-	return d, ok
-}
-
-// Descriptors returns every registered source, the synthetic default first,
-// the rest by name.
-func Descriptors() []Descriptor {
-	regMu.RLock()
-	out := make([]Descriptor, 0, len(registry))
-	for _, d := range registry {
-		out = append(out, d)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if a, b := out[i].Name == SourceName, out[j].Name == SourceName; a != b {
-			return a
+	for _, d := range Descriptors {
+		if d.Name == name {
+			return d, true
 		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	}
+	return Descriptor{}, false
 }
 
-// Names returns every registered source name in Descriptors order.
+// Names lists every named source in table order.
 func Names() []string {
-	ds := Descriptors()
-	out := make([]string, len(ds))
-	for i, d := range ds {
+	out := make([]string, len(Descriptors))
+	for i, d := range Descriptors {
 		out[i] = d.Name
 	}
 	return out
@@ -124,12 +92,12 @@ func Names() []string {
 
 // Resolve maps a -workload / Config.Workload spec to a factory: "" and
 // "synthetic" select the default generator, "replay:PATH" replays the trace
-// at PATH, anything else is a registry lookup.
+// at PATH, anything else is a table lookup.
 func Resolve(spec string) (Factory, error) {
 	if spec == "" {
 		spec = SourceName
 	}
-	if path, ok := strings.CutPrefix(spec, replayPrefix); ok {
+	if path, ok := strings.CutPrefix(spec, ReplayPrefix); ok {
 		return ReplayFile(path), nil
 	}
 	d, ok := Lookup(spec)
@@ -141,7 +109,7 @@ func Resolve(spec string) (Factory, error) {
 }
 
 // SourceProfile returns the label Profile under which a non-synthetic
-// registered source runs (Result.App, journal keys, golden names): the
+// named source runs (Result.App, journal keys, golden names): the
 // source's own name. The synthetic generator has no label of its own — it
 // models whatever application profile it is given — so it reports ok=false,
 // as does an unknown name.
@@ -151,14 +119,4 @@ func SourceProfile(name string) (Profile, bool) {
 		return Profile{}, false
 	}
 	return Profile{Name: d.Name, Suite: "WORKLOAD"}, true
-}
-
-func init() {
-	Register(Descriptor{
-		Name: SourceName,
-		Doc:  "synthetic SPLASH-2/PARSEC application models (§5, the default)",
-		New: func(prof Profile, threads int, seed int64) (Source, error) {
-			return New(prof, threads, seed), nil
-		},
-	})
 }

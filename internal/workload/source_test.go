@@ -1,6 +1,6 @@
 package workload
 
-// Unit tests for the source registry, the adversarial generator family's
+// Unit tests for the source table, the adversarial generator family's
 // determinism contract, and the record/replay interposer — the pieces the
 // root-level conformance/differential/replay suites build on.
 
@@ -18,7 +18,7 @@ func TestRegistryShape(t *testing.T) {
 		t.Fatalf("Names() = %v; want synthetic first", names)
 	}
 	adversarial := 0
-	for _, d := range Descriptors() {
+	for _, d := range Descriptors {
 		if d.Doc == "" {
 			t.Errorf("source %q has no doc line", d.Name)
 		}
@@ -35,24 +35,6 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := Lookup("no-such-source"); ok {
 		t.Error("Lookup succeeded on an unregistered name")
 	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, d Descriptor) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("Register accepted an invalid descriptor")
-				}
-			}()
-			Register(d)
-		})
-	}
-	nop := func(prof Profile, threads int, seed int64) (Source, error) { return nil, nil }
-	mustPanic("duplicate", Descriptor{Name: SourceName, New: nop})
-	mustPanic("no name", Descriptor{New: nop})
-	mustPanic("no factory", Descriptor{Name: "half-baked"})
-	mustPanic("replay prefix", Descriptor{Name: "replay:sneaky", New: nop})
 }
 
 func TestResolve(t *testing.T) {
@@ -120,7 +102,7 @@ func collectStream(t *testing.T, src Source, threads int) [][]any {
 // exactly, and a different seed actually changes the stream.
 func TestAdversarialDeterminism(t *testing.T) {
 	const threads = 8
-	for _, d := range Descriptors() {
+	for _, d := range Descriptors {
 		if !d.Adversarial {
 			continue
 		}

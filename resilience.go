@@ -23,7 +23,6 @@ import (
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/fault"
 	"scalablebulk/internal/mesh"
-	"scalablebulk/internal/protocol"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
@@ -42,11 +41,11 @@ func configSignature(cfg Config) string {
 	if cfg.Faults.Enabled() {
 		faults = cfg.Faults.Name
 	}
-	// Resolve nil ProtoOptions to the registry default so an explicit
+	// Resolve nil ProtoOptions to the protocol's default so an explicit
 	// default-valued option block and an omitted one hash identically.
 	opts := cfg.ProtoOptions
 	if opts == nil {
-		if d, ok := protocol.Lookup(cfg.Protocol); ok {
+		if d, ok := system.LookupProtocol(cfg.Protocol); ok {
 			opts = d.DefaultOptions()
 		}
 	}

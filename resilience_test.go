@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -424,19 +425,28 @@ func TestJournalLockContended(t *testing.T) {
 }
 
 // TestConfigHashPinned pins the canonical config signature and its hash for
-// one fixed config: journals are keyed by ConfigHash, so an edit to Config or
-// configSignature that changes either silently orphans every existing
-// journal entry. Update the pins only with a deliberate signature version
-// bump.
+// one fixed config under every protocol: journals are keyed by ConfigHash,
+// so an edit to Config, configSignature or a protocol's default option block
+// that changes either silently orphans every existing journal entry. Update
+// the pins only with a deliberate signature version bump. The NoOCI block
+// reads OCI:true because its constructor, not its defaults, turns OCI off.
 func TestConfigHashPinned(t *testing.T) {
-	cfg := DefaultConfig(8, ProtoScalableBulk)
-	cfg.Seed = 11
-	cfg.ChunksPerCore = 4
-	const wantSig = "v3 cores=8 proto=ScalableBulk wl=synthetic chunks=4 warmup=64 seed=11 link=7 mem=300 dir=2 cont=true l1=32768/4 l2=524288/8 opts={OCI:true MaxSquashes:12 RotationInterval:0 CommitDeadline:200000} faults=off fseed=0 check=false"
-	if got := configSignature(cfg); got != wantSig {
-		t.Errorf("configSignature:\n  got  %q\n  want %q", got, wantSig)
-	}
-	if got, want := ConfigHash(cfg), "15fd432191b09b44"; got != want {
-		t.Errorf("ConfigHash = %s, want %s", got, want)
+	const sig = "v3 cores=8 proto=%s wl=synthetic chunks=4 warmup=64 seed=11 link=7 mem=300 dir=2 cont=true l1=32768/4 l2=524288/8 opts=%s faults=off fseed=0 check=false"
+	for _, tc := range []struct{ proto, opts, hash string }{
+		{ProtoScalableBulk, "{OCI:true MaxSquashes:12 RotationInterval:0 CommitDeadline:200000}", "15fd432191b09b44"},
+		{ProtoTCC, "{VendorServiceTime:4 CommitDeadline:200000}", "b9526b597635594f"},
+		{ProtoSEQ, "{CommitDeadline:200000}", "30fd94b78da17eb2"},
+		{ProtoBulkSC, "{ServiceTime:6 PerInflight:5 RetryBackoff:30 CommitDeadline:200000}", "7eb7426b5d9e08f0"},
+		{ProtoNoOCI, "{OCI:true MaxSquashes:12 RotationInterval:0 CommitDeadline:200000}", "81cdefb25be4a026"},
+	} {
+		cfg := DefaultConfig(8, tc.proto)
+		cfg.Seed = 11
+		cfg.ChunksPerCore = 4
+		if got, want := configSignature(cfg), fmt.Sprintf(sig, tc.proto, tc.opts); got != want {
+			t.Errorf("%s configSignature:\n  got  %q\n  want %q", tc.proto, got, want)
+		}
+		if got := ConfigHash(cfg); got != tc.hash {
+			t.Errorf("%s ConfigHash = %s, want %s", tc.proto, got, tc.hash)
+		}
 	}
 }
