@@ -91,8 +91,9 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 30
 	}
-	return &Protocol{env: env, cfg: cfg, k: kernel.New(env, cfg.CommitDeadline),
-		arbNode: env.Net.Center(), jobs: make(map[int]*commitJob)}
+	p := &Protocol{env: env, cfg: cfg, arbNode: env.Net.Center(), jobs: make(map[int]*commitJob)}
+	p.k = kernel.New(env, cfg.CommitDeadline, p)
+	return p
 }
 
 // Stats implements protocol.Engine.
@@ -112,30 +113,30 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 		RSig: &sigs.R, WSig: &sigs.W, WriteLines: ck.WriteLines,
 		TID: j.try,
 	})
-	p.armWatchdog(proc, ck)
+	p.k.WD.Arm(proc, false, ck.Tag, ck.Retries)
 }
 
-// armWatchdog schedules the kernel stall deadline for one commit attempt. An
+// Probe implements kernel.Prober for the deadline armed at RequestCommit. An
 // attempt already granted is past its serialization point (the arbiter
 // checked it against everything in flight), so the deadline re-arms and
 // keeps watching the ack collection; an attempt still awaiting its decision
 // is abandoned and retried — a late grant for it is handed back with an
 // abandoning arb_done so the arbiter's entry cannot leak.
-func (p *Protocol) armWatchdog(proc int, ck *chunk.Chunk) {
-	try := uint64(ck.Retries)
-	p.k.WD.Arm(proc, false, ck.Tag, int(try), func() kernel.Disposition {
-		j := p.jobs[proc]
-		if j == nil || j.ck != ck || j.try != try {
-			return kernel.Closed
-		}
-		if j.granted {
-			return kernel.Watching
-		}
-		return kernel.Stalled
-	}, func() {
-		delete(p.jobs, proc)
-		p.env.Cores[proc].CommitRefused(ck.Tag)
-	})
+func (p *Protocol) Probe(proc int, tag msg.CTag, try int) kernel.Disposition {
+	j := p.jobs[proc]
+	if j == nil || j.ck.Tag != tag || j.try != uint64(try) {
+		return kernel.Closed
+	}
+	if j.granted {
+		return kernel.Watching
+	}
+	return kernel.Stalled
+}
+
+// Stall implements kernel.Prober: abandon the attempt and retry.
+func (p *Protocol) Stall(proc int, tag msg.CTag, try int) {
+	delete(p.jobs, proc)
+	p.env.Cores[proc].CommitRefused(tag)
 }
 
 // HandleDir implements dir.Protocol: arbiter-side processing.

@@ -206,3 +206,144 @@ func BenchmarkEngineHeap(b *testing.B) {
 			e.Now, e.Step)
 	}
 }
+
+// reserver is the reserved-seq view of an engine: reserve takes a sequence
+// number for an event at t, and place later commits it. On the calendar
+// Engine that is ReserveSeq then AtArgSeq; on the heap reference reserve
+// schedules at once and place does nothing, which is the order a reserved
+// event must reproduce.
+type reserver struct {
+	scheduler
+	after   func(d Time, fn Handler)
+	reserve func(t Time, fn Handler) (place func())
+}
+
+func calendarReserver() reserver {
+	e := New()
+	run := func(arg any) { arg.(Handler)() }
+	return reserver{
+		scheduler: e,
+		after:     func(d Time, fn Handler) { e.After(d, fn) },
+		reserve: func(t Time, fn Handler) func() {
+			seq := e.ReserveSeq()
+			return func() { e.AtArgSeq(t, seq, run, fn) }
+		},
+	}
+}
+
+func heapReserver() reserver {
+	e := NewHeap()
+	return reserver{
+		scheduler: e,
+		after:     func(d Time, fn Handler) { e.At(e.Now()+d, fn) },
+		reserve: func(t Time, fn Handler) func() {
+			e.At(t, fn)
+			return func() {}
+		},
+	}
+}
+
+// runReserved drives a random mix of plain events, FIFO deadline lanes and
+// triggered reservations through r and returns the firing order. Delays
+// include same-cycle events, the ring/overflow boundary (window-1, window,
+// window+1) and far deadlines.
+//
+//   - A lane keeps deadlines at arm time + D in a FIFO and holds one placed
+//     event, for its head; the head's handler pops it, may re-arm (a fresh
+//     reservation at fire time) and places the next head. D is the same for
+//     every deadline of a lane, so its deadlines never decrease.
+//   - A triggered reservation schedules a trigger event first and then
+//     reserves a target at or after the trigger's time; the trigger places
+//     the target. A trigger and target in the same cycle place the target
+//     into the bucket that is firing.
+func runReserved(t *testing.T, seed int64, r reserver) []string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	delays := []Time{0, 0, 1, 2, 7, 7, 48, 300, window - 1, window, window + 1, 200_000}
+	var trace []string
+	id, budget := 0, 400
+	record := func(name string) Handler {
+		myID := id
+		id++
+		return func() { trace = append(trace, fmt.Sprintf("%s%d@%d", name, myID, r.Now())) }
+	}
+
+	type deadline struct{ place func() }
+	type lane struct {
+		d      Time
+		fifo   []deadline
+		placed bool
+	}
+	var arm func(l *lane)
+	placeHead := func(l *lane) {
+		if !l.placed && len(l.fifo) > 0 {
+			l.placed = true
+			l.fifo[0].place()
+		}
+	}
+	var act func()
+	arm = func(l *lane) {
+		fire := record("L")
+		l.fifo = append(l.fifo, deadline{r.reserve(r.Now()+l.d, func() {
+			fire()
+			l.fifo, l.placed = l.fifo[1:], false
+			if budget > 0 && rng.Intn(3) == 0 {
+				budget--
+				arm(l) // a Watching re-arm: reserved at fire time
+			}
+			placeHead(l)
+			act()
+		})})
+		placeHead(l)
+	}
+	lanes := []*lane{{d: window}, {d: window - 1}, {d: 200_000}, {d: 5}}
+
+	// act is what every handler does after recording itself: spawn plain
+	// events, arm a lane, or reserve a triggered target.
+	act = func() {
+		for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+			budget--
+			switch rng.Intn(4) {
+			case 0:
+				fire := record("E")
+				r.after(delays[rng.Intn(len(delays))], func() { fire(); act() })
+			case 1:
+				arm(lanes[rng.Intn(len(lanes))])
+			default:
+				u := delays[rng.Intn(len(delays))]
+				d := u + delays[rng.Intn(len(delays))]
+				var place func()
+				trigger := record("T")
+				r.after(u, func() { trigger(); place(); act() })
+				fire := record("R")
+				place = r.reserve(r.Now()+d, func() { fire(); act() })
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		fire := record("E")
+		r.after(delays[rng.Intn(len(delays))], func() { fire(); act() })
+	}
+	for r.Step() {
+	}
+	trace = append(trace, fmt.Sprintf("end@%d fired=%d", r.Now(), r.Fired()))
+	return trace
+}
+
+// TestReservedSeqMatchesHeapReference: an event placed with AtArgSeq under a
+// seq taken earlier with ReserveSeq fires exactly where the heap reference
+// fires the same event scheduled at reservation time.
+func TestReservedSeqMatchesHeapReference(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		cal := runReserved(t, seed, calendarReserver())
+		ref := runReserved(t, seed, heapReserver())
+		if len(cal) != len(ref) {
+			t.Fatalf("seed %d: trace lengths differ: calendar %d vs heap %d", seed, len(cal), len(ref))
+		}
+		for i := range cal {
+			if cal[i] != ref[i] {
+				t.Fatalf("seed %d: traces diverge at %d: calendar %q vs heap %q", seed, i, cal[i], ref[i])
+			}
+		}
+	}
+}

@@ -41,3 +41,9 @@ func (a *AckSet[K]) Outstanding() int { return a.expected - len(a.seen) }
 
 // Done reports whether every expected responder acked.
 func (a *AckSet[K]) Done() bool { return a.Outstanding() <= 0 }
+
+// Reset empties the set for reuse, keeping its storage.
+func (a *AckSet[K]) Reset() {
+	a.expected = 0
+	clear(a.seen)
+}

@@ -76,8 +76,8 @@ var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a SEQ-PRO engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
-	p := &Protocol{env: env, cfg: cfg, k: kernel.New(env, cfg.CommitDeadline),
-		jobs: make(map[int]*job)}
+	p := &Protocol{env: env, cfg: cfg, jobs: make(map[int]*job)}
+	p.k = kernel.New(env, cfg.CommitDeadline, p)
 	for i := 0; i < env.Net.Nodes(); i++ {
 		p.mods = append(p.mods, &modState{})
 	}
@@ -99,28 +99,28 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 		return
 	}
 	p.occupyNext(proc, j)
-	p.armWatchdog(proc, ck)
+	p.k.WD.Arm(proc, false, ck.Tag, ck.Retries)
 }
 
-// armWatchdog schedules the kernel stall deadline for one commit attempt. A
+// Probe implements kernel.Prober for the deadline armed at RequestCommit. A
 // fired watchdog unwinds an attempt still building its occupation chain; an
 // attempt already formed applied its writes and is past its serialization
 // point, so the deadline re-arms and keeps watching the ack collection.
-func (p *Protocol) armWatchdog(proc int, ck *chunk.Chunk) {
-	try := uint64(ck.Retries)
-	p.k.WD.Arm(proc, false, ck.Tag, int(try), func() kernel.Disposition {
-		j := p.jobs[proc]
-		if j == nil || j.ck != ck || j.try != try || j.aborted {
-			return kernel.Closed
-		}
-		if j.nextIdx >= len(j.ck.Dirs) {
-			return kernel.Watching
-		}
-		return kernel.Stalled
-	}, func() {
-		p.Abort(proc, ck.Tag)
-		p.env.Cores[proc].CommitRefused(ck.Tag)
-	})
+func (p *Protocol) Probe(proc int, tag msg.CTag, try int) kernel.Disposition {
+	j := p.jobs[proc]
+	if j == nil || j.ck.Tag != tag || j.try != uint64(try) || j.aborted {
+		return kernel.Closed
+	}
+	if j.nextIdx >= len(j.ck.Dirs) {
+		return kernel.Watching
+	}
+	return kernel.Stalled
+}
+
+// Stall implements kernel.Prober: unwind the chain and retry.
+func (p *Protocol) Stall(proc int, tag msg.CTag, try int) {
+	p.Abort(proc, tag)
+	p.env.Cores[proc].CommitRefused(tag)
 }
 
 func (p *Protocol) occupyNext(proc int, j *job) {

@@ -7,20 +7,20 @@ import "encoding/json"
 // including the closed commit attempts behind BottleneckRatio — so that a
 // result restored from a journal renders byte-identical figure output.
 type collectorJSON struct {
-	CommitLat          []uint32   `json:"commit_lat"`
-	DirsTotal          []uint8    `json:"dirs_total"`
-	DirsWrite          []uint8    `json:"dirs_write"`
-	Attempts           []*Attempt `json:"attempts"`
-	QueueSamples       []int      `json:"queue_samples"`
-	SquashTrueConflict uint64     `json:"squash_true_conflict"`
-	SquashAliasing     uint64     `json:"squash_aliasing"`
-	ChunksCommitted    uint64     `json:"chunks_committed"`
-	CommitFailures     uint64     `json:"commit_failures"`
-	ReadNacks          uint64     `json:"read_nacks"`
+	CommitLat          []uint32  `json:"commit_lat"`
+	DirsTotal          []uint8   `json:"dirs_total"`
+	DirsWrite          []uint8   `json:"dirs_write"`
+	Attempts           []Attempt `json:"attempts"`
+	QueueSamples       []int     `json:"queue_samples"`
+	SquashTrueConflict uint64    `json:"squash_true_conflict"`
+	SquashAliasing     uint64    `json:"squash_aliasing"`
+	ChunksCommitted    uint64    `json:"chunks_committed"`
+	CommitFailures     uint64    `json:"commit_failures"`
+	ReadNacks          uint64    `json:"read_nacks"`
 }
 
 // MarshalJSON serializes the collector, including the closed commit attempts
-// (the open map is empty once a run completes, and the observer hooks are
+// (no attempt is open once a run completes, and the observer hooks are
 // run-scoped, so neither is persisted).
 func (c *Collector) MarshalJSON() ([]byte, error) {
 	return json.Marshal(collectorJSON{
@@ -44,7 +44,6 @@ func (c *Collector) UnmarshalJSON(data []byte) error {
 		SquashTrueConflict: v.SquashTrueConflict, SquashAliasing: v.SquashAliasing,
 		ChunksCommitted: v.ChunksCommitted, CommitFailures: v.CommitFailures,
 		ReadNacks: v.ReadNacks,
-		open:      make(map[attemptKey]*Attempt),
 	}
 	return nil
 }

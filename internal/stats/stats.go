@@ -82,8 +82,9 @@ type Collector struct {
 	DirsTotal []uint8
 	DirsWrite []uint8
 
-	attempts []*Attempt
-	open     map[attemptKey]*Attempt
+	attempts []Attempt
+	// open[proc] indexes proc's open attempts in attempts.
+	open [][]openAttempt
 
 	// QueueSamples holds the machine-wide count of chunks queued waiting to
 	// commit, sampled at each new group formation (§6.4.2).
@@ -113,31 +114,52 @@ type Collector struct {
 	Trace *trace.Tracer
 }
 
-type attemptKey struct {
-	proc int
-	seq  uint64
-	try  int
+// openAttempt is one open attempt of a processor: its chunk, its try and
+// its index in attempts.
+type openAttempt struct {
+	seq uint64
+	try int
+	idx int
 }
 
 // New returns an empty collector.
-func New() *Collector {
-	return &Collector{open: make(map[attemptKey]*Attempt)}
+func New() *Collector { return &Collector{} }
+
+// findOpen returns the position of proc's open attempt (seq, try) in
+// c.open[proc], or -1.
+func (c *Collector) findOpen(proc int, seq uint64, try int) int {
+	if proc >= len(c.open) {
+		return -1
+	}
+	for i, o := range c.open[proc] {
+		if o.seq == seq && o.try == try {
+			return i
+		}
+	}
+	return -1
 }
 
 // CommitStarted records the beginning of a commit attempt (the try index
 // distinguishes retries of the same chunk).
 func (c *Collector) CommitStarted(proc int, seq uint64, try int, t event.Time) {
-	a := &Attempt{Req: t}
-	c.attempts = append(c.attempts, a)
-	c.open[attemptKey{proc, seq, try}] = a
+	c.attempts = append(c.attempts, Attempt{Req: t})
+	idx := len(c.attempts) - 1
+	if i := c.findOpen(proc, seq, try); i >= 0 {
+		c.open[proc][i].idx = idx // a restarted attempt replaces the open one
+	} else {
+		for len(c.open) <= proc {
+			c.open = append(c.open, nil)
+		}
+		c.open[proc] = append(c.open[proc], openAttempt{seq, try, idx})
+	}
 	c.Trace.Span(trace.KCommit, trace.PhaseBegin, proc, false, msg.CTag{Proc: proc, Seq: seq}, try)
 }
 
 // GroupFormed records that the attempt's group formed (or, for baselines,
 // that the commit was authorized) at time t.
 func (c *Collector) GroupFormed(proc int, seq uint64, try int, t event.Time) {
-	if a := c.open[attemptKey{proc, seq, try}]; a != nil {
-		a.Formed = t
+	if i := c.findOpen(proc, seq, try); i >= 0 {
+		c.attempts[c.open[proc][i].idx].Formed = t
 	}
 	c.Trace.Instant(trace.KGroupFormed, proc, false, msg.CTag{Proc: proc, Seq: seq}, try)
 	if c.OnFormed != nil {
@@ -149,11 +171,12 @@ func (c *Collector) GroupFormed(proc int, seq uint64, try int, t event.Time) {
 // processor learned the commit completed; lat is recorded into CommitLat by
 // the caller via CommitLatency.
 func (c *Collector) CommitEnded(proc int, seq uint64, try int, t event.Time, success bool) {
-	k := attemptKey{proc, seq, try}
-	if a := c.open[k]; a != nil {
+	if i := c.findOpen(proc, seq, try); i >= 0 {
+		os := c.open[proc]
+		a := &c.attempts[os[i].idx]
 		a.Done = t
 		a.Success = success
-		delete(c.open, k)
+		c.open[proc] = append(os[:i], os[i+1:]...)
 	}
 	if success {
 		c.ChunksCommitted++

@@ -116,10 +116,11 @@ func New(env *dir.Env, cfg Config) *Protocol {
 		cfg.VendorServiceTime = 4
 	}
 	p := &Protocol{
-		env: env, cfg: cfg, k: kernel.New(env, cfg.CommitDeadline),
+		env: env, cfg: cfg,
 		vendorNode: env.Net.Center(),
 		nextTID:    1, jobs: make(map[int]*job),
 	}
+	p.k = kernel.New(env, cfg.CommitDeadline, p)
 	for i := 0; i < env.Net.Nodes(); i++ {
 		p.mods = append(p.mods, &tccMod{id: i, next: 1, entries: make(map[uint64]*entry)})
 	}
@@ -137,28 +138,28 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	p.k.Started(proc, ck)
 	p.jobs[proc] = &job{ck: ck}
 	p.env.Net.Send(&msg.Msg{Kind: msg.TIDRequest, Src: proc, Dst: p.vendorNode, Tag: ck.Tag})
-	p.armWatchdog(proc, ck)
+	p.k.WD.Arm(proc, false, ck.Tag, ck.Retries)
 }
 
-// armWatchdog schedules the kernel stall deadline for one commit attempt. A
+// Probe implements kernel.Prober for the deadline armed at RequestCommit. A
 // fired watchdog aborts a phase-1 attempt (probes resolve to skips, the
 // processor retries with backoff); an attempt already past its serialization
 // point cannot be aborted, so the deadline re-arms and keeps watching.
-func (p *Protocol) armWatchdog(proc int, ck *chunk.Chunk) {
-	try := ck.Retries
-	p.k.WD.Arm(proc, false, ck.Tag, try, func() kernel.Disposition {
-		j := p.jobs[proc]
-		if j == nil || j.ck != ck || ck.Retries != try || j.aborted {
-			return kernel.Closed
-		}
-		if j.phase2 {
-			return kernel.Watching
-		}
-		return kernel.Stalled
-	}, func() {
-		p.Abort(proc, ck.Tag)
-		p.env.Cores[proc].CommitRefused(ck.Tag)
-	})
+func (p *Protocol) Probe(proc int, tag msg.CTag, try int) kernel.Disposition {
+	j := p.jobs[proc]
+	if j == nil || j.ck.Tag != tag || j.ck.Retries != try || j.aborted {
+		return kernel.Closed
+	}
+	if j.phase2 {
+		return kernel.Watching
+	}
+	return kernel.Stalled
+}
+
+// Stall implements kernel.Prober: abort the attempt and retry.
+func (p *Protocol) Stall(proc int, tag msg.CTag, try int) {
+	p.Abort(proc, tag)
+	p.env.Cores[proc].CommitRefused(tag)
 }
 
 // HandleDir implements dir.Protocol.
