@@ -21,8 +21,8 @@ type writeKey struct {
 	writer int
 }
 
-// controller implements mesh.Scheduler: it captures every non-Transient
-// delivery (the commit-protocol messages) and leaves read-path traffic on
+// controller implements mesh.Scheduler: it captures every delivery off the
+// read path (the commit-protocol messages) and leaves read-path traffic on
 // the engine's normal timing. Holding only protocol messages is the model's
 // abstraction boundary: read requests and replies are load-path plumbing
 // whose ordering the commit protocols may not depend on, and holding them
@@ -35,7 +35,7 @@ type controller struct {
 }
 
 func (c *controller) Hold(d mesh.Delivery) bool {
-	if d.M.Kind.Transient() {
+	if d.M.Kind.ReadPath() {
 		return false
 	}
 	c.pending = append(c.pending, d)

@@ -163,6 +163,14 @@ func (n *Network) NewMsg() *msg.Msg {
 	return &msg.Msg{}
 }
 
+// SendCopy sends a copy of m in a message from NewMsg: the allocation-free
+// way to send a Transient kind.
+func (n *Network) SendCopy(m msg.Msg) {
+	s := n.NewMsg()
+	*s = m
+	n.Send(s)
+}
+
 // Nodes returns the number of tiles.
 func (n *Network) Nodes() int { return n.w * n.h }
 

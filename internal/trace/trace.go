@@ -248,7 +248,7 @@ type Sink interface {
 type Tracer struct {
 	eng  *event.Engine
 	sink Sink
-	// Reads gates read-path NoC traffic (msg.Kind.Transient()), by far the
+	// Reads gates read-path NoC traffic (msg.Kind.ReadPath()), by far the
 	// most numerous messages in a run; off unless explicitly requested.
 	Reads bool
 }
@@ -292,7 +292,7 @@ func (t *Tracer) Instant(k Kind, node int, dir bool, tag msg.CTag, try int) {
 
 // MsgSend records a message injection (on the source tile's track).
 func (t *Tracer) MsgSend(m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.Transient()) {
+	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
 		return
 	}
 	t.sink.Event(Event{
@@ -305,7 +305,7 @@ func (t *Tracer) MsgSend(m *msg.Msg) {
 // its actual delivery time — after contention retiming and fault rewrites —
 // so printed cycle numbers match arrival order.
 func (t *Tracer) MsgDeliver(m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.Transient()) {
+	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
 		return
 	}
 	t.sink.Event(Event{
@@ -316,7 +316,7 @@ func (t *Tracer) MsgDeliver(m *msg.Msg) {
 
 // Fault records a fault-injection action on message m.
 func (t *Tracer) Fault(k Kind, m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.Transient()) {
+	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
 		return
 	}
 	t.sink.Event(Event{
