@@ -94,7 +94,8 @@ func TestTombstonedGrabUnwindsUpstream(t *testing.T) {
 	r := newRig(t, 8, DefaultConfig())
 	tag := msg.CTag{Proc: 5, Seq: 7}
 	mod := r.proto.mods[4]
-	mod.failedTry[tag] = 3 // attempt 3 already failed here
+	h := mod.histFor(tag)
+	h.failedTry, h.failed = 3, true // attempt 3 already failed here
 	r.proto.HandleDir(4, &msg.Msg{
 		Kind: msg.Grab, Src: 2, Dst: 4, Tag: tag, TID: 3, GVec: []int{1, 2, 4},
 	})

@@ -362,7 +362,7 @@ func TestOCIRecallKillsLoserGroup(t *testing.T) {
 			if len(mod.cst) != 0 {
 				t.Fatalf("delay %d: module %d CST leaked after recall", d, mod.id)
 			}
-			if len(mod.lookout) != 0 {
+			if len(mod.lookouts()) != 0 {
 				t.Fatalf("delay %d: module %d recall lookout leaked", d, mod.id)
 			}
 		}
@@ -515,5 +515,39 @@ func TestPropertyRandomContention(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChunkHistKeepsSeqOrder: a module's chunk records behave as a map from
+// tag to record — one record per tag, found again whatever order the tags
+// arrive in — while staying sorted by sequence number per processor.
+func TestChunkHistKeepsSeqOrder(t *testing.T) {
+	mod := &module{}
+	for i, seq := range []uint64{5, 2, 9, 2, 7, 0} {
+		h := mod.histFor(msg.CTag{Proc: 3, Seq: seq})
+		h.squashes += i + 1
+	}
+	mod.histFor(msg.CTag{Proc: 1, Seq: 5}).squashes = 100
+	want := map[uint64]int{0: 6, 2: 2 + 4, 5: 1, 7: 5, 9: 3}
+	hs := mod.hist[3]
+	if len(hs) != len(want) {
+		t.Fatalf("processor 3 has %d records, want %d", len(hs), len(want))
+	}
+	for i, h := range hs {
+		if i > 0 && hs[i-1].seq >= h.seq {
+			t.Fatalf("records out of order: %v", hs)
+		}
+		if h.squashes != want[h.seq] {
+			t.Errorf("seq %d: squashes %d, want %d", h.seq, h.squashes, want[h.seq])
+		}
+		if got := mod.histOf(msg.CTag{Proc: 3, Seq: h.seq}); got != &hs[i] {
+			t.Errorf("histOf(seq %d) did not find its record", h.seq)
+		}
+	}
+	if mod.histOf(msg.CTag{Proc: 3, Seq: 4}) != nil || mod.histOf(msg.CTag{Proc: 8, Seq: 5}) != nil {
+		t.Error("histOf found a record that was never created")
+	}
+	if h := mod.histOf(msg.CTag{Proc: 1, Seq: 5}); h == nil || h.squashes != 100 {
+		t.Error("processors' records are not kept apart")
 	}
 }

@@ -152,7 +152,7 @@ func TestGFailureAtConfirmedEntryClearsAsSuccess(t *testing.T) {
 	e := mod.getOrCreate(tag)
 	e.try = 2
 	e.state = stConfirmed
-	mod.squashes[tag] = 99
+	mod.histFor(tag).squashes = 99
 	res := tag
 	mod.reserved = &res
 
@@ -164,10 +164,11 @@ func TestGFailureAtConfirmedEntryClearsAsSuccess(t *testing.T) {
 	if mod.reserved != nil {
 		t.Fatal("starvation reservation not cleared: module is wedged")
 	}
-	if _, ok := mod.squashes[tag]; ok {
+	h := mod.histOf(tag)
+	if h == nil || h.squashes != 0 {
 		t.Fatal("squash history not cleared")
 	}
-	if ft := mod.failedTry[tag]; ft != int(^uint(0)>>1) {
-		t.Fatalf("committed chunk not tombstoned: failedTry = %d", ft)
+	if !h.failed || h.failedTry != int(^uint(0)>>1) {
+		t.Fatalf("committed chunk not tombstoned: failedTry = %d", h.failedTry)
 	}
 }
