@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -906,30 +905,4 @@ func (s *Session) Figure(id int) error {
 	default:
 		return fmt.Errorf("no figure %d (have 7–19)", id)
 	}
-}
-
-// MeanLatencyTable returns the Figure 13 headline means per protocol at the
-// given core count, keyed by protocol (used by tests and EXPERIMENTS.md).
-func (s *Session) MeanLatencyTable(cores int) (map[string]float64, error) {
-	out := map[string]float64{}
-	for _, protocol := range Protocols {
-		var sum, n float64
-		for _, app := range names(Apps()) {
-			r, err := s.Result(app, protocol, cores)
-			if err != nil {
-				return nil, err
-			}
-			sum += r.MeanCommitLatency() * float64(len(r.Coll.CommitLat))
-			n += float64(len(r.Coll.CommitLat))
-		}
-		out[protocol] = sum / n
-	}
-	return out, nil
-}
-
-// sortedApps is a test helper: deterministic app iteration order.
-func sortedApps() []string {
-	out := names(Apps())
-	sort.Strings(out)
-	return out
 }
