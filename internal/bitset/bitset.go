@@ -108,21 +108,37 @@ func (s *Set) Clone() Set {
 	return c
 }
 
-// ForEach calls fn for every set bit in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.w {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &= w - 1
+// Next returns the lowest set bit ≥ i, or -1 if there is none. Walk a set
+// in ascending order with
+//
+//	for i := s.Next(0); i >= 0; i = s.Next(i + 1) { ... }
+func (s *Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := i / 64
+	if wi >= len(s.w) {
+		return -1
+	}
+	w := s.w[wi] &^ (1<<(i%64) - 1)
+	for {
+		if w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
 		}
+		wi++
+		if wi == len(s.w) {
+			return -1
+		}
+		w = s.w[wi]
 	}
 }
 
 // Members returns the set bits in ascending order.
 func (s *Set) Members() []int {
 	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		out = append(out, i)
+	}
 	return out
 }
 
@@ -139,14 +155,12 @@ func FromMembers(ms ...int) Set {
 func (s *Set) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		if b.Len() > 1 {
 			b.WriteByte(',')
 		}
-		first = false
 		fmt.Fprintf(&b, "%d", i)
-	})
+	}
 	b.WriteByte('}')
 	return b.String()
 }

@@ -93,13 +93,12 @@ func TestPropertyMembership(t *testing.T) {
 				return false
 			}
 		}
-		ok := true
-		s.ForEach(func(i int) {
+		for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 			if !ref[i] {
-				ok = false
+				return false
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -108,11 +107,11 @@ func TestPropertyMembership(t *testing.T) {
 
 // orExceptRef is the per-bit formulation OrExcept replaces.
 func orExceptRef(dst *Set, o Set, x int) {
-	o.ForEach(func(i int) {
+	for i := o.Next(0); i >= 0; i = o.Next(i + 1) {
 		if i != x {
 			dst.Add(i)
 		}
-	})
+	}
 }
 
 func TestOrExceptMatchesPerBit(t *testing.T) {
@@ -153,5 +152,39 @@ func TestOrExceptMatchesPerBit(t *testing.T) {
 			t.Fatalf("case %d: OrExcept(%s, %d) into %v = %s, want %s",
 				i, o.String(), x, d0, got.String(), want.String())
 		}
+	}
+}
+
+// TestPropertyNext checks Next against Has: Next(i) is the lowest j ≥ i
+// with Has(j), or -1 when no bit at or above i is set, including for i
+// below zero and past the set's words.
+func TestPropertyNext(t *testing.T) {
+	f := func(adds []uint8, spread uint8) bool {
+		var s Set
+		max := 0
+		for _, a := range adds {
+			b := int(a) * (1 + int(spread%4))
+			s.Add(b)
+			if b > max {
+				max = b
+			}
+		}
+		for i := -2; i <= max+130; i++ {
+			want := -1
+			for j := i; j <= max; j++ {
+				if j >= 0 && s.Has(j) {
+					want = j
+					break
+				}
+			}
+			if got := s.Next(i); got != want {
+				t.Logf("Next(%d) = %d, want %d in %s", i, got, want, s.String())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -301,9 +301,7 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 
 	if len(ck.Dirs) == 0 {
 		// A chunk with no memory footprint commits trivially.
-		p.env.Eng.After(1, func() {
-			p.env.Net.SendCopy(msg.Msg{Kind: msg.CommitSuccess, Src: proc, Dst: proc, Tag: ck.Tag})
-		})
+		p.env.Net.SendAt(p.env.Eng.Now()+1, msg.Msg{Kind: msg.CommitSuccess, Src: proc, Dst: proc, Tag: ck.Tag})
 		p.k.Formed(proc, ck.Tag.Seq, try)
 		return
 	}

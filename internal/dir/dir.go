@@ -207,10 +207,7 @@ func (rp *ReadPath) HandleDir(node int, m *msg.Msg) bool {
 	case msg.ReadDirtyFwd:
 		// This tile's cache owns the dirty line: forward the data to the
 		// requester (recorded in Tag.Proc).
-		r := rp.Env.Net.NewMsg()
-		r.Kind, r.Src, r.Dst = msg.ReadDirtyReply, node, m.Tag.Proc
-		r.Tag, r.Line = m.Tag, m.Line
-		rp.Env.Net.Send(r)
+		rp.Env.Net.SendCopy(msg.Msg{Kind: msg.ReadDirtyReply, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, Line: m.Line})
 		return true
 	default:
 		return false
@@ -218,53 +215,41 @@ func (rp *ReadPath) HandleDir(node int, m *msg.Msg) bool {
 }
 
 // serve handles a ReadReq at its home module. The request is a Transient
-// message the network recycles as soon as this handler returns, so every
-// field the deferred replies need is copied into locals first.
+// message the network recycles as soon as this handler returns, so the
+// reply is built from its fields now and sent after the directory lookup
+// (and memory access) with SendAt.
 func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	env := rp.Env
-	requester := m.Src
-	l := m.Line
-	tag := m.Tag
+	r := msg.Msg{Src: node, Dst: m.Src, Tag: m.Tag, Line: m.Line}
+	requester, l := m.Src, m.Line
 
 	if rp.Proto != nil && rp.Proto.ReadBlocked(node, l) {
 		env.Coll.ReadNacks++
-		r := env.Net.NewMsg()
-		r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadNack, node, requester, tag, l
-		env.Net.Send(r)
+		r.Kind = msg.ReadNack
+		env.Net.SendCopy(r)
 		return
 	}
 
 	li := env.State.Get(l)
+	delay := env.DirLookup
 	switch {
 	case li != nil && li.Dirty && li.Owner != requester && li.Owner >= 0:
 		// Served by the remote dirty owner (RemoteDirtyRd). The forward
 		// carries the requester in Tag.Proc. After the read the data is
 		// shared: the owner keeps a copy, memory is considered updated.
-		owner := li.Owner
+		r.Kind, r.Dst, r.Tag = msg.ReadDirtyFwd, li.Owner, msg.CTag{Proc: requester}
 		li.Dirty = false
 		li.Owner = -1
 		li.Sharers.Add(requester)
-		env.Eng.After(env.DirLookup, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst = msg.ReadDirtyFwd, node, owner
-			r.Tag, r.Line = msg.CTag{Proc: requester}, l
-			env.Net.Send(r)
-		})
 	case li != nil && !li.Sharers.Empty():
 		// Served cache-to-cache from a shared copy (RemoteShRd).
+		r.Kind = msg.ReadShReply
 		li.Sharers.Add(requester)
-		env.Eng.After(env.DirLookup, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadShReply, node, requester, tag, l
-			env.Net.Send(r)
-		})
 	default:
 		// Served from memory (MemRd).
+		r.Kind = msg.ReadMemReply
 		env.State.AddSharer(l, requester)
-		env.Eng.After(env.DirLookup+env.MemLatency, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadMemReply, node, requester, tag, l
-			env.Net.Send(r)
-		})
+		delay += env.MemLatency
 	}
+	env.Net.SendAt(env.Eng.Now()+delay, r)
 }

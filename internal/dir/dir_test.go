@@ -199,3 +199,48 @@ func TestSharersOfAllIgnoresHomes(t *testing.T) {
 		t.Fatal("exclusion failed")
 	}
 }
+
+// TestWarmReadMissAllocs: once the freelist, the engine's calendar slots and
+// the line's sharer words are warm, a read miss allocates nothing on the
+// directory side, whichever of the three ways it is served. Every miss
+// starts on a 1<<16-cycle boundary so it reuses the same calendar slots.
+func TestWarmReadMissAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		reply msg.Kind
+		prep  func(*State) // restores the line's entry before each miss
+	}{
+		{"MemRd", msg.ReadMemReply, func(s *State) { s.Touch(10).Sharers.Remove(0) }},
+		{"RemoteShRd", msg.ReadShReply, func(s *State) {
+			s.AddSharer(10, 3)
+			s.Touch(10).Sharers.Remove(0)
+		}},
+		{"RemoteDirtyRd", msg.ReadDirtyReply, func(s *State) { s.ApplyCommitWrite(10, 2) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env, net, eng := testEnv(t, 4)
+			rp := &ReadPath{Env: env}
+			var got msg.Kind
+			net.Register(0, func(m *msg.Msg) { got = m.Kind })
+			net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
+			net.Register(2, func(m *msg.Msg) { rp.HandleDir(2, m) }) // dirty owner's tile
+			env.Map.Home(10, 1)
+			env.State.AddSharer(10, 0) // grow the sharer words once
+			miss := func() {
+				c.prep(env.State)
+				got = -1
+				net.SendCopy(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+				eng.Run()
+				eng.RunUntil((eng.Now()>>16 + 1) << 16)
+			}
+			miss()
+			if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {
+				t.Errorf("warm %s miss allocates %v objects, want 0", c.name, allocs)
+			}
+			if got != c.reply {
+				t.Fatalf("reply %v, want %v", got, c.reply)
+			}
+		})
+	}
+}

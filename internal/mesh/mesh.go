@@ -96,9 +96,11 @@ type Network struct {
 	// message, so it does not disable Transient recycling.
 	Trace *trace.Tracer
 
-	// deliverFn is the delivery event handler bound once at construction, so
-	// scheduling a delivery allocates neither a closure nor a method value.
+	// deliverFn and sendFn are the delivery and deferred-send event handlers,
+	// bound once at construction, so scheduling either allocates neither a
+	// closure nor a method value.
 	deliverFn func(any)
+	sendFn    func(any)
 	// freeMsgs recycles Transient messages. The engine is single-threaded,
 	// so a plain slice freelist needs no locking. Recycling is disabled
 	// whenever an observer or fault interposer is installed: those may
@@ -148,6 +150,7 @@ func New(eng *event.Engine, cfg Config) *Network {
 		busy:     make([][4]event.Time, cfg.Nodes),
 	}
 	n.deliverFn = n.deliver
+	n.sendFn = func(arg any) { n.Send(arg.(*msg.Msg)) }
 	return n
 }
 
@@ -169,6 +172,18 @@ func (n *Network) SendCopy(m msg.Msg) {
 	s := n.NewMsg()
 	*s = m
 	n.Send(s)
+}
+
+// SendAt sends a copy of m at time t: the deferred send of a reply that
+// waits out a directory lookup or memory access. The copy is taken from
+// NewMsg now and belongs to the pending event, so the freelist cannot hand
+// it out again before it is sent. The event takes one sequence number at
+// the point an After(d, func() { Send(...) }) closure would, so the firing
+// order is the same, but nothing is allocated.
+func (n *Network) SendAt(t event.Time, m msg.Msg) {
+	s := n.NewMsg()
+	*s = m
+	n.eng.AtArg(t, n.sendFn, s)
 }
 
 // Nodes returns the number of tiles.
@@ -314,7 +329,9 @@ func (n *Network) Release(m *msg.Msg) {
 // deliver is the delivery event: it runs the destination handler and, on the
 // observer-free fast path, recycles Transient messages into the freelist.
 // A handler must therefore never retain a pointer to a Transient message
-// past its return (the read-path handlers copy the fields they defer on).
+// past its return. A handler that answers later builds its reply from the
+// fields it needs and defers it with SendAt, which copies the reply into a
+// message off the freelist until it is sent and delivered in turn.
 func (n *Network) deliver(arg any) {
 	m := arg.(*msg.Msg)
 	n.stats.Delivered++

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -263,5 +264,71 @@ func TestLatencyGrowsUnderSaturation(t *testing.T) {
 	uncontended := n.Latency(0, 1, msg.CommitRequest)
 	if last < 10*uncontended {
 		t.Fatalf("no queueing under saturation: last arrival %d vs uncontended %d", last, uncontended)
+	}
+}
+
+// TestSendAtHoldsItsMessage: SendAt takes its copy from the freelist when it
+// is called, and NewMsg never hands that message out again while the send
+// is pending; it is recycled only after its own delivery.
+func TestSendAtHoldsItsMessage(t *testing.T) {
+	eng, n := newNet(t, 4, false)
+	var last *msg.Msg
+	var seen []msg.Msg
+	n.Register(0, func(m *msg.Msg) {})
+	n.Register(1, func(m *msg.Msg) { last = m; seen = append(seen, *m) })
+
+	// Put one recycled message on the freelist.
+	n.SendCopy(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 1})
+	eng.Run()
+	recycled := last
+
+	want := msg.Msg{Kind: msg.ReadMemReply, Src: 0, Dst: 1, Tag: msg.CTag{Proc: 0, Seq: 9}, Line: 42}
+	n.SendAt(eng.Now()+300, want)
+	for i := 0; i < 3; i++ {
+		m := n.NewMsg()
+		if m == recycled {
+			t.Fatal("NewMsg handed out the message a pending SendAt holds")
+		}
+		*m = msg.Msg{Kind: msg.ReadNack, Src: 0, Dst: 1, Line: 7} // scribble on it
+	}
+	eng.Run()
+	if got := seen[len(seen)-1]; last != recycled || got.Kind != want.Kind || got.Tag != want.Tag || got.Line != want.Line {
+		t.Fatalf("SendAt delivered %v line %d (recycled=%v), want %v line %d", &got, got.Line, last == recycled, &want, want.Line)
+	}
+	if n.NewMsg() != recycled {
+		t.Fatal("SendAt's message was not recycled after its delivery")
+	}
+}
+
+// TestSendAtOrdersLikeAfter: a SendAt takes the engine slot an After closure
+// scheduled at the same point would, so replacing the closure changes no
+// firing order. Three same-cycle sends to one node, scheduled as closure,
+// deferred send and closure, arrive in scheduling order, at the same times
+// and after the same number of events as three closures.
+func TestSendAtOrdersLikeAfter(t *testing.T) {
+	run := func(deferred bool) (order []uint64, at []event.Time, fired uint64) {
+		eng, n := newNet(t, 16, true)
+		n.Register(4, func(m *msg.Msg) {})
+		n.Register(5, func(m *msg.Msg) { order = append(order, m.Tag.Seq); at = append(at, eng.Now()) })
+		send := func(seq uint64) msg.Msg {
+			return msg.Msg{Kind: msg.ReadShReply, Src: 4, Dst: 5, Tag: msg.CTag{Proc: 4, Seq: seq}}
+		}
+		eng.After(2, func() { n.SendCopy(send(1)) })
+		if deferred {
+			n.SendAt(eng.Now()+2, send(2))
+		} else {
+			eng.After(2, func() { n.SendCopy(send(2)) })
+		}
+		eng.After(2, func() { n.SendCopy(send(3)) })
+		eng.Run()
+		return order, at, eng.Fired()
+	}
+	o1, a1, f1 := run(false)
+	o2, a2, f2 := run(true)
+	if fmt.Sprint(o1, a1, f1) != fmt.Sprint(o2, a2, f2) {
+		t.Fatalf("After: order %v at %v, %d events; SendAt: order %v at %v, %d events", o1, a1, f1, o2, a2, f2)
+	}
+	if fmt.Sprint(o2) != "[1 2 3]" {
+		t.Fatalf("delivery order %v, want [1 2 3]", o2)
 	}
 }

@@ -21,7 +21,6 @@ package tcc
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/dir"
@@ -64,6 +63,12 @@ type entry struct {
 	inv kernel.AckSet[invalKey]
 }
 
+// reset blanks a retired entry for reuse, keeping its mark and ack storage.
+func (e *entry) reset() {
+	*e = entry{marks: e.marks[:0], inv: e.inv}
+	e.inv.Reset()
+}
+
 // invalKey identifies one per-line invalidation ack; duplicated deliveries
 // of the same ack must not double-count.
 type invalKey struct {
@@ -73,25 +78,97 @@ type invalKey struct {
 
 // tccMod is one directory module's commit pipeline.
 type tccMod struct {
-	id      int
-	next    uint64 // the TID this module processes next
-	entries map[uint64]*entry
+	id   int
+	next uint64 // the TID this module processes next
+	// win is a ring over the TIDs [next, next+len(win)): the entry for TID t
+	// is win[t&(len(win)-1)], nil until a message for t arrives. len(win) is
+	// a power of two and doubles whenever a TID lands past its end.
+	win  []*entry
+	free []*entry // retired entries, reused by entryFor
+}
+
+// minWindow is a fresh module's window length.
+const minWindow = 8
+
+func (mod *tccMod) slot(tid uint64) **entry {
+	return &mod.win[tid&uint64(len(mod.win)-1)]
+}
+
+// at returns the entry for TID tid ≥ next, or nil if none arrived yet.
+func (mod *tccMod) at(tid uint64) *entry {
+	if tid-mod.next >= uint64(len(mod.win)) {
+		return nil
+	}
+	return *mod.slot(tid)
+}
+
+// entryFor returns the entry for TID tid ≥ next, creating it if needed.
+func (mod *tccMod) entryFor(tid uint64) *entry {
+	for tid-mod.next >= uint64(len(mod.win)) {
+		old := mod.win
+		mod.win = make([]*entry, 2*len(old))
+		for t := mod.next; t < mod.next+uint64(len(old)); t++ {
+			*mod.slot(t) = old[t&uint64(len(old)-1)]
+		}
+	}
+	sl := mod.slot(tid)
+	if *sl == nil {
+		if k := len(mod.free); k > 0 {
+			*sl = mod.free[k-1]
+			mod.free = mod.free[:k-1]
+		} else {
+			*sl = &entry{}
+		}
+	}
+	return *sl
+}
+
+// retire resolves the head TID: its entry returns to the pool and the
+// pipeline advances.
+func (mod *tccMod) retire() {
+	sl := mod.slot(mod.next)
+	(*sl).reset()
+	mod.free = append(mod.free, *sl)
+	*sl = nil
+	mod.next++
+}
+
+// live counts the entries not yet retired.
+func (mod *tccMod) live() int {
+	n := 0
+	for _, e := range mod.win {
+		if e != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // job is the committing processor's view of one commit. Ack bookkeeping is
 // per-module sets, not counters: under fault injection the network can
 // duplicate an ack, and a counter would start phase 2 (or complete the
-// commit) before every directory actually responded.
+// commit) before every directory actually responded. Each processor has
+// one job record, reused commit after commit.
 type job struct {
-	ck         *chunk.Chunk
+	ck         *chunk.Chunk // nil when the processor has no live commit
 	tid        uint64
 	probeAcked kernel.AckSet[int]
 	doneAcked  kernel.AckSet[int]
 	phase2     bool // commit/mark messages sent; past the serialization point
 	started    int
 	aborted    bool
-	// marks[k] holds the written lines homed at ck.Dirs[k], ascending.
+	// marks[k] holds the written lines homed at ck.Dirs[k], ascending. A
+	// tcc_commit's WriteLines points here. Only phase 2 sends one, and a
+	// job in phase 2 ends only once every directory acked, so no pending
+	// message reads a list the next commit reuses.
 	marks [][]sig.Line
+}
+
+// start resets j for a commit of ck, keeping its ack and mark storage.
+func (j *job) start(ck *chunk.Chunk) {
+	j.ck, j.tid, j.phase2, j.started, j.aborted = ck, 0, false, 0, false
+	j.probeAcked.Reset()
+	j.doneAcked.Reset()
 }
 
 // Protocol is the Scalable TCC engine; it implements protocol.Engine.
@@ -105,7 +182,9 @@ type Protocol struct {
 	nextTID    uint64
 
 	mods []*tccMod
-	jobs map[int]*job
+	jobs []job // jobs[proc]; see job
+	// drainFn is drain bound once, for the mark-processing delay.
+	drainFn func(any)
 }
 
 var _ protocol.Engine = (*Protocol)(nil)
@@ -118,13 +197,22 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	p := &Protocol{
 		env: env, cfg: cfg,
 		vendorNode: env.Net.Center(),
-		nextTID:    1, jobs: make(map[int]*job),
+		nextTID:    1, jobs: make([]job, env.Net.Nodes()),
 	}
 	p.k = kernel.New(env, cfg.CommitDeadline, p)
+	p.drainFn = func(mod any) { p.drain(mod.(*tccMod)) }
 	for i := 0; i < env.Net.Nodes(); i++ {
-		p.mods = append(p.mods, &tccMod{id: i, next: 1, entries: make(map[uint64]*entry)})
+		p.mods = append(p.mods, &tccMod{id: i, next: 1, win: make([]*entry, minWindow)})
 	}
 	return p
+}
+
+// job returns proc's live commit job, or nil.
+func (p *Protocol) job(proc int) *job {
+	if j := &p.jobs[proc]; j.ck != nil {
+		return j
+	}
+	return nil
 }
 
 // Stats implements protocol.Engine.
@@ -136,8 +224,8 @@ func (p *Protocol) Stats() map[string]uint64 {
 // centralized vendor (§2.1).
 func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	p.k.Started(proc, ck)
-	p.jobs[proc] = &job{ck: ck}
-	p.env.Net.Send(&msg.Msg{Kind: msg.TIDRequest, Src: proc, Dst: p.vendorNode, Tag: ck.Tag})
+	p.jobs[proc].start(ck)
+	p.env.Net.SendCopy(msg.Msg{Kind: msg.TIDRequest, Src: proc, Dst: p.vendorNode, Tag: ck.Tag})
 	p.k.WD.Arm(proc, false, ck.Tag, ck.Retries)
 }
 
@@ -146,7 +234,7 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 // processor retries with backoff); an attempt already past its serialization
 // point cannot be aborted, so the deadline re-arms and keeps watching.
 func (p *Protocol) Probe(proc int, tag msg.CTag, try int) kernel.Disposition {
-	j := p.jobs[proc]
+	j := p.job(proc)
 	if j == nil || j.ck.Tag != tag || j.ck.Retries != try || j.aborted {
 		return kernel.Closed
 	}
@@ -176,7 +264,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 		// pipeline head, where it would sit unexamined forever.
 		return
 	}
-	e := p.entryFor(mod, m.TID)
+	e := mod.entryFor(m.TID)
 	switch m.Kind {
 	case msg.TCCProbe:
 		if e.known && !e.skip {
@@ -211,15 +299,6 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 	p.drain(mod)
 }
 
-func (p *Protocol) entryFor(mod *tccMod, tid uint64) *entry {
-	if e, ok := mod.entries[tid]; ok {
-		return e
-	}
-	e := &entry{}
-	mod.entries[tid] = e
-	return e
-}
-
 // onTIDRequest: the vendor serializes TID allocation (§2.1: "the committing
 // processor contacts a centralized agent to obtain a transaction ID").
 func (p *Protocol) onTIDRequest(m *msg.Msg) {
@@ -230,9 +309,7 @@ func (p *Protocol) onTIDRequest(m *msg.Msg) {
 	p.vendorBusy += p.cfg.VendorServiceTime
 	tid := p.nextTID
 	p.nextTID++
-	p.env.Eng.At(p.vendorBusy, func() {
-		p.env.Net.Send(&msg.Msg{Kind: msg.TIDReply, Src: p.vendorNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: tid})
-	})
+	p.env.Net.SendAt(p.vendorBusy, msg.Msg{Kind: msg.TIDReply, Src: p.vendorNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: tid})
 }
 
 // drain advances a module through its TID sequence. The head entry blocks
@@ -240,8 +317,8 @@ func (p *Protocol) onTIDRequest(m *msg.Msg) {
 // serialization of §2.1.
 func (p *Protocol) drain(mod *tccMod) {
 	for {
-		e, ok := mod.entries[mod.next]
-		if !ok || !e.known {
+		e := mod.at(mod.next)
+		if e == nil || !e.known {
 			return
 		}
 		if e.skip {
@@ -249,20 +326,16 @@ func (p *Protocol) drain(mod *tccMod) {
 				// A held probe converted to a skip (abort): release the head.
 				p.k.HoldEnd(mod.id, e.tag, e.try)
 			}
-			delete(mod.entries, mod.next)
-			mod.next++
+			mod.retire()
 			continue
 		}
 		if !e.held {
 			// Probe reached the head: ack it and hold.
 			e.held = true
 			p.k.HoldBegin(mod.id, e.tag, e.try)
-			p.noteStarted(mod, e)
-			tid := mod.next
-			p.env.Eng.After(p.env.DirLookup, func() {
-				p.env.Net.Send(&msg.Msg{
-					Kind: msg.TCCProbeAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: tid,
-				})
+			p.noteStarted(e)
+			p.env.Net.SendAt(p.env.Eng.Now()+p.env.DirLookup, msg.Msg{
+				Kind: msg.TCCProbeAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next,
 			})
 			return
 		}
@@ -276,7 +349,7 @@ func (p *Protocol) drain(mod *tccMod) {
 			// them, holding every later TID behind it.
 			e.marksProcessed = true
 			delay := p.env.DirLookup * event.Time(len(e.marks)+1)
-			p.env.Eng.After(delay, func() { p.drain(mod) })
+			p.env.Eng.AtArg(p.env.Eng.Now()+delay, p.drainFn, mod)
 			return
 		}
 		if e.inv.Outstanding() < 0 {
@@ -293,9 +366,8 @@ func (p *Protocol) drain(mod *tccMod) {
 			p.env.State.ApplyCommitWrite(l, e.tag.Proc)
 		}
 		p.k.HoldEnd(mod.id, e.tag, e.try)
-		p.env.Net.Send(&msg.Msg{Kind: msg.TCCAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next})
-		delete(mod.entries, mod.next)
-		mod.next++
+		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next})
+		mod.retire()
 	}
 }
 
@@ -311,21 +383,21 @@ func (e *entry) invalSent(p *Protocol, mod *tccMod) bool {
 		if li == nil {
 			continue
 		}
-		li.Sharers.ForEach(func(sh int) {
+		for sh := li.Sharers.Next(0); sh >= 0; sh = li.Sharers.Next(sh + 1) {
 			if sh == e.tag.Proc {
-				return
+				continue
 			}
 			e.inv.Expect(1)
-			p.env.Net.Send(&msg.Msg{Kind: msg.TCCInval, Src: mod.id, Dst: sh, Tag: e.tag, TID: mod.next, Line: l})
-		})
+			p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCInval, Src: mod.id, Dst: sh, Tag: e.tag, TID: mod.next, Line: l})
+		}
 	}
 	return e.inv.Outstanding() == 0
 }
 
 // noteStarted feeds the Figures 14–17 statistics: when the last of a
 // chunk's directories holds its TID, its "group" has formed.
-func (p *Protocol) noteStarted(mod *tccMod, e *entry) {
-	j := p.jobs[e.tag.Proc]
+func (p *Protocol) noteStarted(e *entry) {
+	j := p.job(e.tag.Proc)
 	if j == nil || j.ck.Tag != e.tag || j.ck.Retries != e.try || j.aborted {
 		return
 	}
@@ -351,12 +423,12 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 		// not be squashed — squashing here would retry a chunk whose marks
 		// the directories are already applying, committing it twice.
 		var immune *msg.CTag
-		if j := p.jobs[node]; j != nil && j.phase2 && !j.aborted {
+		if j := p.job(node); j != nil && j.phase2 && !j.aborted {
 			t := j.ck.Tag
 			immune = &t
 		}
 		squashed := p.env.Cores[node].InvalidateLine(m.Line, m.Tag.Proc, immune)
-		p.env.Net.Send(&msg.Msg{Kind: msg.TCCInvalAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID, Line: m.Line})
+		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCInvalAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID, Line: m.Line})
 		if squashed != nil {
 			p.Abort(node, *squashed)
 		}
@@ -369,7 +441,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 
 // onTIDReply: broadcast probes and skips (§2.1).
 func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
-	j := p.jobs[proc]
+	j := p.job(proc)
 	if j != nil && j.tid == m.TID {
 		return // duplicate delivery of the reply already consumed
 	}
@@ -386,11 +458,14 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 		// Squashed before the TID arrived: every directory still needs the
 		// TID resolved, so skip everywhere.
 		p.skipEverywhere(proc, j.tid, j.ck.Tag)
-		delete(p.jobs, proc)
+		j.ck = nil
 		return
 	}
 	dirs := j.ck.Dirs
-	j.marks = make([][]sig.Line, len(dirs))
+	j.marks = slices.Grow(j.marks[:0], len(dirs))[:len(dirs)]
+	for k := range j.marks {
+		j.marks[k] = j.marks[k][:0]
+	}
 	for _, l := range j.ck.WriteLines {
 		if h, ok := p.env.Map.HomeIfMapped(l); ok {
 			if k, found := slices.BinarySearch(dirs, h); found {
@@ -399,7 +474,7 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 		}
 	}
 	for _, d := range dirs {
-		p.env.Net.Send(&msg.Msg{
+		p.env.Net.SendCopy(msg.Msg{
 			Kind: msg.TCCProbe, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
 			Line: sig.Line(j.ck.Retries),
 		})
@@ -413,7 +488,7 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 			k++
 			continue
 		}
-		p.env.Net.Send(&msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
+		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
 	}
 	if len(j.ck.Dirs) == 0 {
 		p.complete(proc, j)
@@ -422,14 +497,14 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 
 func (p *Protocol) skipEverywhere(proc int, tid uint64, tag msg.CTag) {
 	for d := 0; d < p.env.Net.Nodes(); d++ {
-		p.env.Net.Send(&msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: tid})
+		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: tid})
 	}
 }
 
 // onProbeAck: once every probed directory holds the TID, start phase 2:
 // commit messages plus one mark per written line (§2.1).
 func (p *Protocol) onProbeAck(proc int, m *msg.Msg) {
-	j := p.jobs[proc]
+	j := p.job(proc)
 	if j == nil || j.ck.Tag != m.Tag || j.aborted || j.tid != m.TID || j.phase2 {
 		return
 	}
@@ -441,18 +516,18 @@ func (p *Protocol) onProbeAck(proc int, m *msg.Msg) {
 	}
 	j.phase2 = true
 	for k, d := range j.ck.Dirs {
-		p.env.Net.Send(&msg.Msg{
+		p.env.Net.SendCopy(msg.Msg{
 			Kind: msg.TCCCommit, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
 			WriteLines: j.marks[k],
 		})
 		for _, l := range j.marks[k] {
-			p.env.Net.Send(&msg.Msg{Kind: msg.TCCMark, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid, Line: l})
+			p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCMark, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid, Line: l})
 		}
 	}
 }
 
 func (p *Protocol) onDoneAck(proc int, m *msg.Msg) {
-	j := p.jobs[proc]
+	j := p.job(proc)
 	if j == nil || j.ck.Tag != m.Tag || j.aborted || j.tid != m.TID {
 		return
 	}
@@ -465,17 +540,18 @@ func (p *Protocol) onDoneAck(proc int, m *msg.Msg) {
 }
 
 func (p *Protocol) complete(proc int, j *job) {
-	delete(p.jobs, proc)
-	p.k.Done(proc, false, j.ck.Tag, j.ck.Retries)
-	p.env.Cores[proc].CommitFinished(j.ck.Tag)
+	ck := j.ck
+	j.ck = nil
+	p.k.Done(proc, false, ck.Tag, ck.Retries)
+	p.env.Cores[proc].CommitFinished(ck.Tag)
 }
 
 // queuedChunks counts chunks holding a TID whose commit has not started at
 // every participating directory (the Figures 16/17 metric for TCC).
 func (p *Protocol) queuedChunks() int {
 	n := 0
-	for _, j := range p.jobs {
-		if j.tid != 0 && !j.aborted && j.started < len(j.ck.Dirs) {
+	for i := range p.jobs {
+		if j := &p.jobs[i]; j.ck != nil && j.tid != 0 && !j.aborted && j.started < len(j.ck.Dirs) {
 			n++
 		}
 	}
@@ -488,7 +564,7 @@ func (p *Protocol) queuedChunks() int {
 // transaction's invalidation always arrives before this chunk's final probe
 // ack (same directory, FIFO path), so atomicity holds.
 func (p *Protocol) Abort(proc int, tag msg.CTag) {
-	j := p.jobs[proc]
+	j := p.job(proc)
 	if j == nil || j.ck.Tag != tag || j.aborted {
 		return
 	}
@@ -507,28 +583,24 @@ func (p *Protocol) Abort(proc int, tag msg.CTag) {
 	// Convert this chunk's probes to skips at its own directories; other
 	// directories already received skips.
 	for _, d := range j.ck.Dirs {
-		p.env.Net.Send(&msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: j.tid})
+		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: j.tid})
 	}
-	delete(p.jobs, proc)
+	j.ck = nil
 }
 
 // DebugModule renders one directory module's pipeline state for deadlock
-// diagnostics.
+// diagnostics, walking its window in TID order.
 func (p *Protocol) DebugModule(i int) string {
 	mod := p.mods[i]
-	if len(mod.entries) == 0 {
+	if mod.live() == 0 {
 		return ""
 	}
-	tids := make([]uint64, 0, len(mod.entries))
-	for tid := range mod.entries {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
 	s := fmt.Sprintf("D%d next=%d:", mod.id, mod.next)
-	for _, tid := range tids {
-		e := mod.entries[tid]
-		s += fmt.Sprintf(" [tid=%d known=%v skip=%v tag=%s held=%v committing=%v marks=%d/%d pendingInv=%d]",
-			tid, e.known, e.skip, e.tag, e.held, e.committing, len(e.marks), e.marksExpected, e.inv.Outstanding())
+	for tid := mod.next; tid < mod.next+uint64(len(mod.win)); tid++ {
+		if e := mod.at(tid); e != nil {
+			s += fmt.Sprintf(" [tid=%d known=%v skip=%v tag=%s held=%v committing=%v marks=%d/%d pendingInv=%d]",
+				tid, e.known, e.skip, e.tag, e.held, e.committing, len(e.marks), e.marksExpected, e.inv.Outstanding())
+		}
 	}
 	return s
 }
@@ -537,8 +609,8 @@ func (p *Protocol) DebugModule(i int) string {
 // reads to the lines being written.
 func (p *Protocol) ReadBlocked(node int, l sig.Line) bool {
 	mod := p.mods[node]
-	e, ok := mod.entries[mod.next]
-	if !ok || !e.held || e.skip {
+	e := mod.at(mod.next)
+	if e == nil || !e.held || e.skip {
 		return false
 	}
 	for _, ml := range e.marks {
@@ -552,9 +624,14 @@ func (p *Protocol) ReadBlocked(node int, l sig.Line) bool {
 // PendingAttempts implements protocol.Engine: live commit jobs
 // plus directory pipeline entries not yet retired.
 func (p *Protocol) PendingAttempts() int {
-	n := len(p.jobs)
+	n := 0
+	for i := range p.jobs {
+		if p.jobs[i].ck != nil {
+			n++
+		}
+	}
 	for _, m := range p.mods {
-		n += len(m.entries)
+		n += m.live()
 	}
 	return n
 }
