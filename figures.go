@@ -13,6 +13,7 @@ import (
 	"scalablebulk/internal/metrics"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/stats"
+	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
 
@@ -64,6 +65,9 @@ type Session struct {
 	// nRestored counts points satisfied from the journal (SweepOutcome
 	// reports per-sweep deltas).
 	nRestored atomic.Int64
+	// warmImages counts the warm images this Session's sweeps hold, and
+	// warmRestores the points built from one.
+	warmImages, warmRestores atomic.Int64
 
 	// testPointHook, when non-nil, runs at the start of each point's
 	// simulation inside the worker's panic isolation — the test seam for
@@ -158,10 +162,11 @@ func (s *Session) Journal() *Journal {
 // Safe for concurrent use; concurrent requests for the same point share one
 // run (single flight).
 func (s *Session) Result(app, protocol string, cores int) (*Result, error) {
-	return s.result(context.Background(), Point{app, protocol, cores})
+	return s.result(context.Background(), Point{app, protocol, cores}, nil)
 }
 
-func (s *Session) result(ctx context.Context, p Point) (*Result, error) {
+// result runs p in its cache slot; g is p's warm-up group, if it has one.
+func (s *Session) result(ctx context.Context, p Point, g *warmGroup) (*Result, error) {
 	k := runKey{p.App, p.Protocol, p.Cores}
 	s.mu.Lock()
 	if s.cache == nil {
@@ -182,7 +187,7 @@ func (s *Session) result(ctx context.Context, p Point) (*Result, error) {
 				Cores: p.Cores, Cause: ctx.Err()}
 		}
 	}
-	e.res, e.err = s.run(ctx, k)
+	e.res, e.err = s.run(ctx, k, g)
 	if e.err != nil && errors.Is(e.err, ErrAborted) {
 		// An abort is a withdrawn budget, not a result: drop the cache slot
 		// so a later call — e.g. a resumed sweep on this session — re-runs
@@ -240,7 +245,7 @@ func (s *Session) pointConfig(k runKey) Config {
 	return cfg
 }
 
-func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
+func (s *Session) run(ctx context.Context, k runKey, g *warmGroup) (res *Result, err error) {
 	p := Point{k.app, k.protocol, k.cores}
 	cfg := s.pointConfig(k)
 	prof, rerr := ResolvePointProfile(k.app, &cfg)
@@ -250,6 +255,7 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 	hash := ConfigHash(cfg)
 	if j := s.Journal(); j != nil {
 		if r, ok := j.Lookup(p, hash); ok {
+			g.leave()
 			s.nRestored.Add(1)
 			if s.Metrics != nil {
 				metrics.ObserveRun(s.Metrics, r.Coll, r.Traffic, r.RingResidency)
@@ -270,10 +276,27 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 			res, err = nil, ce
 		}
 	}()
+	lead, img, werr := g.join(ctx)
+	if werr != nil {
+		return nil, &AbortError{App: p.App, Protocol: p.Protocol, Cores: p.Cores, Cause: werr}
+	}
+	if lead {
+		defer g.publish(nil) // no-op once the image is published
+	}
 	if s.testPointHook != nil {
 		s.testPointHook(p)
 	}
-	res, err = RunContext(ctx, prof, cfg)
+	if img != nil {
+		s.warmRestores.Add(1)
+	}
+	m, err := system.BuildFrom(prof, cfg, img)
+	if err != nil {
+		return nil, err
+	}
+	if lead {
+		g.publish(m.WarmImage())
+	}
+	res, err = m.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +420,12 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 		parallelism = len(points)
 	}
 	restored0 := s.nRestored.Load()
+	groups := s.planWarm(points)
+	defer func() {
+		for _, g := range groups {
+			g.drop()
+		}
+	}()
 	type slot struct {
 		ran bool
 		err error
@@ -467,7 +496,8 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 				if ctx.Err() != nil {
 					return // unclaimed points stay !ran
 				}
-				r, err := s.result(ctx, points[i])
+				p := points[i]
+				r, err := s.result(ctx, p, groups[runKey{p.App, p.Protocol, p.Cores}])
 				slots[i] = slot{ran: true, err: err}
 				if err != nil {
 					failed.Add(1)

@@ -18,6 +18,15 @@ type Set struct {
 // New returns a set pre-sized to hold n bits.
 func New(n int) Set { return Set{w: make([]uint64, (n+63)/64)} }
 
+// FromWords returns the set whose bit i is bit i%64 of w[i/64]. The set
+// uses w as its storage and appends to it for a bit past len(w), so a w cut
+// from a shared array needs its capacity capped at its length.
+func FromWords(w []uint64) Set { return Set{w: w} }
+
+// Words returns the set's storage words, bit i in word i/64. Trailing words
+// may be zero. The slice aliases the set.
+func (s *Set) Words() []uint64 { return s.w }
+
 func (s *Set) grow(i int) {
 	need := i/64 + 1
 	for len(s.w) < need {

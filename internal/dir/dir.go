@@ -59,6 +59,52 @@ func (s *State) Touch(l sig.Line) *LineInfo {
 // AddSharer records that processor p now caches line l.
 func (s *State) AddSharer(l sig.Line, p int) { s.Touch(l).Sharers.Add(p) }
 
+// Image is a compact, read-only copy of a directory whose every entry is
+// clean and unowned — the sharer lists warm-up registers. Line i's sharer
+// words sit at words[i*stride : (i+1)*stride].
+type Image struct {
+	lines  []sig.Line
+	stride int
+	words  []uint64
+}
+
+// Snapshot encodes the directory as an Image, or returns nil if some line is
+// dirty or owned.
+func (s *State) Snapshot() *Image {
+	stride := 0
+	for _, li := range s.lines {
+		if li.Dirty || li.Owner != -1 {
+			return nil
+		}
+		stride = max(stride, len(li.Sharers.Words()))
+	}
+	im := &Image{
+		lines:  make([]sig.Line, 0, len(s.lines)),
+		stride: stride,
+		words:  make([]uint64, len(s.lines)*stride),
+	}
+	for l, li := range s.lines {
+		copy(im.words[len(im.lines)*stride:], li.Sharers.Words())
+		im.lines = append(im.lines, l)
+	}
+	return im
+}
+
+// Restore replaces the directory's entries with im's. The entries live in
+// one slab and their sharer words in another, both the state's own: the
+// image is only read, so it may be restored into any number of states.
+func (s *State) Restore(im *Image) {
+	infos := make([]LineInfo, len(im.lines))
+	words := make([]uint64, len(im.words))
+	copy(words, im.words)
+	s.lines = make(map[sig.Line]*LineInfo, len(im.lines))
+	for i, l := range im.lines {
+		w := words[i*im.stride : (i+1)*im.stride : (i+1)*im.stride]
+		infos[i] = LineInfo{Sharers: bitset.FromWords(w), Owner: -1}
+		s.lines[l] = &infos[i]
+	}
+}
+
 // ApplyCommitWrite updates the directory for one committed written line:
 // all copies except the writer's are (being) invalidated, and the writer
 // becomes the dirty owner.

@@ -1,6 +1,7 @@
 package dir
 
 import (
+	"math/rand"
 	"testing"
 
 	"scalablebulk/internal/bitset"
@@ -242,5 +243,57 @@ func TestWarmReadMissAllocs(t *testing.T) {
 				t.Fatalf("reply %v, want %v", got, c.reply)
 			}
 		})
+	}
+}
+
+// TestImageRoundTrip: a clean directory restored from its image has the same
+// entries, up to 256 cores (four sharer words per line); a restored state is
+// its own copy; a dirty or owned line has no image.
+func TestImageRoundTrip(t *testing.T) {
+	for _, cores := range []int{1, 64, 65, 256} {
+		r := rand.New(rand.NewSource(int64(cores)))
+		s := NewState()
+		for i := 0; i < 4000; i++ {
+			s.AddSharer(sig.Line(r.Intn(1500)), r.Intn(cores))
+		}
+		s.Touch(99999) // an entry with no sharers
+		im := s.Snapshot()
+		if im == nil {
+			t.Fatalf("%d cores: clean directory has no image", cores)
+		}
+		a, b := NewState(), NewState()
+		a.AddSharer(123456, 0) // Restore replaces what was there
+		a.Restore(im)
+		a.AddSharer(1, cores-1)
+		a.ApplyCommitWrite(2, 0)
+		b.Restore(im)
+		if len(b.lines) != len(s.lines) {
+			t.Fatalf("%d cores: restored %d lines, want %d", cores, len(b.lines), len(s.lines))
+		}
+		for l, li := range s.lines {
+			got := b.Get(l)
+			if got == nil || got.Owner != -1 || got.Dirty ||
+				got.Sharers.String() != li.Sharers.String() {
+				t.Fatalf("%d cores: line %d restored as %+v, want sharers %s", cores, l, got, li.Sharers.String())
+			}
+		}
+		if a.Get(123456) != nil {
+			t.Fatalf("%d cores: Restore kept an entry the image does not have", cores)
+		}
+		// Growing a restored line's sharers must not spill into the next.
+		for l := range b.lines {
+			b.AddSharer(l, 300)
+		}
+		for l, li := range s.lines {
+			if want := li.Sharers.Count() + 1; b.Get(l).Sharers.Count() != want {
+				t.Fatalf("%d cores: line %d has %d sharers, want %d", cores, l, b.Get(l).Sharers.Count(), want)
+			}
+		}
+	}
+	s := NewState()
+	s.AddSharer(5, 1)
+	s.ApplyCommitWrite(6, 2)
+	if s.Snapshot() != nil {
+		t.Fatal("directory with a dirty line has an image")
 	}
 }

@@ -33,7 +33,6 @@ func LineOfAddr(addr uint64) sig.Line { return sig.Line(addr / LineBytes) }
 type Mapper struct {
 	dirs  int
 	pages map[Page]int
-	next  int // round-robin fallback for touches from out-of-range nodes
 }
 
 // NewMapper creates a mapper for a machine with the given number of
@@ -68,3 +67,37 @@ func (m *Mapper) HomeIfMapped(l sig.Line) (int, bool) {
 
 // MappedPages returns the number of pages that have been assigned a home.
 func (m *Mapper) MappedPages() int { return len(m.pages) }
+
+// Image is a compact, read-only copy of a page table: homes[i] is the home
+// of pages[i].
+type Image struct {
+	dirs  int
+	pages []Page
+	homes []int32
+}
+
+// Snapshot encodes the page table as an Image.
+func (m *Mapper) Snapshot() *Image {
+	im := &Image{
+		dirs:  m.dirs,
+		pages: make([]Page, 0, len(m.pages)),
+		homes: make([]int32, 0, len(m.pages)),
+	}
+	for p, d := range m.pages {
+		im.pages = append(im.pages, p)
+		im.homes = append(im.homes, int32(d))
+	}
+	return im
+}
+
+// Restore replaces the page table with im's. The mapper must have the
+// image's directory count; the image is only read.
+func (m *Mapper) Restore(im *Image) {
+	if im.dirs != m.dirs {
+		panic("mem: image has a different directory count")
+	}
+	m.pages = make(map[Page]int, len(im.pages))
+	for i, p := range im.pages {
+		m.pages[p] = int(im.homes[i])
+	}
+}

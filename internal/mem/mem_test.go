@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -80,4 +82,35 @@ func TestPropertyHomeStable(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestImageRoundTrip: a restored page table assigns the same homes, keeps
+// first touch for new pages, and rejects a different directory count.
+func TestImageRoundTrip(t *testing.T) {
+	for _, dirs := range []int{1, 64, 256} {
+		r := rand.New(rand.NewSource(int64(dirs)))
+		m := NewMapper(dirs)
+		for i := 0; i < 3000; i++ {
+			m.Home(sig.Line(r.Intn(1<<20)), r.Intn(4*dirs))
+		}
+		im := m.Snapshot()
+		a := NewMapper(dirs)
+		a.Home(1<<30, 0)
+		a.Restore(im)
+		if !maps.Equal(a.pages, m.pages) {
+			t.Fatalf("%d dirs: restored page table differs", dirs)
+		}
+		if h := a.Home(1<<31, dirs-1); h != dirs-1 {
+			t.Fatalf("%d dirs: first touch after restore gave home %d", dirs, h)
+		}
+		if len(im.pages) != len(m.pages) {
+			t.Fatalf("%d dirs: restoring into a sibling changed the image", dirs)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("restoring into a mapper with another directory count did not panic")
+		}
+	}()
+	NewMapper(8).Restore(NewMapper(4).Snapshot())
 }

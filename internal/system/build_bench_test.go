@@ -9,7 +9,9 @@ import (
 
 // BenchmarkBuild measures machine construction — caches, directories and
 // the warm-up chunk stream — for a 64-core zipf and a 64-core Ocean
-// machine, the setup every sweep point pays before its first event.
+// machine, the setup every sweep point pays before its first event. Each
+// /restore case builds the same machine from a warm image instead, as a
+// sweep's points after the first of their group do.
 func BenchmarkBuild(b *testing.B) {
 	for _, bc := range []struct{ name, app, workload string }{
 		{"zipf-64", "zipf", "zipf"},
@@ -25,6 +27,23 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(prof, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bc.name+"/restore", func(b *testing.B) {
+			m, err := Build(prof, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			img := m.WarmImage()
+			if img == nil {
+				b.Fatal("warm-up state does not encode")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildFrom(prof, cfg, img); err != nil {
 					b.Fatal(err)
 				}
 			}

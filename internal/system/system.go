@@ -307,8 +307,20 @@ func (m *Machine) Now() event.Time { return m.Eng.Now() }
 // returned stopped — no processor has issued its first chunk — so a caller
 // may install observers (e.g. a mesh.Scheduler) before Start.
 func Build(prof workload.Profile, cfg Config) (*Machine, error) {
+	return BuildFrom(prof, cfg, nil)
+}
+
+// BuildFrom is Build with the warm-up replaced by restoring img, a
+// WarmImage taken from a machine with the same WarmKey. A nil img runs the
+// warm-up loop. Either way the machine is the same, bit for bit.
+func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
+	}
+	if img != nil {
+		if key, ok := WarmKeyOf(prof, cfg); !ok || key != img.key {
+			return nil, fmt.Errorf("system: warm image of a different machine")
+		}
 	}
 	eng := event.New()
 	m := &Machine{Eng: eng, prof: prof, cfg: cfg}
@@ -437,6 +449,10 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 		})
 	}
 
+	if img != nil {
+		img.restore(m)
+		return m, nil
+	}
 	// Warmup: pre-touch each thread's working set. Round-robin across
 	// cores so shared pages get their first-touch homes the same way the
 	// application's initialization phase would assign them.
@@ -570,20 +586,14 @@ func (m *Machine) Finish() (*Result, error) {
 	return res, nil
 }
 
-// RunContext is Run with cancellation: the event loop polls ctx (and the
-// RunTimeout wall-clock deadline, if set) every ctxPollInterval events and
-// aborts with an *AbortError, leaving deadlocks to *DeadlockError. A panic
-// escaping the simulation is re-panicked wrapped in *RunPanic carrying the
-// machine state, for sweep workers to recover into crash bundles.
+// RunContext is Run with cancellation: Build, then the machine's RunContext.
+// A panic in Build is re-panicked wrapped in *RunPanic, like one in the run
+// (without a machine dump: there is no machine yet).
 func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result, error) {
-	var m *Machine
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*RunPanic); ok {
 				panic(r)
-			}
-			if m != nil {
-				panic(m.runPanic(r, string(debug.Stack())))
 			}
 			panic(&RunPanic{
 				App: prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
@@ -595,8 +605,27 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result
 	if err != nil {
 		return nil, err
 	}
+	return m.RunContext(ctx)
+}
+
+// RunContext starts the machine and runs it to the end: the event loop polls
+// ctx (and the RunTimeout wall-clock deadline, if set) every ctxPollInterval
+// events and aborts with an *AbortError, leaving deadlocks to
+// *DeadlockError. A panic escaping the simulation is re-panicked wrapped in
+// *RunPanic carrying the machine state, for sweep workers to recover into
+// crash bundles.
+func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*RunPanic); ok {
+				panic(r)
+			}
+			panic(m.runPanic(r, string(debug.Stack())))
+		}
+	}()
 	m.Start()
 
+	cfg := m.cfg
 	var deadline time.Time
 	if cfg.RunTimeout > 0 {
 		deadline = time.Now().Add(cfg.RunTimeout)
