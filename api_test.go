@@ -140,28 +140,31 @@ func TestFigureDispatcherRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestPrefetchParallel populates a tiny session from multiple goroutines
-// and checks the figures then run entirely from cache (and match a
-// serially-built session — determinism is unaffected by parallelism).
-func TestPrefetchParallel(t *testing.T) {
+// TestSweepRestoredPointsMatchRun sweeps every figure point on a parallel
+// session, where three of each unit's four protocol points restore a warm
+// image, and holds each application's TCC-64 point — a restored one — to
+// the full fingerprint of a standalone RunContext.
+func TestSweepRestoredPointsMatchRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("parallel prefetch sweep")
+		t.Skip("full parallel sweep")
 	}
-	par := NewSession(2, 1, nil)
-	if err := par.Sweep(4); err != nil {
+	const seed = 1
+	s := NewSession(detChunks, seed, nil)
+	if err := s.Sweep(4); err != nil {
 		t.Fatal(err)
 	}
-	ser := NewSession(2, 1, nil)
-	a, err := par.Result("LU", ProtoTCC, 32)
-	if err != nil {
-		t.Fatal(err)
+	// 18 applications × 2 machine sizes, three restores per unit of four.
+	if n := s.warmRestores.Load(); n != 108 {
+		t.Errorf("%d points restored a warm image, want 108", n)
 	}
-	b, err := ser.Result("LU", ProtoTCC, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cycles != b.Cycles || a.Traffic.Messages != b.Traffic.Messages {
-		t.Fatalf("parallel prefetch changed results: %d/%d vs %d/%d",
-			a.Cycles, a.Traffic.Messages, b.Cycles, b.Traffic.Messages)
+	for _, prof := range Apps() {
+		p := Point{prof.Name, ProtoTCC, 64}
+		res, err := s.Result(p.App, p.Protocol, p.Cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ResultFingerprint(res) != standalone(t, p, detChunks, seed, nil) {
+			t.Errorf("%v differs from a standalone run", p)
+		}
 	}
 }

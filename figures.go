@@ -65,9 +65,8 @@ type Session struct {
 	// nRestored counts points satisfied from the journal (SweepOutcome
 	// reports per-sweep deltas).
 	nRestored atomic.Int64
-	// warmImages counts the warm images this Session's sweeps hold, and
-	// warmRestores the points built from one.
-	warmImages, warmRestores atomic.Int64
+	// warmRestores counts the points built from a warm image.
+	warmRestores atomic.Int64
 
 	// testPointHook, when non-nil, runs at the start of each point's
 	// simulation inside the worker's panic isolation — the test seam for
@@ -162,11 +161,11 @@ func (s *Session) Journal() *Journal {
 // Safe for concurrent use; concurrent requests for the same point share one
 // run (single flight).
 func (s *Session) Result(app, protocol string, cores int) (*Result, error) {
-	return s.result(context.Background(), Point{app, protocol, cores}, nil)
+	return s.result(context.Background(), Point{app, protocol, cores}, nil, false)
 }
 
-// result runs p in its cache slot; g is p's warm-up group, if it has one.
-func (s *Session) result(ctx context.Context, p Point, g *warmGroup) (*Result, error) {
+// result runs p in its cache slot; img and more are as for run.
+func (s *Session) result(ctx context.Context, p Point, img **system.WarmImage, more bool) (*Result, error) {
 	k := runKey{p.App, p.Protocol, p.Cores}
 	s.mu.Lock()
 	if s.cache == nil {
@@ -187,7 +186,7 @@ func (s *Session) result(ctx context.Context, p Point, g *warmGroup) (*Result, e
 				Cores: p.Cores, Cause: ctx.Err()}
 		}
 	}
-	e.res, e.err = s.run(ctx, k, g)
+	e.res, e.err = s.run(ctx, k, img, more)
 	if e.err != nil && errors.Is(e.err, ErrAborted) {
 		// An abort is a withdrawn budget, not a result: drop the cache slot
 		// so a later call — e.g. a resumed sweep on this session — re-runs
@@ -245,7 +244,12 @@ func (s *Session) pointConfig(k runKey) Config {
 	return cfg
 }
 
-func (s *Session) run(ctx context.Context, k runKey, g *warmGroup) (res *Result, err error) {
+// run builds and runs k, or restores it from the journal. img, when non-nil,
+// holds the warm image of k's sweep unit (see warm.go): run restores *img if
+// it is set, and otherwise warms up and, if more points of the unit follow,
+// stores its machine's image there. The unit's last point clears *img before
+// it runs, so the image is garbage while that point runs.
+func (s *Session) run(ctx context.Context, k runKey, img **system.WarmImage, more bool) (res *Result, err error) {
 	p := Point{k.app, k.protocol, k.cores}
 	cfg := s.pointConfig(k)
 	prof, rerr := ResolvePointProfile(k.app, &cfg)
@@ -255,7 +259,6 @@ func (s *Session) run(ctx context.Context, k runKey, g *warmGroup) (res *Result,
 	hash := ConfigHash(cfg)
 	if j := s.Journal(); j != nil {
 		if r, ok := j.Lookup(p, hash); ok {
-			g.leave()
 			s.nRestored.Add(1)
 			if s.Metrics != nil {
 				metrics.ObserveRun(s.Metrics, r.Coll, r.Traffic, r.RingResidency)
@@ -276,25 +279,25 @@ func (s *Session) run(ctx context.Context, k runKey, g *warmGroup) (res *Result,
 			res, err = nil, ce
 		}
 	}()
-	lead, img, werr := g.join(ctx)
-	if werr != nil {
-		return nil, &AbortError{App: p.App, Protocol: p.Protocol, Cores: p.Cores, Cause: werr}
-	}
-	if lead {
-		defer g.publish(nil) // no-op once the image is published
-	}
 	if s.testPointHook != nil {
 		s.testPointHook(p)
 	}
+	var warm *system.WarmImage
 	if img != nil {
+		warm = *img
+		if !more {
+			*img = nil
+		}
+	}
+	if warm != nil {
 		s.warmRestores.Add(1)
 	}
-	m, err := system.BuildFrom(prof, cfg, img)
+	m, err := system.BuildFrom(prof, cfg, warm)
 	if err != nil {
 		return nil, err
 	}
-	if lead {
-		g.publish(m.WarmImage())
+	if warm == nil && more {
+		*img = m.WarmImage()
 	}
 	res, err = m.RunContext(ctx)
 	if err != nil {
@@ -331,11 +334,12 @@ func (s *Session) SweepPoints() []Point {
 }
 
 // Sweep populates the cache with every SweepPoints simulation, executing the
-// points as jobs on a bounded worker pool. Workers claim points in whatever
-// order scheduling allows; results land keyed by point, so the outcome is
-// identical to running the same points serially. parallelism ≤ 0 selects
-// GOMAXPROCS. The returned error, if any, is the error of the earliest
-// failing point in SweepPoints order, independent of worker interleaving.
+// points on a bounded worker pool. Workers claim warm units (see warm.go) in
+// whatever order scheduling allows; results land keyed by point, so the
+// outcome is identical to running the same points serially. parallelism ≤ 0
+// selects GOMAXPROCS. The returned error, if any, is the error of the
+// earliest failing point in SweepPoints order, independent of worker
+// interleaving.
 func (s *Session) Sweep(parallelism int) error {
 	return s.SweepList(s.SweepPoints(), parallelism)
 }
@@ -405,35 +409,31 @@ type SweepProgress struct {
 	Final bool
 }
 
-// SweepContext runs the points on a bounded worker pool with cancellation:
-// when ctx is canceled, workers stop claiming points, in-flight simulations
-// abort at their next cancellation poll, and the outcome reports Aborted. A
-// panicking point is isolated into a *CrashError (and a crash bundle when
-// CrashDir is set) while the remaining points keep running; every completed
-// point is recorded in the attached journal, so an interrupted sweep resumes
-// where it left off.
+// SweepContext runs the points on a bounded worker pool with cancellation.
+// Each worker claims a warm unit (see warm.go) and runs its points in order.
+// When ctx is canceled, workers stop before their next point, in-flight
+// simulations abort at their next cancellation poll, and the outcome reports
+// Aborted. A panicking point is isolated into a *CrashError (and a crash
+// bundle when CrashDir is set) while the remaining points keep running;
+// every completed point is recorded in the attached journal, so an
+// interrupted sweep resumes where it left off.
 func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism int) *SweepOutcome {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(points) {
-		parallelism = len(points)
+	units := s.warmUnits(points)
+	if parallelism > len(units) {
+		parallelism = len(units)
 	}
 	restored0 := s.nRestored.Load()
-	groups := s.planWarm(points)
-	defer func() {
-		for _, g := range groups {
-			g.drop()
-		}
-	}()
 	type slot struct {
 		ran bool
 		err error
 	}
 	slots := make([]slot, len(points))
-	work := make(chan int, len(points))
-	for i := range points {
-		work <- i
+	work := make(chan []int, len(units))
+	for _, u := range units {
+		work <- u
 	}
 	close(work)
 
@@ -492,21 +492,23 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if ctx.Err() != nil {
-					return // unclaimed points stay !ran
+			for u := range work {
+				var img *system.WarmImage
+				for n, i := range u {
+					if ctx.Err() != nil {
+						return // unrun points stay !ran
+					}
+					r, err := s.result(ctx, points[i], &img, n < len(u)-1)
+					slots[i] = slot{ran: true, err: err}
+					if err != nil {
+						failed.Add(1)
+					} else if r != nil {
+						lastMu.Lock()
+						last, lastFP = points[i], fingerprintHash(ResultFingerprint(r))[:12]
+						lastMu.Unlock()
+					}
+					done.Add(1)
 				}
-				p := points[i]
-				r, err := s.result(ctx, p, groups[runKey{p.App, p.Protocol, p.Cores}])
-				slots[i] = slot{ran: true, err: err}
-				if err != nil {
-					failed.Add(1)
-				} else if r != nil {
-					lastMu.Lock()
-					last, lastFP = points[i], fingerprintHash(ResultFingerprint(r))[:12]
-					lastMu.Unlock()
-				}
-				done.Add(1)
 			}
 		}()
 	}
@@ -516,12 +518,14 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 	if p := snapshot(true); s.OnProgress != nil {
 		s.OnProgress(p)
 	}
-	out := &SweepOutcome{Points: len(points), Aborted: ctx.Err() != nil}
+	// Aborted comes from the points, not from ctx: a ctx canceled after the
+	// last point resolved has aborted nothing.
+	out := &SweepOutcome{Points: len(points)}
 	seen := map[Point]bool{}
 	for i, sl := range slots {
 		switch {
 		case !sl.ran:
-			// not claimed: only happens on abort
+			out.Aborted = true // not run: only happens on cancellation
 		case sl.err == nil:
 			out.Completed++
 		case errors.Is(sl.err, ErrAborted):

@@ -1,6 +1,7 @@
 package scalablebulk
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,32 @@ func TestSweepProgressAndMetrics(t *testing.T) {
 	}
 	if snap.Histograms["commit_latency_cycles"].Count == 0 {
 		t.Fatal("commit latency histogram empty after two runs")
+	}
+}
+
+// TestSweepCanceledAfterLastPointCompletes cancels the sweep's context from
+// the final heartbeat, after every point has resolved: the sweep completed,
+// so it must not report an abort.
+func TestSweepCanceledAfterLastPointCompletes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewSession(1, 1, nil)
+	s.OnProgress = func(p SweepProgress) {
+		if p.Final {
+			cancel()
+		}
+	}
+	points := []Point{
+		{App: "FFT", Protocol: ProtoScalableBulk, Cores: 4},
+		{App: "FFT", Protocol: ProtoTCC, Cores: 4},
+	}
+	out := s.SweepContext(ctx, points, 2)
+	if ctx.Err() == nil {
+		t.Fatal("final heartbeat did not cancel the context")
+	}
+	if out.Aborted || out.Completed != len(points) || out.Err() != nil {
+		t.Fatalf("aborted=%t completed=%d err=%v, want a completed sweep",
+			out.Aborted, out.Completed, out.Err())
 	}
 }
 

@@ -388,14 +388,6 @@ func (j *Journal) Lookup(p Point, configHash string) (res *Result, ok bool) {
 	return res, true
 }
 
-// has reports whether the journal holds an entry for (p, configHash),
-// without restoring or verifying it.
-func (j *Journal) has(p Point, configHash string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.entries[journalKey{p.App, p.Protocol, p.Cores, configHash}] != nil
-}
-
 // Record appends one completed point, fsyncing so a subsequent kill cannot
 // lose it. corr is the farm correlation ID stamped into the entry ("" for
 // in-process sweeps), so `grep <corr>` finds the journal line alongside the
