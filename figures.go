@@ -65,7 +65,8 @@ type Session struct {
 	// nRestored counts points satisfied from the journal (SweepOutcome
 	// reports per-sweep deltas).
 	nRestored atomic.Int64
-	// warmRestores counts the points built from a warm image.
+	// warmRestores counts the points whose machine BuildFrom restored from
+	// a warm image.
 	warmRestores atomic.Int64
 
 	// testPointHook, when non-nil, runs at the start of each point's
@@ -289,12 +290,12 @@ func (s *Session) run(ctx context.Context, k runKey, img **system.WarmImage, mor
 			*img = nil
 		}
 	}
-	if warm != nil {
-		s.warmRestores.Add(1)
-	}
 	m, err := system.BuildFrom(prof, cfg, warm)
 	if err != nil {
 		return nil, err
+	}
+	if m.Restored() {
+		s.warmRestores.Add(1)
 	}
 	if warm == nil && more {
 		*img = m.WarmImage()

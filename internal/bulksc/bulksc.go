@@ -77,6 +77,12 @@ type Protocol struct {
 	arbNode  int
 	busy     event.Time // arbiter pipeline: time its queue drains
 	inflight []*inflight
+	// requests holds copies of the arb_requests awaiting a decision, in
+	// arrival order; decideFn pops and decides the head. Each decision
+	// fires at the busy time of its arrival, and busy only grows, so the
+	// decisions fire in arrival order.
+	requests []msg.Msg
+	decideFn event.Handler
 
 	jobs map[int]*commitJob // committing processor → job
 }
@@ -93,6 +99,11 @@ func New(env *dir.Env, cfg Config) *Protocol {
 	}
 	p := &Protocol{env: env, cfg: cfg, arbNode: env.Net.Center(), jobs: make(map[int]*commitJob)}
 	p.k = kernel.New(env, cfg.CommitDeadline, p)
+	p.decideFn = func() {
+		m := &p.requests[0]
+		p.requests = p.requests[1:]
+		p.decide(m)
+	}
 	return p
 }
 
@@ -108,7 +119,7 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	j := &commitJob{ck: ck, try: uint64(ck.Retries)}
 	p.jobs[proc] = j
 	sigs := ck.Snapshot()
-	p.env.Net.Send(&msg.Msg{
+	p.env.Net.Send(msg.Msg{
 		Kind: msg.ArbRequest, Src: proc, Dst: p.arbNode, Tag: ck.Tag,
 		RSig: &sigs.R, WSig: &sigs.W, WriteLines: ck.WriteLines,
 		TID: j.try,
@@ -161,7 +172,8 @@ func (p *Protocol) onRequest(m *msg.Msg) {
 		p.busy = now
 	}
 	p.busy += p.cfg.ServiceTime + p.cfg.PerInflight*event.Time(len(p.inflight))
-	p.env.Eng.At(p.busy, func() { p.decide(m) })
+	p.requests = append(p.requests, *m)
+	p.env.Eng.At(p.busy, p.decideFn)
 }
 
 func (p *Protocol) decide(m *msg.Msg) {
@@ -170,7 +182,7 @@ func (p *Protocol) decide(m *msg.Msg) {
 			// Duplicate of an attempt already granted and in flight: resend
 			// the grant (idempotent at the processor) instead of
 			// self-conflicting on the signature intersection below.
-			p.env.Net.Send(&msg.Msg{Kind: msg.ArbGrant, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
+			p.env.Net.Send(msg.Msg{Kind: msg.ArbGrant, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
 			return
 		}
 	}
@@ -184,7 +196,7 @@ func (p *Protocol) decide(m *msg.Msg) {
 				Tag: m.Tag, Try: int(m.TID), Cause: trace.CauseDenied,
 				Other: f.tag, HasOther: true,
 			})
-			p.env.Net.Send(&msg.Msg{Kind: msg.ArbDeny, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
+			p.env.Net.Send(msg.Msg{Kind: msg.ArbDeny, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
 			return
 		}
 	}
@@ -193,7 +205,7 @@ func (p *Protocol) decide(m *msg.Msg) {
 	})
 	p.k.HoldBegin(p.arbNode, m.Tag, int(m.TID))
 	p.k.Formed(m.Tag.Proc, m.Tag.Seq, int(m.TID))
-	p.env.Net.Send(&msg.Msg{Kind: msg.ArbGrant, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
+	p.env.Net.Send(msg.Msg{Kind: msg.ArbGrant, Src: p.arbNode, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
 }
 
 func (p *Protocol) onDone(m *msg.Msg) {
@@ -227,7 +239,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			return
 		}
 		p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, nil)
-		p.env.Net.Send(&msg.Msg{Kind: msg.ArbInvAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID})
+		p.env.Net.Send(msg.Msg{Kind: msg.ArbInvAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID})
 	case msg.ArbInvAck:
 		p.onInvAck(node, m)
 	default:
@@ -244,7 +256,7 @@ func (p *Protocol) onGrant(node int, m *msg.Msg) {
 		// duplicated past the commit): the arbiter is holding an in-flight
 		// entry for a dead attempt — tear it down, without applying its
 		// writes, or every overlapping commit is denied forever.
-		p.env.Net.Send(&msg.Msg{Kind: msg.ArbDone, Src: node, Dst: p.arbNode, Tag: m.Tag, TID: m.TID, Abandon: true})
+		p.env.Net.Send(msg.Msg{Kind: msg.ArbDone, Src: node, Dst: p.arbNode, Tag: m.Tag, TID: m.TID, Abandon: true})
 		return
 	}
 	if job.granted {
@@ -267,7 +279,7 @@ func (p *Protocol) onGrant(node int, m *msg.Msg) {
 		if d == node {
 			continue
 		}
-		p.env.Net.Send(&msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.ArbInv, Src: node, Dst: d, Tag: m.Tag, TID: job.try,
 			WSig: w, WriteLines: job.ck.WriteLines,
 		})
@@ -300,7 +312,7 @@ func (p *Protocol) complete(node int, job *commitJob) {
 	delete(p.jobs, node)
 	tag := job.ck.Tag
 	p.k.Done(node, false, tag, int(job.try))
-	p.env.Net.Send(&msg.Msg{Kind: msg.ArbDone, Src: node, Dst: p.arbNode, Tag: tag, TID: job.try})
+	p.env.Net.Send(msg.Msg{Kind: msg.ArbDone, Src: node, Dst: p.arbNode, Tag: tag, TID: job.try})
 	p.env.Cores[node].CommitFinished(tag)
 }
 

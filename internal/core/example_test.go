@@ -51,7 +51,7 @@ func (f *procSim) handle(m *msg.Msg) {
 			// Re-execute, then retry the commit.
 			f.env.Eng.After(400, func() { f.proto.RequestCommit(f.id, ck) })
 		}
-		f.env.Net.Send(&msg.Msg{Kind: msg.BulkInvAck, Src: f.id, Dst: m.Src, Tag: m.Tag, Recall: recall})
+		f.env.Net.Send(msg.Msg{Kind: msg.BulkInvAck, Src: f.id, Dst: m.Src, Tag: m.Tag, Recall: recall})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func inject(r *rig, node int, m *msg.Msg) {
 	m.Dst = node
 	r.proto.HandleDir(node, m)
-	r.eng.RunFor(5) // let the expansion callback fire
+	runUntil(r.eng, r.eng.Now()+5) // let the expansion callback fire
 }
 
 func requestMsg(ck *chunkLike, dst int) *msg.Msg {
@@ -141,7 +141,7 @@ func TestReservationAgeRule(t *testing.T) {
 
 	younger := r.mkChunk(1, 30, nil, []sig.Line{2064}) // seq 30 > 10
 	r.procs[1].submit(younger)
-	r.eng.RunFor(300)
+	runUntil(r.eng, r.eng.Now()+300)
 	if r.procs[1].done[30] {
 		t.Fatal("younger chunk passed a reservation")
 	}

@@ -310,7 +310,7 @@ func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	p.armWatchdog(ck.Tag, try, gvec)
 	sigs := ck.Snapshot()
 	for _, d := range gvec {
-		p.env.Net.SendCopy(msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.CommitRequest, Src: proc, Dst: d, Tag: ck.Tag,
 			RSig: &sigs.R, WSig: &sigs.W, GVec: gvec,
 			WriteLines: ck.WriteLines, TID: uint64(try),
@@ -365,7 +365,7 @@ func (p *Protocol) Stall(node int, tag msg.CTag, try int) {
 	// attempt (no-op where it never arrived), and the processor is told
 	// directly in case the leader module never saw the attempt at all.
 	for _, d := range gvec {
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.GFailure, Src: gvec[0], Dst: d, Tag: tag, TID: uint64(try)})
+		p.env.Net.Send(msg.Msg{Kind: msg.GFailure, Src: gvec[0], Dst: d, Tag: tag, TID: uint64(try)})
 	}
 	p.sendCommitFailure(gvec[0], tag, try)
 }
@@ -524,7 +524,7 @@ func (p *Protocol) multicastFailure(mod *module, tag msg.CTag, try int, gvec []i
 		if d == mod.id {
 			continue
 		}
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.GFailure, Src: mod.id, Dst: d, Tag: tag, TID: uint64(try)})
+		p.env.Net.Send(msg.Msg{Kind: msg.GFailure, Src: mod.id, Dst: d, Tag: tag, TID: uint64(try)})
 	}
 }
 
@@ -668,7 +668,7 @@ func (p *Protocol) tryAdvance(mod *module, e *cstEntry) {
 		return
 	}
 	next := p.successor(e, mod.id)
-	p.env.Net.SendCopy(msg.Msg{
+	p.env.Net.Send(msg.Msg{
 		Kind: msg.Grab, Src: mod.id, Dst: next, Tag: e.tag,
 		InvalVec: e.invalVec.Clone(), TID: uint64(e.try), GVec: e.gvec,
 	})
@@ -698,17 +698,17 @@ func (p *Protocol) confirmGroup(mod *module, e *cstEntry) {
 
 	// g_success to all members (Figure 3(c)).
 	for _, d := range e.gvec[1:] {
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.GSuccess, Src: mod.id, Dst: d, Tag: e.tag})
+		p.env.Net.Send(msg.Msg{Kind: msg.GSuccess, Src: mod.id, Dst: d, Tag: e.tag})
 	}
 	// commit_success to the committing processor, W to the sharers
 	// (Figure 3(d)).
-	p.env.Net.SendCopy(msg.Msg{Kind: msg.CommitSuccess, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag})
+	p.env.Net.Send(msg.Msg{Kind: msg.CommitSuccess, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag})
 	p.applyWrites(mod.id, e)
 
 	targets := e.invalVec.Members()
 	e.acks.Expect(len(targets))
 	for _, t := range targets {
-		p.env.Net.Send(&msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.BulkInv, Src: mod.id, Dst: t, Tag: e.tag,
 			WSig: e.wsig, WriteLines: e.writeLines,
 		})
@@ -763,14 +763,14 @@ func (p *Protocol) onBulkInvAck(mod *module, m *msg.Msg) {
 func (p *Protocol) finishCommit(mod *module, e *cstEntry) {
 	p.k.Done(mod.id, true, e.tag, e.try)
 	for _, d := range e.gvec[1:] {
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.CommitDone, Src: mod.id, Dst: d, Tag: e.tag,
+		p.env.Net.Send(msg.Msg{Kind: msg.CommitDone, Src: mod.id, Dst: d, Tag: e.tag,
 			Recall: firstRecall(e.recalls)})
 	}
 	// Extra recalls (rare: several sharers squashed concurrently) ride in
 	// separate commit_done messages, as piggy-backing implies one each.
 	for _, r := range e.recalls[min(1, len(e.recalls)):] {
 		for _, d := range e.gvec[1:] {
-			p.env.Net.SendCopy(msg.Msg{Kind: msg.CommitDone, Src: mod.id, Dst: d, Tag: e.tag, Recall: r})
+			p.env.Net.Send(msg.Msg{Kind: msg.CommitDone, Src: mod.id, Dst: d, Tag: e.tag, Recall: r})
 		}
 	}
 	for _, r := range e.recalls {
@@ -853,7 +853,7 @@ func (p *Protocol) failGroup(mod *module, e *cstEntry, countSquash bool, cause t
 		if d == mod.id {
 			continue
 		}
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.GFailure, Src: mod.id, Dst: d, Tag: e.tag,
+		p.env.Net.Send(msg.Msg{Kind: msg.GFailure, Src: mod.id, Dst: d, Tag: e.tag,
 			TID: uint64(e.try), Line: sig.Line(aux)})
 	}
 	if e.leader {
@@ -869,7 +869,7 @@ func (p *Protocol) sendCommitFailure(node int, tag msg.CTag, try int) {
 	// attempt): without it, each stale copy would cancel a fresh attempt
 	// and the retries would multiply exponentially.
 	p.closeWatchdog(tag, try)
-	p.env.Net.SendCopy(msg.Msg{Kind: msg.CommitFailure, Src: node, Dst: tag.Proc, Tag: tag, TID: uint64(try)})
+	p.env.Net.Send(msg.Msg{Kind: msg.CommitFailure, Src: node, Dst: tag.Proc, Tag: tag, TID: uint64(try)})
 }
 
 // onGFailure: a member of a failing group tears the entry down; the loser's

@@ -81,7 +81,7 @@ func (f *fakeProc) handle(m *msg.Msg) {
 			f.squashes++
 			recall = &msg.RecallInfo{Tag: f.chk.Tag, Try: uint64(f.chk.Retries), GVec: f.chk.Dirs}
 		}
-		f.env.Net.Send(&msg.Msg{Kind: msg.BulkInvAck, Src: f.id, Dst: m.Src, Tag: m.Tag, Recall: recall})
+		f.env.Net.Send(msg.Msg{Kind: msg.BulkInvAck, Src: f.id, Dst: m.Src, Tag: m.Tag, Recall: recall})
 	}
 }
 
@@ -132,6 +132,14 @@ func newRig(t *testing.T, nodes int, cfg Config) *rig {
 		})
 	}
 	return r
+}
+
+// runUntil fires the events due by limit and leaves the clock at limit.
+func runUntil(eng *event.Engine, limit event.Time) {
+	eng.At(limit, func() {})
+	for t, ok := eng.NextAt(); ok && t <= limit; t, ok = eng.NextAt() {
+		eng.Step()
+	}
 }
 
 // mkChunk builds a finalized chunk whose lines are pre-touched so that line
@@ -405,7 +413,7 @@ func TestStarvationReservation(t *testing.T) {
 	other := r.mkChunk(0, 30, nil, []sig.Line{2000})
 	r.procs[0].submit(other)
 	deadline := r.eng.Now() + 500
-	r.eng.RunUntil(deadline)
+	runUntil(r.eng, deadline)
 	if r.procs[0].failures == 0 {
 		t.Fatal("reserved module accepted a younger chunk")
 	}
@@ -444,7 +452,7 @@ func TestPriorityRotationChangesLeader(t *testing.T) {
 		t.Fatalf("epoch-0 leader = %d, want 1", got[0])
 	}
 	// Advance to epoch 2: priorities rotate so 2 is highest of {1,2,5}.
-	r.eng.RunUntil(2000)
+	runUntil(r.eng, 2000)
 	if got := r.proto.orderGVec([]int{5, 1, 2}); got[0] != 2 {
 		t.Fatalf("epoch-2 leader = %d, want 2", got[0])
 	}

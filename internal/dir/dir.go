@@ -253,17 +253,17 @@ func (rp *ReadPath) HandleDir(node int, m *msg.Msg) bool {
 	case msg.ReadDirtyFwd:
 		// This tile's cache owns the dirty line: forward the data to the
 		// requester (recorded in Tag.Proc).
-		rp.Env.Net.SendCopy(msg.Msg{Kind: msg.ReadDirtyReply, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, Line: m.Line})
+		rp.Env.Net.Send(msg.Msg{Kind: msg.ReadDirtyReply, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, Line: m.Line})
 		return true
 	default:
 		return false
 	}
 }
 
-// serve handles a ReadReq at its home module. The request is a Transient
-// message the network recycles as soon as this handler returns, so the
-// reply is built from its fields now and sent after the directory lookup
-// (and memory access) with SendAt.
+// serve handles a ReadReq at its home module. The network recycles the
+// request as soon as this handler returns, so the reply is built from its
+// fields now and sent after the directory lookup (and memory access) with
+// SendAt.
 func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	env := rp.Env
 	r := msg.Msg{Src: node, Dst: m.Src, Tag: m.Tag, Line: m.Line}
@@ -272,7 +272,7 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	if rp.Proto != nil && rp.Proto.ReadBlocked(node, l) {
 		env.Coll.ReadNacks++
 		r.Kind = msg.ReadNack
-		env.Net.SendCopy(r)
+		env.Net.Send(r)
 		return
 	}
 

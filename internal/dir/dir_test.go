@@ -98,11 +98,11 @@ func TestReadPathMemoryRead(t *testing.T) {
 	env, net, eng := testEnv(t, 4)
 	rp := &ReadPath{Env: env}
 	var got *msg.Msg
-	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: Transient msgs are recycled after the handler
+	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: the network recycles delivered messages
 	net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
 
 	env.Map.Home(10, 1)
-	net.Send(&msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+	net.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
 	eng.Run()
 	if got == nil || got.Kind != msg.ReadMemReply {
 		t.Fatalf("got %v, want read_mem_reply", got)
@@ -119,12 +119,12 @@ func TestReadPathSharedRead(t *testing.T) {
 	env, net, eng := testEnv(t, 4)
 	rp := &ReadPath{Env: env}
 	var got *msg.Msg
-	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: Transient msgs are recycled after the handler
+	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: the network recycles delivered messages
 	net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
 
 	env.Map.Home(10, 1)
 	env.State.AddSharer(10, 3) // someone already caches it
-	net.Send(&msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+	net.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
 	eng.Run()
 	if got == nil || got.Kind != msg.ReadShReply {
 		t.Fatalf("got %v, want read_sh_reply", got)
@@ -138,13 +138,13 @@ func TestReadPathDirtyForward(t *testing.T) {
 	env, net, eng := testEnv(t, 4)
 	rp := &ReadPath{Env: env}
 	var got *msg.Msg
-	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: Transient msgs are recycled after the handler
+	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: the network recycles delivered messages
 	net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
 	net.Register(2, func(m *msg.Msg) { rp.HandleDir(2, m) }) // owner tile
 
 	env.Map.Home(10, 1)
 	env.State.ApplyCommitWrite(10, 2) // P2 owns line 10 dirty
-	net.Send(&msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+	net.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
 	eng.Run()
 	if got == nil || got.Kind != msg.ReadDirtyReply {
 		t.Fatalf("got %v, want read_dirty_reply", got)
@@ -164,11 +164,11 @@ func TestReadPathNack(t *testing.T) {
 	env, net, eng := testEnv(t, 4)
 	rp := &ReadPath{Env: env, Proto: &fakeProto{blocked: 10}}
 	var got *msg.Msg
-	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: Transient msgs are recycled after the handler
+	net.Register(0, func(m *msg.Msg) { c := *m; got = &c }) // copy: the network recycles delivered messages
 	net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
 
 	env.Map.Home(10, 1)
-	net.Send(&msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+	net.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
 	eng.Run()
 	if got == nil || got.Kind != msg.ReadNack {
 		t.Fatalf("got %v, want read_nack", got)
@@ -231,9 +231,10 @@ func TestWarmReadMissAllocs(t *testing.T) {
 			miss := func() {
 				c.prep(env.State)
 				got = -1
-				net.SendCopy(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
+				net.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10})
 				eng.Run()
-				eng.RunUntil((eng.Now()>>16 + 1) << 16)
+				eng.At((eng.Now()>>16+1)<<16, func() {}) // idle to the next boundary
+				eng.Run()
 			}
 			miss()
 			if allocs := testing.AllocsPerRun(100, miss); allocs != 0 {

@@ -49,12 +49,9 @@ const (
 )
 
 type item struct {
-	at  Time
-	seq uint64
-	// Exactly one of fn/afn is set. afn(arg) avoids a closure allocation on
-	// the hottest scheduling path (network message delivery).
-	fn   Handler
-	afn  func(any)
+	at   Time
+	seq  uint64
+	fn   func(any)
 	arg  any
 	dead bool
 }
@@ -133,7 +130,7 @@ type Engine struct {
 	// Calendar ring: buckets[t&windowMask] holds the items scheduled for
 	// cycle t, for t in [cursor, cursor+window). cursor is the scan position:
 	// every live item in the ring is at cursor or later, and at rest (outside
-	// Step) cursor never exceeds the earliest live ring item.
+	// Step) cursor equals now, since nothing schedules before now.
 	buckets []bucket
 	cursor  Time
 	near    int // items in the ring, cancelled included
@@ -169,7 +166,6 @@ func (e *Engine) alloc() *item {
 
 func (e *Engine) release(it *item) {
 	it.fn = nil
-	it.afn = nil
 	it.arg = nil
 	it.dead = false
 	// Invalidate the sequence number so a stale Cancel (a ticket for an event
@@ -181,18 +177,19 @@ func (e *Engine) release(it *item) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // that is always a simulator bug, not a recoverable condition.
-func (e *Engine) At(t Time, fn Handler) Ticket {
-	it := e.schedule(t)
-	it.fn = fn
-	return Ticket{it, it.seq}
-}
+func (e *Engine) At(t Time, fn Handler) Ticket { return e.AtArg(t, callHandler, fn) }
 
-// AtArg schedules fn(arg) at absolute time t. It is At without the closure
-// allocation: fn is typically a long-lived method value and arg the event's
-// payload, so the only per-event allocation is the pooled queue slot.
+// callHandler runs a Handler scheduled by At. A func value is pointer-shaped,
+// so passing it as AtArg's arg allocates nothing.
+func callHandler(fn any) { fn.(Handler)() }
+
+// AtArg schedules fn(arg) at absolute time t. fn is typically a long-lived
+// method value and arg the event's payload, so scheduling allocates no
+// closure, only the pooled queue slot.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Ticket {
-	it := e.schedule(t)
-	it.afn = fn
+	it := e.place(t, e.seq)
+	e.seq++
+	it.fn = fn
 	it.arg = arg
 	return Ticket{it, it.seq}
 }
@@ -214,14 +211,8 @@ func (e *Engine) ReserveSeq() uint64 {
 // called before any event that orders after (t, seq) fires.
 func (e *Engine) AtArgSeq(t Time, seq uint64, fn func(any), arg any) {
 	it := e.place(t, seq)
-	it.afn = fn
+	it.fn = fn
 	it.arg = arg
-}
-
-func (e *Engine) schedule(t Time) *item {
-	it := e.place(t, e.seq)
-	e.seq++
-	return it
 }
 
 // place queues a fresh item at (t, seq). The engine's next seq is newer than
@@ -233,11 +224,6 @@ func (e *Engine) place(t Time, seq uint64) *item {
 	}
 	if e.buckets == nil {
 		e.buckets = make([]bucket, window)
-	}
-	// Between a RunUntil that idles the clock forward and the next Step, now
-	// may have passed cursor; the ring below now is empty, so snap forward.
-	if e.cursor < e.now {
-		e.cursor = e.now
 	}
 	it := e.alloc()
 	it.at = t
@@ -280,14 +266,11 @@ func (e *Engine) migrate() {
 // queued. It discards cancelled items along the way. Returns nil when the
 // queue holds no live events.
 func (e *Engine) next() *item {
-	if e.cursor < e.now {
-		e.cursor = e.now
-	}
 	for e.pending > 0 {
 		e.migrate()
 		if e.near == 0 {
 			if e.over.empty() {
-				return nil // migrate drained the last (cancelled) items
+				break // migrate drained the last (cancelled) items
 			}
 			// Everything lives beyond the window: slide it to the overflow
 			// minimum (the migrate at the top of the loop pulls it in).
@@ -309,6 +292,9 @@ func (e *Engine) next() *item {
 		b.reset()
 		e.cursor++
 	}
+	// The queue is empty. Discarding cancelled items may have carried the
+	// scan past now, and the next event may be scheduled as early as now.
+	e.cursor = e.now
 	return nil
 }
 
@@ -338,13 +324,9 @@ func (e *Engine) Step() bool {
 	e.pending--
 	e.now = it.at
 	e.fired++
-	fn, afn, arg := it.fn, it.afn, it.arg
+	fn, arg := it.fn, it.arg
 	e.release(it)
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 	return true
 }
 
@@ -354,13 +336,12 @@ func (e *Engine) Run() {
 	}
 }
 
-// peek returns the time of the earliest live event without advancing the
-// scan cursor (so a RunUntil that stops early leaves the calendar invariants
-// untouched for later scheduling). It discards cancelled items it encounters.
-func (e *Engine) peek() (Time, bool) {
-	if e.cursor < e.now {
-		e.cursor = e.now
-	}
+// NextAt returns the time of the earliest live pending event without firing
+// it or advancing the scan cursor (false when the queue is empty). The
+// model-checking explorer uses it to decide whether to keep stepping the
+// engine or to open a scheduling choice point. It discards cancelled items
+// it scans past, which never changes firing order.
+func (e *Engine) NextAt() (Time, bool) {
 	for !e.over.empty() && e.over.min().dead {
 		e.pending--
 		e.release(e.over.pop())
@@ -391,33 +372,6 @@ func (e *Engine) peek() (Time, bool) {
 	}
 	return best, found
 }
-
-// NextAt returns the time of the earliest live pending event without firing
-// it (false when the queue is empty). The model-checking explorer uses it to
-// decide whether to keep stepping the engine or to open a scheduling choice
-// point; like peek it discards cancelled items it scans past, which never
-// changes firing order.
-func (e *Engine) NextAt() (Time, bool) { return e.peek() }
-
-// RunUntil fires events with time ≤ limit, leaving later events queued, and
-// advances the clock to limit. It returns the number of events fired.
-func (e *Engine) RunUntil(limit Time) uint64 {
-	start := e.fired
-	for {
-		t, ok := e.peek()
-		if !ok || t > limit {
-			break
-		}
-		e.Step()
-	}
-	if e.now < limit {
-		e.now = limit
-	}
-	return e.fired - start
-}
-
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.now + d) }
 
 // overflow is a minimal binary min-heap ordered by (at, seq), holding the
 // rare events scheduled beyond the calendar window.

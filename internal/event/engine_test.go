@@ -97,30 +97,25 @@ func TestCancelOneOfMany(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+// TestScheduleAfterCancelledDrain: a Step that finds only cancelled events
+// leaves the queue empty and the clock where it was, and an event scheduled
+// next, however close to now, fires before a later one.
+func TestScheduleAfterCancelledDrain(t *testing.T) {
 	e := New()
+	e.At(10, func() {})
+	e.At(5000, func() {}).Cancel() // in the overflow heap
+	e.At(20, func() {}).Cancel()   // in the ring
+	for e.Step() {
+	}
+	if e.Now() != 10 || e.Pending() != 0 {
+		t.Fatalf("Now = %d, Pending = %d after the drain; want 10, 0", e.Now(), e.Pending())
+	}
 	var fired []Time
-	for _, d := range []Time{2, 4, 6, 8} {
-		e.At(d, func() { fired = append(fired, e.Now()) })
-	}
-	n := e.RunUntil(5)
-	if n != 2 {
-		t.Fatalf("RunUntil fired %d, want 2", n)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("Now = %d, want 5", e.Now())
-	}
+	e.At(6000, func() { fired = append(fired, e.Now()) })
+	e.After(10, func() { fired = append(fired, e.Now()) })
 	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("total fired %d, want 4", len(fired))
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	e := New()
-	e.RunUntil(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("Now = %d, want 1000", e.Now())
+	if len(fired) != 2 || fired[0] != 20 || fired[1] != 6000 {
+		t.Fatalf("fired at %v, want [20 6000]", fired)
 	}
 }
 

@@ -14,7 +14,6 @@ type scheduler interface {
 	Pending() int
 	Fired() uint64
 	Step() bool
-	RunUntil(limit Time) uint64
 }
 
 // script is a deterministic schedule: initial events, handler-spawned
@@ -69,18 +68,18 @@ func runScript(t *testing.T, seed int64, mk func() (scheduler, func(Time, Handle
 	}
 	cancels = nil
 
-	// Mix RunUntil idling (which must not disturb later schedules) with
-	// stepping and late scheduling.
-	eng.RunUntil(100)
+	// Mix stepping with late scheduling.
+	for eng.Fired() < 20 && eng.Step() {
+	}
 	at(eng.Now()+3, spawn(0))
 	for eng.Step() {
 		if eng.Fired() == 40 {
 			at(eng.Now(), spawn(0)) // same-cycle from a non-handler context
 		}
 	}
-	eng.RunUntil(eng.Now() + 10_000) // idle clock advance on empty queue
-	at(eng.Now()+299_999, spawn(1))  // far event after an idle jump
-	eng.RunUntil(eng.Now() + 1_000_000)
+	at(eng.Now()+299_999, spawn(1)) // far event on the drained queue
+	for eng.Step() {
+	}
 	if eng.Pending() != 0 {
 		t.Fatalf("events left pending: %d", eng.Pending())
 	}

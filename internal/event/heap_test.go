@@ -110,23 +110,3 @@ func (e *HeapEngine) Run() {
 	for e.Step() {
 	}
 }
-
-// RunUntil fires events with time ≤ limit and advances the clock to limit.
-func (e *HeapEngine) RunUntil(limit Time) uint64 {
-	start := e.fired
-	for len(e.q) > 0 {
-		it := e.q[0]
-		if it.dead {
-			heap.Pop(&e.q)
-			continue
-		}
-		if it.at > limit {
-			break
-		}
-		e.Step()
-	}
-	if e.now < limit {
-		e.now = limit
-	}
-	return e.fired - start
-}

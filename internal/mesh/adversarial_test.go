@@ -33,7 +33,7 @@ func TestInterposerReordersAtNode(t *testing.T) {
 	var got []uint64
 	n.Register(5, func(m *msg.Msg) { got = append(got, m.Tag.Seq) })
 	for s := uint64(1); s <= 4; s++ {
-		n.Send(&msg.Msg{Kind: msg.Grab, Src: 0, Dst: 5, Tag: msg.CTag{Seq: s}})
+		n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 5, Tag: msg.CTag{Seq: s}})
 	}
 	eng.Run()
 	if len(got) != 4 {
@@ -58,7 +58,7 @@ func TestInterposerDuplicatesAtNode(t *testing.T) {
 	seen := 0
 	n.Register(3, func(m *msg.Msg) { seen++ })
 	for s := 0; s < 5; s++ {
-		n.Send(&msg.Msg{Kind: msg.CommitDone, Src: 1, Dst: 3, Tag: msg.CTag{Seq: uint64(s)}})
+		n.Send(msg.Msg{Kind: msg.CommitDone, Src: 1, Dst: 3, Tag: msg.CTag{Seq: uint64(s)}})
 	}
 	eng.Run()
 	if seen != 10 {
@@ -79,7 +79,7 @@ func TestResetStatsMidRun(t *testing.T) {
 	eng, n := newNet(t, 16, true)
 	n.Register(2, func(m *msg.Msg) {})
 	for s := 0; s < 7; s++ {
-		n.Send(&msg.Msg{Kind: msg.Grab, Src: 0, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
+		n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
 	}
 	eng.Run()
 	if st := n.Stats(); st.Messages != 7 || st.Delivered != 7 {
@@ -90,7 +90,7 @@ func TestResetStatsMidRun(t *testing.T) {
 		t.Fatalf("ResetStats left residue: %+v", st)
 	}
 	for s := 0; s < 3; s++ {
-		n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 4, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
+		n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 4, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
 	}
 	eng.Run()
 	st := n.Stats()
@@ -118,7 +118,7 @@ func TestPerClassAccountingTotals(t *testing.T) {
 	}
 	for k, count := range inject {
 		for i := 0; i < count; i++ {
-			n.Send(&msg.Msg{Kind: k, Src: i % 4, Dst: 8 + i%4})
+			n.Send(msg.Msg{Kind: k, Src: i % 4, Dst: 8 + i%4})
 		}
 	}
 	eng.Run()
@@ -159,7 +159,7 @@ func TestNilFaultZeroCost(t *testing.T) {
 		var at []event.Time
 		n.Register(9, func(m *msg.Msg) { at = append(at, eng.Now()) })
 		for s := 0; s < 10; s++ {
-			n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: s % 3, Dst: 9, Tag: msg.CTag{Seq: uint64(s)}})
+			n.Send(msg.Msg{Kind: msg.CommitRequest, Src: s % 3, Dst: 9, Tag: msg.CTag{Seq: uint64(s)}})
 		}
 		eng.Run()
 		return at

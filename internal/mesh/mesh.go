@@ -27,7 +27,8 @@ type Config struct {
 	LocalDelay  event.Time // latency of a node talking to itself (default 1)
 }
 
-// Handler receives messages delivered to a node.
+// Handler receives messages delivered to a node. It never keeps m past its
+// return, since the network recycles m then; it copies what it keeps.
 type Handler func(*msg.Msg)
 
 // Delivery is one planned handler invocation: message m arrives at time At.
@@ -93,7 +94,7 @@ type Network struct {
 	Sched Scheduler
 	// Trace, when non-nil, records structured send/deliver events. Unlike
 	// OnSend/OnDeliver it copies only scalars and never retains the
-	// message, so it does not disable Transient recycling.
+	// message, so it does not disable recycling.
 	Trace *trace.Tracer
 
 	// deliverFn and sendFn are the delivery and deferred-send event handlers,
@@ -101,7 +102,7 @@ type Network struct {
 	// closure nor a method value.
 	deliverFn func(any)
 	sendFn    func(any)
-	// freeMsgs recycles Transient messages. The engine is single-threaded,
+	// freeMsgs recycles delivered messages. The engine is single-threaded,
 	// so a plain slice freelist needs no locking. Recycling is disabled
 	// whenever an observer or fault interposer is installed: those may
 	// retain or duplicate messages beyond the delivery handler.
@@ -150,40 +151,32 @@ func New(eng *event.Engine, cfg Config) *Network {
 		busy:     make([][4]event.Time, cfg.Nodes),
 	}
 	n.deliverFn = n.deliver
-	n.sendFn = func(arg any) { n.Send(arg.(*msg.Msg)) }
+	n.sendFn = func(arg any) { n.send(arg.(*msg.Msg)) }
 	return n
 }
 
-// NewMsg returns a zeroed message, reusing a recycled Transient message when
-// one is available. Senders of Transient kinds should allocate through this;
-// for other kinds it is equivalent to &msg.Msg{}.
-func (n *Network) NewMsg() *msg.Msg {
+// newMsg returns a copy of m in a message from the freelist, or in a new
+// one when the freelist is empty.
+func (n *Network) newMsg(m msg.Msg) *msg.Msg {
+	var s *msg.Msg
 	if k := len(n.freeMsgs); k > 0 {
-		m := n.freeMsgs[k-1]
+		s = n.freeMsgs[k-1]
 		n.freeMsgs = n.freeMsgs[:k-1]
-		return m
+	} else {
+		s = new(msg.Msg)
 	}
-	return &msg.Msg{}
-}
-
-// SendCopy sends a copy of m in a message from NewMsg: the allocation-free
-// way to send a Transient kind.
-func (n *Network) SendCopy(m msg.Msg) {
-	s := n.NewMsg()
 	*s = m
-	n.Send(s)
+	return s
 }
 
 // SendAt sends a copy of m at time t: the deferred send of a reply that
-// waits out a directory lookup or memory access. The copy is taken from
-// NewMsg now and belongs to the pending event, so the freelist cannot hand
-// it out again before it is sent. The event takes one sequence number at
-// the point an After(d, func() { Send(...) }) closure would, so the firing
-// order is the same, but nothing is allocated.
+// waits out a directory lookup or memory access. The copy is taken from the
+// freelist now and belongs to the pending event, so the freelist cannot
+// hand it out again before it is sent. The event takes one sequence number
+// at the point an After(d, func() { Send(...) }) closure would, so the
+// firing order is the same, but nothing is allocated.
 func (n *Network) SendAt(t event.Time, m msg.Msg) {
-	s := n.NewMsg()
-	*s = m
-	n.eng.AtArg(t, n.sendFn, s)
+	n.eng.AtArg(t, n.sendFn, n.newMsg(m))
 }
 
 // Nodes returns the number of tiles.
@@ -227,9 +220,12 @@ func (n *Network) Diameter() int { return n.w/2 + n.h/2 }
 // Scalable TCC's TID vendor live there ("arbiter in the center", Table 3).
 func (n *Network) Center() int { return (n.h/2)*n.w + n.w/2 }
 
-// Send injects a message. Delivery is scheduled on the event engine after
-// routing latency; the destination handler runs at the delivery time.
-func (n *Network) Send(m *msg.Msg) {
+// Send injects a copy of m, taken from the freelist. Delivery is scheduled
+// on the event engine after routing latency; the destination handler runs
+// at the delivery time.
+func (n *Network) Send(m msg.Msg) { n.send(n.newMsg(m)) }
+
+func (n *Network) send(m *msg.Msg) {
 	n.stats.ByKind[m.Kind]++
 	n.stats.Messages++
 	if n.OnSend != nil {
@@ -327,11 +323,9 @@ func (n *Network) Release(m *msg.Msg) {
 }
 
 // deliver is the delivery event: it runs the destination handler and, on the
-// observer-free fast path, recycles Transient messages into the freelist.
-// A handler must therefore never retain a pointer to a Transient message
-// past its return. A handler that answers later builds its reply from the
-// fields it needs and defers it with SendAt, which copies the reply into a
-// message off the freelist until it is sent and delivered in turn.
+// observer-free fast path, recycles the message into the freelist (see
+// Handler). A handler that answers later builds its reply from the fields
+// it needs and defers it with SendAt.
 func (n *Network) deliver(arg any) {
 	m := arg.(*msg.Msg)
 	n.stats.Delivered++
@@ -340,7 +334,7 @@ func (n *Network) deliver(arg any) {
 	}
 	n.Trace.MsgDeliver(m)
 	n.handlers[m.Dst](m)
-	if m.Kind.Transient() && n.Fault == nil && n.Sched == nil && n.OnSend == nil && n.OnDeliver == nil {
+	if n.Fault == nil && n.Sched == nil && n.OnSend == nil && n.OnDeliver == nil {
 		*m = msg.Msg{}
 		n.freeMsgs = append(n.freeMsgs, m)
 	}

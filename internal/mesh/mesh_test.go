@@ -74,8 +74,7 @@ func TestDeliveryLatencyUncontended(t *testing.T) {
 	eng, n := newNet(t, 64, false)
 	var deliveredAt event.Time
 	n.Register(9, func(m *msg.Msg) { deliveredAt = eng.Now() })
-	m := &msg.Msg{Kind: msg.Grab, Src: 0, Dst: 9}
-	n.Send(m)
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 9})
 	eng.Run()
 	// 0→9 on 8x8: dx=1, dy=1 → 2 hops × 7 = 14, 1 flit → +0.
 	if deliveredAt != 14 {
@@ -90,7 +89,7 @@ func TestLargeMessageSerialization(t *testing.T) {
 	eng, n := newNet(t, 64, false)
 	var at event.Time
 	n.Register(1, func(m *msg.Msg) { at = eng.Now() })
-	n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
+	n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
 	eng.Run()
 	want := event.Time(7 + msg.CommitRequest.FlitsOf() - 1)
 	if at != want {
@@ -103,7 +102,7 @@ func TestLocalDelivery(t *testing.T) {
 	var at event.Time
 	fired := false
 	n.Register(2, func(m *msg.Msg) { at, fired = eng.Now(), true })
-	n.Send(&msg.Msg{Kind: msg.Grab, Src: 2, Dst: 2})
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 2, Dst: 2})
 	eng.Run()
 	if !fired || at != 1 {
 		t.Fatalf("local delivery at %d (fired=%v), want 1", at, fired)
@@ -119,8 +118,8 @@ func TestContentionSerializesSharedLink(t *testing.T) {
 	run := func(eng *event.Engine, n *Network) event.Time {
 		var last event.Time
 		n.Register(1, func(m *msg.Msg) { last = eng.Now() })
-		n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
-		n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
+		n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
+		n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
 		eng.Run()
 		return last
 	}
@@ -135,8 +134,8 @@ func TestStatsCounting(t *testing.T) {
 	eng, n := newNet(t, 16, false)
 	got := 0
 	n.Register(3, func(m *msg.Msg) { got++ })
-	n.Send(&msg.Msg{Kind: msg.Grab, Src: 0, Dst: 3})
-	n.Send(&msg.Msg{Kind: msg.BulkInv, Src: 0, Dst: 3})
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 3})
+	n.Send(msg.Msg{Kind: msg.BulkInv, Src: 0, Dst: 3})
 	eng.Run()
 	st := n.Stats()
 	if st.Messages != 2 || st.ByKind[msg.Grab] != 1 || st.ByKind[msg.BulkInv] != 1 {
@@ -158,8 +157,8 @@ func TestSameCycleFIFODelivery(t *testing.T) {
 	n.Register(5, func(m *msg.Msg) { order = append(order, m.Src) })
 	n.Register(1, func(m *msg.Msg) {})
 	// 4 and 6 are both 1 hop from 5 on a 4x4 torus.
-	n.Send(&msg.Msg{Kind: msg.Grab, Src: 4, Dst: 5})
-	n.Send(&msg.Msg{Kind: msg.Grab, Src: 6, Dst: 5})
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 4, Dst: 5})
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 6, Dst: 5})
 	eng.Run()
 	if len(order) != 2 || order[0] != 4 || order[1] != 6 {
 		t.Fatalf("order = %v, want [4 6]", order)
@@ -197,7 +196,7 @@ func TestPropertyRoutedLatencyMatchesAnalytic(t *testing.T) {
 		if src != dst {
 			n.Register(src, func(m *msg.Msg) {})
 		}
-		n.Send(&msg.Msg{Kind: msg.BulkInv, Src: src, Dst: dst})
+		n.Send(msg.Msg{Kind: msg.BulkInv, Src: src, Dst: dst})
 		eng.Run()
 		return at == n.Latency(src, dst, msg.BulkInv)
 	}
@@ -225,7 +224,7 @@ func BenchmarkSend64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(&msg.Msg{Kind: msg.Grab, Src: i % 64, Dst: (i * 7) % 64})
+		n.Send(msg.Msg{Kind: msg.Grab, Src: i % 64, Dst: (i * 7) % 64})
 		if i%64 == 63 {
 			eng.Run()
 		}
@@ -241,8 +240,8 @@ func TestContentionPreservesPerLinkFIFO(t *testing.T) {
 	var order []msg.Kind
 	n.Register(3, func(m *msg.Msg) { order = append(order, m.Kind) })
 	n.Register(0, func(m *msg.Msg) {})
-	n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 3}) // 17 flits
-	n.Send(&msg.Msg{Kind: msg.Grab, Src: 0, Dst: 3})          // 1 flit
+	n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 3}) // 17 flits
+	n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 3})          // 1 flit
 	eng.Run()
 	if len(order) != 2 || order[0] != msg.CommitRequest || order[1] != msg.Grab {
 		t.Fatalf("per-link FIFO violated: %v", order)
@@ -258,7 +257,7 @@ func TestLatencyGrowsUnderSaturation(t *testing.T) {
 	n.Register(1, func(m *msg.Msg) { last = eng.Now() })
 	n.Register(0, func(m *msg.Msg) {})
 	for i := 0; i < 50; i++ {
-		n.Send(&msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
+		n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 0, Dst: 1})
 	}
 	eng.Run()
 	uncontended := n.Latency(0, 1, msg.CommitRequest)
@@ -268,8 +267,8 @@ func TestLatencyGrowsUnderSaturation(t *testing.T) {
 }
 
 // TestSendAtHoldsItsMessage: SendAt takes its copy from the freelist when it
-// is called, and NewMsg never hands that message out again while the send
-// is pending; it is recycled only after its own delivery.
+// is called, and the freelist never hands that message out again while the
+// send is pending; it is recycled only after its own delivery.
 func TestSendAtHoldsItsMessage(t *testing.T) {
 	eng, n := newNet(t, 4, false)
 	var last *msg.Msg
@@ -278,24 +277,23 @@ func TestSendAtHoldsItsMessage(t *testing.T) {
 	n.Register(1, func(m *msg.Msg) { last = m; seen = append(seen, *m) })
 
 	// Put one recycled message on the freelist.
-	n.SendCopy(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 1})
+	n.Send(msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 1})
 	eng.Run()
 	recycled := last
 
 	want := msg.Msg{Kind: msg.ReadMemReply, Src: 0, Dst: 1, Tag: msg.CTag{Proc: 0, Seq: 9}, Line: 42}
 	n.SendAt(eng.Now()+300, want)
 	for i := 0; i < 3; i++ {
-		m := n.NewMsg()
-		if m == recycled {
-			t.Fatal("NewMsg handed out the message a pending SendAt holds")
+		// Scribble on whatever the freelist hands out.
+		if n.newMsg(msg.Msg{Kind: msg.ReadNack, Src: 0, Dst: 1, Line: 7}) == recycled {
+			t.Fatal("the freelist handed out the message a pending SendAt holds")
 		}
-		*m = msg.Msg{Kind: msg.ReadNack, Src: 0, Dst: 1, Line: 7} // scribble on it
 	}
 	eng.Run()
 	if got := seen[len(seen)-1]; last != recycled || got.Kind != want.Kind || got.Tag != want.Tag || got.Line != want.Line {
 		t.Fatalf("SendAt delivered %v line %d (recycled=%v), want %v line %d", &got, got.Line, last == recycled, &want, want.Line)
 	}
-	if n.NewMsg() != recycled {
+	if n.newMsg(msg.Msg{}) != recycled {
 		t.Fatal("SendAt's message was not recycled after its delivery")
 	}
 }
@@ -313,13 +311,13 @@ func TestSendAtOrdersLikeAfter(t *testing.T) {
 		send := func(seq uint64) msg.Msg {
 			return msg.Msg{Kind: msg.ReadShReply, Src: 4, Dst: 5, Tag: msg.CTag{Proc: 4, Seq: seq}}
 		}
-		eng.After(2, func() { n.SendCopy(send(1)) })
+		eng.After(2, func() { n.Send(send(1)) })
 		if deferred {
 			n.SendAt(eng.Now()+2, send(2))
 		} else {
-			eng.After(2, func() { n.SendCopy(send(2)) })
+			eng.After(2, func() { n.Send(send(2)) })
 		}
-		eng.After(2, func() { n.SendCopy(send(3)) })
+		eng.After(2, func() { n.Send(send(3)) })
 		eng.Run()
 		return order, at, eng.Fired()
 	}
@@ -330,5 +328,45 @@ func TestSendAtOrdersLikeAfter(t *testing.T) {
 	}
 	if fmt.Sprint(o2) != "[1 2 3]" {
 		t.Fatalf("delivery order %v, want [1 2 3]", o2)
+	}
+}
+
+// neverHold is a Scheduler that captures no delivery.
+type neverHold struct{}
+
+func (neverHold) Hold(Delivery) bool { return false }
+
+// TestEveryKindRecycled: on an observer-free network a delivered message of
+// any kind returns to the freelist, so the next send reuses it; with a fault
+// interposer, a scheduler or an observer installed, none is recycled.
+func TestEveryKindRecycled(t *testing.T) {
+	passThrough := &scriptInterposer{fn: func(m *msg.Msg, at event.Time) []Delivery {
+		return []Delivery{{At: at, M: m}}
+	}}
+	setups := []struct {
+		name     string
+		set      func(*Network)
+		recycles bool
+	}{
+		{"observer-free", func(*Network) {}, true},
+		{"Fault", func(n *Network) { n.Fault = passThrough }, false},
+		{"Sched", func(n *Network) { n.Sched = neverHold{} }, false},
+		{"OnSend", func(n *Network) { n.OnSend = func(*msg.Msg) {} }, false},
+		{"OnDeliver", func(n *Network) { n.OnDeliver = func(*msg.Msg) {} }, false},
+	}
+	for _, s := range setups {
+		for k := msg.Kind(0); int(k) < msg.NumKinds; k++ {
+			eng, n := newNet(t, 4, false)
+			s.set(n)
+			var got []*msg.Msg
+			n.Register(1, func(m *msg.Msg) { got = append(got, m) })
+			for i := 0; i < 2; i++ {
+				n.Send(msg.Msg{Kind: k, Src: 0, Dst: 1})
+				eng.Run()
+			}
+			if reused := got[0] == got[1]; reused != s.recycles {
+				t.Errorf("%s: second %s reused the first's message: %v, want %v", s.name, k, reused, s.recycles)
+			}
+		}
 	}
 }

@@ -248,43 +248,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Transient reports whether a message kind is consumed entirely within its
-// delivery handler: no protocol component retains a pointer to it past the
-// handler's return. The network recycles Transient messages through its
-// freelist after delivery (observer-free runs only; see mesh.Network).
-//
-// Transient kinds are the read-path traffic, every ScalableBulk commit
-// message except bulk_inv, and all ten Scalable TCC kinds.
-//   - ScalableBulk: among them is everything a failed attempt sends (a
-//     commit_request per module, g messages, g_failures and a
-//     commit_failure). Each has one handler, the engine or the processor,
-//     and each handler copies what it keeps: the signature pointers, g_vec
-//     and line lists of a commit_request point at the chunk's data, not the
-//     message's, and a piggy-backed RecallInfo is a separate object.
-//   - Scalable TCC: tid_request, tid_reply, tcc_probe, tcc_skip,
-//     tcc_commit, tcc_mark, tcc_probe_ack, tcc_inval, tcc_inval_ack and
-//     tcc_ack each have one handler, which copies the scalars it needs into
-//     the module's entry or the processor's job. The two deferred replies
-//     (the vendor's tid_reply and a module's tcc_probe_ack) are built when
-//     they are scheduled and sent with Network.SendAt, so no pending event
-//     holds the message they answer. A tcc_commit's WriteLines points at
-//     the committing job's mark lists, and its handler reads only the
-//     length.
-//
-// Excluded are kinds a handler retains — bulk_inv (a conservative-mode
-// processor defers it), SEQ-PRO's queued occupy, BulkSC's arbiter request —
-// and the other SEQ-PRO and BulkSC kinds, which no audit has cleared.
-func (k Kind) Transient() bool {
-	switch k {
-	case CommitRequest, Grab, GFailure, GSuccess, CommitFailure, CommitSuccess,
-		BulkInvAck, CommitDone,
-		TIDRequest, TIDReply, TCCProbe, TCCSkip, TCCCommit, TCCMark,
-		TCCProbeAck, TCCInval, TCCInvalAck, TCCAck:
-		return true
-	}
-	return k.ReadPath()
-}
-
 // ReadPath reports whether a kind is read-path traffic — a miss, its
 // replies, forward and nack — rather than commit-protocol traffic.
 func (k Kind) ReadPath() bool {

@@ -103,10 +103,10 @@ type Proc struct {
 	read     pendingRead
 	reading  bool
 	readSeq  uint64
-	lastMiss sig.Line   // previous miss line, for the spatial prefetcher
-	deferred []*msg.Msg // conservative-mode buffered invalidations
-	draining bool       // consuming deferred messages: do not re-defer
-	awaiting bool       // commit decision pending (conservative window)
+	lastMiss sig.Line  // previous miss line, for the spatial prefetcher
+	deferred []msg.Msg // conservative-mode buffered invalidations
+	draining bool      // consuming deferred messages: do not re-defer
+	awaiting bool      // commit decision pending (conservative window)
 
 	// Exec-span bookkeeping (tracing only). execOpen guarantees every begun
 	// KExec span ends exactly once, whichever of the abandon paths fires.
@@ -358,10 +358,7 @@ func (p *Proc) issueRead(a chunk.Access, epoch uint64) {
 
 func (p *Proc) sendRead(l sig.Line) {
 	home := p.env.Map.Home(l, p.ID)
-	m := p.env.Net.NewMsg()
-	m.Kind, m.Src, m.Dst = msg.ReadReq, p.ID, home
-	m.Tag, m.Line = msg.CTag{Proc: p.ID}, l
-	p.env.Net.Send(m)
+	p.env.Net.Send(msg.Msg{Kind: msg.ReadReq, Src: p.ID, Dst: home, Tag: msg.CTag{Proc: p.ID}, Line: l})
 }
 
 func (p *Proc) onReadReply(m *msg.Msg) {
@@ -691,12 +688,13 @@ func (p *Proc) InvalidateLine(l sig.Line, committer int, immune *msg.CTag) *msg.
 
 // MaybeDefer buffers an invalidation while a commit decision is pending
 // (conservative mode, Figure 4(c)). Deferred messages are consumed — and
-// only then acknowledged — when the decision arrives.
+// only then acknowledged — when the decision arrives. It keeps a copy: the
+// network recycles m when its handler returns.
 func (p *Proc) MaybeDefer(m *msg.Msg) bool {
 	if !p.cfg.ConservativeInv || !p.awaiting || p.draining {
 		return false
 	}
-	p.deferred = append(p.deferred, m)
+	p.deferred = append(p.deferred, *m)
 	return true
 }
 
@@ -706,7 +704,7 @@ func (p *Proc) drainDeferred() {
 	}
 	p.draining = true
 	for len(p.deferred) > 0 {
-		m := p.deferred[0]
+		m := &p.deferred[0]
 		p.deferred = p.deferred[1:]
 		p.Handle(m)
 	}
@@ -742,7 +740,7 @@ func (p *Proc) Handle(m *msg.Msg) {
 		if recall != nil && p.cfg.OCIRecall {
 			ack.Recall = recall
 		}
-		p.env.Net.SendCopy(ack)
+		p.env.Net.Send(ack)
 	default:
 		p.proto.HandleProc(p.ID, m)
 	}

@@ -67,17 +67,24 @@ func rig(t *testing.T, cfg Config) (*Proc, *scriptProto, *event.Engine) {
 			}
 			if m.Kind == msg.ReadReq {
 				// Minimal read service: immediate memory reply.
-				net.Send(&msg.Msg{Kind: msg.ReadMemReply, Src: node, Dst: m.Src, Tag: m.Tag, Line: m.Line})
+				net.Send(msg.Msg{Kind: msg.ReadMemReply, Src: node, Dst: m.Src, Tag: m.Tag, Line: m.Line})
 			}
 		})
 	}
 	return p, fp, eng
 }
 
+// settle runs the engine dry and lets the clock idle on to at least d
+// cycles from now, as it does while the processor waits on a decision.
+func settle(eng *event.Engine, d event.Time) {
+	eng.After(d, func() {})
+	eng.Run()
+}
+
 func TestPipelineKeepsTwoChunksInFlight(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	if len(fp.requests) != 1 {
 		t.Fatalf("requests = %d, want exactly 1 (commit slot busy)", len(fp.requests))
 	}
@@ -91,7 +98,7 @@ func TestPipelineKeepsTwoChunksInFlight(t *testing.T) {
 	}
 	// Resolve the commit: the stalled chunk submits, a new one executes.
 	p.CommitFinished(fp.requests[0].Tag)
-	eng.RunFor(100)
+	settle(eng, 100)
 	if len(fp.requests) != 2 {
 		t.Fatalf("requests after resolve = %d, want 2", len(fp.requests))
 	}
@@ -106,11 +113,11 @@ func TestPipelineKeepsTwoChunksInFlight(t *testing.T) {
 func TestRetryBacksOffExponentially(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	first := fp.requests[0]
 	t0 := eng.Now()
 	p.CommitRefused(first.Tag)
-	eng.RunFor(10_000)
+	settle(eng, 10_000)
 	if len(fp.requests) < 2 {
 		t.Fatal("no retry after refusal")
 	}
@@ -143,7 +150,7 @@ func TestRetryBacksOffExponentially(t *testing.T) {
 func TestBulkInvalidateSquashesInFlightCommit(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	ck := fp.requests[0]
 	var w sig.Sig
 	w.Insert(ck.WriteLines[0]) // true conflict with the committing chunk
@@ -162,7 +169,7 @@ func TestBulkInvalidateSquashesInFlightCommit(t *testing.T) {
 		t.Fatal("squash cycles not charged")
 	}
 	// The chunk re-executes and recommits with a higher try.
-	eng.RunFor(100_000)
+	settle(eng, 100_000)
 	found := false
 	for _, r := range fp.requests[1:] {
 		if r.Tag == ck.Tag && r.Retries > 0 {
@@ -177,7 +184,7 @@ func TestBulkInvalidateSquashesInFlightCommit(t *testing.T) {
 func TestBulkInvalidateSquashesExecutingChunk(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	// The finished-waiting chunk is the younger active chunk here.
 	victim := p.finished
 	if victim == nil {
@@ -198,7 +205,7 @@ func TestBulkInvalidateSquashesExecutingChunk(t *testing.T) {
 func TestInvalidateLineExactness(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	ck := fp.requests[0]
 	// A line NOT in the chunk: no squash (per-line disambiguation is exact).
 	if got := p.InvalidateLine(999999, 2, nil); got != nil {
@@ -221,7 +228,7 @@ func TestConservativeDeferral(t *testing.T) {
 	cfg.OCIRecall = false
 	p, fp, eng := rig(t, cfg)
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	ck := fp.requests[0]
 
 	var w sig.Sig
@@ -249,7 +256,7 @@ func TestConservativeDeferral(t *testing.T) {
 func TestLateSuccessAbandonsReexecution(t *testing.T) {
 	p, fp, eng := rig(t, DefaultConfig())
 	p.Start()
-	eng.RunFor(50_000)
+	settle(eng, 50_000)
 	ck := fp.requests[0]
 	var w sig.Sig
 	w.Insert(ck.WriteLines[0])
@@ -273,7 +280,7 @@ func TestDoneStopsAtTarget(t *testing.T) {
 	p, _, eng := rig(t, DefaultConfig())
 	p.Start()
 	for i := 0; i < 10 && !p.Done(); i++ {
-		eng.RunFor(50_000)
+		settle(eng, 50_000)
 		if p.committing != nil {
 			p.CommitFinished(p.committing.Tag)
 		}

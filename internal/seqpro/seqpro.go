@@ -34,7 +34,7 @@ func DefaultConfig() Config { return Config{CommitDeadline: protocol.DefaultComm
 // modState is one directory module's occupancy.
 type modState struct {
 	occupant *occupancy
-	queue    []*msg.Msg // waiting seq_occupy requests, FIFO
+	queue    []msg.Msg // copies of waiting seq_occupy requests, FIFO
 }
 
 // occupancy describes who holds a module and with what write set (for read
@@ -125,7 +125,7 @@ func (p *Protocol) Stall(proc int, tag msg.CTag, try int) {
 
 func (p *Protocol) occupyNext(proc int, j *job) {
 	d := j.ck.Dirs[j.nextIdx]
-	p.env.Net.Send(&msg.Msg{
+	p.env.Net.Send(msg.Msg{
 		Kind: msg.SeqOccupy, Src: proc, Dst: d, Tag: j.ck.Tag,
 		WSig: &j.ck.Snapshot().W, TID: j.try,
 	})
@@ -150,7 +150,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 			p.env.Net.SendAt(p.env.Eng.Now()+p.env.DirLookup, msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
 		} else {
 			// The transaction blocks if the directory is taken (§2.1).
-			ms.queue = append(ms.queue, m)
+			ms.queue = append(ms.queue, *m)
 		}
 	case msg.SeqRelease:
 		if ms.occupant == nil || ms.occupant.tag != m.Tag || ms.occupant.try != m.TID {
@@ -167,7 +167,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 		p.k.HoldEnd(node, m.Tag, int(m.TID))
 		ms.occupant = nil
 		if len(ms.queue) > 0 {
-			next := ms.queue[0]
+			next := &ms.queue[0]
 			ms.queue = ms.queue[1:]
 			ms.occupant = &occupancy{tag: next.Tag, try: next.TID, wsig: next.W()}
 			p.k.HoldBegin(node, next.Tag, int(next.TID))
@@ -197,7 +197,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			immune = &t
 		}
 		squashed := p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, immune)
-		p.env.Net.Send(&msg.Msg{Kind: msg.SeqInvalAck, Src: node, Dst: m.Src, Tag: m.Tag})
+		p.env.Net.Send(msg.Msg{Kind: msg.SeqInvalAck, Src: node, Dst: m.Src, Tag: m.Tag})
 		if squashed != nil {
 			// The squashed chunk's occupation chain must unwind so other
 			// chunks queued at its modules can progress.
@@ -216,7 +216,7 @@ func (p *Protocol) onGrant(proc int, m *msg.Msg) {
 		// Stale grant (after an abort, or for an older attempt): hand the
 		// module straight back, echoing the grant's attempt index so only
 		// the matching ghost occupancy is freed.
-		p.env.Net.Send(&msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: m.Src, Tag: m.Tag, TID: m.TID})
+		p.env.Net.Send(msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: m.Src, Tag: m.Tag, TID: m.TID})
 		return
 	}
 	for _, d := range j.occupied {
@@ -227,7 +227,7 @@ func (p *Protocol) onGrant(proc int, m *msg.Msg) {
 	if j.nextIdx >= len(j.ck.Dirs) || m.Src != j.ck.Dirs[j.nextIdx] {
 		// Grant from a module this attempt is not waiting on (a duplicated
 		// occupy minted a ghost occupancy after the chain released): free it.
-		p.env.Net.Send(&msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: m.Src, Tag: m.Tag, TID: m.TID})
+		p.env.Net.Send(msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: m.Src, Tag: m.Tag, TID: m.TID})
 		return
 	}
 	j.occupied = append(j.occupied, m.Src)
@@ -260,7 +260,7 @@ func (p *Protocol) formed(proc int, j *job) {
 	}
 	w := &j.ck.Snapshot().W
 	for _, t := range targets {
-		p.env.Net.Send(&msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.SeqInval, Src: proc, Dst: t, Tag: j.ck.Tag,
 			WSig: w, WriteLines: j.ck.WriteLines,
 		})
@@ -303,7 +303,7 @@ func (p *Protocol) complete(proc int, j *job) {
 
 func (p *Protocol) releaseAll(proc int, j *job) {
 	for _, d := range j.occupied {
-		p.env.Net.Send(&msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.try})
+		p.env.Net.Send(msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.try})
 	}
 	j.occupied = nil
 }
@@ -328,7 +328,7 @@ func (p *Protocol) Abort(proc int, tag msg.CTag) {
 	// its grant may already be in flight; both are handled at receipt).
 	if j.nextIdx < len(j.ck.Dirs) {
 		d := j.ck.Dirs[j.nextIdx]
-		p.env.Net.Send(&msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: d, Tag: tag, TID: j.try})
+		p.env.Net.Send(msg.Msg{Kind: msg.SeqRelease, Src: proc, Dst: d, Tag: tag, TID: j.try})
 	}
 	p.releaseAll(proc, j)
 	delete(p.jobs, proc)

@@ -73,45 +73,52 @@ type Attempt struct {
 
 // Collector gathers protocol- and core-level events during a run. It is
 // single-threaded, like the simulator.
+//
+// Its JSON form, in sweep checkpoint journals, holds every field that any
+// figure reduction reads — including the closed commit attempts behind
+// BottleneckRatio — so that a result restored from a journal renders
+// byte-identical figure output. No attempt is open once a run completes,
+// and the observer hooks are run-scoped, so neither is persisted.
 type Collector struct {
 	// CommitLat holds the latency (cycles from commit request to commit
 	// completion at the processor) of every successful chunk commit.
-	CommitLat []uint32
+	CommitLat []uint32 `json:"commit_lat"`
 	// DirsTotal and DirsWrite hold, per successful commit, the number of
 	// directories accessed and how many of them recorded writes.
-	DirsTotal []uint8
-	DirsWrite []uint8
+	DirsTotal []uint8 `json:"dirs_total"`
+	DirsWrite []uint8 `json:"dirs_write"`
 
-	attempts []Attempt
-	// open[proc] indexes proc's open attempts in attempts.
+	// Attempts records every commit attempt, in start order.
+	Attempts []Attempt `json:"attempts"`
+	// open[proc] indexes proc's open attempts in Attempts.
 	open [][]openAttempt
 
 	// QueueSamples holds the machine-wide count of chunks queued waiting to
 	// commit, sampled at each new group formation (§6.4.2).
-	QueueSamples []int
+	QueueSamples []int `json:"queue_samples"`
 
 	// Squash accounting (§6.1).
-	SquashTrueConflict uint64
-	SquashAliasing     uint64
+	SquashTrueConflict uint64 `json:"squash_true_conflict"`
+	SquashAliasing     uint64 `json:"squash_aliasing"`
 
 	// ChunksCommitted counts successful commits.
-	ChunksCommitted uint64
+	ChunksCommitted uint64 `json:"chunks_committed"`
 	// CommitFailures counts failed commit attempts (retries).
-	CommitFailures uint64
+	CommitFailures uint64 `json:"commit_failures"`
 	// ReadNacks counts loads bounced by directories (§3.1).
-	ReadNacks uint64
+	ReadNacks uint64 `json:"read_nacks"`
 
 	// OnFormed and OnEnded, when non-nil, mirror GroupFormed / CommitEnded
 	// events to an external observer (the invariant checker). Nil on
 	// performance runs.
-	OnFormed func(proc int, seq uint64, try int, t event.Time)
-	OnEnded  func(proc int, seq uint64, try int, t event.Time, success bool)
+	OnFormed func(proc int, seq uint64, try int, t event.Time)               `json:"-"`
+	OnEnded  func(proc int, seq uint64, try int, t event.Time, success bool) `json:"-"`
 
 	// Trace, when non-nil, mirrors every commit attempt as a structured
 	// KCommit span (begin at CommitStarted, formed instant, end at
 	// CommitEnded). Because all four protocols report their milestones
 	// here, this one hook gives them a uniform lifecycle trace.
-	Trace *trace.Tracer
+	Trace *trace.Tracer `json:"-"`
 }
 
 // openAttempt is one open attempt of a processor: its chunk, its try and
@@ -142,8 +149,8 @@ func (c *Collector) findOpen(proc int, seq uint64, try int) int {
 // CommitStarted records the beginning of a commit attempt (the try index
 // distinguishes retries of the same chunk).
 func (c *Collector) CommitStarted(proc int, seq uint64, try int, t event.Time) {
-	c.attempts = append(c.attempts, Attempt{Req: t})
-	idx := len(c.attempts) - 1
+	c.Attempts = append(c.Attempts, Attempt{Req: t})
+	idx := len(c.Attempts) - 1
 	if i := c.findOpen(proc, seq, try); i >= 0 {
 		c.open[proc][i].idx = idx // a restarted attempt replaces the open one
 	} else {
@@ -159,7 +166,7 @@ func (c *Collector) CommitStarted(proc int, seq uint64, try int, t event.Time) {
 // that the commit was authorized) at time t.
 func (c *Collector) GroupFormed(proc int, seq uint64, try int, t event.Time) {
 	if i := c.findOpen(proc, seq, try); i >= 0 {
-		c.attempts[c.open[proc][i].idx].Formed = t
+		c.Attempts[c.open[proc][i].idx].Formed = t
 	}
 	c.Trace.Instant(trace.KGroupFormed, proc, false, msg.CTag{Proc: proc, Seq: seq}, try)
 	if c.OnFormed != nil {
@@ -173,7 +180,7 @@ func (c *Collector) GroupFormed(proc int, seq uint64, try int, t event.Time) {
 func (c *Collector) CommitEnded(proc int, seq uint64, try int, t event.Time, success bool) {
 	if i := c.findOpen(proc, seq, try); i >= 0 {
 		os := c.open[proc]
-		a := &c.attempts[os[i].idx]
+		a := &c.Attempts[os[i].idx]
 		a.Done = t
 		a.Success = success
 		c.open[proc] = append(os[:i], os[i+1:]...)
@@ -237,20 +244,6 @@ func (c *Collector) MeanCommitLatency() float64 {
 	return float64(sum) / float64(len(c.CommitLat))
 }
 
-// LatencyHistogram buckets commit latencies: bucket i covers
-// [i*width, (i+1)*width); the final bucket is open-ended.
-func (c *Collector) LatencyHistogram(width uint32, buckets int) []int {
-	h := make([]int, buckets)
-	for _, v := range c.CommitLat {
-		b := int(v / width)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		h[b]++
-	}
-	return h
-}
-
 // MeanDirsPerCommit returns the average number of directories accessed per
 // commit, total and write-recording (Figures 9/10).
 func (c *Collector) MeanDirsPerCommit() (total, write float64) {
@@ -297,7 +290,7 @@ func (c *Collector) BottleneckRatio() float64 {
 		order int
 	}
 	var evs []ev
-	for _, a := range c.attempts {
+	for _, a := range c.Attempts {
 		if !a.Success || a.Formed == 0 {
 			continue // exclude chunks whose formation is later squashed (§6.4.1)
 		}

@@ -30,20 +30,6 @@ func TestMeanCommitLatency(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogram(t *testing.T) {
-	c := New()
-	for _, v := range []uint32{5, 15, 25, 9999} {
-		c.CommitLatency(event.Time(v))
-	}
-	h := c.LatencyHistogram(10, 4)
-	want := []int{1, 1, 1, 1} // last bucket open-ended
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", h, want)
-		}
-	}
-}
-
 func TestDirsPerCommit(t *testing.T) {
 	c := New()
 	c.DirsPerCommit(4, 2)

@@ -296,6 +296,8 @@ type Machine struct {
 	// done counts finished processors (maintained by the proc.OnDone hook)
 	// so AllDone is O(1) instead of scanning every core per step.
 	done int
+	// restored is set when BuildFrom restored a WarmImage.
+	restored bool
 }
 
 // Now returns the simulation clock.

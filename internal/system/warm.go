@@ -79,4 +79,9 @@ func (img *WarmImage) restore(m *Machine) {
 	}
 	m.Env.State.Restore(img.dir)
 	m.Env.Map.Restore(img.pages)
+	m.restored = true
 }
+
+// Restored reports whether BuildFrom restored the machine's warm state from
+// an image instead of running the warm-up loop.
+func (m *Machine) Restored() bool { return m.restored }

@@ -35,6 +35,9 @@ func TestBuildFromWarmImage(t *testing.T) {
 		if img == nil {
 			t.Fatalf("%s-%d: warm-up state does not encode", tc.app, tc.cores)
 		}
+		if m.Restored() {
+			t.Errorf("%s-%d: a machine that warmed up reports a restore", tc.app, tc.cores)
+		}
 		for _, proto := range Protocols {
 			cfg.Protocol = proto
 			want, err := Run(prof, cfg)
@@ -44,6 +47,9 @@ func TestBuildFromWarmImage(t *testing.T) {
 			m, err := BuildFrom(prof, cfg, img)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !m.Restored() {
+				t.Errorf("%s-%d/%s: BuildFrom does not report its restore", tc.app, tc.cores, proto)
 			}
 			got, err := m.RunContext(context.Background())
 			if err != nil {

@@ -86,7 +86,8 @@ func TestWarmCommitAllocs(t *testing.T) {
 		p.RequestCommit(0, ck)
 		eng.Run() // through the commit and its watchdog deadline
 		// Start the next commit on the same calendar slots.
-		eng.RunUntil((eng.Now()>>16 + 1) << 16)
+		eng.At((eng.Now()>>16+1)<<16, func() {})
+		eng.Run()
 	}
 	commit()
 	before := net.Stats()

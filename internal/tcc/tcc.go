@@ -225,7 +225,7 @@ func (p *Protocol) Stats() map[string]uint64 {
 func (p *Protocol) RequestCommit(proc int, ck *chunk.Chunk) {
 	p.k.Started(proc, ck)
 	p.jobs[proc].start(ck)
-	p.env.Net.SendCopy(msg.Msg{Kind: msg.TIDRequest, Src: proc, Dst: p.vendorNode, Tag: ck.Tag})
+	p.env.Net.Send(msg.Msg{Kind: msg.TIDRequest, Src: proc, Dst: p.vendorNode, Tag: ck.Tag})
 	p.k.WD.Arm(proc, false, ck.Tag, ck.Retries)
 }
 
@@ -366,7 +366,7 @@ func (p *Protocol) drain(mod *tccMod) {
 			p.env.State.ApplyCommitWrite(l, e.tag.Proc)
 		}
 		p.k.HoldEnd(mod.id, e.tag, e.try)
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next})
+		p.env.Net.Send(msg.Msg{Kind: msg.TCCAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next})
 		mod.retire()
 	}
 }
@@ -388,7 +388,7 @@ func (e *entry) invalSent(p *Protocol, mod *tccMod) bool {
 				continue
 			}
 			e.inv.Expect(1)
-			p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCInval, Src: mod.id, Dst: sh, Tag: e.tag, TID: mod.next, Line: l})
+			p.env.Net.Send(msg.Msg{Kind: msg.TCCInval, Src: mod.id, Dst: sh, Tag: e.tag, TID: mod.next, Line: l})
 		}
 	}
 	return e.inv.Outstanding() == 0
@@ -428,7 +428,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			immune = &t
 		}
 		squashed := p.env.Cores[node].InvalidateLine(m.Line, m.Tag.Proc, immune)
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCInvalAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID, Line: m.Line})
+		p.env.Net.Send(msg.Msg{Kind: msg.TCCInvalAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID, Line: m.Line})
 		if squashed != nil {
 			p.Abort(node, *squashed)
 		}
@@ -474,7 +474,7 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 		}
 	}
 	for _, d := range dirs {
-		p.env.Net.SendCopy(msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.TCCProbe, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
 			Line: sig.Line(j.ck.Retries),
 		})
@@ -488,7 +488,7 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 			k++
 			continue
 		}
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
+		p.env.Net.Send(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid})
 	}
 	if len(j.ck.Dirs) == 0 {
 		p.complete(proc, j)
@@ -497,7 +497,7 @@ func (p *Protocol) onTIDReply(proc int, m *msg.Msg) {
 
 func (p *Protocol) skipEverywhere(proc int, tid uint64, tag msg.CTag) {
 	for d := 0; d < p.env.Net.Nodes(); d++ {
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: tid})
+		p.env.Net.Send(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: tid})
 	}
 }
 
@@ -516,12 +516,12 @@ func (p *Protocol) onProbeAck(proc int, m *msg.Msg) {
 	}
 	j.phase2 = true
 	for k, d := range j.ck.Dirs {
-		p.env.Net.SendCopy(msg.Msg{
+		p.env.Net.Send(msg.Msg{
 			Kind: msg.TCCCommit, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid,
 			WriteLines: j.marks[k],
 		})
 		for _, l := range j.marks[k] {
-			p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCMark, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid, Line: l})
+			p.env.Net.Send(msg.Msg{Kind: msg.TCCMark, Src: proc, Dst: d, Tag: j.ck.Tag, TID: j.tid, Line: l})
 		}
 	}
 }
@@ -583,7 +583,7 @@ func (p *Protocol) Abort(proc int, tag msg.CTag) {
 	// Convert this chunk's probes to skips at its own directories; other
 	// directories already received skips.
 	for _, d := range j.ck.Dirs {
-		p.env.Net.SendCopy(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: j.tid})
+		p.env.Net.Send(msg.Msg{Kind: msg.TCCSkip, Src: proc, Dst: d, Tag: tag, TID: j.tid})
 	}
 	j.ck = nil
 }
