@@ -48,7 +48,7 @@ func TestFailedAttemptAllocatesOnlyMessages(t *testing.T) {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	sb := New(env, DefaultConfig())

@@ -64,7 +64,7 @@ func Example_groupFormation() {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: 6, LinkLatency: 7})
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(6), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(6), State: dir.NewState(6),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	// Structured protocol trace, rendered as text lines on stdout.

@@ -106,7 +106,7 @@ func newRig(t *testing.T, nodes int, cfg Config) *rig {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	r := &rig{eng: eng, net: net, env: env}

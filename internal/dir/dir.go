@@ -29,31 +29,93 @@ type LineInfo struct {
 	Dirty   bool
 }
 
+// Entries and line indexes are allocated in blocks, so neither ever moves
+// and none is copied as the directory grows.
+const (
+	blockShift = 8 // 256 entries a block
+	blockLen   = 1 << blockShift
+	indexShift = 5 // 32 line indexes (16 KB) a block
+	indexLen   = 1 << indexShift
+)
+
+// lineIndex locates a page's directory entries: slot i holds the entry
+// number of the page's line i plus one, or 0 if that line has none.
+type lineIndex [mem.LinesPerPage]int32
+
 // State is the machine-wide directory content. Each module only ever
-// touches lines homed at it, so a single map keyed by line is equivalent to
-// per-module storage while keeping lookups one-hop.
+// touches lines homed at it, so one store for the whole machine is
+// equivalent to per-module storage while keeping lookups one-hop.
+//
+// Storage is by page, like the hardware's fixed-width sharer vectors rather
+// than a heap object per line: a page table gives each touched page an id
+// and a lineIndex, which points into block-allocated entries. Each entry's
+// sharer words sit in a parallel block at a fixed stride of ⌈cores/64⌉
+// words, so adding one of the machine's cores as a sharer never allocates.
 type State struct {
-	lines map[sig.Line]*LineInfo
+	pages  mem.PageTable
+	index  [][]lineIndex // page id's lineIndex is index[id>>indexShift][id&(indexLen-1)]
+	infos  [][]LineInfo  // entry e is infos[e>>blockShift][e&(blockLen-1)]
+	words  [][]uint64    // words[b] holds infos[b]'s sharer words, stride per entry
+	n      int32         // entries handed out
+	stride int           // sharer words per entry
 
 	// OnApply, when non-nil, observes every committed-write application
 	// (invariant checking). Nil on performance runs.
 	OnApply func(l sig.Line, writer int)
 }
 
-// NewState returns empty directory state.
-func NewState() *State { return &State{lines: make(map[sig.Line]*LineInfo)} }
+// NewState returns empty directory state for a machine of the given number
+// of cores.
+func NewState(cores int) *State { return &State{stride: max(1, (cores+63)/64)} }
+
+func (s *State) entry(e int32) *LineInfo { return &s.infos[e>>blockShift][e&(blockLen-1)] }
+
+func (s *State) lineIndex(id int) *lineIndex { return &s.index[id>>indexShift][id&(indexLen-1)] }
+
+// lineIndexOf returns the lineIndex of page p, or nil if no line of p has an
+// entry.
+func (s *State) lineIndexOf(p mem.Page) *lineIndex {
+	if id, ok := s.pages.Find(p); ok {
+		return s.lineIndex(id)
+	}
+	return nil
+}
 
 // Get returns the entry for a line, or nil if it was never cached.
-func (s *State) Get(l sig.Line) *LineInfo { return s.lines[l] }
+func (s *State) Get(l sig.Line) *LineInfo {
+	if idx := s.lineIndexOf(mem.PageOf(l)); idx != nil {
+		if e := idx[l%mem.LinesPerPage]; e != 0 {
+			return s.entry(e - 1)
+		}
+	}
+	return nil
+}
 
 // Touch returns the entry for a line, creating it if needed.
 func (s *State) Touch(l sig.Line) *LineInfo {
-	if li, ok := s.lines[l]; ok {
-		return li
+	id, added := s.pages.Add(mem.PageOf(l))
+	if added && id&(indexLen-1) == 0 {
+		s.index = append(s.index, make([]lineIndex, indexLen))
 	}
-	li := &LineInfo{Owner: -1}
-	s.lines[l] = li
-	return li
+	slot := &s.lineIndex(id)[l%mem.LinesPerPage]
+	if *slot == 0 {
+		*slot = s.alloc() + 1
+	}
+	return s.entry(*slot - 1)
+}
+
+// alloc hands out the next entry, clean and unowned with no sharers.
+func (s *State) alloc() int32 {
+	e := s.n
+	b, o := int(e>>blockShift), int(e&(blockLen-1))
+	if o == 0 {
+		s.infos = append(s.infos, make([]LineInfo, blockLen))
+		s.words = append(s.words, make([]uint64, blockLen*s.stride))
+	}
+	w := s.words[b][o*s.stride : (o+1)*s.stride : (o+1)*s.stride]
+	s.infos[b][o] = LineInfo{Sharers: bitset.FromWords(w), Owner: -1}
+	s.n++
+	return e
 }
 
 // AddSharer records that processor p now caches line l.
@@ -61,7 +123,8 @@ func (s *State) AddSharer(l sig.Line, p int) { s.Touch(l).Sharers.Add(p) }
 
 // Image is a compact, read-only copy of a directory whose every entry is
 // clean and unowned — the sharer lists warm-up registers. Line i's sharer
-// words sit at words[i*stride : (i+1)*stride].
+// words sit at words[i*stride : (i+1)*stride]. Lines are grouped by page, in
+// the order the pages were first touched, and ascend within a page.
 type Image struct {
 	lines  []sig.Line
 	stride int
@@ -72,36 +135,36 @@ type Image struct {
 // dirty or owned.
 func (s *State) Snapshot() *Image {
 	stride := 0
-	for _, li := range s.lines {
+	for e := range s.n {
+		li := s.entry(e)
 		if li.Dirty || li.Owner != -1 {
 			return nil
 		}
 		stride = max(stride, len(li.Sharers.Words()))
 	}
 	im := &Image{
-		lines:  make([]sig.Line, 0, len(s.lines)),
+		lines:  make([]sig.Line, 0, s.n),
 		stride: stride,
-		words:  make([]uint64, len(s.lines)*stride),
+		words:  make([]uint64, int(s.n)*stride),
 	}
-	for l, li := range s.lines {
-		copy(im.words[len(im.lines)*stride:], li.Sharers.Words())
-		im.lines = append(im.lines, l)
+	for id, p := range s.pages.Pages() {
+		for off, e := range s.lineIndex(id) {
+			if e != 0 {
+				copy(im.words[len(im.lines)*stride:], s.entry(e-1).Sharers.Words())
+				im.lines = append(im.lines, sig.Line(p)*mem.LinesPerPage+sig.Line(off))
+			}
+		}
 	}
 	return im
 }
 
-// Restore replaces the directory's entries with im's. The entries live in
-// one slab and their sharer words in another, both the state's own: the
-// image is only read, so it may be restored into any number of states.
+// Restore replaces the directory's entries with im's, in the state's own
+// storage: the image is only read, so it may be restored into any number of
+// states.
 func (s *State) Restore(im *Image) {
-	infos := make([]LineInfo, len(im.lines))
-	words := make([]uint64, len(im.words))
-	copy(words, im.words)
-	s.lines = make(map[sig.Line]*LineInfo, len(im.lines))
+	*s = State{stride: max(s.stride, im.stride), OnApply: s.OnApply}
 	for i, l := range im.lines {
-		w := words[i*im.stride : (i+1)*im.stride : (i+1)*im.stride]
-		infos[i] = LineInfo{Sharers: bitset.FromWords(w), Owner: -1}
-		s.lines[l] = &infos[i]
+		copy(s.Touch(l).Sharers.Words(), im.words[i*im.stride:(i+1)*im.stride])
 	}
 }
 
@@ -120,17 +183,27 @@ func (s *State) ApplyCommitWrite(l sig.Line, writer int) {
 }
 
 // SharersOf accumulates into dst the processors (other than exclude) that
-// share any of the given lines whose home is the module home. This is the
-// directory-side "expand the W signature and compile the list of sharers"
-// step of §3.1; the exact line list stands in for signature expansion (see
-// DESIGN.md §2).
+// share any of the given lines whose home is the module home; a nil mapper
+// matches every home. This is the directory-side "expand the W signature and
+// compile the list of sharers" step of §3.1; the exact line list stands in
+// for signature expansion (see DESIGN.md §2). A run of lines on one page
+// costs one directory lookup and one home lookup, and a page without
+// entries skips the latter.
 func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclude int, dst *bitset.Set) {
+	page, idx := mem.Page(^uint64(0)), (*lineIndex)(nil)
 	for _, l := range lines {
-		if h, ok := mapper.HomeIfMapped(l); !ok || h != home {
-			continue
+		if p := mem.PageOf(l); p != page {
+			page, idx = p, s.lineIndexOf(p)
+			if idx != nil && mapper != nil {
+				if h, ok := mapper.HomeIfMapped(l); !ok || h != home {
+					idx = nil
+				}
+			}
 		}
-		if li := s.lines[l]; li != nil {
-			dst.OrExcept(li.Sharers, exclude)
+		if idx != nil {
+			if e := idx[l%mem.LinesPerPage]; e != 0 {
+				dst.OrExcept(s.entry(e-1).Sharers, exclude)
+			}
 		}
 	}
 }
@@ -140,11 +213,7 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 // protocols whose invalidation fan-out is computed at a central point
 // (BulkSC's committing processor, SEQ-PRO's occupier) use this.
 func (s *State) SharersOfAll(lines []sig.Line, exclude int, dst *bitset.Set) {
-	for _, l := range lines {
-		if li := s.lines[l]; li != nil {
-			dst.OrExcept(li.Sharers, exclude)
-		}
-	}
+	s.SharersOf(lines, 0, nil, exclude, dst)
 }
 
 // Core is the face a processor shows to the protocol engines.
@@ -276,10 +345,10 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 		return
 	}
 
-	li := env.State.Get(l)
+	li := env.State.Touch(l)
 	delay := env.DirLookup
 	switch {
-	case li != nil && li.Dirty && li.Owner != requester && li.Owner >= 0:
+	case li.Dirty && li.Owner != requester && li.Owner >= 0:
 		// Served by the remote dirty owner (RemoteDirtyRd). The forward
 		// carries the requester in Tag.Proc. After the read the data is
 		// shared: the owner keeps a copy, memory is considered updated.
@@ -287,14 +356,14 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 		li.Dirty = false
 		li.Owner = -1
 		li.Sharers.Add(requester)
-	case li != nil && !li.Sharers.Empty():
+	case !li.Sharers.Empty():
 		// Served cache-to-cache from a shared copy (RemoteShRd).
 		r.Kind = msg.ReadShReply
 		li.Sharers.Add(requester)
 	default:
 		// Served from memory (MemRd).
 		r.Kind = msg.ReadMemReply
-		env.State.AddSharer(l, requester)
+		li.Sharers.Add(requester)
 		delay += env.MemLatency
 	}
 	env.Net.SendAt(env.Eng.Now()+delay, r)

@@ -2,6 +2,8 @@ package dir
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"scalablebulk/internal/bitset"
@@ -15,7 +17,7 @@ import (
 )
 
 func TestStateTouchAndSharers(t *testing.T) {
-	s := NewState()
+	s := NewState(8)
 	if s.Get(5) != nil {
 		t.Fatal("untouched line has an entry")
 	}
@@ -31,7 +33,7 @@ func TestStateTouchAndSharers(t *testing.T) {
 }
 
 func TestApplyCommitWrite(t *testing.T) {
-	s := NewState()
+	s := NewState(8)
 	s.AddSharer(9, 1)
 	s.AddSharer(9, 2)
 	s.ApplyCommitWrite(9, 3)
@@ -45,7 +47,7 @@ func TestApplyCommitWrite(t *testing.T) {
 }
 
 func TestSharersOfFiltersByHome(t *testing.T) {
-	s := NewState()
+	s := NewState(8)
 	mp := mem.NewMapper(4)
 	// Page of line 0 homed at dir 1; page of line 128 homed at dir 2.
 	mp.Home(0, 1)
@@ -88,7 +90,7 @@ func testEnv(t *testing.T, nodes int) (*Env, *mesh.Network, *event.Engine) {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
 	env := &Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: NewState(nodes),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	return env, net, eng
@@ -187,7 +189,7 @@ func TestReadPathIgnoresNonReadMessages(t *testing.T) {
 }
 
 func TestSharersOfAllIgnoresHomes(t *testing.T) {
-	s := NewState()
+	s := NewState(8)
 	s.AddSharer(0, 5)
 	s.AddSharer(128, 6)
 	s.AddSharer(128, 7)
@@ -202,7 +204,7 @@ func TestSharersOfAllIgnoresHomes(t *testing.T) {
 }
 
 // TestWarmReadMissAllocs: once the freelist, the engine's calendar slots and
-// the line's sharer words are warm, a read miss allocates nothing on the
+// the line's entry exist, a read miss allocates nothing on the
 // directory side, whichever of the three ways it is served. Every miss
 // starts on a 1<<16-cycle boundary so it reuses the same calendar slots.
 func TestWarmReadMissAllocs(t *testing.T) {
@@ -227,7 +229,7 @@ func TestWarmReadMissAllocs(t *testing.T) {
 			net.Register(1, func(m *msg.Msg) { rp.HandleDir(1, m) })
 			net.Register(2, func(m *msg.Msg) { rp.HandleDir(2, m) }) // dirty owner's tile
 			env.Map.Home(10, 1)
-			env.State.AddSharer(10, 0) // grow the sharer words once
+			env.State.Touch(10) // create the line's entry once
 			miss := func() {
 				c.prep(env.State)
 				got = -1
@@ -248,31 +250,35 @@ func TestWarmReadMissAllocs(t *testing.T) {
 }
 
 // TestImageRoundTrip: a clean directory restored from its image has the same
-// entries, up to 256 cores (four sharer words per line); a restored state is
-// its own copy; a dirty or owned line has no image.
+// entries, up to 256 cores (four sharer words per line), and encodes to the
+// same image; a restored state is its own copy; a dirty or owned line has no
+// image.
 func TestImageRoundTrip(t *testing.T) {
 	for _, cores := range []int{1, 64, 65, 256} {
 		r := rand.New(rand.NewSource(int64(cores)))
-		s := NewState()
+		s := NewState(cores)
+		touched := []sig.Line{99999}
 		for i := 0; i < 4000; i++ {
-			s.AddSharer(sig.Line(r.Intn(1500)), r.Intn(cores))
+			l := sig.Line(r.Intn(1500))
+			s.AddSharer(l, r.Intn(cores))
+			touched = append(touched, l)
 		}
 		s.Touch(99999) // an entry with no sharers
 		im := s.Snapshot()
 		if im == nil {
 			t.Fatalf("%d cores: clean directory has no image", cores)
 		}
-		a, b := NewState(), NewState()
+		a, b := NewState(cores), NewState(cores)
 		a.AddSharer(123456, 0) // Restore replaces what was there
 		a.Restore(im)
 		a.AddSharer(1, cores-1)
 		a.ApplyCommitWrite(2, 0)
 		b.Restore(im)
-		if len(b.lines) != len(s.lines) {
-			t.Fatalf("%d cores: restored %d lines, want %d", cores, len(b.lines), len(s.lines))
+		if !reflect.DeepEqual(b.Snapshot(), im) {
+			t.Fatalf("%d cores: restored directory encodes to another image", cores)
 		}
-		for l, li := range s.lines {
-			got := b.Get(l)
+		for _, l := range touched {
+			got, li := b.Get(l), s.Get(l)
 			if got == nil || got.Owner != -1 || got.Dirty ||
 				got.Sharers.String() != li.Sharers.String() {
 				t.Fatalf("%d cores: line %d restored as %+v, want sharers %s", cores, l, got, li.Sharers.String())
@@ -282,19 +288,49 @@ func TestImageRoundTrip(t *testing.T) {
 			t.Fatalf("%d cores: Restore kept an entry the image does not have", cores)
 		}
 		// Growing a restored line's sharers must not spill into the next.
-		for l := range b.lines {
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		for _, l := range touched {
 			b.AddSharer(l, 300)
 		}
-		for l, li := range s.lines {
-			if want := li.Sharers.Count() + 1; b.Get(l).Sharers.Count() != want {
+		for _, l := range touched {
+			if want := s.Get(l).Sharers.Count() + 1; b.Get(l).Sharers.Count() != want {
 				t.Fatalf("%d cores: line %d has %d sharers, want %d", cores, l, b.Get(l).Sharers.Count(), want)
 			}
 		}
 	}
-	s := NewState()
+	s := NewState(8)
 	s.AddSharer(5, 1)
 	s.ApplyCommitWrite(6, 2)
 	if s.Snapshot() != nil {
 		t.Fatal("directory with a dirty line has an image")
+	}
+}
+
+// TestAddSharerAllocs: adding any of a machine's cores as a sharer of a line
+// the state holds writes the line's inline sharer words and allocates
+// nothing, at 64 and at 1024 cores. Each call adds the highest and one other
+// core to a line that had no sharers yet.
+func TestAddSharerAllocs(t *testing.T) {
+	for _, cores := range []int{64, 1024} {
+		s := NewState(cores)
+		line := func(i int) sig.Line { return 1<<50 + sig.Line(i)*37 } // pages at 2⁴³ and up
+		for i := 0; i < cores; i++ {
+			s.Touch(line(i))
+		}
+		i := 0
+		add := func() {
+			s.Get(line(i)).Sharers.Add(cores - 1)
+			s.AddSharer(line(i), i)
+			i++
+		}
+		if allocs := testing.AllocsPerRun(cores-1, add); allocs != 0 {
+			t.Errorf("%d cores: adding a sharer allocates %v objects, want 0", cores, allocs)
+		}
+		for i := 0; i < cores; i++ {
+			if sh := s.Get(line(i)).Sharers; !sh.Has(i) || !sh.Has(cores-1) || sh.Count() != min(2, cores-i) {
+				t.Fatalf("%d cores: line %d has sharers %s", cores, i, sh.String())
+			}
+		}
 	}
 }

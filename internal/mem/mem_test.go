@@ -1,8 +1,9 @@
 package mem
 
 import (
-	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,26 +85,70 @@ func TestPropertyHomeStable(t *testing.T) {
 	}
 }
 
-// TestImageRoundTrip: a restored page table assigns the same homes, keeps
-// first touch for new pages, and rejects a different directory count.
+// TestPageTable: ids are dense in the order pages are added, any 64-bit page
+// fits, and Find agrees with a plain map through many growths.
+func TestPageTable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var tab PageTable
+	ref := map[uint64]int{} // keyed by the page's bits
+	var order []Page
+	for i := 0; i < 20000; i++ {
+		var p Page
+		switch r.Intn(3) {
+		case 0:
+			p = Page(r.Intn(1 << 12)) // dense, repeating
+		case 1:
+			p = Page(1<<40 + r.Int63n(1<<20)) // sparse and high
+		default:
+			p = Page(r.Uint64()) // anywhere
+		}
+		want, seen := ref[uint64(p)]
+		if id, ok := tab.Find(p); ok != seen || (ok && id != want) {
+			t.Fatalf("Find(%#x) = %d,%v, want %d,%v", p, id, ok, want, seen)
+		}
+		id, added := tab.Add(p)
+		if added == seen || (seen && id != want) || (!seen && id != len(order)) {
+			t.Fatalf("Add(%#x) = %d,%v; seen %v with id %d, %d pages", p, id, added, seen, want, len(order))
+		}
+		if !seen {
+			ref[uint64(p)] = id
+			order = append(order, p)
+		}
+	}
+	if tab.Len() != len(order) || !slices.Equal(tab.Pages(), order) {
+		t.Fatalf("Pages() not in insertion order (%d pages, want %d)", tab.Len(), len(order))
+	}
+}
+
+// TestImageRoundTrip: a restored page table assigns the same homes, encodes
+// to the same image, keeps first touch for new pages, and rejects a
+// different directory count.
 func TestImageRoundTrip(t *testing.T) {
 	for _, dirs := range []int{1, 64, 256} {
 		r := rand.New(rand.NewSource(int64(dirs)))
 		m := NewMapper(dirs)
+		var lines []sig.Line
 		for i := 0; i < 3000; i++ {
-			m.Home(sig.Line(r.Intn(1<<20)), r.Intn(4*dirs))
+			l := sig.Line(r.Intn(1 << 20))
+			m.Home(l, r.Intn(4*dirs))
+			lines = append(lines, l)
 		}
 		im := m.Snapshot()
 		a := NewMapper(dirs)
 		a.Home(1<<30, 0)
 		a.Restore(im)
-		if !maps.Equal(a.pages, m.pages) {
+		for _, l := range lines {
+			if got, ok := a.HomeIfMapped(l); !ok || got != m.Home(l, 0) {
+				t.Fatalf("%d dirs: line %d restored with home %d,%v, want %d", dirs, l, got, ok, m.Home(l, 0))
+			}
+		}
+		if a.MappedPages() != m.MappedPages() || !reflect.DeepEqual(a.Snapshot(), im) {
 			t.Fatalf("%d dirs: restored page table differs", dirs)
 		}
 		if h := a.Home(1<<31, dirs-1); h != dirs-1 {
 			t.Fatalf("%d dirs: first touch after restore gave home %d", dirs, h)
 		}
-		if len(im.pages) != len(m.pages) {
+		if len(im.pages) != m.MappedPages() {
 			t.Fatalf("%d dirs: restoring into a sibling changed the image", dirs)
 		}
 	}

@@ -50,7 +50,7 @@ func rig(t *testing.T, cfg Config) (*Proc, *scriptProto, *event.Engine) {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: 4, LinkLatency: 7})
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(4), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(4), State: dir.NewState(4),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	fp := &scriptProto{env: env}

@@ -331,7 +331,7 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 	})
 	m.Net = net
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(cfg.Cores),
 		Coll: stats.New(), DirLookup: cfg.DirLookup, MemLatency: cfg.MemLatency,
 	}
 	m.Env = env

@@ -86,3 +86,33 @@ func TestWarmImageEveryApp(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmImageDeterministic: two builds of one 64-core point, and a machine
+// restored from the first one's image, encode to equal images, so the image
+// of a machine does not depend on hash-table iteration order.
+func TestWarmImageDeterministic(t *testing.T) {
+	prof, _ := workload.ByName("Ocean")
+	cfg := DefaultConfig(64, ProtoScalableBulk)
+	var imgs []*WarmImage
+	for i := 0; i < 2; i++ {
+		m, err := Build(prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs = append(imgs, m.WarmImage())
+	}
+	m, err := BuildFrom(prof, cfg, imgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs = append(imgs, m.WarmImage())
+	if imgs[0] == nil {
+		t.Fatal("warm-up state does not encode")
+	}
+	if !reflect.DeepEqual(imgs[0], imgs[1]) {
+		t.Error("two builds of one machine give different warm images")
+	}
+	if !reflect.DeepEqual(imgs[0], imgs[2]) {
+		t.Error("a restored machine's warm image differs from the one it was restored from")
+	}
+}

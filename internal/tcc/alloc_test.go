@@ -50,7 +50,7 @@ func TestWarmCommitAllocs(t *testing.T) {
 	eng := event.New()
 	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7, Contention: true})
 	env := &dir.Env{
-		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(),
+		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	w1, w2, r3 := sig.Line(0), sig.Line(1<<20), sig.Line(2<<20)
