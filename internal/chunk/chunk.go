@@ -8,6 +8,7 @@ package chunk
 import (
 	"slices"
 
+	"scalablebulk/internal/mem"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
 )
@@ -67,8 +68,10 @@ type Sigs struct {
 }
 
 // Finalize computes signatures, distinct line sets and the g_vec once the
-// chunk has executed. home maps a line to its home directory module; it is
-// called once per distinct line, with no order guaranteed.
+// chunk has executed. home maps a line to its home directory module, which
+// depends only on the line's page: Finalize calls it once per run of lines
+// on one page, for the run's first line, going through the written lines
+// and then the read lines in ascending order.
 //
 // Finalize reuses the line-set and directory slices of an earlier
 // execution in place. Messages of an earlier attempt may still hold those
@@ -118,15 +121,23 @@ func (c *Chunk) Finalize(home func(sig.Line) int) {
 
 	dirs := reuse(c.Dirs, len(w)+len(r))
 	wdirs := reuse(c.WriteDirs, len(w))
+	page := mem.Page(^uint64(0))
 	for _, l := range w {
 		c.WSig.Insert(l)
-		d := home(l)
-		dirs = append(dirs, d)
-		wdirs = append(wdirs, d)
+		if p := mem.PageOf(l); p != page {
+			page = p
+			d := home(l)
+			dirs = append(dirs, d)
+			wdirs = append(wdirs, d)
+		}
 	}
+	page = mem.Page(^uint64(0))
 	for _, l := range r {
 		c.RSig.Insert(l)
-		dirs = append(dirs, home(l))
+		if p := mem.PageOf(l); p != page {
+			page = p
+			dirs = append(dirs, home(l))
+		}
 	}
 	slices.Sort(dirs)
 	c.Dirs = slices.Compact(dirs)

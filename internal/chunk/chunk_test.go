@@ -3,21 +3,22 @@ package chunk
 import (
 	"testing"
 
+	"scalablebulk/internal/mem"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
 )
 
 func mkChunk(accs []Access) *Chunk {
 	c := &Chunk{Tag: msg.CTag{Proc: 0, Seq: 1}, Instr: 2000, Accesses: accs}
-	c.Finalize(func(l sig.Line) int { return int(l) / 100 }) // dirs by line/100
+	c.Finalize(func(l sig.Line) int { return int(mem.PageOf(l)) }) // one dir per page
 	return c
 }
 
 func TestFinalizeSetsAndDirs(t *testing.T) {
 	c := mkChunk([]Access{
 		{Line: 10, Write: false},
-		{Line: 110, Write: true},
-		{Line: 210, Write: false},
+		{Line: 10 + mem.LinesPerPage, Write: true},
+		{Line: 10 + 2*mem.LinesPerPage, Write: false},
 		{Line: 10, Write: false}, // duplicate read
 	})
 	if len(c.ReadLines) != 2 || len(c.WriteLines) != 1 {
@@ -88,7 +89,7 @@ func TestTrueConflictClassification(t *testing.T) {
 func TestFinalizeIdempotent(t *testing.T) {
 	c := mkChunk([]Access{{Line: 1, Write: true}, {Line: 201, Write: false}})
 	d1 := append([]int(nil), c.Dirs...)
-	c.Finalize(func(l sig.Line) int { return int(l) / 100 })
+	c.Finalize(func(l sig.Line) int { return int(mem.PageOf(l)) })
 	if len(c.Dirs) != len(d1) {
 		t.Fatalf("Finalize not idempotent: %v vs %v", c.Dirs, d1)
 	}

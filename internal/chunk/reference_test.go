@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"scalablebulk/internal/mem"
 	"scalablebulk/internal/sig"
 )
 
@@ -89,7 +90,7 @@ func randomAccesses(r *rand.Rand, n int) []Access {
 	return accs
 }
 
-func homeByHundreds(l sig.Line) int { return int(l) / 100 % 13 }
+func homeByPage(l sig.Line) int { return int(mem.PageOf(l)) % 13 }
 
 func sameLines(a, b []sig.Line) bool { return len(a) == len(b) && (len(a) == 0 || slices.Equal(a, b)) }
 func sameInts(a, b []int) bool       { return len(a) == len(b) && (len(a) == 0 || slices.Equal(a, b)) }
@@ -111,13 +112,13 @@ func TestFinalizeMatchesReference(t *testing.T) {
 		cases = append(cases, randomAccesses(r, r.Intn(40)))
 	}
 	for i, accs := range cases {
-		want := refFinalize(accs, homeByHundreds)
+		want := refFinalize(accs, homeByPage)
 		c := &Chunk{Accesses: accs}
-		calls := map[sig.Line]int{}
-		home := func(l sig.Line) int { calls[l]++; return homeByHundreds(l) }
+		var calls []sig.Line
+		home := func(l sig.Line) int { calls = append(calls, l); return homeByPage(l) }
 		// Twice: the second pass is the re-finalization of a squashed chunk.
 		for pass := 0; pass < 2; pass++ {
-			clear(calls)
+			calls = calls[:0]
 			c.Finalize(home)
 			if c.RSig != want.rsig || c.WSig != want.wsig ||
 				!sameLines(c.ReadLines, want.readLines) || !sameLines(c.WriteLines, want.writeLines) ||
@@ -126,17 +127,25 @@ func TestFinalizeMatchesReference(t *testing.T) {
 					i, pass, accs, c.ReadLines, c.WriteLines, c.Dirs, c.WriteDirs,
 					want.readLines, want.writeLines, want.dirs, want.writeDirs)
 			}
-			// home sees every distinct line exactly once.
-			if len(calls) != len(want.readLines)+len(want.writeLines) {
-				t.Fatalf("case %d: home called for %d lines, want %d", i, len(calls), len(want.readLines)+len(want.writeLines))
-			}
-			for l, n := range calls {
-				if n != 1 {
-					t.Fatalf("case %d: home(%d) called %d times", i, l, n)
-				}
+			// home sees the first line of each run of lines on one page,
+			// written lines first: the order in which a first-touch mapper
+			// would have met each page line by line.
+			if want := append(pageRunStarts(want.writeLines), pageRunStarts(want.readLines)...); !sameLines(calls, want) {
+				t.Fatalf("case %d: home called for %v, want %v", i, calls, want)
 			}
 		}
 	}
+}
+
+// pageRunStarts returns the first line of each run of lines on one page.
+func pageRunStarts(lines []sig.Line) []sig.Line {
+	var out []sig.Line
+	for i, l := range lines {
+		if i == 0 || mem.PageOf(l) != mem.PageOf(lines[i-1]) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // TestRefinalizeKeepsSharedSlices: messages of an earlier attempt hold the
@@ -145,10 +154,10 @@ func TestRefinalizeKeepsSharedSlices(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
 		c := &Chunk{Accesses: randomAccesses(r, 1+r.Intn(40))}
-		c.Finalize(homeByHundreds)
+		c.Finalize(homeByPage)
 		held := [][]sig.Line{c.ReadLines, c.WriteLines}
 		want := [][]sig.Line{slices.Clone(c.ReadLines), slices.Clone(c.WriteLines)}
-		c.Finalize(homeByHundreds)
+		c.Finalize(homeByPage)
 		for k := range held {
 			if !sameLines(held[k], want[k]) {
 				t.Fatalf("case %d: held slice changed from %v to %v", i, want[k], held[k])
@@ -162,7 +171,7 @@ func TestTrulyConflictsWithMatchesReference(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		c := &Chunk{Accesses: randomAccesses(r, r.Intn(30))}
 		if i%5 != 0 { // every fifth chunk stays unfinalized: empty line sets
-			c.Finalize(homeByHundreds)
+			c.Finalize(homeByPage)
 		}
 		ws := make([]sig.Line, r.Intn(6))
 		for k := range ws {
@@ -181,8 +190,8 @@ func TestTrulyConflictsWithMatchesReference(t *testing.T) {
 func TestFinalizeAndConflictCheckDoNotAllocate(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	c := &Chunk{Accesses: randomAccesses(r, 40)}
-	c.Finalize(homeByHundreds) // warm: sizes the reused slices
-	if n := testing.AllocsPerRun(100, func() { c.Finalize(homeByHundreds) }); n != 0 {
+	c.Finalize(homeByPage) // warm: sizes the reused slices
+	if n := testing.AllocsPerRun(100, func() { c.Finalize(homeByPage) }); n != 0 {
 		t.Errorf("warmed Finalize allocates %.1f times per call", n)
 	}
 	ws := []sig.Line{1, 2, 3, c.Accesses[0].Line}
@@ -195,7 +204,7 @@ func TestFinalizeAndConflictCheckDoNotAllocate(t *testing.T) {
 // Finalize, and it never aliases the chunk's own (mutable) signatures.
 func TestSnapshotPerExecution(t *testing.T) {
 	c := &Chunk{Accesses: []Access{{Line: 5}, {Line: 700, Write: true}}}
-	c.Finalize(homeByHundreds)
+	c.Finalize(homeByPage)
 	s := c.Snapshot()
 	if c.Snapshot() != s {
 		t.Fatal("second Snapshot call of one execution took a new snapshot")
@@ -209,7 +218,7 @@ func TestSnapshotPerExecution(t *testing.T) {
 	if !s.R.Member(5) || !s.W.Member(700) || s.W.Member(9999) {
 		t.Fatal("snapshot aliases the chunk's signatures")
 	}
-	c.Finalize(homeByHundreds)
+	c.Finalize(homeByPage)
 	if c.Snapshot() == s {
 		t.Fatal("a new execution reused the old snapshot")
 	}

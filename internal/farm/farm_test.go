@@ -1,19 +1,23 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	scalablebulk "scalablebulk"
+	"scalablebulk/internal/fault"
 	"scalablebulk/internal/metrics"
 )
 
@@ -36,6 +40,12 @@ func testSpec() *SweepSpec {
 func inProcessFingerprints(t *testing.T, spec *SweepSpec) map[Point]string {
 	t.Helper()
 	s := scalablebulk.NewSession(spec.ChunksPerCore, spec.Seed, nil)
+	s.Configure = func(cfg *scalablebulk.Config) {
+		if prof, _ := fault.ByName(spec.Faults); prof != nil {
+			cfg.Faults, cfg.FaultSeed = prof, spec.FaultSeed
+		}
+		cfg.Check = spec.Check
+	}
 	out := s.SweepContext(context.Background(), spec.Points, 2)
 	if len(out.Failures) > 0 || out.Aborted {
 		t.Fatalf("reference sweep failed: %+v", out)
@@ -112,37 +122,179 @@ func fastClient(base string) *Client {
 
 // TestFarmSweepMatchesInProcess: the headline determinism contract — a farm
 // sweep over live workers yields byte-identical ResultFingerprints to the
-// same spec swept in-process.
+// same spec swept in-process. Each spec holds a warm unit of three
+// protocols, so the worker restores machines from its warm image; the
+// warm key leaves out faults and the checker, so the chaos spec checks
+// that restored machines match under both.
 func TestFarmSweepMatchesInProcess(t *testing.T) {
-	spec := testSpec()
-	want := inProcessFingerprints(t, spec)
+	plain := testSpec()
+	plain.Points = append(plain.Points,
+		Point{App: "FFT", Protocol: "ScalableBulk", Cores: 8},
+		Point{App: "FFT", Protocol: "BulkSC", Cores: 8})
+	chaos := *plain
+	chaos.Faults, chaos.Check = "chaos", true
+	for name, spec := range map[string]*SweepSpec{"plain": plain, "chaos": &chaos} {
+		t.Run(name, func(t *testing.T) {
+			want := inProcessFingerprints(t, spec)
 
-	base, _, stop := startServer(t, quickOpts(), filepath.Join(t.TempDir(), "farm.jsonl"), "")
+			base, _, stop := startServer(t, quickOpts(), filepath.Join(t.TempDir(), "farm.jsonl"), "")
+			defer stop()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			wctx, wcancel := context.WithCancel(ctx)
+			defer wcancel()
+			var log warmLog
+			log.startWorker(wctx, fastClient(base), "w1")
+			defer log.wg.Wait()
+
+			got := map[Point]string{}
+			out, err := fastClient(base).RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
+				got[p] = scalablebulk.FingerprintSHA(res)
+			})
+			wcancel()
+			log.wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Completed != len(spec.Points) || len(out.Failures) > 0 || out.Aborted {
+				t.Fatalf("outcome: %+v", out)
+			}
+			for p, fp := range want {
+				if got[p] != fp {
+					t.Errorf("%s/%s/%d: farm fingerprint %s != in-process %s",
+						p.App, p.Protocol, p.Cores, got[p], fp)
+				}
+			}
+			if built, restored := log.count(); built+restored != len(spec.Points) || restored < 1 {
+				t.Errorf("worker built %d and restored %d machines, want %d in all and a restore",
+					built, restored, len(spec.Points))
+			}
+		})
+	}
+}
+
+// TestFarmWarmsUpOncePerUnit: two workers sweep the 18 applications × 5
+// protocols × {1, 2, 4} cores, 54 warm units of five points. Lease affinity
+// keeps each unit on one worker, so the sweep warms up about once per unit,
+// not once per point.
+func TestFarmWarmsUpOncePerUnit(t *testing.T) {
+	spec := &SweepSpec{ChunksPerCore: 1, Scaling: ScalingFixed, Seed: 1}
+	for _, app := range scalablebulk.Apps() {
+		for _, proto := range scalablebulk.RegisteredProtocols() {
+			for _, cores := range []int{1, 2, 4} {
+				spec.Points = append(spec.Points, Point{App: app.Name, Protocol: proto.Name, Cores: cores})
+			}
+		}
+	}
+	base, _, stop := startServer(t, quickOpts(), "", "")
 	defer stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	wg := startWorker(wctx, fastClient(base), "w1", nil)
-	defer wg.Wait()
-
-	got := map[Point]string{}
-	out, err := fastClient(base).RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
-		got[p] = scalablebulk.FingerprintSHA(res)
-	})
+	var log warmLog
+	log.startWorker(wctx, fastClient(base), "w1")
+	log.startWorker(wctx, fastClient(base), "w2")
+	defer log.wg.Wait()
+	out, err := fastClient(base).RunSweep(ctx, spec, nil)
 	wcancel()
+	log.wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed != len(spec.Points) || len(out.Failures) > 0 || out.Aborted {
+	if out.Completed != len(spec.Points) || len(out.Failures) > 0 {
 		t.Fatalf("outcome: %+v", out)
 	}
-	for p, fp := range want {
-		if got[p] != fp {
-			t.Errorf("%s/%s/%d: farm fingerprint %s != in-process %s",
-				p.App, p.Protocol, p.Cores, got[p], fp)
-		}
+	built, restored := log.count()
+	t.Logf("%d points: %d warm-ups, %d restores", len(spec.Points), built, restored)
+	if built+restored != len(spec.Points) || built > 60 {
+		t.Errorf("built %d and restored %d machines for %d points in 54 warm units, want at most 60 warm-ups",
+			built, restored, len(spec.Points))
 	}
+}
+
+// TestWorkerWarmImageShared: a worker's slots share its one warm image.
+// Builds of one warm key restore it concurrently; builds of two keys,
+// interleaved, replace and restore it concurrently; every run matches a
+// standalone one.
+func TestWorkerWarmImageShared(t *testing.T) {
+	spec := &SweepSpec{ChunksPerCore: 1, Seed: 3}
+	radix := []Point{{App: "Radix", Protocol: "ScalableBulk", Cores: 4}, {App: "Radix", Protocol: "TCC", Cores: 4}}
+	fft := []Point{{App: "FFT", Protocol: "TCC", Cores: 4}, {App: "FFT", Protocol: "SEQ", Cores: 4}}
+	want := map[Point]string{}
+	for _, p := range append(radix, fft...) {
+		prof, cfg, _ := spec.Resolve(p)
+		res, err := scalablebulk.RunContext(context.Background(), prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = scalablebulk.FingerprintSHA(res)
+	}
+	var w Worker
+	// run builds and runs each point on its own goroutine and reports how
+	// many of the machines were restored.
+	run := func(points ...Point) int {
+		var wg sync.WaitGroup
+		var restored atomic.Int64
+		for _, p := range points {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				prof, cfg, _ := spec.Resolve(p)
+				m, err := w.build(prof, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := m.RunContext(context.Background())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if m.Restored() {
+					restored.Add(1)
+				}
+				if got := scalablebulk.FingerprintSHA(res); got != want[p] {
+					t.Errorf("%s/%s/%d (restored %v): fingerprint %s, standalone %s",
+						p.App, p.Protocol, p.Cores, m.Restored(), got, want[p])
+				}
+			}()
+		}
+		wg.Wait()
+		return int(restored.Load())
+	}
+	if n := run(radix[0]); n != 0 {
+		t.Fatalf("a new worker restored %d machines", n)
+	}
+	if n := run(radix[1], radix[0], radix[1], radix[0]); n != 4 {
+		t.Fatalf("restored %d of 4 machines of the image's warm key", n)
+	}
+	run(radix[0], fft[0], radix[1], fft[1], radix[0], fft[0], radix[1], fft[1])
+}
+
+// warmLog collects the logs of workers and counts their completed points
+// by how each machine was built: warmed up, or restored from a warm image.
+type warmLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+	wg  sync.WaitGroup
+}
+
+// startWorker runs a worker that logs to l until ctx ends; l.wg waits for it.
+func (l *warmLog) startWorker(ctx context.Context, c *Client, id string) {
+	w := &Worker{Client: c, ID: id, Log: slog.New(slog.NewTextHandler(lockedWriter{&l.mu, &l.buf}, nil))}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		w.Run(ctx)
+	}()
+}
+
+func (l *warmLog) count() (built, restored int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.buf.String()
+	return strings.Count(s, "warm=built"), strings.Count(s, "warm=restored")
 }
 
 // TestWorkloadSourcePointMatchesSession: a point labelled with a workload
@@ -191,7 +343,10 @@ func TestWorkloadSourcePointMatchesSession(t *testing.T) {
 	out, err := fastClient(base).RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
 		got[p] = scalablebulk.FingerprintSHA(res)
 	})
+	// Let the worker finish before the server stops below: a result whose
+	// response the stop cuts off would be retried until delivery times out.
 	wcancel()
+	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

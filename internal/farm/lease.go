@@ -1,8 +1,10 @@
 package farm
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -37,6 +39,9 @@ type pointEntry struct {
 	id    int
 	point Point
 	state pointState
+	// unit is the point's warm unit (system.WarmUnits): the points that
+	// can restore one warm-up. acquire keeps a worker on its unit.
+	unit int
 	// attempt counts lease grants; notBefore gates re-queue backoff;
 	// requeues counts returns to Pending after a death or failure.
 	attempt   int
@@ -59,6 +64,8 @@ type leaseTable struct {
 	entries []*pointEntry
 	// leases indexes live leases by lease ID.
 	leases map[string]*leaseAt
+	// lastUnit is the unit of each worker's last grant.
+	lastUnit map[string]int
 }
 
 // leaseAt ties a live lease back to its point entry.
@@ -68,10 +75,11 @@ type leaseAt struct {
 }
 
 func newLeaseTable(points []Point, opts Options, now func() time.Time, rng *rand.Rand) *leaseTable {
-	t := &leaseTable{opts: opts, now: now, rng: rng, leases: map[string]*leaseAt{}}
+	t := &leaseTable{opts: opts, now: now, rng: rng,
+		leases: map[string]*leaseAt{}, lastUnit: map[string]int{}}
 	for i, p := range points {
 		t.entries = append(t.entries, &pointEntry{
-			id: i, point: p, deadWorkers: map[string]bool{},
+			id: i, point: p, unit: i, deadWorkers: map[string]bool{},
 		})
 	}
 	return t
@@ -116,22 +124,49 @@ func (t *leaseTable) observeLeaseAge(l *lease) {
 		Observe(float64(age.Microseconds()) / 1000)
 }
 
-// acquire grants the first eligible pending point to worker, or returns nil
-// when nothing is runnable right now. Eligibility is deterministic point
-// order gated by each entry's backoff window.
+// acquire grants worker a pending point outside its backoff window, or
+// returns nil when nothing is runnable right now. A worker keeps the warm
+// image of its last machine, so among the eligible points acquire takes, in
+// this order: the first of the worker's unit (that of its last grant), the
+// first of a unit that is no other worker's unit, and the first in point
+// order. Each unit then tends to warm up once, on one worker, while the
+// workers spread over units. A unit stays its worker's between a result
+// and the next lease request, when the worker holds no lease in it.
 func (t *leaseTable) acquire(worker, leaseID string) (*pointEntry, *lease) {
 	now := t.now()
+	last, hasLast := t.lastUnit[worker]
+	var held []int
+	for w, u := range t.lastUnit {
+		if w != worker {
+			held = append(held, u)
+		}
+	}
+	var own, free, first *pointEntry
 	for _, e := range t.entries {
 		if e.state != statePending || now.Before(e.notBefore) {
 			continue
 		}
-		e.state = stateLeased
-		e.attempt++
-		l := &lease{id: leaseID, worker: worker, granted: now, expires: now.Add(t.opts.LeaseTTL)}
-		t.leases[leaseID] = &leaseAt{l: l, entry: e}
-		return e, l
+		if hasLast && e.unit == last {
+			own = e
+			break
+		}
+		if first == nil {
+			first = e
+		}
+		if free == nil && !slices.Contains(held, e.unit) {
+			free = e
+		}
 	}
-	return nil, nil
+	e := cmp.Or(own, free, first)
+	if e == nil {
+		return nil, nil
+	}
+	e.state = stateLeased
+	e.attempt++
+	t.lastUnit[worker] = e.unit
+	l := &lease{id: leaseID, worker: worker, granted: now, expires: now.Add(t.opts.LeaseTTL)}
+	t.leases[leaseID] = &leaseAt{l: l, entry: e}
+	return e, l
 }
 
 // nextEligible is the earliest time a pending point leaves its backoff

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -195,5 +196,83 @@ func TestCompleteResolvesOrphanedPoint(t *testing.T) {
 	tab.complete(0, l.id)
 	if e.state != stateDone {
 		t.Fatalf("state=%v, want done after orphan completion", e.state)
+	}
+}
+
+// unitTable is a lease table over len(units) points, point i in warm unit
+// units[i].
+func unitTable(clk *fakeClock, opts Options, units ...int) *leaseTable {
+	tab := newLeaseTable(pts(len(units)), opts, clk.now, testRNG())
+	for i, u := range units {
+		tab.entries[i].unit = u
+	}
+	return tab
+}
+
+// TestAcquireKeepsWorkersOnTheirUnits: acquire prefers the unit of the
+// worker's last grant, then a unit no other worker holds, then any point;
+// backoff, attempts and poisoning work as without units.
+func TestAcquireKeepsWorkersOnTheirUnits(t *testing.T) {
+	clk := newFakeClock()
+	opts := testOpts()
+	opts.PoisonAfter = 2
+	opts.MaxAttempts = 10
+	tab := unitTable(clk, opts, 0, 0, 1, 0, 1, 1, 2)
+	grant := func(worker string, want int) *lease {
+		t.Helper()
+		e, l := tab.acquire(worker, fmt.Sprintf("l-%s-%d", worker, want))
+		if e == nil || e.id != want {
+			t.Fatalf("%s was granted %+v, want point %d", worker, e, want)
+		}
+		return l
+	}
+	done := func(l *lease) { tab.complete(tab.leases[l.id].entry.id, l.id) }
+
+	l0 := grant("w1", 0)
+	// Unit 0 is w1's, so w2 skips point 1 for the first point of unit 1.
+	l2 := grant("w2", 2)
+	// Unit 0 stays w1's while w1 holds no lease, between its result and
+	// its next request: w3 takes the first point of unit 2.
+	done(l0)
+	l6 := grant("w3", 6)
+	// Each worker's next grant comes from its own unit.
+	l1 := grant("w1", 1)
+	done(l2)
+	l4 := grant("w2", 4)
+	done(l1)
+	l3 := grant("w1", 3)
+	// Only w2's unit has an eligible point left: w3 takes it, not nothing.
+	done(l6)
+	l5 := grant("w3", 5)
+	if e, _ := tab.acquire("w4", "l-w4"); e != nil {
+		t.Fatalf("w4 was granted point %d with nothing pending", e.id)
+	}
+	done(l4)
+	done(l5)
+
+	// A re-queued point of the worker's own unit still waits out its backoff.
+	clk.advance(opts.LeaseTTL + time.Second)
+	if dead := tab.expire(); len(dead) != 1 || dead[0].l.id != l3.id {
+		t.Fatalf("expire = %+v, want w1's lease on point 3", dead)
+	}
+	if e, _ := tab.acquire("w1", "l-w1-again"); e != nil {
+		t.Fatalf("w1 was granted point %d inside point 3's backoff", e.id)
+	}
+	clk.advance(time.Second)
+	e, _ := tab.acquire("w1", "l-w1-again")
+	if e == nil || e.id != 3 || e.attempt != 2 || !e.deadWorkers["w1"] {
+		t.Fatalf("after backoff w1 was granted %+v, want point 3 at attempt 2 with w1 dead", e)
+	}
+	// A second distinct death still poisons the point.
+	clk.advance(opts.LeaseTTL + time.Second)
+	tab.expire()
+	clk.advance(time.Second)
+	if e, _ := tab.acquire("w2", "l-w2-3"); e == nil || e.id != 3 {
+		t.Fatalf("w2 was granted %+v, want point 3", e)
+	}
+	clk.advance(opts.LeaseTTL + time.Second)
+	tab.expire()
+	if e := tab.entries[3]; e.state != statePoisoned || e.attempt != 3 {
+		t.Fatalf("point 3: state=%v attempt=%d, want poisoned after 3 grants", e.state, e.attempt)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	scalablebulk "scalablebulk"
+	"scalablebulk/internal/system"
 )
 
 // sweep is one submitted spec's live state: its lease table plus the
@@ -202,13 +203,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resolved: make([]bool, len(spec.Points)),
 	}
 	restored := 0
+	var units system.WarmUnits
 	for i, p := range spec.Points {
 		// Hash the resolved config, as workers and the Session do: a
 		// workload-source label sets cfg.Workload during resolution.
 		// Validate has already resolved every point.
-		_, cfg, _ := spec.Resolve(p)
+		prof, cfg, err := spec.Resolve(p)
 		h := scalablebulk.ConfigHash(cfg)
 		sw.hashes = append(sw.hashes, h)
+		wk, ok := system.WarmKeyOf(prof, cfg)
+		sw.table.entries[i].unit = units.Of(wk, ok && err == nil)
 		if s.opts.Journal == nil {
 			continue
 		}
@@ -354,8 +358,8 @@ func (s *Server) harvestTerminal(sw *sweep) {
 	}
 }
 
-// handleLease grants the first eligible point across sweeps in submission
-// order. While draining it grants nothing and tells workers so.
+// handleLease grants an eligible point (see grantLocked). While draining it
+// grants nothing and tells workers so.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if !readJSON(w, r, &req) {
@@ -414,10 +418,11 @@ func (s *Server) awaitLease(ctx context.Context, req *leaseRequest) (resp leaseR
 	}
 }
 
-// grantLocked leases the first eligible point across sweeps in submission
-// order. With nothing eligible it returns the earliest time a pending point
-// leaves its backoff window (zero when none is pending). The spec is left
-// out for sweeps the worker listed as held. Caller holds s.mu.
+// grantLocked leases a point of the first sweep, in submission order, that
+// has one eligible; leaseTable.acquire picks which. With nothing eligible it
+// returns the earliest time a pending point leaves its backoff window (zero
+// when none is pending). The spec is left out for sweeps the worker listed
+// as held. Caller holds s.mu.
 func (s *Server) grantLocked(req *leaseRequest) (*Job, time.Time) {
 	var next time.Time
 	for _, id := range s.order {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	scalablebulk "scalablebulk"
+	"scalablebulk/internal/system"
 )
 
 // Worker is the farm's execution side. It asks for a lease only when one
@@ -20,7 +21,9 @@ import (
 // only on the RetryMS hint of an older server that answers at once. The
 // worker keeps the specs of the sweeps it leased from recently and lists
 // them in each request, so the server sends a sweep's spec once, not with
-// every job.
+// every job. It also keeps the warm image of the latest machine it warmed
+// up: the server leases a worker the points of one warm unit in a row, so
+// the unit's later points restore that image instead of warming up.
 type Worker struct {
 	Client *Client
 	// ID names this worker to the server; it is the unit the poison
@@ -36,6 +39,12 @@ type Worker struct {
 	// Log, when non-nil, receives structured progress lines; every
 	// job-scoped line carries the sweep's correlation ID.
 	Log *slog.Logger
+
+	// warmMu guards warmKey and warmImg, the one warm image the worker's
+	// slots share.
+	warmMu  sync.Mutex
+	warmKey system.WarmKey
+	warmImg *system.WarmImage
 }
 
 // logJob emits one structured line about a leased job, stamped with the
@@ -186,7 +195,7 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 	}()
 
 	start := time.Now()
-	res, runErr := w.runPoint(runCtx, job, prof, cfg)
+	res, restored, runErr := w.runPoint(runCtx, job, prof, cfg)
 	cancelRun()
 	<-hbDone
 	if leaseGone {
@@ -212,15 +221,20 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 		w.logJob(job, "result_delivery_failed", "error", err.Error())
 		return
 	}
-	w.logJob(job, "completed")
+	warm := "built"
+	if restored {
+		warm = "restored"
+	}
+	w.logJob(job, "completed", "warm", warm)
 }
 
 // runPoint executes the simulation with panic isolation: a panic becomes a
 // *CrashError carrying the crash report (stamped with the sweep's
 // correlation ID), exactly like the in-process sweep worker's recovery.
 // OnPoint runs inside this scope, so a test hook that panics produces a
-// genuine crash bundle rather than killing the worker.
-func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profile, cfg scalablebulk.Config) (res *scalablebulk.Result, err error) {
+// genuine crash bundle rather than killing the worker. restored reports
+// whether the machine was restored from the worker's warm image.
+func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profile, cfg scalablebulk.Config) (res *scalablebulk.Result, restored bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			report := scalablebulk.NewCrashReport(job.Point, cfg, r)
@@ -231,7 +245,33 @@ func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profi
 	if w.OnPoint != nil {
 		w.OnPoint(w.ID, job.Point)
 	}
-	return scalablebulk.RunContext(ctx, prof, cfg)
+	m, err := w.build(prof, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err = m.RunContext(ctx)
+	return res, m.Restored(), err
+}
+
+// build restores the worker's warm image when it has the point's warm key.
+// Otherwise it warms up and keeps the new machine's image in its place.
+func (w *Worker) build(prof scalablebulk.Profile, cfg scalablebulk.Config) (*system.Machine, error) {
+	key, ok := system.WarmKeyOf(prof, cfg)
+	w.warmMu.Lock()
+	img := w.warmImg
+	if !ok || key != w.warmKey {
+		img = nil
+	}
+	w.warmMu.Unlock()
+	m, err := system.BuildFrom(prof, cfg, img)
+	if err != nil || img != nil || !ok {
+		return m, err
+	}
+	img = m.WarmImage()
+	w.warmMu.Lock()
+	w.warmKey, w.warmImg = key, img
+	w.warmMu.Unlock()
+	return m, nil
 }
 
 // failJob reports a failure, best-effort and bounded.

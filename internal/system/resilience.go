@@ -44,9 +44,9 @@ func (e *AbortError) Unwrap() []error { return []error{ErrAborted, e.Cause} }
 
 // RunPanic wraps a panic that escaped a simulation with the machine context
 // at the moment of failure: the simulated cycle reached, a truncated machine
-// dump, and the Go stack of the panicking goroutine. RunContext re-panics
-// with it so sweep workers can recover one crashing point into a crash
-// bundle while the rest of the sweep keeps running.
+// dump, and the Go stack of the panicking goroutine. BuildFrom and
+// RunContext re-panic with it so sweep workers can recover one crashing
+// point into a crash bundle while the rest of the sweep keeps running.
 type RunPanic struct {
 	App      string
 	Protocol string

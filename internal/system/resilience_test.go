@@ -128,6 +128,31 @@ func TestRunPanicWrapping(t *testing.T) {
 	}
 }
 
+// TestBuildPanicWrapping: a panic in Build arrives as a *RunPanic too,
+// without a cycle or a dump, so sweep workers that build a machine
+// themselves recover it into the same crash report as one from RunContext.
+func TestBuildPanicWrapping(t *testing.T) {
+	cfg := quickCfg(8, ProtoScalableBulk)
+	cfg.WorkloadFactory = func(workload.Profile, int, int64) (workload.Source, error) {
+		panic("injected build fault")
+	}
+	var rec any
+	func() {
+		defer func() { rec = recover() }()
+		_, _ = BuildFrom(mustApp(t, "Radix"), cfg, nil)
+	}()
+	rp, ok := rec.(*RunPanic)
+	if !ok {
+		t.Fatalf("expected *RunPanic, got %T (%v)", rec, rec)
+	}
+	if rp.Value != "injected build fault" || rp.App != "Radix" || rp.Protocol != ProtoScalableBulk || rp.Cores != 8 {
+		t.Errorf("RunPanic = %s/%s/%d %v", rp.App, rp.Protocol, rp.Cores, rp.Value)
+	}
+	if rp.Cycle != 0 || rp.Dump != "" || !strings.Contains(rp.Stack, "goroutine") {
+		t.Errorf("cycle %d, dump %q, stack %q: want no cycle or dump, and the Go stack", rp.Cycle, rp.Dump, rp.Stack)
+	}
+}
+
 // TestRetryEscalationConverges: under a fault profile a MaxCycles abort only
 // means the budget was short. Retrying with a larger budget replays the same
 // deterministic run and converges on the result a clean run produces, so an

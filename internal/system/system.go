@@ -314,8 +314,19 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 
 // BuildFrom is Build with the warm-up replaced by restoring img, a
 // WarmImage taken from a machine with the same WarmKey. A nil img runs the
-// warm-up loop. Either way the machine is the same, bit for bit.
+// warm-up loop. Either way the machine is the same, bit for bit. A panic in
+// Build is re-panicked wrapped in *RunPanic, like one in the run (without a
+// machine dump: the machine is not complete), so sweep workers recover both
+// into the same crash report.
 func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(&RunPanic{
+				App: prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
+				Value: r, Stack: string(debug.Stack()),
+			})
+		}
+	}()
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
 	}
@@ -589,20 +600,8 @@ func (m *Machine) Finish() (*Result, error) {
 }
 
 // RunContext is Run with cancellation: Build, then the machine's RunContext.
-// A panic in Build is re-panicked wrapped in *RunPanic, like one in the run
-// (without a machine dump: there is no machine yet).
+// A panic in either arrives wrapped in *RunPanic.
 func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result, error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*RunPanic); ok {
-				panic(r)
-			}
-			panic(&RunPanic{
-				App: prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
-				Value: r, Stack: string(debug.Stack()),
-			})
-		}
-	}()
 	m, err := Build(prof, cfg)
 	if err != nil {
 		return nil, err

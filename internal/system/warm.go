@@ -32,6 +32,30 @@ func WarmKeyOf(prof workload.Profile, cfg Config) (WarmKey, bool) {
 	}, true
 }
 
+// WarmUnits numbers warm units, the points that can share one warm-up, in
+// order of first appearance: points with equal warm keys share a unit, and
+// a point without a key is a unit of its own. The zero value is ready.
+type WarmUnits struct {
+	byKey map[WarmKey]int
+	n     int
+}
+
+// Of returns the unit of the next point, whose key is wk; ok false means
+// the point has none.
+func (u *WarmUnits) Of(wk WarmKey, ok bool) int {
+	if ok {
+		if i, seen := u.byKey[wk]; seen {
+			return i
+		}
+		if u.byKey == nil {
+			u.byKey = map[WarmKey]int{}
+		}
+		u.byKey[wk] = u.n
+	}
+	u.n++
+	return u.n - 1
+}
+
 // WarmImage is a compact, read-only copy of a machine's state after warm-up:
 // every core's caches, the directory's sharer lists and the page table.
 // BuildFrom restores it in place of the warm-up loop; any number of builds

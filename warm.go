@@ -16,21 +16,16 @@ import "scalablebulk/internal/system"
 // its own. Units are ordered by their first point.
 func (s *Session) warmUnits(points []Point) [][]int {
 	var units [][]int
-	unit := map[system.WarmKey]int{}
+	var numbering system.WarmUnits
 	for i, p := range points {
 		cfg := s.pointConfig(runKey{p.App, p.Protocol, p.Cores})
 		prof, err := ResolvePointProfile(p.App, &cfg)
 		wk, ok := system.WarmKeyOf(prof, cfg)
-		if err != nil || !ok {
-			units = append(units, []int{i})
-			continue
+		u := numbering.Of(wk, ok && err == nil)
+		if u == len(units) {
+			units = append(units, nil)
 		}
-		if u, seen := unit[wk]; seen {
-			units[u] = append(units[u], i)
-			continue
-		}
-		unit[wk] = len(units)
-		units = append(units, []int{i})
+		units[u] = append(units[u], i)
 	}
 	return units
 }
