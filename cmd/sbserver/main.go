@@ -30,7 +30,6 @@ func run() int {
 		addr         = flag.String("addr", "127.0.0.1:8356", "listen address for the farm API")
 		journalPath  = flag.String("journal", "", "checkpoint journal path (JSONL); empty disables durability")
 		crashDir     = flag.String("crashdir", "", "directory for worker crash bundles")
-		eventsPath   = flag.String("events", "", "lease-lifecycle event log path (JSONL)")
 		leaseTTL     = flag.Duration("lease", 10*time.Second, "lease TTL; workers heartbeat at TTL/3")
 		poisonAfter  = flag.Int("poison", 3, "quarantine a point after this many distinct worker deaths")
 		maxAttempts  = flag.Int("retries", 3, "lease grants per point before it fails (effective cap is max of this and -poison)")
@@ -67,22 +66,6 @@ func run() int {
 		defer j.Close()
 		opts.Journal = j
 		logger.Info("journal_open", "path", *journalPath, "points", j.Len())
-	}
-	if *eventsPath != "" {
-		ev, err := farm.OpenEventLog(*eventsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbserver: %v\n", err)
-			return cliutil.ExitError
-		}
-		defer func() {
-			// Close surfaces the first write error the log swallowed while
-			// emitting — a full disk shows up at shutdown instead of never.
-			if cerr := ev.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "sbserver: event log: %v (%d events dropped)\n",
-					cerr, ev.Dropped())
-			}
-		}()
-		opts.Events = ev
 	}
 	reg := metrics.NewRegistry()
 	opts.Metrics = reg

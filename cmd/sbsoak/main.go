@@ -86,7 +86,7 @@ func run() int {
 		outPath   = flag.String("o", "", "write a JSON soak report to this path (- for stdout)")
 		quick     = flag.Bool("quick", false, "CI smoke matrix: 2 apps × 4 protocols × 8 cores, 1 round, tiny chunks")
 		progress  = flag.Duration("progress", 30*time.Second, "sweep heartbeat period on stderr (0 disables)")
-		telemetry = flag.String("telemetry", "", "serve live metrics on this address (e.g. :8090): /metrics, /debug/vars, /debug/pprof")
+		telemetry = flag.String("telemetry", "", "serve live metrics on this address (e.g. :8090): /metrics, /metrics.prom, /debug/pprof")
 		server    = flag.String("server", "", "run each round's sweep on a sweep-farm server at this base URL (the server owns the journal)")
 	)
 	flag.Parse()
@@ -151,7 +151,7 @@ func run() int {
 			return cliutil.ExitError
 		}
 		defer closeFn()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (also /metrics.prom, /debug/pprof)\n", addr)
 	}
 
 	var journal *scalablebulk.Journal

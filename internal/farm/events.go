@@ -1,27 +1,12 @@
 package farm
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"os"
-	"sync"
-	"time"
-
-	"scalablebulk/internal/metrics"
-)
-
-// Event is one line of the farm's lease-lifecycle log: sweep submissions,
-// lease grants/renewals/expiries, results, failures, poisonings, drains,
-// restarts. The simulator's internal/trace schema is chunk-lifecycle-specific,
-// so the farm keeps its own JSONL stream with the same spirit: append-only,
-// machine-readable, greppable by kind — and now also fanned out live over
-// SSE (see Server.handleSweepEvents).
+// Event is one farm lease-lifecycle event: sweep submissions, lease
+// grants/renewals/expiries, results, failures, poisonings, drains. The
+// server writes each one as a structured log line (Options.Logger) and
+// fans it out live over SSE (see Server.handleSweepEvents).
 type Event struct {
-	// Seq is the hub's monotonic sequence number. It is per-process but
-	// survives restarts over the same event log: a restarted server resumes
-	// from the log's max seq (and says so with a "restarted" event), so an
-	// interleaved grep/tail over the file still sorts totally by seq.
+	// Seq is the hub's monotonic sequence number. It is per-process: a
+	// restarted server starts again from 1.
 	Seq     uint64 `json:"seq"`
 	Time    string `json:"time"`
 	Kind    string `json:"kind"`
@@ -35,126 +20,4 @@ type Event struct {
 	// the point produces — one grep reconstructs a point's whole life.
 	Corr   string `json:"corr,omitempty"`
 	Detail string `json:"detail,omitempty"`
-}
-
-// EventLog appends JSONL events to a file. Safe for concurrent use; writes
-// are line-atomic under the lock. Logging is best-effort — a write error
-// never fails the operation that emitted the event — but not silent: drops
-// are counted (Dropped, and the farm_eventlog_dropped metric when a registry
-// is attached) and the first write error is reported by Close.
-type EventLog struct {
-	mu       sync.Mutex
-	f        *os.File
-	lastSeq  uint64
-	dropped  uint64
-	firstErr error
-	reg      *metrics.Registry
-}
-
-// OpenEventLog opens (appending) or creates the JSONL event log at path. An
-// existing log is scanned for its max event seq so a restarted server can
-// resume the sequence (LastSeq) instead of reissuing numbers the file
-// already holds.
-func OpenEventLog(path string) (*EventLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	l := &EventLog{f: f}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		var e struct {
-			Seq uint64 `json:"seq"`
-		}
-		if json.Unmarshal(sc.Bytes(), &e) == nil && e.Seq > l.lastSeq {
-			l.lastSeq = e.Seq
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// LastSeq returns the max event seq found in the file at open time — zero
-// for a fresh log.
-func (l *EventLog) LastSeq() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.lastSeq
-}
-
-// AttachMetrics routes drop accounting into reg's farm_eventlog_dropped
-// counter (in addition to the local Dropped count).
-func (l *EventLog) AttachMetrics(reg *metrics.Registry) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reg = reg
-}
-
-// Emit appends one event, stamping the wall-clock time unless the caller
-// (the server's hub) already did. A marshal or write failure drops the event
-// and is charged to the drop counter; the first write error is latched for
-// Close.
-func (l *EventLog) Emit(e Event) {
-	if l == nil {
-		return
-	}
-	if e.Time == "" {
-		e.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	}
-	data, err := json.Marshal(e)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err == nil {
-		if l.f == nil {
-			return // closed: not a drop, the log was told to stop
-		}
-		_, err = l.f.Write(append(data, '\n'))
-	}
-	if err != nil {
-		l.dropped++
-		if l.firstErr == nil {
-			l.firstErr = err
-		}
-		if l.reg != nil {
-			l.reg.Counter("farm_eventlog_dropped").Add(1)
-		}
-	}
-}
-
-// Dropped returns how many events were lost to marshal or write errors.
-func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Close closes the underlying file and surfaces the first write error the
-// log swallowed while emitting — so a full disk shows up at shutdown instead
-// of never.
-func (l *EventLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return l.firstErr
-	}
-	err := l.f.Close()
-	l.f = nil
-	if l.firstErr != nil {
-		return l.firstErr
-	}
-	return err
 }

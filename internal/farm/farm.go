@@ -57,8 +57,6 @@ type Options struct {
 	// CrashDir, when nonempty, receives crash bundles forwarded by
 	// workers whose runs panicked.
 	CrashDir string
-	// Events, when non-nil, receives the lease-lifecycle event stream.
-	Events *EventLog
 	// Metrics, when non-nil, receives farm counters and gauges.
 	Metrics *metrics.Registry
 	// EventHistory bounds the in-memory event ring SSE clients resume from
@@ -68,8 +66,10 @@ type Options struct {
 	// SSEPing is the keepalive-comment interval on SSE streams (defeats
 	// idle-connection reapers between events). 0 selects 5s.
 	SSEPing time.Duration
-	// Logger, when non-nil, receives a structured log line per farm event
-	// (kind, sweep, worker, lease, point, corr).
+	// Logger, when non-nil, receives a structured log line per farm event:
+	// the event kind as the message, then seq, sweep, worker, lease,
+	// point_id, point, corr and detail. It is the farm's only event record;
+	// with a JSON handler each line carries every Event field.
 	Logger *slog.Logger
 	// Clock replaces time.Now for tests.
 	Clock func() time.Time

@@ -6,34 +6,28 @@ import (
 )
 
 // eventHub is the server's live event spine: it stamps every Event with a
-// monotonic seq and wall-clock time, mirrors it to the JSONL EventLog, keeps
-// a bounded in-memory ring for SSE resume (Last-Event-ID), and wakes
-// subscribed streams. Subscribers never receive events over channels — they
-// re-read the ring by seq, so a slow consumer can never make the hub drop or
-// block; it just catches up (or takes a snapshot when the ring has already
-// evicted its resume point).
+// monotonic seq and wall-clock time, keeps a bounded in-memory ring for SSE
+// resume (Last-Event-ID), and wakes subscribed streams. Subscribers never
+// receive events over channels — they re-read the ring by seq, so a slow
+// consumer can never make the hub drop or block; it just catches up (or
+// takes a snapshot when the ring has already evicted its resume point).
 type eventHub struct {
 	mu    sync.Mutex
 	seq   uint64
 	ring  []Event // ring[i] holds seq (minSeq+i); append-only window
 	cap   int
-	log   *EventLog
 	clock func() time.Time
 	subs  map[chan struct{}]struct{}
 }
 
-func newEventHub(log *EventLog, capacity int, clock func() time.Time) *eventHub {
+func newEventHub(capacity int, clock func() time.Time) *eventHub {
 	if capacity <= 0 {
 		capacity = 8192
 	}
 	if clock == nil {
 		clock = time.Now
 	}
-	h := &eventHub{cap: capacity, log: log, clock: clock, subs: map[chan struct{}]struct{}{}}
-	// Resume the sequence from the log so seqs stay unique (and totally
-	// ordered) across restarts over the same file.
-	h.seq = log.LastSeq()
-	return h
+	return &eventHub{cap: capacity, clock: clock, subs: map[chan struct{}]struct{}{}}
 }
 
 // emit stamps and publishes one event, returning it with seq and time set.
@@ -52,7 +46,6 @@ func (h *eventHub) emit(e Event) Event {
 	}
 	h.mu.Unlock()
 
-	h.log.Emit(e) // EventLog locks itself; keep it out of the hub lock
 	for _, ch := range subs {
 		select {
 		case ch <- struct{}{}:
@@ -77,19 +70,20 @@ func (h *eventHub) subscribe() (chan struct{}, func()) {
 }
 
 // since returns the retained events with seq > after that pass filter, plus
-// gapped=true when the ring has already evicted events the caller never saw
-// (its resume point predates the window) — the signal to send a snapshot
-// instead of pretending the stream is contiguous.
+// gapped=true when the caller cannot be caught up by replay — the signal to
+// send a snapshot instead of pretending the stream is contiguous. That is
+// when the ring has already evicted events the caller never saw (its resume
+// point predates the window), or when the resume point is above the newest
+// seq: seqs restart at 1 with each server process, so such a point comes
+// from an earlier run and the caller has seen none of this run's events.
 func (h *eventHub) since(after uint64, filter func(Event) bool) (evs []Event, gapped bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	minSeq := h.seq - uint64(len(h.ring)) + 1 // seq of ring[0]; h.seq when empty
-	if len(h.ring) == 0 {
-		return nil, after < h.seq
+	if after > h.seq {
+		return nil, true
 	}
-	if after+1 < minSeq {
-		gapped = true
-	}
+	minSeq := h.seq - uint64(len(h.ring)) + 1 // seq of ring[0]
+	gapped = after+1 < minSeq
 	for i := range h.ring {
 		e := h.ring[i]
 		if e.Seq <= after {

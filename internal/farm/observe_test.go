@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,24 +251,112 @@ done:
 	}
 }
 
-// TestCorrelationIDThreadsThrough: one correlation ID, minted at the client,
-// must be greppable in the client's structured log, the worker's structured
-// log, the server's event log, the journal entry of a completed point, and
-// the crash bundle of a point whose run panicked.
-func TestCorrelationIDThreadsThrough(t *testing.T) {
-	dir := t.TempDir()
-	eventsPath := filepath.Join(dir, "events.jsonl")
-	journalPath := filepath.Join(dir, "journal.jsonl")
-	crashDir := filepath.Join(dir, "crash")
+// TestEventHubSince: since replays what the ring still holds and reports a
+// gap when it cannot — a resume point evicted from the ring, or one above
+// the newest seq (left over from an earlier server run).
+func TestEventHubSince(t *testing.T) {
+	h := newEventHub(2, nil)
+	if evs, gapped := h.since(0, nil); len(evs) != 0 || gapped {
+		t.Errorf("empty hub: since(0) = %d events, gapped=%v", len(evs), gapped)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		h.emit(Event{Kind: k})
+	}
+	for _, c := range []struct {
+		after  uint64
+		n      int
+		gapped bool
+	}{
+		{0, 2, true},   // seq 1 evicted
+		{1, 2, false},  // replay 2, 3
+		{2, 1, false},  // replay 3
+		{3, 0, false},  // caught up
+		{4, 0, true},   // from an earlier run
+		{500, 0, true}, // from an earlier run
+	} {
+		evs, gapped := h.since(c.after, nil)
+		if len(evs) != c.n || gapped != c.gapped {
+			t.Errorf("since(%d) = %d events, gapped=%v; want %d, %v",
+				c.after, len(evs), gapped, c.n, c.gapped)
+		}
+	}
+}
 
-	ev, err := OpenEventLog(eventsPath)
+// TestSSEFutureResumeIDGetsSnapshot: a Last-Event-ID above every seq this
+// server issued (a client reconnecting after a server restart) must get a
+// snapshot holding every result, not an empty replay followed by "end".
+func TestSSEFutureResumeIDGetsSnapshot(t *testing.T) {
+	spec := testSpec()
+	base, _, stop := startServer(t, quickOpts(), filepath.Join(t.TempDir(), "farm.jsonl"), "")
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	wctx, wcancel := context.WithCancel(ctx)
+	defer wcancel()
+	wg := startWorker(wctx, fastClient(base), "w1", nil)
+	defer wg.Wait()
+
+	c := fastClient(base)
+	sub, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.RunSweep(ctx, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	wcancel()
+
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		base+"/api/v1/sweeps/"+sub.SweepID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", "9999")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	results := -1
+	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
+	for {
+		ev, err := rd.next()
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if ev.Type == sseSnapshot {
+			var st SweepStatus
+			if err := json.Unmarshal(ev.Data, &st); err != nil {
+				t.Fatal(err)
+			}
+			results = len(st.Results)
+		}
+		if ev.Type == sseEnd {
+			break
+		}
+	}
+	if results != len(spec.Points) {
+		t.Errorf("snapshot before end holds %d results, want %d (-1: no snapshot)",
+			results, len(spec.Points))
+	}
+}
+
+// TestCorrelationIDThreadsThrough: one correlation ID, minted at the client,
+// must be greppable in the client's structured log, the worker's structured
+// log, the server's structured log, the journal entry of a completed point,
+// and the crash bundle of a point whose run panicked. The server's result
+// lines must also carry each point's point_id.
+func TestCorrelationIDThreadsThrough(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "journal.jsonl")
+	crashDir := filepath.Join(dir, "crash")
+
+	var serverMu sync.Mutex
+	var serverLog bytes.Buffer
 	opts := quickOpts()
 	opts.PoisonAfter = 2
-	opts.Events = ev
 	opts.CrashDir = crashDir
+	opts.Logger = slog.New(slog.NewJSONHandler(lockedWriter{&serverMu, &serverLog}, nil))
 	base, _, stop := startServer(t, opts, journalPath, "")
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -329,14 +416,30 @@ func TestCorrelationIDThreadsThrough(t *testing.T) {
 	grep("worker log", workerLog.Bytes())
 	logMu.Unlock()
 
-	if err := ev.Close(); err != nil {
-		t.Fatalf("event log close: %v", err)
+	stop() // no server line is written after this
+	serverMu.Lock()
+	grep("server log", serverLog.Bytes())
+	resultIDs := map[float64]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(serverLog.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("server log line %q: %v", line, err)
+		}
+		if rec["msg"] != "result" || rec["corr"] != corr {
+			continue
+		}
+		id, ok := rec["point_id"].(float64)
+		if !ok {
+			t.Errorf("result line without point_id: %s", line)
+		}
+		resultIDs[id] = true
 	}
-	events, err := os.ReadFile(eventsPath)
-	if err != nil {
-		t.Fatal(err)
+	serverMu.Unlock()
+	// Two completed points and one poisoned point: a result line each.
+	if len(resultIDs) != len(testSpec().Points) {
+		t.Errorf("server result lines name point_ids %v, want one per point of %d",
+			resultIDs, len(testSpec().Points))
 	}
-	grep("server event log", events)
 
 	journal, err := os.ReadFile(journalPath)
 	if err != nil {
@@ -377,106 +480,6 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Write(p)
-}
-
-// TestEventLogDropAccounting: a write failure must not be silent — it counts
-// in Dropped and the farm_eventlog_dropped metric, and surfaces as the first
-// write error from Close.
-func TestEventLogDropAccounting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	l, err := OpenEventLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	l.AttachMetrics(reg)
-
-	l.Emit(Event{Kind: "ok"})
-	if n := l.Dropped(); n != 0 {
-		t.Fatalf("dropped after clean emit: %d", n)
-	}
-
-	// Sabotage the file descriptor underneath the log: subsequent writes
-	// fail exactly like a full or yanked disk.
-	l.f.Close()
-	l.Emit(Event{Kind: "lost"})
-	l.Emit(Event{Kind: "lost-too"})
-
-	if n := l.Dropped(); n != 2 {
-		t.Errorf("Dropped() = %d, want 2", n)
-	}
-	if n := reg.Snapshot().Counters["farm_eventlog_dropped"]; n != 2 {
-		t.Errorf("farm_eventlog_dropped = %d, want 2", n)
-	}
-	if err := l.Close(); err == nil {
-		t.Error("Close() = nil, want the latched write error")
-	}
-}
-
-// TestEventSeqSurvivesRestart: a server restarted over the same event log
-// resumes the monotonic sequence from the file's max seq and announces the
-// restart with a "restarted" event carrying it.
-func TestEventSeqSurvivesRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	l1, err := OpenEventLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1.LastSeq() != 0 {
-		t.Fatalf("fresh log LastSeq = %d", l1.LastSeq())
-	}
-	s1 := NewServer(Options{Events: l1})
-	s1.emit(Event{Kind: "a"})
-	if e := s1.emit(Event{Kind: "b"}); e.Seq != 2 {
-		t.Fatalf("second event seq = %d, want 2", e.Seq)
-	}
-	if err := l1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenEventLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.LastSeq() != 2 {
-		t.Fatalf("reopened LastSeq = %d, want 2", l2.LastSeq())
-	}
-	s2 := NewServer(Options{Events: l2})
-	if e := s2.emit(Event{Kind: "c"}); e.Seq != 4 {
-		t.Errorf("post-restart event seq = %d, want 4 (3 taken by restarted)", e.Seq)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	var seqs []uint64
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		kinds = append(kinds, e.Kind)
-		seqs = append(seqs, e.Seq)
-	}
-	wantKinds := []string{"a", "b", "restarted", "c"}
-	if len(kinds) != len(wantKinds) {
-		t.Fatalf("event kinds = %v, want %v", kinds, wantKinds)
-	}
-	for i := range wantKinds {
-		if kinds[i] != wantKinds[i] {
-			t.Errorf("event %d kind = %q, want %q", i, kinds[i], wantKinds[i])
-		}
-		if seqs[i] != uint64(i+1) {
-			t.Errorf("event %d seq = %d, want %d", i, seqs[i], i+1)
-		}
-	}
-	// The restarted event names the seq it resumed from.
-	if !strings.Contains(string(data), "prev_max_seq=2") {
-		t.Error("restarted event does not carry prev_max_seq=2")
-	}
 }
 
 // TestProgressAndFarmStatus: the aggregation endpoints report a finished

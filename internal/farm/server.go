@@ -66,38 +66,29 @@ type Server struct {
 const maxHold = 10 * time.Second
 
 // NewServer builds a Server over opts (zero-value fields select defaults).
-// When the event log already holds events — the signature of a restart over
-// the same -events file — the server resumes the sequence from the log's max
-// seq and announces itself with a "restarted" event carrying it.
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
-	opts.Events.AttachMetrics(opts.Metrics)
-	s := &Server{
+	return &Server{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed*0x9e3779b9 + 1)),
-		hub:     newEventHub(opts.Events, opts.EventHistory, opts.Clock),
+		hub:     newEventHub(opts.EventHistory, opts.Clock),
 		log:     opts.Logger,
 		sweeps:  map[string]*sweep{},
 		workers: map[string]*workerInfo{},
 		drained: make(chan struct{}),
 		wake:    make(chan struct{}),
 	}
-	if prev := opts.Events.LastSeq(); prev > 0 {
-		s.emit(Event{Kind: "restarted", Detail: fmt.Sprintf("prev_max_seq=%d", prev)})
-	}
-	return s
 }
 
-// emit publishes one event through the hub (seq + time stamped there), the
-// event log, and the structured log.
-func (s *Server) emit(e Event) Event {
+// emit publishes one event through the hub (seq + time stamped there) and
+// the structured log.
+func (s *Server) emit(e Event) {
 	e = s.hub.emit(e)
 	if s.log != nil {
 		s.log.Info(e.Kind,
 			"seq", e.Seq, "sweep", e.Sweep, "worker", e.Worker, "lease", e.Lease,
-			"point", e.Point, "corr", e.Corr, "detail", e.Detail)
+			"point_id", e.PointID, "point", e.Point, "corr", e.Corr, "detail", e.Detail)
 	}
-	return e
 }
 
 // Handler returns the farm API mux:

@@ -2,29 +2,15 @@ package metrics
 
 import (
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
-)
-
-// publishOnce guards the process-global expvar name: expvar.Publish panics
-// on duplicate names, and tests (or a soak that builds several servers)
-// may call Serve more than once per process. The published Func always
-// reads the most recently served registry.
-var (
-	publishOnce sync.Once
-	published   atomic.Pointer[Registry]
 )
 
 // Serve exposes the registry over HTTP on addr (the -telemetry flag):
 //
 //	/metrics       deterministic JSON snapshot of the registry
 //	/metrics.prom  Prometheus text exposition (version 0.0.4)
-//	/debug/vars    expvar (Go runtime memstats + the registry under
-//	               "scalablebulk")
 //	/debug/pprof   live CPU/heap/goroutine profiling for multi-hour soaks
 //
 // It returns the bound address (useful with ":0") and a shutdown func. The
@@ -42,20 +28,10 @@ func Serve(addr string, reg *Registry) (string, func() error, error) {
 }
 
 // Handler builds the telemetry mux Serve exposes — /metrics JSON snapshot,
-// /debug/vars expvar, /debug/pprof — without binding a listener, so servers
+// /metrics.prom, /debug/pprof — without binding a listener, so servers
 // that own their own mux (the sweep farm's sbserver) can mount telemetry
 // alongside their API endpoints.
 func Handler(reg *Registry) *http.ServeMux {
-	published.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("scalablebulk", expvar.Func(func() any {
-			if r := published.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics.prom", PromHandler(reg))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -67,7 +43,6 @@ func Handler(reg *Registry) *http.ServeMux {
 		}
 		w.Write(append(data, '\n'))
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -1,6 +1,6 @@
 // Package metrics is the live-telemetry half of the observability layer: a
 // small registry of counters, gauges and histograms that long soaks publish
-// over HTTP (expvar + pprof) so multi-hour runs can be watched and profiled
+// over HTTP (JSON, Prometheus text, pprof) so multi-hour runs can be watched and profiled
 // without stopping them.
 //
 // The registry is safe for concurrent use — sweep workers update it while

@@ -84,7 +84,7 @@ func TestServe(t *testing.T) {
 	}
 	defer closeFn()
 
-	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/metrics.prom", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

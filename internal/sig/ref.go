@@ -38,15 +38,6 @@ func RefMember(s *Sig, l Line) bool {
 	return true
 }
 
-// RefIntersect is the reference implementation of Sig.Intersect.
-func RefIntersect(s, o Sig) Sig {
-	var r Sig
-	for i := range s.w {
-		r.w[i] = s.w[i] & o.w[i]
-	}
-	return r
-}
-
 // RefUnion is the reference implementation of Sig.Union.
 func RefUnion(s, o Sig) Sig {
 	var r Sig
@@ -68,17 +59,4 @@ func RefOverlaps(s, o *Sig) bool {
 		}
 	}
 	return true
-}
-
-// RefBankOverlap is the reference implementation of Sig.BankOverlap.
-func RefBankOverlap(s, o *Sig) [Banks]bool {
-	var out [Banks]bool
-	for b := 0; b < Banks; b++ {
-		var or uint64
-		for i := 0; i < bankWords; i++ {
-			or |= s.w[b*bankWords+i] & o.w[b*bankWords+i]
-		}
-		out[b] = or != 0
-	}
-	return out
 }

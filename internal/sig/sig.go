@@ -22,7 +22,6 @@ package sig
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 )
@@ -104,13 +103,13 @@ func (s *Sig) Member(l Line) bool {
 // The set operations below are the simulator's hottest kernels after the
 // event queue: every bulk invalidation runs Overlaps against up to three
 // chunk signatures per core, and every commit clears and rebuilds two
-// signatures. The boolean tests (Empty, Overlaps, BankOverlap) are
-// hand-unrolled over the fixed 8-word banks — no loop counters, no variable
-// indexing, bounds checks gone — and short-circuit per bank; the whole-word
-// combiners (Intersect, Union) stay as range loops, which the compiler
-// already turns into straight-line code. The pre-optimization loop versions
-// live on as the Ref* kernels in ref.go; the fuzz and property tests in this
-// package hold the two families bit-equivalent.
+// signatures. The boolean tests (Empty, Overlaps) are hand-unrolled over
+// the fixed 8-word banks — no loop counters, no variable indexing, bounds
+// checks gone — and short-circuit per bank; the whole-word combiner (Union)
+// stays a range loop, which the compiler already turns into straight-line
+// code. The pre-optimization loop versions live on as the Ref* kernels in
+// ref.go; the fuzz and property tests in this package hold the two families
+// bit-equivalent.
 
 // Compile-time guard: the unrolled kernels assume exactly 8 words per bank.
 var _ [bankWords - 8]struct{}
@@ -139,18 +138,6 @@ func (s *Sig) Empty() bool {
 // Clear resets the signature to the empty set.
 func (s *Sig) Clear() { *s = Sig{} }
 
-// Intersect returns the bitwise intersection of two signatures. If the
-// result is Empty, the encoded sets are certainly disjoint.
-func (s Sig) Intersect(o Sig) Sig {
-	var r Sig
-	// A plain range loop: the compiler eliminates all bounds checks against
-	// the fixed-size array and this benchmarks faster than manual unrolling.
-	for i := range s.w {
-		r.w[i] = s.w[i] & o.w[i]
-	}
-	return r
-}
-
 // Union returns the bitwise union of two signatures; it encodes a superset
 // of the union of the two sets.
 func (s Sig) Union(o Sig) Sig {
@@ -170,18 +157,6 @@ func (s *Sig) Overlaps(o *Sig) bool {
 		bankAndOr(a, b, 16) != 0 && bankAndOr(a, b, 24) != 0
 }
 
-// BankOverlap reports, per bank, whether the two signatures' banks
-// intersect. Diagnostic: the full Overlaps test is the AND of all banks.
-func (s *Sig) BankOverlap(o *Sig) [Banks]bool {
-	a, b := &s.w, &o.w
-	return [Banks]bool{
-		bankAndOr(a, b, 0) != 0,
-		bankAndOr(a, b, 8) != 0,
-		bankAndOr(a, b, 16) != 0,
-		bankAndOr(a, b, 24) != 0,
-	}
-}
-
 // PopCount returns the number of set bits, a measure of occupancy.
 func (s Sig) PopCount() int {
 	n := 0
@@ -189,27 +164,6 @@ func (s Sig) PopCount() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// EstimateCardinality estimates how many distinct lines were inserted, using
-// the standard Bloom occupancy inversion on the fullest bank. It is used
-// only for statistics, never for protocol decisions.
-func (s Sig) EstimateCardinality() int {
-	best := 0.0
-	for b := 0; b < Banks; b++ {
-		n := 0
-		for i := 0; i < bankWords; i++ {
-			n += bits.OnesCount64(s.w[b*bankWords+i])
-		}
-		if n == bankBits {
-			return bankBits // saturated
-		}
-		est := -float64(bankBits) * math.Log(1-float64(n)/float64(bankBits))
-		if est > best {
-			best = est
-		}
-	}
-	return int(best + 0.5)
 }
 
 // String renders a short occupancy summary, e.g. "sig[57/2048]".

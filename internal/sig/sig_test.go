@@ -48,12 +48,11 @@ func TestIntersectionSoundness(t *testing.T) {
 	// Sets with a common element must overlap (no false negatives).
 	a := FromLines([]Line{10, 20, 30})
 	b := FromLines([]Line{99, 30, 777})
-	if !a.Overlaps(&b) {
+	if !a.Overlaps(&b) || !RefOverlaps(&a, &b) {
 		t.Fatal("signatures of intersecting sets report disjoint")
 	}
-	inter := a.Intersect(b)
-	if !inter.Member(30) {
-		t.Fatal("intersection lost common element")
+	if !a.Member(30) || !b.Member(30) {
+		t.Fatal("common element not a member of both")
 	}
 }
 
@@ -112,17 +111,6 @@ func TestSamePageDisjointLinesAreDisjoint(t *testing.T) {
 	}
 }
 
-func TestEstimateCardinality(t *testing.T) {
-	var s Sig
-	for i := 0; i < 64; i++ {
-		s.Insert(Line(i * 977))
-	}
-	est := s.EstimateCardinality()
-	if est < 48 || est > 80 {
-		t.Fatalf("cardinality estimate %d far from 64", est)
-	}
-}
-
 func TestStringAndDump(t *testing.T) {
 	var s Sig
 	s.Insert(5)
@@ -162,7 +150,8 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// Property: union is a superset encoder, intersect is symmetric.
+// Property: union is a superset encoder, overlap is symmetric and agrees
+// with the reference kernel.
 func TestPropertyAlgebra(t *testing.T) {
 	f := func(xs, ys []uint64) bool {
 		var a, b Sig
@@ -183,8 +172,7 @@ func TestPropertyAlgebra(t *testing.T) {
 				return false
 			}
 		}
-		i1, i2 := a.Intersect(b), b.Intersect(a)
-		return i1 == i2 && a.Overlaps(&b) == b.Overlaps(&a)
+		return a.Overlaps(&b) == b.Overlaps(&a) && a.Overlaps(&b) == RefOverlaps(&a, &b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
