@@ -10,6 +10,9 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"scalablebulk/internal/chunk"
+	"scalablebulk/internal/workload"
 )
 
 // detChunks sizes the determinism runs: TotalWork = 64 × detChunks chunks
@@ -184,5 +187,58 @@ func TestSweepSingleFlight(t *testing.T) {
 	}
 	if got, want := ResultFingerprint(r1), serialFingerprint(t, "FFT", ProtoScalableBulk, 16, 5); got != want {
 		t.Errorf("swept result differs from serial:\n--- serial\n%s--- swept\n%s", want, got)
+	}
+}
+
+// countingSource counts NextChunk requests per (core, seq).
+type countingSource struct {
+	workload.Source
+	calls map[[2]uint64]int
+}
+
+func (s *countingSource) NextChunk(proc int, seq uint64) *chunk.Chunk {
+	s.calls[[2]uint64{uint64(proc), seq}]++
+	return s.Source.NextChunk(proc, seq)
+}
+
+// TestEachChunkRequestedOnce: under a squash-heavy workload a processor
+// re-executes squashed and abandoned chunks from its own copy, so the source
+// serves every (core, seq) exactly once, and the run's fingerprint is the
+// one it had when abandoned chunks were regenerated from the source.
+func TestEachChunkRequestedOnce(t *testing.T) {
+	prof, ok := WorkloadProfile("zipf")
+	if !ok {
+		t.Fatal("no zipf workload")
+	}
+	cfg := DefaultConfig(16, ProtoScalableBulk)
+	cfg.ChunksPerCore = 8
+	zipf, err := workload.Resolve("zipf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{calls: map[[2]uint64]int{}}
+	cfg.WorkloadFactory = func(prof workload.Profile, threads int, seed int64) (workload.Source, error) {
+		s, err := zipf(prof, threads, seed)
+		src.Source = s
+		return src, err
+	}
+	res, err := Run(prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Squashes == 0 {
+		t.Fatal("no squashes: the run does not exercise re-execution")
+	}
+	if want := cfg.Cores * cfg.ChunksPerCore; len(src.calls) != want {
+		t.Errorf("%d distinct (core, seq) requested, want %d", len(src.calls), want)
+	}
+	for k, n := range src.calls {
+		if n != 1 {
+			t.Errorf("core %d seq %d requested %d times, want once", k[0], k[1], n)
+		}
+	}
+	const want = "17a96e145601d4a82e8b65df4b704e2922a19e90330191d5a1d7e8010d77f391"
+	if got := FingerprintSHA(res); got != want {
+		t.Errorf("fingerprint sha256 %s, want %s", got, want)
 	}
 }

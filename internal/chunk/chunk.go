@@ -145,6 +145,15 @@ func (c *Chunk) Finalize(home func(sig.Line) int) {
 	c.WriteDirs = slices.Compact(wdirs)
 }
 
+// Reset returns an abandoned chunk to what its generator returned: Tag,
+// Instr and Accesses stay; signatures, line sets, the g_vec, the execution
+// counters, Retries, Squashes and the snapshot go. The line sets must go
+// with the rest: TrulyConflictsWith reads them for an executing chunk,
+// which a fresh chunk has empty.
+func (c *Chunk) Reset() {
+	*c = Chunk{Tag: c.Tag, Instr: c.Instr, Accesses: c.Accesses}
+}
+
 // reuse returns s emptied if it can hold n elements without growing, and a
 // fresh slice of capacity n otherwise (nil s stays nil when n is 0).
 func reuse[T any](s []T, n int) []T {

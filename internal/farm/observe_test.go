@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -543,5 +544,77 @@ func TestProgressAndFarmStatus(t *testing.T) {
 	}
 	if len(fs.Events) == 0 || fs.Seq == 0 {
 		t.Errorf("farm status events/seq: %d events, seq %d", len(fs.Events), fs.Seq)
+	}
+}
+
+// TestEventPointIDOnlyWhenNamed: an event carries point_id exactly when it
+// names a point. Point 0's lease_granted has "point_id":0 in its SSE JSON
+// and in its log line; sweep_submitted has no point_id in either.
+func TestEventPointIDOnlyWhenNamed(t *testing.T) {
+	var logMu sync.Mutex
+	var serverLog bytes.Buffer
+	opts := quickOpts()
+	opts.Logger = slog.New(slog.NewJSONHandler(lockedWriter{&logMu, &serverLog}, nil))
+	base, _, stop := startServer(t, opts, "", "")
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	c := fastClient(base)
+	spec := testSpec()
+	spec.Points = spec.Points[:1]
+	sub, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := c.Lease(ctx, "w1")
+	if err != nil || job == nil || job.PointID != 0 {
+		t.Fatalf("lease: job %+v, err %v; want point 0", job, err)
+	}
+
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/sweeps/"+sub.SweepID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sse := map[string]string{} // kind → the farm event's JSON
+	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
+	for sse["sweep_submitted"] == "" || sse["lease_granted"] == "" {
+		ev, err := rd.next()
+		if err != nil {
+			t.Fatalf("SSE stream: %v", err)
+		}
+		var e Event
+		if ev.Type != sseFarm || json.Unmarshal(ev.Data, &e) != nil {
+			continue
+		}
+		sse[e.Kind] = string(ev.Data)
+	}
+
+	logMu.Lock()
+	lines := strings.Split(serverLog.String(), "\n")
+	logMu.Unlock()
+	logged := map[string]string{} // kind → the event's log line
+	for _, l := range lines {
+		var rec struct{ Msg string }
+		if json.Unmarshal([]byte(l), &rec) == nil {
+			logged[rec.Msg] = l
+		}
+	}
+
+	for _, out := range []struct{ name, submitted, granted string }{
+		{"SSE", sse["sweep_submitted"], sse["lease_granted"]},
+		{"log", logged["sweep_submitted"], logged["lease_granted"]},
+	} {
+		if !strings.Contains(out.granted, `"point_id":0`) {
+			t.Errorf("%s: point 0's lease_granted has no point_id 0: %s", out.name, out.granted)
+		}
+		if out.submitted == "" || strings.Contains(out.submitted, "point_id") {
+			t.Errorf("%s: sweep_submitted should be present without a point_id: %q", out.name, out.submitted)
+		}
 	}
 }

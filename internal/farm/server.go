@@ -81,14 +81,18 @@ func NewServer(opts Options) *Server {
 }
 
 // emit publishes one event through the hub (seq + time stamped there) and
-// the structured log.
+// the structured log. Like the event's JSON, the log line has a point_id
+// only when the event names a point.
 func (s *Server) emit(e Event) {
 	e = s.hub.emit(e)
-	if s.log != nil {
-		s.log.Info(e.Kind,
-			"seq", e.Seq, "sweep", e.Sweep, "worker", e.Worker, "lease", e.Lease,
-			"point_id", e.PointID, "point", e.Point, "corr", e.Corr, "detail", e.Detail)
+	if s.log == nil {
+		return
 	}
+	attrs := []any{"seq", e.Seq, "sweep", e.Sweep, "worker", e.Worker, "lease", e.Lease}
+	if e.Point != "" {
+		attrs = append(attrs, "point_id", e.PointID)
+	}
+	s.log.Info(e.Kind, append(attrs, "point", e.Point, "corr", e.Corr, "detail", e.Detail)...)
 }
 
 // Handler returns the farm API mux:
@@ -499,10 +503,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		// Orphan beyond the sweep itself: the server restarted and the
 		// sweep was not resubmitted yet. Journal the verified result so
 		// the resubmission restores it.
-		s.journalLocked(req.Point, req.ConfigHash, res, req.WallMS, req.Corr)
+		s.journalLocked(&req, res, req.Corr)
 		s.count("farm_results_orphaned")
 		s.emit(Event{Kind: "result_orphaned", Sweep: req.SweepID, Corr: req.Corr,
-			Worker: req.Worker, Point: pointLabel(req.Point)})
+			Worker: req.Worker, PointID: req.PointID, Point: pointLabel(req.Point)})
 		writeJSON(w, struct{}{})
 		return
 	}
@@ -532,7 +536,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.journalLocked(req.Point, req.ConfigHash, res, req.WallMS, sw.corr)
+	s.journalLocked(&req, res, sw.corr)
 	sw.table.complete(req.PointID, req.LeaseID)
 	sw.resolved[req.PointID] = true
 	sw.results = append(sw.results, PointResult{
@@ -562,17 +566,17 @@ func (s *Server) findResult(sw *sweep, pointID int) *PointResult {
 
 // journalLocked records a verified result; journaling failures are logged
 // but do not fail the delivery (the result is still live in memory).
-func (s *Server) journalLocked(p Point, hash string, res *scalablebulk.Result, wallMS float64, corr string) {
+func (s *Server) journalLocked(req *resultRequest, res *scalablebulk.Result, corr string) {
 	if s.opts.Journal == nil {
 		return
 	}
-	if _, ok := s.opts.Journal.Lookup(p, hash); ok {
+	if _, ok := s.opts.Journal.Lookup(req.Point, req.ConfigHash); ok {
 		return // already journaled (duplicate or cross-sweep dedup)
 	}
-	wall := time.Duration(wallMS * float64(time.Millisecond))
-	if err := s.opts.Journal.Record(p, hash, res, wall, corr); err != nil {
-		s.emit(Event{Kind: "journal_error", Point: pointLabel(p), Corr: corr,
-			Detail: err.Error()})
+	wall := time.Duration(req.WallMS * float64(time.Millisecond))
+	if err := s.opts.Journal.Record(req.Point, req.ConfigHash, res, wall, corr); err != nil {
+		s.emit(Event{Kind: "journal_error", PointID: req.PointID, Point: pointLabel(req.Point),
+			Corr: corr, Detail: err.Error()})
 	}
 }
 

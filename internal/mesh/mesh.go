@@ -239,56 +239,69 @@ func (n *Network) send(m *msg.Msg) {
 		return
 	}
 
-	// Dimension-order route: X first (minimal wrap direction), then Y.
+	// Dimension-order route: X first, then Y, each along its minimal
+	// wraparound direction (east or south on a tie). The direction cannot
+	// change part-way along a ring, so it and the hop count are chosen once
+	// per dimension.
 	sx, sy := n.coord(m.Src)
 	dx, dy := n.coord(m.Dst)
 	t := n.eng.Now()
-	hops := 0
-
-	step := func(node int, dir int) {
-		if n.cont {
-			if n.busy[node][dir] > t {
-				t = n.busy[node][dir]
-			}
-			n.busy[node][dir] = t + flits
-		}
-		t += n.linkLat
-		hops++
-	}
-
+	xdir, xstep, xhops := ringRoute(sx, dx, n.w, dirEast, dirWest)
+	ydir, ystep, yhops := ringRoute(sy, dy, n.h, dirSouth, dirNorth)
 	x, y := sx, sy
-	for x != dx {
-		dir, nx := xStep(x, dx, n.w)
-		step(y*n.w+x, dir)
-		x = nx
+	for i := 0; i < xhops; i++ {
+		t = n.hop(y*n.w+x, xdir, t, flits)
+		x = ringNext(x, xstep, n.w)
 	}
-	for y != dy {
-		dir, ny := yStep(y, dy, n.h)
-		step(y*n.w+x, dir)
-		y = ny
+	for i := 0; i < yhops; i++ {
+		t = n.hop(y*n.w+x, ydir, t, flits)
+		y = ringNext(y, ystep, n.h)
 	}
 
 	// Tail serialization: the message body follows the head flit.
 	t += flits - 1
-	n.stats.FlitHops += uint64(flits) * uint64(hops)
+	n.stats.FlitHops += uint64(flits) * uint64(xhops+yhops)
 	n.deliverAt(t, m)
 }
 
-// xStep picks the minimal X direction on the torus and returns the next x.
-func xStep(x, dx, w int) (dir, next int) {
-	fwd := (dx - x + w) % w
-	if fwd <= w-fwd {
-		return dirEast, (x + 1) % w
+// ringRoute picks the minimal direction from a to b on a ring of size
+// positions, fwd on a tie. It returns the direction, its step (+1 for fwd,
+// -1 for back) and the number of hops.
+func ringRoute(a, b, size, fwd, back int) (dir, step, hops int) {
+	d := b - a
+	if d < 0 {
+		d += size
 	}
-	return dirWest, (x - 1 + w) % w
+	if d <= size-d {
+		return fwd, 1, d
+	}
+	return back, -1, size - d
 }
 
-func yStep(y, dy, h int) (dir, next int) {
-	fwd := (dy - y + h) % h
-	if fwd <= h-fwd {
-		return dirSouth, (y + 1) % h
+// ringNext moves one step along a ring of size positions.
+func ringNext(a, step, size int) int {
+	a += step
+	if a == size {
+		return 0
 	}
-	return dirNorth, (y - 1 + h) % h
+	if a < 0 {
+		return size - 1
+	}
+	return a
+}
+
+// hop moves a message's head flit across node's output link in direction
+// dir, entering at time t, and returns when it reaches the next node. With
+// contention the link is reserved for the message's flits.
+func (n *Network) hop(node, dir int, t, flits event.Time) event.Time {
+	if n.cont {
+		b := &n.busy[node][dir]
+		if *b > t {
+			t = *b
+		}
+		*b = t + flits
+	}
+	return t + n.linkLat
 }
 
 func (n *Network) deliverAt(t event.Time, m *msg.Msg) {

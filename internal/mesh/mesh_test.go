@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +368,136 @@ func TestEveryKindRecycled(t *testing.T) {
 			}
 			if reused := got[0] == got[1]; reused != s.recycles {
 				t.Errorf("%s: second %s reused the first's message: %v, want %v", s.name, k, reused, s.recycles)
+			}
+		}
+	}
+}
+
+// xStep is the stepwise X router the mesh used before it chose each
+// dimension's direction once: at every hop it re-derives the minimal
+// direction on the ring and returns it with the next x.
+func xStep(x, dx, w int) (dir, next int) {
+	fwd := (dx - x + w) % w
+	if fwd <= w-fwd {
+		return dirEast, (x + 1) % w
+	}
+	return dirWest, (x - 1 + w) % w
+}
+
+// yStep is xStep for the Y ring.
+func yStep(y, dy, h int) (dir, next int) {
+	fwd := (dy - y + h) % h
+	if fwd <= h-fwd {
+		return dirSouth, (y + 1) % h
+	}
+	return dirNorth, (y - 1 + h) % h
+}
+
+// link is one directed output link: a node and a direction.
+type link struct{ node, dir int }
+
+// refRoute is the reference router: the stepwise send path on a w×h torus
+// with contention on, as it was before the once-per-dimension route. It
+// reserves links in busy the way send does and returns the links taken, in
+// order, and the delivery time of a message of the given flits sent at now.
+func refRoute(w, h int, busy [][4]event.Time, src, dst int, now, linkLat, localLat, flits event.Time) ([]link, event.Time) {
+	if src == dst {
+		return nil, now + localLat
+	}
+	t := now
+	var hops []link
+	step := func(node, dir int) {
+		hops = append(hops, link{node, dir})
+		if busy[node][dir] > t {
+			t = busy[node][dir]
+		}
+		busy[node][dir] = t + flits
+		t += linkLat
+	}
+	x, y := src%w, src/w
+	dx, dy := dst%w, dst/w
+	for x != dx {
+		dir, nx := xStep(x, dx, w)
+		step(y*w+x, dir)
+		x = nx
+	}
+	for y != dy {
+		dir, ny := yStep(y, dy, h)
+		step(y*w+x, dir)
+		y = ny
+	}
+	return hops, t + flits - 1
+}
+
+// captureAt is a Scheduler that holds every delivery and records its time.
+type captureAt struct{ at event.Time }
+
+func (c *captureAt) Hold(d Delivery) bool { c.at = d.At; return true }
+
+// TestRouteMatchesStepwiseReference: for every (src, dst) on tori with
+// 1-wide rings, odd rings and even rings with a half-way tie, the route
+// takes the reference's links in the reference's order, leaves the same
+// link reservations behind on pre-occupied links, and delivers at the same
+// time with the same FlitHops.
+func TestRouteMatchesStepwiseReference(t *testing.T) {
+	kinds := []msg.Kind{msg.Grab, msg.CommitRequest}
+	for _, nodes := range []int{1, 2, 3, 5, 6, 8, 12, 16, 64, 256} {
+		eng := event.New()
+		n := New(eng, Config{Nodes: nodes, LinkLatency: 7, Contention: true})
+		capt := &captureAt{}
+		n.Sched = capt
+		for i := 0; i < nodes; i++ {
+			n.Register(i, func(*msg.Msg) {})
+		}
+		// Pre-occupied links: a head flit entering at 0..7·diameter waits on
+		// some of them and not on others.
+		rng := rand.New(rand.NewSource(int64(nodes)))
+		pre := make([][4]event.Time, nodes)
+		for i := range pre {
+			for d := range pre[i] {
+				pre[i][d] = event.Time(rng.Intn(8*(n.Diameter()+1) + 1))
+			}
+		}
+		idle := make([][4]event.Time, nodes)
+		want := make([][4]event.Time, nodes)
+		for src := 0; src < nodes; src++ {
+			for dst := 0; dst < nodes; dst++ {
+				k := kinds[(src+dst)%len(kinds)]
+				flits := event.Time(k.FlitsOf())
+				copy(want, pre)
+				wantHops, wantAt := refRoute(n.w, n.h, want, src, dst, eng.Now(), n.linkLat, n.localLat, flits)
+
+				// The hop sequence, read off idle links: the i-th link's
+				// reservation ends at i·linkLat + flits.
+				copy(n.busy, idle)
+				n.Send(msg.Msg{Kind: k, Src: src, Dst: dst})
+				var got []link
+				for node, dirs := range n.busy {
+					for dir, free := range dirs {
+						if free != 0 {
+							got = append(got, link{node, dir})
+						}
+					}
+				}
+				slices.SortFunc(got, func(a, b link) int {
+					return int(n.busy[a.node][a.dir] - n.busy[b.node][b.dir])
+				})
+				if !slices.Equal(got, wantHops) {
+					t.Fatalf("%d nodes, %d→%d: hops %v, want %v", nodes, src, dst, got, wantHops)
+				}
+
+				copy(n.busy, pre)
+				before := n.Stats().FlitHops
+				n.Send(msg.Msg{Kind: k, Src: src, Dst: dst})
+				if !slices.Equal(n.busy, want) {
+					t.Fatalf("%d nodes, %d→%d: link reservations differ from the reference", nodes, src, dst)
+				}
+				if capt.at != wantAt {
+					t.Fatalf("%d nodes, %d→%d: delivered at %d, want %d", nodes, src, dst, capt.at, wantAt)
+				}
+				if got, want := n.Stats().FlitHops-before, uint64(flits)*uint64(len(wantHops)); got != want {
+					t.Fatalf("%d nodes, %d→%d: FlitHops grew by %d, want %d", nodes, src, dst, got, want)
+				}
 			}
 		}
 	}

@@ -23,8 +23,10 @@ import (
 )
 
 // Generator produces the chunk stream of one thread. It must be
-// deterministic in (proc, seq): a squashed chunk re-executes the same
-// accesses.
+// deterministic in (proc, seq): repeated runs of one configuration, trace
+// recording and the model checker's re-runs rely on it. The processor asks
+// for each seq once and re-executes a squashed or abandoned chunk from its
+// own copy.
 type Generator interface {
 	NextChunk(proc int, seq uint64) *chunk.Chunk
 }
@@ -96,6 +98,11 @@ type Proc struct {
 
 	finished   *chunk.Chunk
 	stallStart event.Time
+
+	// spare is the younger chunk an in-flight squash abandoned. Its seq is
+	// nextSeq until startNextChunk re-executes it, so the generator serves
+	// each (proc, seq) once.
+	spare *chunk.Chunk
 
 	// read is the outstanding read miss while reading is set. readSeq
 	// numbers the misses issued, so a nack retry can tell whether the miss
@@ -214,9 +221,21 @@ func (p *Proc) startNextChunk() {
 	if p.Committed+active >= p.target {
 		return // enough chunks in flight to reach the target
 	}
-	ck := p.gen.NextChunk(p.ID, p.nextSeq)
+	p.beginExecute(p.nextChunk())
+}
+
+// nextChunk returns the chunk at nextSeq and advances it: the spare when an
+// in-flight squash left it there, a new one from the generator otherwise.
+func (p *Proc) nextChunk() *chunk.Chunk {
+	ck := p.spare
+	p.spare = nil
+	if ck != nil && ck.Tag.Seq == p.nextSeq {
+		ck.Reset()
+	} else {
+		ck = p.gen.NextChunk(p.ID, p.nextSeq)
+	}
 	p.nextSeq++
-	p.beginExecute(ck)
+	return ck
 }
 
 // traceExecBegin opens the chunk's execution span on this core's track.
@@ -550,17 +569,20 @@ func (p *Proc) ResumeInvalidations() {
 	p.drainDeferred()
 }
 
-// requeueFor restarts execution at chunk ck, regenerating the chunk stream
-// after it (abandoned younger chunks re-execute later in program order).
+// requeueFor restarts execution at chunk ck. The younger chunk it abandons,
+// executing or finished, waits in the spare slot and re-executes after ck
+// in program order (the generator is not asked for it again).
 func (p *Proc) requeueFor(ck *chunk.Chunk) {
 	if p.done {
 		return
 	}
-	if p.executing != nil && p.executing.Tag.Seq < p.nextSeq {
-		p.nextSeq = p.executing.Tag.Seq
+	younger := p.executing
+	if younger == nil {
+		younger = p.finished
 	}
-	if p.finished != nil && p.finished.Tag.Seq < p.nextSeq {
-		p.nextSeq = p.finished.Tag.Seq
+	if younger != nil {
+		p.nextSeq = younger.Tag.Seq
+		p.spare = younger
 	}
 	p.executing = nil
 	p.finished = nil

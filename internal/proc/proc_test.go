@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
 	"scalablebulk/internal/cache"
@@ -296,5 +297,74 @@ func TestDoneStopsAtTarget(t *testing.T) {
 	w.Insert(1)
 	if r := p.bulkInvalidate(&w, []sig.Line{1}, nil); r != nil {
 		t.Fatal("done proc produced a recall")
+	}
+}
+
+// countingGen counts the generator's calls per seq.
+type countingGen struct {
+	fixedGen
+	calls map[uint64]int
+}
+
+func (g *countingGen) NextChunk(proc int, seq uint64) *chunk.Chunk {
+	g.calls[seq]++
+	return g.fixedGen.NextChunk(proc, seq)
+}
+
+// abandonYounger runs a proc until chunk 1 waits finished behind chunk 0's
+// commit, marks every field of chunk 1 an execution can touch, then squashes
+// chunk 0 in flight, which abandons chunk 1. It returns chunk 1.
+func abandonYounger(t *testing.T) (*Proc, *countingGen, *event.Engine, *chunk.Chunk) {
+	t.Helper()
+	p, fp, eng := rig(t, DefaultConfig())
+	g := &countingGen{fixedGen: fixedGen{accesses: 8}, calls: map[uint64]int{}}
+	p.gen = g
+	p.Start()
+	settle(eng, 50_000)
+	younger := p.finished
+	if younger == nil || younger.Tag.Seq != 1 {
+		t.Fatal("setup: chunk 1 is not finished-waiting")
+	}
+	younger.Retries, younger.Squashes = 2, 1
+	younger.Snapshot()
+	ck := fp.requests[0]
+	var w sig.Sig
+	w.Insert(ck.WriteLines[0])
+	if p.bulkInvalidate(&w, []sig.Line{ck.WriteLines[0]}, nil) == nil {
+		t.Fatal("setup: chunk 0 was not squashed in flight")
+	}
+	if p.executing != ck || p.finished != nil {
+		t.Fatal("setup: chunk 0 is not re-executing alone")
+	}
+	return p, g, eng, younger
+}
+
+// TestAbandonedChunkReexecutesWithoutRegeneration: the chunk an in-flight
+// squash abandons re-executes after the squashed one without a second
+// generator call for its seq, and it re-executes exactly what the generator
+// returned for that seq.
+func TestAbandonedChunkReexecutesWithoutRegeneration(t *testing.T) {
+	p, g, eng, younger := abandonYounger(t)
+	settle(eng, 50_000) // chunk 0 finishes and commits again; chunk 1 restarts
+	if p.committing == nil || p.committing.Tag.Seq != 0 {
+		t.Fatal("chunk 0 did not resubmit")
+	}
+	if p.finished != younger && p.executing != younger {
+		t.Fatal("chunk 1 did not restart from the abandoned chunk")
+	}
+	for seq, n := range g.calls {
+		if n != 1 {
+			t.Errorf("generator called %d times for seq %d, want once", n, seq)
+		}
+	}
+
+	p, g, _, younger = abandonYounger(t)
+	ck := p.nextChunk()
+	if ck != younger || p.nextSeq != 2 || g.calls[1] != 1 {
+		t.Fatalf("nextChunk: abandoned chunk reused %v, nextSeq %d, generator calls for seq 1: %d",
+			ck == younger, p.nextSeq, g.calls[1])
+	}
+	if got, want := *ck, *g.fixedGen.NextChunk(0, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-executed chunk differs from a fresh one:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -92,9 +92,10 @@ func (r *Recording) Trace() *tracefmt.Trace {
 	return t
 }
 
-// recorder wraps the live source, deduplicating by key: a squashed chunk is
-// re-requested and must (and does) regenerate identically, so one copy
-// suffices.
+// recorder wraps the live source and keeps the first copy of each key. A
+// run requests each chunk once (the processor re-executes squashed and
+// abandoned chunks from its own copy), and a pure source would return the
+// same chunk again, so one copy suffices.
 type recorder struct {
 	rec   *Recording
 	inner Source
