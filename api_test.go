@@ -116,10 +116,10 @@ func TestFigureGenerators(t *testing.T) {
 	s := NewSession(4, 1, &buf)
 	// Restrict via direct calls on small subsets where figure API allows;
 	// the dispatcher runs the full set, so use the cheapest figure ids.
-	if err := s.Figure9(); err != nil {
+	if err := s.Figure(9); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Figure11(); err != nil {
+	if err := s.Figure(11); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"scalablebulk/internal/check"
 	"scalablebulk/internal/explore"
 )
 
@@ -84,10 +85,10 @@ func TestConformanceDeterminism(t *testing.T) {
 func TestConformanceConflictFree(t *testing.T) {
 	const cores, chunks = 16, 3
 	prof := conflictFreeProfile()
-	var refWrites map[writeKey]int
+	var refWrites map[check.WriteKey]int
 	var refProto string
 	for _, name := range conformanceNames() {
-		r, writes := runWithWrites(t, prof, name, cores, chunks)
+		r, writes := runWithWrites(t, "", prof, name, cores, chunks)
 		if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 			t.Errorf("%s: committed %d chunks, want %d", name, got, want)
 		}
@@ -114,10 +115,10 @@ func TestConformanceConflictFree(t *testing.T) {
 func TestConformanceForcedConflict(t *testing.T) {
 	const cores, chunks = 16, 3
 	prof := forcedConflictProfile()
-	var refWrites map[writeKey]int
+	var refWrites map[check.WriteKey]int
 	var refProto string
 	for _, name := range conformanceNames() {
-		r, writes := runWithWrites(t, prof, name, cores, chunks)
+		r, writes := runWithWrites(t, "", prof, name, cores, chunks)
 		if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 			t.Errorf("%s: committed %d chunks, want %d", name, got, want)
 		}
@@ -184,14 +185,13 @@ func TestConformanceWorkloadMatrix(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			var refWrites map[writeKey]int
+			var refWrites map[check.WriteKey]int
 			var refProto string
 			for _, name := range conformanceNames() {
-				r, writes, order := runWorkloadWithWrites(t, w.Name, w.Prof, name, cores, chunks)
+				r, writes := runWithWrites(t, w.Name, w.Prof, name, cores, chunks)
 				if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 					t.Errorf("%s/%s: committed %d chunks, want %d", w.Name, name, got, want)
 				}
-				checkCommitOrder(t, w.Name, name, order, chunks)
 				if refWrites == nil {
 					refWrites, refProto = writes, name
 					continue

@@ -126,10 +126,10 @@ func TestDeterminismFigureOutput(t *testing.T) {
 	render := func(s *Session) string {
 		var buf bytes.Buffer
 		s.SetOut(&buf)
-		if err := s.Figure9(); err != nil {
+		if err := s.Figure(9); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Figure11(); err != nil {
+		if err := s.Figure(11); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

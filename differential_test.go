@@ -8,38 +8,40 @@ package scalablebulk
 // committed write diverges here.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
-	"scalablebulk/internal/sig"
+	"scalablebulk/internal/check"
+	"scalablebulk/internal/system"
 )
 
-// writeKey identifies one committed-write attribution.
-type writeKey struct {
-	line   sig.Line
-	writer int
-}
-
-// runWithWrites runs prof under one protocol and collects the multiset of
-// committed writes applied to the directory.
-func runWithWrites(t *testing.T, prof Profile, protocol string, cores, chunksPerCore int) (*Result, map[writeKey]int) {
+// runWithWrites runs one workload source under one protocol and returns the
+// result and the committed-write multiset the invariant checker kept. wl ""
+// is the synthetic source over prof; an adversarial source runs under its
+// label profile.
+func runWithWrites(t *testing.T, wl string, prof Profile, protocol string, cores, chunksPerCore int) (*Result, map[check.WriteKey]int) {
 	t.Helper()
-	writes := map[writeKey]int{}
 	cfg := DefaultConfig(cores, protocol)
 	cfg.ChunksPerCore = chunksPerCore
 	cfg.Seed = 11
-	// Check also drains in-flight protocol stragglers after the last core
-	// finishes (e.g. BulkSC's final ArbDone, which applies that chunk's
-	// writes at the arbiter), so the write multisets compare quiescent
-	// states — and the online invariant checker vets every run for free.
+	cfg.Workload = wl
+	// The checker vets every run: chunks [0, chunksPerCore) commit exactly
+	// once each in program order (I2, I4). Finish also drains in-flight
+	// protocol stragglers after the last core finishes (e.g. BulkSC's final
+	// ArbDone, which applies that chunk's writes at the arbiter), so the
+	// write multisets compare quiescent states.
 	cfg.Check = true
-	cfg.OnApplyWrite = func(l sig.Line, writer int) { writes[writeKey{l, writer}]++ }
-	r, err := Run(prof, cfg)
+	m, err := system.Build(prof, cfg)
 	if err != nil {
-		t.Fatalf("%s/%s: %v", prof.Name, protocol, err)
+		t.Fatalf("%s/%s/%s: %v", wl, prof.Name, protocol, err)
 	}
-	return r, writes
+	r, err := m.RunContext(context.Background())
+	if err != nil {
+		t.Fatalf("%s/%s/%s: %v", wl, prof.Name, protocol, err)
+	}
+	return r, m.Check.Writes()
 }
 
 // conflictFreeProfile builds a workload whose chunk footprints are entirely
@@ -77,10 +79,10 @@ func TestDifferentialConflictFree(t *testing.T) {
 	const cores, chunks = 16, 3
 	prof := conflictFreeProfile()
 
-	var refWrites map[writeKey]int
+	var refWrites map[check.WriteKey]int
 	var refProto string
 	for _, protocol := range Protocols {
-		r, writes := runWithWrites(t, prof, protocol, cores, chunks)
+		r, writes := runWithWrites(t, "", prof, protocol, cores, chunks)
 		if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 			t.Errorf("%s: committed %d chunks, want %d", protocol, got, want)
 		}
@@ -114,11 +116,11 @@ func TestDifferentialForcedConflict(t *testing.T) {
 	const cores, chunks = 16, 3
 	prof := forcedConflictProfile()
 
-	var refWrites map[writeKey]int
+	var refWrites map[check.WriteKey]int
 	var refProto string
 	sawSquash := false
 	for _, protocol := range Protocols {
-		r, writes := runWithWrites(t, prof, protocol, cores, chunks)
+		r, writes := runWithWrites(t, "", prof, protocol, cores, chunks)
 		if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 			t.Errorf("%s: committed %d chunks, want %d", protocol, got, want)
 		}
@@ -142,28 +144,6 @@ func TestDifferentialForcedConflict(t *testing.T) {
 	if !sawSquash {
 		t.Error("forced-conflict workload squashed nothing under any protocol; the workload is not exercising conflicts")
 	}
-}
-
-// runWorkloadWithWrites runs one registered workload source under one
-// protocol, collecting the committed-write multiset and each core's commit
-// order. prof carries the synthetic profile for the "synthetic" source and
-// the label profile for adversarial sources.
-func runWorkloadWithWrites(t *testing.T, wl string, prof Profile, protocol string, cores, chunksPerCore int) (*Result, map[writeKey]int, [][]uint64) {
-	t.Helper()
-	writes := map[writeKey]int{}
-	order := make([][]uint64, cores)
-	cfg := DefaultConfig(cores, protocol)
-	cfg.ChunksPerCore = chunksPerCore
-	cfg.Seed = 11
-	cfg.Workload = wl
-	cfg.Check = true
-	cfg.OnApplyWrite = func(l sig.Line, writer int) { writes[writeKey{l, writer}]++ }
-	cfg.OnCommit = func(core int, seq uint64) { order[core] = append(order[core], seq) }
-	r, err := Run(prof, cfg)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", wl, protocol, err)
-	}
-	return r, writes, order
 }
 
 // matrixWorkloads enumerates every registered workload source with the
@@ -194,29 +174,11 @@ func matrixWorkloads(t *testing.T) []struct {
 	return out
 }
 
-// checkCommitOrder asserts each core committed exactly chunks chunks in
-// program order — the per-core serialization every protocol must preserve.
-func checkCommitOrder(t *testing.T, wl, protocol string, order [][]uint64, chunks int) {
-	t.Helper()
-	for core, seqs := range order {
-		if len(seqs) != chunks {
-			t.Errorf("%s/%s: core %d committed %d chunks, want %d", wl, protocol, core, len(seqs), chunks)
-			continue
-		}
-		for i, seq := range seqs {
-			if seq != uint64(i) {
-				t.Errorf("%s/%s: core %d commit %d has seq %d, want %d (program order)",
-					wl, protocol, core, i, seq, i)
-				break
-			}
-		}
-	}
-}
-
 // TestDifferentialWorkloadMatrix runs every evaluated protocol against every
 // registered workload source — synthetic plus the adversarial family — and
-// requires, per workload: all chunks committed, identical committed-write
-// multisets across protocols, and each core's commits in program order. This
+// requires, per workload: all chunks committed in program order (the
+// checker's I2 and I4), and identical committed-write multisets across
+// protocols. This
 // is the cross product the workload registry exists to buy: a new source
 // registered anywhere is confronted with every protocol here for free.
 func TestDifferentialWorkloadMatrix(t *testing.T) {
@@ -225,14 +187,13 @@ func TestDifferentialWorkloadMatrix(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			var refWrites map[writeKey]int
+			var refWrites map[check.WriteKey]int
 			var refProto string
 			for _, protocol := range Protocols {
-				r, writes, order := runWorkloadWithWrites(t, w.Name, w.Prof, protocol, cores, chunks)
+				r, writes := runWithWrites(t, w.Name, w.Prof, protocol, cores, chunks)
 				if got, want := r.ChunksCommitted, uint64(cores*chunks); got != want {
 					t.Errorf("%s/%s: committed %d chunks, want %d", w.Name, protocol, got, want)
 				}
-				checkCommitOrder(t, w.Name, protocol, order, chunks)
 				if refWrites == nil {
 					refWrites, refProto = writes, protocol
 					if len(writes) == 0 {
@@ -250,18 +211,18 @@ func TestDifferentialWorkloadMatrix(t *testing.T) {
 }
 
 // diffWrites summarizes the first few differences between two multisets.
-func diffWrites(a, b map[writeKey]int) string {
+func diffWrites(a, b map[check.WriteKey]int) string {
 	var out string
 	n := 0
 	for k, va := range a {
 		if vb := b[k]; va != vb && n < 5 {
-			out += fmt.Sprintf(" line %#x by core %d: %d vs %d;", uint64(k.line), k.writer, va, vb)
+			out += fmt.Sprintf(" line %#x by core %d: %d vs %d;", uint64(k.Line), k.Writer, va, vb)
 			n++
 		}
 	}
 	for k, vb := range b {
 		if _, ok := a[k]; !ok && n < 5 {
-			out += fmt.Sprintf(" line %#x by core %d: absent vs %d;", uint64(k.line), k.writer, vb)
+			out += fmt.Sprintf(" line %#x by core %d: absent vs %d;", uint64(k.Line), k.Writer, vb)
 			n++
 		}
 	}

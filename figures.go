@@ -609,15 +609,15 @@ func (s *Session) executionTime(title string, apps []string, protocol string) er
 	return nil
 }
 
-// Figure7 regenerates the SPLASH-2 execution-time panels for one protocol
-// (call once per protocol for the paper's four panels).
-func (s *Session) Figure7(protocol string) error {
-	return s.executionTime("Figure 7 (SPLASH-2)", names(Splash2()), protocol)
-}
-
-// Figure8 regenerates the PARSEC execution-time panels for one protocol.
-func (s *Session) Figure8(protocol string) error {
-	return s.executionTime("Figure 8 (PARSEC)", names(Parsec()), protocol)
+// executionTimes generates Figure 7/8: one executionTime panel per
+// evaluated protocol.
+func (s *Session) executionTimes(title string, apps []string) error {
+	for _, p := range Protocols {
+		if err := s.executionTime(title, apps, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dirsPerCommit generates Figure 9/10: average directories accessed per
@@ -648,16 +648,6 @@ func (s *Session) dirsPerCommit(title string, apps []string) error {
 	return nil
 }
 
-// Figure9 regenerates the SPLASH-2 directories-per-commit averages.
-func (s *Session) Figure9() error {
-	return s.dirsPerCommit("Figure 9 (SPLASH-2)", names(Splash2()))
-}
-
-// Figure10 regenerates the PARSEC directories-per-commit averages.
-func (s *Session) Figure10() error {
-	return s.dirsPerCommit("Figure 10 (PARSEC)", names(Parsec()))
-}
-
 // dirsDistribution generates Figure 11/12: the per-app distribution of the
 // number of directories accessed per commit at 64 processors.
 func (s *Session) dirsDistribution(title string, apps []string) error {
@@ -682,23 +672,13 @@ func (s *Session) dirsDistribution(title string, apps []string) error {
 	return nil
 }
 
-// Figure11 regenerates the SPLASH-2 directory-count distribution.
-func (s *Session) Figure11() error {
-	return s.dirsDistribution("Figure 11 (SPLASH-2)", names(Splash2()))
-}
-
-// Figure12 regenerates the PARSEC directory-count distribution.
-func (s *Session) Figure12() error {
-	return s.dirsDistribution("Figure 12 (PARSEC)", names(Parsec()))
-}
-
-// Figure13 regenerates the chunk-commit latency characterization: the
-// all-application mean per protocol at 32 and 64 processors (the paper's
-// headline numbers are 74/402/107/98 at 32p and 91/411/153/2954 at 64p) and
-// a latency histogram per protocol at 64 processors.
-func (s *Session) Figure13() error {
-	apps := names(Apps())
-	s.printf("Figure 13 — chunk commit latency\n")
+// commitLatency generates Figure 13, the chunk-commit latency
+// characterization: the all-application mean per protocol at 32 and 64
+// processors (the paper's headline numbers are 74/402/107/98 at 32p and
+// 91/411/153/2954 at 64p) and a latency histogram per protocol at 64
+// processors.
+func (s *Session) commitLatency(title string, apps []string) error {
+	s.printf("%s — chunk commit latency\n", title)
 	for _, cores := range []int{32, 64} {
 		s.printf("%d processors:\n", cores)
 		for _, protocol := range Protocols {
@@ -784,16 +764,6 @@ func (s *Session) bottleneckRatio(title string, apps []string) error {
 	return nil
 }
 
-// Figure14 regenerates the SPLASH-2 bottleneck ratios.
-func (s *Session) Figure14() error {
-	return s.bottleneckRatio("Figure 14 (SPLASH-2)", names(Splash2()))
-}
-
-// Figure15 regenerates the PARSEC bottleneck ratios.
-func (s *Session) Figure15() error {
-	return s.bottleneckRatio("Figure 15 (PARSEC)", names(Parsec()))
-}
-
 // chunkQueue generates Figure 16/17: average machine-wide chunk queue
 // lengths in TCC and SEQ at 64 processors (chunks do not queue in
 // ScalableBulk, §6.4.2).
@@ -812,16 +782,6 @@ func (s *Session) chunkQueue(title string, apps []string) error {
 		s.printf("\n")
 	}
 	return nil
-}
-
-// Figure16 regenerates the SPLASH-2 chunk queue lengths.
-func (s *Session) Figure16() error {
-	return s.chunkQueue("Figure 16 (SPLASH-2)", names(Splash2()))
-}
-
-// Figure17 regenerates the PARSEC chunk queue lengths.
-func (s *Session) Figure17() error {
-	return s.chunkQueue("Figure 17 (PARSEC)", names(Parsec()))
 }
 
 // traffic generates Figure 18/19: message counts by class at 64 processors,
@@ -857,16 +817,6 @@ func (s *Session) traffic(title string, apps []string) error {
 	return nil
 }
 
-// Figure18 regenerates the SPLASH-2 traffic characterization.
-func (s *Session) Figure18() error {
-	return s.traffic("Figure 18 (SPLASH-2)", names(Splash2()))
-}
-
-// Figure19 regenerates the PARSEC traffic characterization.
-func (s *Session) Figure19() error {
-	return s.traffic("Figure 19 (PARSEC)", names(Parsec()))
-}
-
 // SquashSummary reports the §6.1 squash statistics for ScalableBulk at 64
 // processors: the paper measured 1.5% of chunks squashed by data conflicts
 // and 2.3% by signature aliasing.
@@ -891,53 +841,45 @@ func (s *Session) SquashSummary() error {
 	return nil
 }
 
+// figures is every regenerable figure in order: its number, the title its
+// header prints, the applications it covers and its renderer.
+var figures = []struct {
+	id     int
+	title  string
+	apps   func() []Profile
+	render func(s *Session, title string, apps []string) error
+}{
+	{7, "Figure 7 (SPLASH-2)", Splash2, (*Session).executionTimes},
+	{8, "Figure 8 (PARSEC)", Parsec, (*Session).executionTimes},
+	{9, "Figure 9 (SPLASH-2)", Splash2, (*Session).dirsPerCommit},
+	{10, "Figure 10 (PARSEC)", Parsec, (*Session).dirsPerCommit},
+	{11, "Figure 11 (SPLASH-2)", Splash2, (*Session).dirsDistribution},
+	{12, "Figure 12 (PARSEC)", Parsec, (*Session).dirsDistribution},
+	{13, "Figure 13", Apps, (*Session).commitLatency},
+	{14, "Figure 14 (SPLASH-2)", Splash2, (*Session).bottleneckRatio},
+	{15, "Figure 15 (PARSEC)", Parsec, (*Session).bottleneckRatio},
+	{16, "Figure 16 (SPLASH-2)", Splash2, (*Session).chunkQueue},
+	{17, "Figure 17 (PARSEC)", Parsec, (*Session).chunkQueue},
+	{18, "Figure 18 (SPLASH-2)", Splash2, (*Session).traffic},
+	{19, "Figure 19 (PARSEC)", Parsec, (*Session).traffic},
+}
+
 // FigureIDs lists every regenerable figure in order.
 func FigureIDs() []int {
-	ids := make([]int, 0, 13)
-	for i := 7; i <= 19; i++ {
-		ids = append(ids, i)
+	ids := make([]int, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
 	return ids
 }
 
-// Figure dispatches by figure number; Figures 7 and 8 render all four
+// Figure renders one figure by number; Figures 7 and 8 render all four
 // protocol panels.
 func (s *Session) Figure(id int) error {
-	switch id {
-	case 7, 8:
-		f := s.Figure7
-		if id == 8 {
-			f = s.Figure8
+	for _, f := range figures {
+		if f.id == id {
+			return f.render(s, f.title, names(f.apps()))
 		}
-		for _, p := range Protocols {
-			if err := f(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	case 9:
-		return s.Figure9()
-	case 10:
-		return s.Figure10()
-	case 11:
-		return s.Figure11()
-	case 12:
-		return s.Figure12()
-	case 13:
-		return s.Figure13()
-	case 14:
-		return s.Figure14()
-	case 15:
-		return s.Figure15()
-	case 16:
-		return s.Figure16()
-	case 17:
-		return s.Figure17()
-	case 18:
-		return s.Figure18()
-	case 19:
-		return s.Figure19()
-	default:
-		return fmt.Errorf("no figure %d (have 7–19)", id)
 	}
+	return fmt.Errorf("no figure %d (have 7–19)", id)
 }

@@ -214,7 +214,7 @@ func (p *Protocol) onDone(m *msg.Msg) {
 			if !m.Abandon {
 				// The commit is globally visible: update directory state.
 				for _, l := range f.writeLines {
-					p.env.State.ApplyCommitWrite(l, f.tag.Proc)
+					p.env.ApplyCommitWrite(l, f.tag.Proc)
 				}
 			}
 			p.inflight = append(p.inflight[:i], p.inflight[i+1:]...)

@@ -1,10 +1,13 @@
 // Package check is an online invariant checker for the simulated commit
-// protocols. It observes the machine through the hooks the subsystems expose
-// (dir.Probe commit milestones, directory write applications, the stats
-// collector's formation/end events, the ScalableBulk CST occupancy hooks and
-// the mesh's send/deliver taps) and records a violation the moment an
-// invariant breaks — with the fault injector active, this is what turns "the
-// run completed" into "the run completed and the protocol behaved".
+// protocols. It observes the machine through two channels: the dir.Probe it
+// implements (commit requests, serialization points, attempt ends,
+// retirements, committed-write applications and ScalableBulk's CST
+// occupancy) and the mesh's send/deliver taps below the directory. It
+// records a violation the moment an invariant breaks — with the fault
+// injector active, this is what turns "the run completed" into "the run
+// completed and the protocol behaved". It also keeps the committed-write
+// multiset, which the differential tests and the model checker compare
+// across protocols and schedules.
 //
 // Invariants:
 //
@@ -16,14 +19,15 @@
 //	I3 Invalidation pairing: an invalidation ack delivered to a collector
 //	   must answer an invalidation that was actually sent to that responder
 //	   (duplicated acks are legal — duplicated *phantom* acks are not).
-//	I4 Liveness: at the end of the run every processor committed its full
-//	   chunk target.
+//	I4 Liveness: at the end of the run every processor committed exactly
+//	   chunks [0, target): its full target and nothing past it.
 //	I5 Write visibility: directory write applications only come from
 //	   processors that reached a serialization point (formed a group).
 package check
 
 import (
 	"fmt"
+	"maps"
 
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/dir"
@@ -46,6 +50,12 @@ type occKey struct {
 	try    int
 }
 
+// WriteKey names one committed write: the line and the core that wrote it.
+type WriteKey struct {
+	Line   sig.Line
+	Writer int
+}
+
 type invKey struct {
 	kind      msg.Kind // the invalidation kind (not the ack kind)
 	tag       msg.CTag
@@ -66,6 +76,7 @@ type Checker struct {
 	hasLast   map[int]bool
 	sentInv   map[invKey]bool
 	everForm  map[int]bool
+	writes    map[WriteKey]int
 }
 
 var _ dir.Probe = (*Checker)(nil)
@@ -81,6 +92,7 @@ func New(n int) *Checker {
 		hasLast:   make(map[int]bool),
 		sentInv:   make(map[invKey]bool),
 		everForm:  make(map[int]bool),
+		writes:    make(map[WriteKey]int),
 	}
 }
 
@@ -124,7 +136,7 @@ func (c *Checker) ChunkCommitted(proc int, seq uint64, t event.Time) {
 	c.hasLast[proc] = true
 }
 
-// Held observes a ScalableBulk CST occupancy acquisition (I1).
+// Held implements dir.Probe: a CST occupancy acquisition (I1).
 func (c *Checker) Held(module int, tag msg.CTag, try int) {
 	k := occKey{module, tag, try}
 	if c.held[k] {
@@ -133,7 +145,7 @@ func (c *Checker) Held(module int, tag msg.CTag, try int) {
 	c.held[k] = true
 }
 
-// Released observes a ScalableBulk CST occupancy release (I1).
+// Released implements dir.Probe: a CST occupancy release (I1).
 func (c *Checker) Released(module int, tag msg.CTag, try int) {
 	k := occKey{module, tag, try}
 	if !c.held[k] {
@@ -142,27 +154,33 @@ func (c *Checker) Released(module int, tag msg.CTag, try int) {
 	delete(c.held, k)
 }
 
-// Formed observes a group formation (serialization point) via the stats
-// collector.
-func (c *Checker) Formed(proc int, seq uint64, try int, t event.Time) {
+// GroupFormed implements dir.Probe: an attempt reached its serialization
+// point.
+func (c *Checker) GroupFormed(proc int, seq uint64, try int) {
 	c.formed[procSeq{proc, seq}] = true
 	c.everForm[proc] = true
 }
 
-// Ended observes a commit attempt ending. A successful end after the chunk
+// CommitEnded implements dir.Probe. A successful end after the chunk
 // already committed would be a double serialization (I2).
-func (c *Checker) Ended(proc int, seq uint64, try int, t event.Time, success bool) {
+func (c *Checker) CommitEnded(proc int, seq uint64, try int, success bool) {
 	if success && c.committed[procSeq{proc, seq}] {
 		c.violate(I2, "P%d chunk %d ended successfully twice", proc, seq)
 	}
 }
 
-// Apply observes a committed-write application to the directory state (I5).
-func (c *Checker) Apply(l sig.Line, writer int) {
+// WriteApplied implements dir.Probe: a committed write reaches the
+// directory (I5), and the committed-write multiset counts it.
+func (c *Checker) WriteApplied(l sig.Line, writer int) {
 	if !c.everForm[writer] {
 		c.violate(I5, "line %d written by P%d which never formed a group", l, writer)
 	}
+	c.writes[WriteKey{l, writer}]++
 }
+
+// Writes returns a copy of the committed-write multiset: how many times each
+// (line, writer) pair was applied to the directory so far.
+func (c *Checker) Writes() map[WriteKey]int { return maps.Clone(c.writes) }
 
 // invalPair maps an ack kind to the invalidation kind it answers.
 func invalPair(k msg.Kind) (msg.Kind, bool) {
@@ -207,7 +225,9 @@ func (c *Checker) Delivered(m *msg.Msg) {
 }
 
 // Finish runs the end-of-run checks (I1 leaks, I4 liveness): every processor
-// committed chunks [0, perProc) and no CST occupancy is still held.
+// committed exactly chunks [0, perProc) and no CST occupancy is still held.
+// With I2's exactly-once, ascending order, a chunk past the target shows as
+// the processor's last commit.
 func (c *Checker) Finish(procs, perProc int) {
 	for p := 0; p < procs; p++ {
 		n := 0
@@ -218,6 +238,9 @@ func (c *Checker) Finish(procs, perProc int) {
 		}
 		if n != perProc {
 			c.violate(I4, "P%d committed %d of %d chunks", p, n, perProc)
+		}
+		if c.hasLast[p] && c.lastSeq[p] >= uint64(perProc) {
+			c.violate(I4, "P%d committed chunk %d past its target of %d", p, c.lastSeq[p], perProc)
 		}
 	}
 	for k := range c.held {

@@ -16,7 +16,7 @@ func mkChunk(proc int, seq uint64) *chunk.Chunk {
 // commit drives the legal milestone sequence for one chunk.
 func commit(c *Checker, proc int, seq uint64) {
 	c.CommitRequested(proc, mkChunk(proc, seq))
-	c.Formed(proc, seq, 0, 10)
+	c.GroupFormed(proc, seq, 0)
 	c.ChunkCommitted(proc, seq, 20)
 }
 
@@ -125,7 +125,7 @@ func TestInvariantI2CommitWithoutRequestOrFormation(t *testing.T) {
 func TestInvariantI2DoubleSuccess(t *testing.T) {
 	c := New(1)
 	commit(c, 0, 0)
-	c.Ended(0, 0, 1, 40, true)
+	c.CommitEnded(0, 0, 1, true)
 	wantInvariant(t, c, I2)
 }
 
@@ -156,12 +156,42 @@ func TestInvariantI4LivenessShortfall(t *testing.T) {
 	wantInvariant(t, c, I4)
 }
 
+// TestInvariantI4PastTarget: a processor that commits a chunk past its
+// target reports I4, even though it committed every chunk below it in order.
+func TestInvariantI4PastTarget(t *testing.T) {
+	c := New(1)
+	for seq := uint64(0); seq < 3; seq++ {
+		commit(c, 0, seq)
+	}
+	c.Finish(1, 2)
+	wantInvariant(t, c, I4)
+}
+
 // TestInvariantI5ApplyWithoutFormation: a directory write from a processor
 // that never reached a serialization point reports I5.
 func TestInvariantI5ApplyWithoutFormation(t *testing.T) {
 	c := New(2)
-	c.Apply(42, 1)
+	c.WriteApplied(42, 1)
 	wantInvariant(t, c, I5)
+}
+
+// TestWritesCountsApplications: the committed-write multiset counts every
+// application of a (line, writer) pair, and the copy it returns is the
+// caller's.
+func TestWritesCountsApplications(t *testing.T) {
+	c := New(2)
+	commit(c, 1, 0)
+	c.WriteApplied(42, 1)
+	c.WriteApplied(42, 1)
+	c.WriteApplied(43, 1)
+	w := c.Writes()
+	if w[WriteKey{42, 1}] != 2 || w[WriteKey{43, 1}] != 1 || len(w) != 2 {
+		t.Fatalf("Writes = %v, want {42/P1: 2, 43/P1: 1}", w)
+	}
+	w[WriteKey{44, 0}] = 1
+	if len(c.Writes()) != 2 {
+		t.Fatal("Writes returned the checker's own map")
+	}
 }
 
 // TestViolationErrorCarriesDump: the system layer attaches the machine dump
@@ -188,7 +218,7 @@ func TestViolationErrorCarriesDump(t *testing.T) {
 func TestCountTracksDropped(t *testing.T) {
 	c := New(1)
 	for i := 0; i < maxViolations+5; i++ {
-		c.Apply(1, 0)
+		c.WriteApplied(1, 0)
 	}
 	if c.Count() != maxViolations+5 {
 		t.Fatalf("Count = %d, want %d", c.Count(), maxViolations+5)

@@ -213,11 +213,6 @@ type Protocol struct {
 
 	// Fails tallies group-formation failures by cause.
 	Fails FailStats
-
-	// OnHeld and OnReleased, when non-nil, observe CST occupancy
-	// transitions (invariant checking). Nil on performance runs.
-	OnHeld     func(module int, tag msg.CTag, try int)
-	OnReleased func(module int, tag msg.CTag, try int)
 }
 
 // watched is one open commit attempt.
@@ -228,9 +223,8 @@ type watched struct {
 }
 
 var (
-	_ protocol.Engine       = (*Protocol)(nil)
-	_ protocol.HoldObserver = (*Protocol)(nil)
-	_ kernel.Prober         = (*Protocol)(nil)
+	_ protocol.Engine = (*Protocol)(nil)
+	_ kernel.Prober   = (*Protocol)(nil)
 )
 
 // New builds a ScalableBulk engine over env.
@@ -256,11 +250,6 @@ func (p *Protocol) Stats() map[string]uint64 {
 		"fail_recalled":  p.Fails.Recalled,
 		"fail_watchdog":  p.Fails.Watchdog,
 	}
-}
-
-// SetHoldHooks implements protocol.HoldObserver.
-func (p *Protocol) SetHoldHooks(held, released func(module int, tag msg.CTag, try int)) {
-	p.OnHeld, p.OnReleased = held, released
 }
 
 // rank returns a module's current priority rank (lower = higher priority).
@@ -660,8 +649,8 @@ func (p *Protocol) tryAdvance(mod *module, e *cstEntry) {
 	// Win: h ← 1, push g onward, irrevocably choosing this group here.
 	e.state = stHeld
 	p.k.HoldBegin(mod.id, e.tag, e.try)
-	if p.OnHeld != nil {
-		p.OnHeld(mod.id, e.tag, e.try)
+	if p.env.Probe != nil {
+		p.env.Probe.Held(mod.id, e.tag, e.try)
 	}
 	if e.leader && len(e.gvec) == 1 {
 		p.confirmGroup(mod, e)
@@ -723,7 +712,7 @@ func (p *Protocol) confirmGroup(mod *module, e *cstEntry) {
 func (p *Protocol) applyWrites(node int, e *cstEntry) {
 	for _, l := range e.writeLines {
 		if h, ok := p.env.Map.HomeIfMapped(l); ok && h == node {
-			p.env.State.ApplyCommitWrite(l, e.tag.Proc)
+			p.env.ApplyCommitWrite(l, e.tag.Proc)
 		}
 	}
 }
@@ -971,8 +960,8 @@ func (p *Protocol) deallocate(mod *module, e *cstEntry, success bool) {
 	mod.retire(e)
 	if e.state != stPending {
 		p.k.HoldEnd(mod.id, e.tag, e.try)
-		if p.OnReleased != nil {
-			p.OnReleased(mod.id, e.tag, e.try)
+		if p.env.Probe != nil {
+			p.env.Probe.Released(mod.id, e.tag, e.try)
 		}
 	}
 	if success {

@@ -58,10 +58,6 @@ type State struct {
 	words  [][]uint64    // words[b] holds infos[b]'s sharer words, stride per entry
 	n      int32         // entries handed out
 	stride int           // sharer words per entry
-
-	// OnApply, when non-nil, observes every committed-write application
-	// (invariant checking). Nil on performance runs.
-	OnApply func(l sig.Line, writer int)
 }
 
 // NewState returns empty directory state for a machine of the given number
@@ -162,7 +158,7 @@ func (s *State) Snapshot() *Image {
 // storage: the image is only read, so it may be restored into any number of
 // states.
 func (s *State) Restore(im *Image) {
-	*s = State{stride: max(s.stride, im.stride), OnApply: s.OnApply}
+	*s = State{stride: max(s.stride, im.stride)}
 	for i, l := range im.lines {
 		copy(s.Touch(l).Sharers.Words(), im.words[i*im.stride:(i+1)*im.stride])
 	}
@@ -172,9 +168,6 @@ func (s *State) Restore(im *Image) {
 // all copies except the writer's are (being) invalidated, and the writer
 // becomes the dirty owner.
 func (s *State) ApplyCommitWrite(l sig.Line, writer int) {
-	if s.OnApply != nil {
-		s.OnApply(l, writer)
-	}
 	li := s.Touch(l)
 	li.Sharers.Clear()
 	li.Sharers.Add(writer)
@@ -270,16 +263,32 @@ type Protocol interface {
 	ReadBlocked(node int, l sig.Line) bool
 }
 
-// Probe observes processor-side commit milestones (invariant checking). The
-// interface lives here so the checker can implement it without an import
-// cycle; all hooks are optional (nil Probe on performance runs).
+// Probe is the invariant checker's one view of the machine above the
+// network: the processors' commit milestones, each engine's serialization
+// point, every committed write the directory applies, and ScalableBulk's CST
+// occupancy. The interface lives here so the checker can implement it
+// without an import cycle. Env.Probe is nil on performance runs, and every
+// report site costs one nil check. A Probe must not touch simulator state.
 type Probe interface {
 	// CommitRequested fires when a processor submits (or re-submits) a
 	// chunk for commit, before the protocol engine sees it.
 	CommitRequested(proc int, ck *chunk.Chunk)
+	// GroupFormed fires at an attempt's serialization point: its group
+	// formed, or a baseline authorized the commit.
+	GroupFormed(proc int, seq uint64, try int)
+	// CommitEnded fires when a processor closes a commit attempt, before a
+	// successful one retires its chunk.
+	CommitEnded(proc int, seq uint64, try int, success bool)
 	// ChunkCommitted fires when a processor retires a chunk — the
 	// authoritative per-(proc,seq) commit event.
 	ChunkCommitted(proc int, seq uint64, t event.Time)
+	// WriteApplied fires for each committed written line, before the
+	// directory state records writer as its owner.
+	WriteApplied(l sig.Line, writer int)
+	// Held and Released fire when a ScalableBulk directory module's CST
+	// occupancy is acquired and released; the baselines report neither.
+	Held(module int, tag msg.CTag, try int)
+	Released(module int, tag msg.CTag, try int)
 }
 
 // Env is everything a protocol engine or read path needs from the machine.
@@ -291,7 +300,7 @@ type Env struct {
 	Cores []Core
 	Coll  *stats.Collector
 
-	// Probe, when non-nil, receives commit milestones (invariant checking).
+	// Probe, when non-nil, observes the run for the invariant checker.
 	Probe Probe
 	// Trace, when non-nil, receives structured lifecycle events (package
 	// trace). Nil on performance runs — emission sites pay one nil check.
@@ -302,6 +311,16 @@ type Env struct {
 	DirLookup event.Time
 	// MemLatency is the memory round-trip latency (Table 2: 300 cycles).
 	MemLatency event.Time
+}
+
+// ApplyCommitWrite applies one committed written line to the directory
+// state, reporting it to the Probe first. Every engine applies its commits
+// through here.
+func (e *Env) ApplyCommitWrite(l sig.Line, writer int) {
+	if e.Probe != nil {
+		e.Probe.WriteApplied(l, writer)
+	}
+	e.State.ApplyCommitWrite(l, writer)
 }
 
 // ReadPath serves conventional cache-miss transactions at every directory

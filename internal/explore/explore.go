@@ -249,7 +249,7 @@ type explorer struct {
 	deepest int
 
 	// reference outcome (default schedule): committed-write multiset.
-	refWrites map[writeKey]int
+	refWrites map[check.WriteKey]int
 }
 
 // run is the DFS driver: execute schedule prefixes, enqueue unexplored
@@ -399,18 +399,18 @@ func (e *explorer) schedule(choices []int, out *outcome) *Schedule {
 
 // diffWrites summarizes the first differences between two write multisets
 // (same shape as the differential suite's comparison); "" when equal.
-func diffWrites(a, b map[writeKey]int) string {
+func diffWrites(a, b map[check.WriteKey]int) string {
 	var out string
 	n := 0
 	for k, va := range a {
 		if vb := b[k]; va != vb && n < 5 {
-			out += fmt.Sprintf(" line %#x by core %d: %d vs %d;", uint64(k.line), k.writer, va, vb)
+			out += fmt.Sprintf(" line %#x by core %d: %d vs %d;", uint64(k.Line), k.Writer, va, vb)
 			n++
 		}
 	}
 	for k, vb := range b {
 		if _, ok := a[k]; !ok && n < 5 {
-			out += fmt.Sprintf(" line %#x by core %d: absent vs %d;", uint64(k.line), k.writer, vb)
+			out += fmt.Sprintf(" line %#x by core %d: absent vs %d;", uint64(k.Line), k.Writer, vb)
 			n++
 		}
 	}

@@ -8,18 +8,12 @@ import (
 	"hash/fnv"
 	"runtime/debug"
 
+	"scalablebulk/internal/check"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/system"
 )
-
-// writeKey identifies one committed-write attribution (the differential
-// suite's multiset element).
-type writeKey struct {
-	line   sig.Line
-	writer int
-}
 
 // controller implements mesh.Scheduler: it captures every delivery off the
 // read path (the commit-protocol messages) and leaves read-path traffic on
@@ -107,7 +101,7 @@ type outcome struct {
 	choices   []int
 	points    []point
 	violation *Violation
-	writes    map[writeKey]int
+	writes    map[check.WriteKey]int // the checker's, on a completed run
 	// digest folds the final machine state and the committed-write multiset:
 	// two runs with equal digests ended in the same time-free state with the
 	// same committed writes — the bit-identity anchor for schedule replay.
@@ -121,7 +115,7 @@ type outcome struct {
 // sets the DFS driver explores; replay/minimization trials leave it off.
 func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) {
 	spec := e.opts.Spec
-	out = &outcome{writes: map[writeKey]int{}}
+	out = &outcome{}
 
 	cfg := system.DefaultConfig(spec.Cores, spec.Proto)
 	cfg.ChunksPerCore = spec.Chunks
@@ -130,7 +124,6 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	cfg.MaxCycles = spec.MaxCycles
 	cfg.Check = true
 	cfg.FlightRecorder = 96
-	cfg.OnApplyWrite = func(l sig.Line, writer int) { out.writes[writeKey{l, writer}]++ }
 
 	m, err := system.Build(spec.Profile, cfg)
 	if err != nil {
@@ -263,6 +256,7 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 		fail(KindQuiescence, "%d protocol attempt(s)/entries live after completion", n)
 		return out, nil
 	}
+	out.writes = m.Check.Writes()
 	out.digest = e.finalDigest(m, out)
 	// A completed machine dumps empty (nothing is stuck), but keep the
 	// flight recorder's tail: if the run later turns out to diverge from the
@@ -307,7 +301,7 @@ func (e *explorer) finalDigest(m *system.Machine, out *outcome) uint64 {
 	var fold uint64
 	for k, n := range out.writes {
 		kh := fnv.New64a()
-		fmt.Fprintf(kh, "%d/%d/%d", uint64(k.line), k.writer, n)
+		fmt.Fprintf(kh, "%d/%d/%d", uint64(k.Line), k.Writer, n)
 		fold += kh.Sum64()
 	}
 	fmt.Fprintf(h, "writes=%d fold=%d choices=%d", len(out.writes), fold, len(out.choices))

@@ -31,18 +31,22 @@ type Generator interface {
 	NextChunk(proc int, seq uint64) *chunk.Chunk
 }
 
+// The processor model's fixed timing and pipeline depth.
+const (
+	// l2Latency is the private L2 round trip beyond the (hidden) L1 time.
+	l2Latency event.Time = 8
+	// maxActiveChunks caps in-flight chunks per core (Table 2: 2 — one
+	// committing plus one executing).
+	maxActiveChunks = 2
+	// retryBackoff is the wait before retrying a failed commit; a per-core
+	// jitter is added to break symmetric livelock.
+	retryBackoff event.Time = 48
+	// nackRetry is the wait before re-issuing a nacked read (§3.1).
+	nackRetry event.Time = 20
+)
+
 // Config tunes the processor model.
 type Config struct {
-	// L2Latency is the private L2 round trip beyond the (hidden) L1 time.
-	L2Latency event.Time
-	// MaxActiveChunks caps in-flight chunks per core (Table 2: 2 — one
-	// committing plus one executing).
-	MaxActiveChunks int
-	// RetryBackoff is the wait before retrying a failed commit; a per-core
-	// jitter is added to break symmetric livelock.
-	RetryBackoff event.Time
-	// NackRetry is the wait before re-issuing a nacked read (§3.1).
-	NackRetry event.Time
 	// ConservativeInv buffers incoming invalidation signatures while a
 	// commit decision is pending, acknowledging only on consumption — the
 	// pre-OCI behavior of Figure 4(c) and of BulkSC.
@@ -52,10 +56,6 @@ type Config struct {
 	OCIRecall bool
 	// Seed randomizes backoff jitter deterministically.
 	Seed int64
-	// OnCommit, when non-nil, observes each chunk retirement in commit
-	// order: (core, chunk sequence). A pure observer — it must not touch
-	// simulator state.
-	OnCommit func(core int, seq uint64)
 	// OnDone, when non-nil, fires once when this core commits its last
 	// target chunk (the done transition). The system layer uses it to keep
 	// an O(1) all-done counter instead of scanning every core per step.
@@ -63,15 +63,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the ScalableBulk processor configuration.
-func DefaultConfig() Config {
-	return Config{
-		L2Latency:       8,
-		MaxActiveChunks: 2,
-		RetryBackoff:    48,
-		NackRetry:       20,
-		OCIRecall:       true,
-	}
-}
+func DefaultConfig() Config { return Config{OCIRecall: true} }
 
 // Proc is one processor. It implements dir.Core.
 type Proc struct {
@@ -177,9 +169,6 @@ type pendingRead struct {
 
 // New builds a processor. l1 and l2 size the private hierarchy (Table 2).
 func New(env *dir.Env, proto dir.Protocol, gen Generator, id, target int, l1, l2 cache.Config, cfg Config) *Proc {
-	if cfg.MaxActiveChunks == 0 {
-		cfg.MaxActiveChunks = 2
-	}
 	p := &Proc{
 		ID: id, env: env, proto: proto, gen: gen, cfg: cfg,
 		hier:   cache.NewHierarchy(l1, l2),
@@ -215,7 +204,7 @@ func (p *Proc) startNextChunk() {
 	if p.committing != nil {
 		active++
 	}
-	if active >= p.cfg.MaxActiveChunks {
+	if active >= maxActiveChunks {
 		return
 	}
 	if p.Committed+active >= p.target {
@@ -327,8 +316,8 @@ func (p *Proc) step(epoch uint64) {
 		case cache.L1Hit:
 			// 2-cycle round trip, hidden by the pipeline.
 		case cache.L2Hit:
-			local += p.cfg.L2Latency
-			ck.ExecMiss += uint64(p.cfg.L2Latency)
+			local += l2Latency
+			ck.ExecMiss += uint64(l2Latency)
 		case cache.Miss:
 			if a.Write {
 				// Writes never block: in a lazy chunk machine a store
@@ -400,7 +389,7 @@ func (p *Proc) onReadNack(m *msg.Msg) {
 	}
 	// Keep issuedAt: the retry time is part of the miss stall. Re-issue
 	// after a short backoff (§3.1: bounced requests are retried).
-	p.after(p.cfg.NackRetry, p.nackFn, pr.acc, pr.epoch, p.readSeq, nil)
+	p.after(nackRetry, p.nackFn, pr.acc, pr.epoch, p.readSeq, nil)
 }
 
 // retryRead re-issues a nacked miss, unless its execution was squashed or
@@ -469,7 +458,7 @@ func (p *Proc) CommitFinished(tag msg.CTag) {
 		// other success — otherwise the run's commit count and its
 		// latency/directory samples disagree (Result.Validate).
 		now := p.env.Eng.Now()
-		p.env.Coll.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, now, true)
+		p.commitEnded(ck, now, true)
 		p.env.Coll.CommitLatency(now - p.commitReqAt)
 		p.env.Coll.DirsPerCommit(len(ck.Dirs), len(ck.WriteDirs))
 		p.countCommit(ck)
@@ -482,7 +471,7 @@ func (p *Proc) completeCommit() {
 	p.committing = nil
 	p.awaiting = false
 	now := p.env.Eng.Now()
-	p.env.Coll.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, now, true)
+	p.commitEnded(ck, now, true)
 	p.env.Coll.CommitLatency(now - p.commitReqAt)
 	p.env.Coll.DirsPerCommit(len(ck.Dirs), len(ck.WriteDirs))
 	p.countCommit(ck)
@@ -499,6 +488,15 @@ func (p *Proc) completeCommit() {
 	p.startNextChunk()
 }
 
+// commitEnded closes ck's current commit attempt in the collector and
+// reports it to the probe.
+func (p *Proc) commitEnded(ck *chunk.Chunk, now event.Time, success bool) {
+	p.env.Coll.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, now, success)
+	if p.env.Probe != nil {
+		p.env.Probe.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, success)
+	}
+}
+
 // countCommit retires a chunk: caches finalize its lines and its execution
 // cycles land in the Useful/CacheMiss buckets.
 func (p *Proc) countCommit(ck *chunk.Chunk) {
@@ -508,9 +506,6 @@ func (p *Proc) countCommit(ck *chunk.Chunk) {
 	p.hier.Commit(ck.WriteLines)
 	p.Acct.Useful += ck.ExecUseful
 	p.Acct.CacheMiss += ck.ExecMiss
-	if p.cfg.OnCommit != nil {
-		p.cfg.OnCommit(p.ID, ck.Tag.Seq)
-	}
 	p.Committed++
 	if p.Committed >= p.target && !p.done {
 		p.done = true
@@ -534,7 +529,7 @@ func (p *Proc) CommitRefused(tag msg.CTag) {
 	}
 	ck := p.committing
 	p.awaiting = false
-	p.env.Coll.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, p.env.Eng.Now(), false)
+	p.commitEnded(ck, p.env.Eng.Now(), false)
 	ck.Retries++
 	// Exponential backoff with a cap: under heavy collision bursts a fixed
 	// retry interval lets 64 processors' request storms saturate the torus
@@ -544,7 +539,7 @@ func (p *Proc) CommitRefused(tag msg.CTag) {
 	if shift > 5 {
 		shift = 5
 	}
-	backoff := p.cfg.RetryBackoff<<uint(shift) + event.Time(p.rng.Intn(64))
+	backoff := retryBackoff<<uint(shift) + event.Time(p.rng.Intn(64))
 	p.after(backoff, p.retryFn, chunk.Access{}, 0, 0, ck)
 	// The refusal is a decision: consume invalidations deferred during the
 	// conservative window (Figure 4(c)) — this may squash ck, cancelling
@@ -625,7 +620,7 @@ func (p *Proc) squashInFlight(trueConflict bool) *msg.RecallInfo {
 	p.Squashes++
 	p.env.Coll.Squashed(trueConflict)
 	p.traceSquash(ck, trueConflict)
-	p.env.Coll.CommitEnded(p.ID, ck.Tag.Seq, ck.Retries, now, false)
+	p.commitEnded(ck, now, false)
 	p.Acct.Squash += ck.ExecUseful + ck.ExecMiss
 	ck.Squashes++
 	p.hier.Squash(ck.WriteLines)

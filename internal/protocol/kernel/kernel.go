@@ -44,9 +44,13 @@ func (k *Kernel) Started(proc int, ck *chunk.Chunk) {
 }
 
 // Formed records the commit-authorization milestone — the protocol's
-// equivalent of ScalableBulk's group formation (Figures 14–17 feed on it).
+// equivalent of ScalableBulk's group formation (Figures 14–17 feed on it) —
+// and reports it to the Probe.
 func (k *Kernel) Formed(proc int, seq uint64, try int) {
 	k.Env.Coll.GroupFormed(proc, seq, try, k.Env.Eng.Now())
+	if k.Env.Probe != nil {
+		k.Env.Probe.GroupFormed(proc, seq, try)
+	}
 }
 
 // HoldBegin emits the directory-side hold span opening: module node now

@@ -16,13 +16,15 @@
 //	},
 //
 // after which system.Run, the figure sweeps and every CLI's -protocol flag
-// accept the name. See DESIGN.md §12 for the full contract.
+// accept the name. An engine needs no hook for the invariant checker: the
+// kernel's Formed and dir.Env.ApplyCommitWrite report to the dir.Probe, and
+// only engines with directory-side occupancy (ScalableBulk's CST) report
+// Held and Released themselves. See DESIGN.md §12 for the full contract.
 package protocol
 
 import (
 	"scalablebulk/internal/dir"
 	"scalablebulk/internal/event"
-	"scalablebulk/internal/msg"
 )
 
 // DefaultCommitDeadline is the shared commit-stall watchdog deadline: an
@@ -68,14 +70,6 @@ type Engine interface {
 	// report zero, so leaked directory state that no end-to-end invariant
 	// notices still fails the check.
 	PendingAttempts() int
-}
-
-// HoldObserver is optionally implemented by engines whose directory-side
-// hold/release transitions the online invariant checker audits (I4: at most
-// one confirmed group per module).
-type HoldObserver interface {
-	// SetHoldHooks installs the observation callbacks; either may be nil.
-	SetHoldHooks(held, released func(module int, tag msg.CTag, try int))
 }
 
 // Tuning is the processor-model configuration a protocol requires. The

@@ -256,7 +256,7 @@ func (p *Protocol) formed(proc int, j *job) {
 	// behind the (slow) invalidation round trip. The committer itself still
 	// waits for every ack before declaring the chunk committed.
 	for _, l := range j.ck.WriteLines {
-		p.env.State.ApplyCommitWrite(l, proc)
+		p.env.ApplyCommitWrite(l, proc)
 	}
 	w := &j.ck.Snapshot().W
 	for _, t := range targets {

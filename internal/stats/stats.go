@@ -108,12 +108,6 @@ type Collector struct {
 	// ReadNacks counts loads bounced by directories (§3.1).
 	ReadNacks uint64 `json:"read_nacks"`
 
-	// OnFormed and OnEnded, when non-nil, mirror GroupFormed / CommitEnded
-	// events to an external observer (the invariant checker). Nil on
-	// performance runs.
-	OnFormed func(proc int, seq uint64, try int, t event.Time)               `json:"-"`
-	OnEnded  func(proc int, seq uint64, try int, t event.Time, success bool) `json:"-"`
-
 	// Trace, when non-nil, mirrors every commit attempt as a structured
 	// KCommit span (begin at CommitStarted, formed instant, end at
 	// CommitEnded). Because all four protocols report their milestones
@@ -169,9 +163,6 @@ func (c *Collector) GroupFormed(proc int, seq uint64, try int, t event.Time) {
 		c.Attempts[c.open[proc][i].idx].Formed = t
 	}
 	c.Trace.Instant(trace.KGroupFormed, proc, false, msg.CTag{Proc: proc, Seq: seq}, try)
-	if c.OnFormed != nil {
-		c.OnFormed(proc, seq, try, t)
-	}
 }
 
 // CommitEnded closes an attempt. For successful attempts t is when the
@@ -194,9 +185,6 @@ func (c *Collector) CommitEnded(proc int, seq uint64, try int, t event.Time, suc
 		Kind: trace.KCommit, Phase: trace.PhaseEnd, Node: proc,
 		Tag: msg.CTag{Proc: proc, Seq: seq}, Try: try, OK: success,
 	})
-	if c.OnEnded != nil {
-		c.OnEnded(proc, seq, try, t, success)
-	}
 }
 
 // CommitLatency records one successful commit's latency in cycles.

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/fault"
-	"scalablebulk/internal/sig"
 	"scalablebulk/internal/workload"
 )
 
@@ -96,12 +96,25 @@ func TestTruncateLines(t *testing.T) {
 	}
 }
 
+// panicSource is a workload source that panics when asked for any chunk past
+// each core's first: a fault inside the running simulator, past cycle 0.
+type panicSource struct{ workload.Source }
+
+func (s panicSource) NextChunk(proc int, seq uint64) *chunk.Chunk {
+	if seq > 0 {
+		panic("injected fault")
+	}
+	return s.Source.NextChunk(proc, seq)
+}
+
 // TestRunPanicWrapping: a panic escaping the simulation is re-panicked as a
 // *RunPanic carrying the simulated cycle, a machine dump and the original
 // stack — the raw material for crash bundles.
 func TestRunPanicWrapping(t *testing.T) {
 	cfg := quickCfg(8, ProtoScalableBulk)
-	cfg.OnApplyWrite = func(sig.Line, int) { panic("injected fault") }
+	cfg.WorkloadFactory = func(prof workload.Profile, threads int, seed int64) (workload.Source, error) {
+		return panicSource{workload.New(prof, threads, seed)}, nil
+	}
 	var rec any
 	func() {
 		defer func() { rec = recover() }()

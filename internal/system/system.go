@@ -23,7 +23,6 @@ import (
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/proc"
 	"scalablebulk/internal/protocol"
-	"scalablebulk/internal/sig"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/trace"
 	"scalablebulk/internal/workload"
@@ -81,18 +80,6 @@ type Config struct {
 	// Check wires the online invariant checker into the run; violations
 	// turn into a run error. Costs a few percent of runtime.
 	Check bool
-
-	// OnApplyWrite, when non-nil, observes every committed write applied to
-	// the directory: the line and the committing core. It composes with the
-	// Check hook. The differential cross-protocol tests use it to collect
-	// each protocol's final committed-write multiset.
-	OnApplyWrite func(l sig.Line, writer int)
-
-	// OnCommit, when non-nil, observes every chunk commit in commit order:
-	// the committing core and the chunk's sequence number. The conformance
-	// suite uses it to assert each core's chunks commit in program order
-	// (serializability of the per-core commit stream).
-	OnCommit func(core int, seq uint64)
 
 	// TraceSink, when non-nil, receives every structured lifecycle, NoC and
 	// fault event of the run (package trace). The sink is closed by the
@@ -201,44 +188,46 @@ func dumpMachine(procs []*proc.Proc, proto protocol.Engine) string {
 	return truncateLines(strings.TrimRight(b.String(), "\n"), MaxDumpLines)
 }
 
-// Result is everything a run measured.
+// Result is everything a run measured. Its JSON encoding is the restorable
+// subset the checkpoint journal persists and the farm ships: every field any
+// figure reduction or ResultFingerprint reads.
 type Result struct {
-	App      string
-	Protocol string
-	Cores    int
+	App      string `json:"app"`
+	Protocol string `json:"protocol"`
+	Cores    int    `json:"cores"`
 
 	// Cycles is the execution time: the last core's finish time.
-	Cycles event.Time
+	Cycles event.Time `json:"cycles"`
 	// Breakdown sums every core's cycle accounting (Figures 7/8).
-	Breakdown stats.Breakdown
+	Breakdown stats.Breakdown `json:"breakdown"`
 	// PerCore keeps the individual accountings.
-	PerCore []stats.Breakdown
+	PerCore []stats.Breakdown `json:"per_core"`
 
-	ChunksCommitted uint64
-	Squashes        int
+	ChunksCommitted uint64 `json:"chunks_committed"`
+	Squashes        int    `json:"squashes"`
 	// PerCoreCommitted is each core's committed-chunk count, in core order.
-	PerCoreCommitted []int
+	PerCoreCommitted []int `json:"per_core_committed"`
 
-	Coll    *stats.Collector
-	Traffic mesh.Stats
+	Coll    *stats.Collector `json:"collector"`
+	Traffic mesh.Stats       `json:"traffic"`
 	// ProtoStats is a copy of the protocol engine's Stats() taken at Finish
 	// (protocol-specific diagnostics such as failure-cause counters). A
 	// Result is plain data: it holds no engine, so it keeps no machine
 	// reachable. ProtoStats is run-scoped: it is not journaled, sent over
 	// the farm wire or fingerprinted, so a restored Result has nil
 	// ProtoStats.
-	ProtoStats map[string]uint64
+	ProtoStats map[string]uint64 `json:"-"`
 
 	// Faults holds the injector's counters when Config.Faults was enabled.
-	Faults *fault.Stats
+	Faults *fault.Stats `json:"faults,omitempty"`
 	// Checked reports whether the invariant checker ran (and found nothing:
 	// a run with violations returns an error instead).
-	Checked bool
+	Checked bool `json:"checked,omitempty"`
 
 	// RingResidency is the calendar ring's retained backing capacity at the
 	// end of the run. Execution-only observability, excluded from
-	// fingerprints.
-	RingResidency uint64
+	// fingerprints and not persisted.
+	RingResidency uint64 `json:"-"`
 }
 
 // MeanCommitLatency is a convenience accessor (Figure 13).
@@ -373,32 +362,16 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 		m.Inj.Trace = env.Trace
 		net.Fault = m.Inj
 	}
-	var chk *check.Checker
 	if cfg.Check {
-		chk = check.New(cfg.Cores)
+		chk := check.New(cfg.Cores)
 		m.Check = chk
 		env.Probe = chk
-		env.State.OnApply = chk.Apply
-		env.Coll.OnFormed = chk.Formed
-		env.Coll.OnEnded = chk.Ended
 		net.OnSend = chk.Sent
 		net.OnDeliver = chk.Delivered
-	}
-	if cfg.OnApplyWrite != nil {
-		if prev := env.State.OnApply; prev != nil {
-			onApply := cfg.OnApplyWrite
-			env.State.OnApply = func(l sig.Line, writer int) {
-				prev(l, writer)
-				onApply(l, writer)
-			}
-		} else {
-			env.State.OnApply = cfg.OnApplyWrite
-		}
 	}
 
 	pcfg := proc.DefaultConfig()
 	pcfg.Seed = cfg.Seed
-	pcfg.OnCommit = cfg.OnCommit
 	pcfg.OnDone = func(int) { m.done++ }
 	desc, ok := LookupProtocol(cfg.Protocol)
 	if !ok {
@@ -416,11 +389,6 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 	m.Proto = proto
 	pcfg.ConservativeInv = desc.Tuning.ConservativeInv
 	pcfg.OCIRecall = desc.Tuning.OCIRecall
-	if chk != nil {
-		if ho, ok := proto.(protocol.HoldObserver); ok {
-			ho.SetHoldHooks(chk.Held, chk.Released)
-		}
-	}
 
 	factory := cfg.WorkloadFactory
 	if factory == nil {

@@ -363,7 +363,7 @@ func (p *Protocol) drain(mod *tccMod) {
 		}
 		// Phase 2 complete at this module.
 		for _, l := range e.marks {
-			p.env.State.ApplyCommitWrite(l, e.tag.Proc)
+			p.env.ApplyCommitWrite(l, e.tag.Proc)
 		}
 		p.k.HoldEnd(mod.id, e.tag, e.try)
 		p.env.Net.Send(msg.Msg{Kind: msg.TCCAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next})

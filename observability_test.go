@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scalablebulk/internal/metrics"
-	"scalablebulk/internal/sig"
 )
 
 // TestSweepProgressAndMetrics drives a small sweep with the heartbeat and a
@@ -102,7 +101,7 @@ func TestCrashBundleCarriesFlightRecorder(t *testing.T) {
 	s := NewSession(1, 1, nil)
 	s.Configure = func(cfg *Config) {
 		cfg.FlightRecorder = 32
-		cfg.OnApplyWrite = func(sig.Line, int) { panic("injected for flight-recorder test") }
+		cfg.TraceSink = panicSink("injected for flight-recorder test")
 	}
 	_, err := s.Result("FFT", ProtoScalableBulk, 4)
 	ce, ok := err.(*CrashError)

@@ -21,9 +21,6 @@ import (
 	"time"
 
 	"scalablebulk/internal/event"
-	"scalablebulk/internal/fault"
-	"scalablebulk/internal/mesh"
-	"scalablebulk/internal/stats"
 	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
@@ -197,61 +194,21 @@ func (e *CrashError) Error() string {
 	return s
 }
 
-// resultJSON is the restorable subset of Result persisted in the journal:
-// every field any figure reduction or ResultFingerprint reads. The engine
-// counters (Result.ProtoStats) are run-scoped and not persisted — restored
-// results render figures, and their ProtoStats is nil.
-type resultJSON struct {
-	App              string            `json:"app"`
-	Protocol         string            `json:"protocol"`
-	Cores            int               `json:"cores"`
-	Cycles           event.Time        `json:"cycles"`
-	Breakdown        stats.Breakdown   `json:"breakdown"`
-	PerCore          []stats.Breakdown `json:"per_core"`
-	ChunksCommitted  uint64            `json:"chunks_committed"`
-	Squashes         int               `json:"squashes"`
-	PerCoreCommitted []int             `json:"per_core_committed"`
-	Coll             *stats.Collector  `json:"collector"`
-	Traffic          mesh.Stats        `json:"traffic"`
-	Faults           *fault.Stats      `json:"faults,omitempty"`
-	Checked          bool              `json:"checked,omitempty"`
-}
-
-func toResultJSON(r *Result) *resultJSON {
-	return &resultJSON{
-		App: r.App, Protocol: r.Protocol, Cores: r.Cores,
-		Cycles: r.Cycles, Breakdown: r.Breakdown, PerCore: r.PerCore,
-		ChunksCommitted: r.ChunksCommitted, Squashes: r.Squashes,
-		PerCoreCommitted: r.PerCoreCommitted, Coll: r.Coll,
-		Traffic: r.Traffic, Faults: r.Faults, Checked: r.Checked,
-	}
-}
-
-func (r *resultJSON) restore() *Result {
-	return &Result{
-		App: r.App, Protocol: r.Protocol, Cores: r.Cores,
-		Cycles: r.Cycles, Breakdown: r.Breakdown, PerCore: r.PerCore,
-		ChunksCommitted: r.ChunksCommitted, Squashes: r.Squashes,
-		PerCoreCommitted: r.PerCoreCommitted, Coll: r.Coll,
-		Traffic: r.Traffic, Faults: r.Faults, Checked: r.Checked,
-	}
-}
-
 // MarshalResult encodes the restorable subset of a Result — the same fields
 // the checkpoint journal persists — as JSON. The farm wire protocol ships
 // worker results to the server through this encoding.
-func MarshalResult(r *Result) ([]byte, error) { return json.Marshal(toResultJSON(r)) }
+func MarshalResult(r *Result) ([]byte, error) { return json.Marshal(r) }
 
 // UnmarshalResult decodes a MarshalResult encoding back into a restored
 // Result. Callers that need integrity (the farm server and thin clients)
 // re-hash the restored result's ResultFingerprint and compare it against the
 // digest that traveled alongside.
 func UnmarshalResult(data []byte) (*Result, error) {
-	var rj resultJSON
-	if err := json.Unmarshal(data, &rj); err != nil {
+	var r Result
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	return rj.restore(), nil
+	return &r, nil
 }
 
 // journalEntry is one JSONL line: a completed point keyed by (point,
@@ -268,8 +225,8 @@ type journalEntry struct {
 	WallMS      float64 `json:"wall_ms"`
 	// Corr is the farm correlation ID of the sweep that recorded the entry
 	// ("" for in-process sweeps).
-	Corr   string      `json:"corr,omitempty"`
-	Result *resultJSON `json:"result"`
+	Corr   string  `json:"corr,omitempty"`
+	Result *Result `json:"result"`
 }
 
 type journalKey struct {
@@ -381,7 +338,8 @@ func (j *Journal) Lookup(p Point, configHash string) (res *Result, ok bool) {
 	if e == nil {
 		return nil, false
 	}
-	res = e.Result.restore()
+	r := *e.Result
+	res = &r
 	if fingerprintHash(ResultFingerprint(res)) != e.Fingerprint {
 		return nil, false
 	}
@@ -393,13 +351,16 @@ func (j *Journal) Lookup(p Point, configHash string) (res *Result, ok bool) {
 // in-process sweeps), so `grep <corr>` finds the journal line alongside the
 // event log and crash bundles.
 func (j *Journal) Record(p Point, configHash string, res *Result, wall time.Duration, corr string) error {
+	// The entry holds what a reload would: no run-scoped fields.
+	persisted := *res
+	persisted.ProtoStats, persisted.RingResidency = nil, 0
 	e := &journalEntry{
 		V: 1, App: p.App, Protocol: p.Protocol, Cores: p.Cores,
 		ConfigHash:  configHash,
 		Fingerprint: fingerprintHash(ResultFingerprint(res)),
 		WallMS:      float64(wall.Microseconds()) / 1000,
 		Corr:        corr,
-		Result:      toResultJSON(res),
+		Result:      &persisted,
 	}
 	data, err := json.Marshal(e)
 	if err != nil {

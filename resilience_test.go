@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"scalablebulk/internal/fault"
-	"scalablebulk/internal/sig"
+	"scalablebulk/internal/trace"
 )
 
 // TestSweepPanicIsolation: one point's panic becomes a *CrashError with a
@@ -79,6 +79,18 @@ func TestSweepPanicIsolation(t *testing.T) {
 	}
 }
 
+// panicSink is a trace sink that panics with its value at the first commit
+// attempt to end: a fault inside the running simulator, past cycle 0.
+type panicSink string
+
+func (s panicSink) Event(e trace.Event) {
+	if e.Kind == trace.KCommit && e.Phase == trace.PhaseEnd {
+		panic(string(s))
+	}
+}
+
+func (panicSink) Close() error { return nil }
+
 // TestCrashBundleFromRunPanic: a panic inside the simulator (not the test
 // seam) reaches the bundle wrapped in machine context — simulated cycle and
 // truncated machine dump.
@@ -86,7 +98,7 @@ func TestCrashBundleFromRunPanic(t *testing.T) {
 	s := NewSession(detChunks, 2, nil)
 	s.Configure = func(cfg *Config) {
 		if cfg.Protocol == ProtoTCC {
-			cfg.OnApplyWrite = func(sig.Line, int) { panic("mid-simulation fault") }
+			cfg.TraceSink = panicSink("mid-simulation fault")
 		}
 	}
 	_, err := s.Result("Radix", ProtoTCC, 8)
@@ -121,10 +133,10 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 	render := func(s *Session) string {
 		var buf bytes.Buffer
 		s.SetOut(&buf)
-		if err := s.Figure9(); err != nil {
+		if err := s.Figure(9); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Figure11(); err != nil {
+		if err := s.Figure(11); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
