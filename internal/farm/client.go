@@ -42,17 +42,15 @@ type Client struct {
 	// Corr is the correlation ID stamped on every request
 	// (X-Correlation-ID). RunSweep mints one (NewCorrID) when empty.
 	Corr string
-	// NoSSE forces RunSweep onto the cursor-polling path.
-	NoSSE bool
 	// SSEIdle bounds how long an SSE stream may go silent (no events, no
 	// keepalives) before the client abandons the connection and redials.
 	// 0 selects 30s.
 	SSEIdle time.Duration
 	// Log, when non-nil, receives structured progress lines (submission,
-	// per-point completion, transport fallbacks) carrying Corr.
+	// per-point completion, stream redials) carrying Corr.
 	Log *slog.Logger
-	// RetryInterval paces transport-retry backoff (0 selects 250ms);
-	// MaxRetryWait bounds it (0 selects 5s).
+	// RetryInterval paces transport-retry backoff and SSE redials (0
+	// selects 250ms); MaxRetryWait bounds the backoff (0 selects 5s).
 	RetryInterval time.Duration
 	MaxRetryWait  time.Duration
 }
@@ -163,16 +161,6 @@ func (c *Client) Submit(ctx context.Context, spec *SweepSpec) (*SubmitResponse, 
 	return &resp, nil
 }
 
-// Status fetches sweep status plus the result stream after cursor.
-func (c *Client) Status(ctx context.Context, sweepID string, after int) (*SweepStatus, error) {
-	var st SweepStatus
-	q := url.Values{"id": {sweepID}, "after": {strconv.Itoa(after)}}
-	if err := c.do(ctx, http.MethodGet, "/v1/sweep?"+q.Encode(), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
 // Progress fetches the server's live per-sweep aggregation.
 func (c *Client) Progress(ctx context.Context, sweepID string) (*SweepProgress, error) {
 	var p SweepProgress
@@ -195,20 +183,18 @@ func (c *Client) FarmStatus(ctx context.Context, events int) (*FarmStatus, error
 
 // Lease asks for work. haveSpecs lists the sweeps whose spec the caller
 // already holds; a job for one of them comes with a nil Spec. A nil job with
-// nil error means nothing became runnable while the server held the request
-// (ask again after the returned wait, which only an older server sets);
-// ErrDraining means stop.
-func (c *Client) Lease(ctx context.Context, worker string, haveSpecs ...string) (*Job, time.Duration, error) {
+// nil error means nothing became runnable while the server held the request:
+// ask again. ErrDraining means stop.
+func (c *Client) Lease(ctx context.Context, worker string, haveSpecs ...string) (*Job, error) {
 	var resp leaseResponse
 	req := leaseRequest{Worker: worker, HaveSpecs: haveSpecs}
 	if err := c.do(ctx, http.MethodPost, "/v1/lease", req, &resp); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if resp.Draining {
-		return nil, 0, ErrDraining
+		return nil, ErrDraining
 	}
-	retry := time.Duration(resp.RetryMS) * time.Millisecond
-	return resp.Job, retry, nil
+	return resp.Job, nil
 }
 
 // Heartbeat renews a lease; ErrLeaseGone means abandon the run.
@@ -246,11 +232,10 @@ func (c *Client) Fail(ctx context.Context, job *Job, worker, msg string, crash *
 	}, nil)
 }
 
-// sweepRun accumulates one RunSweep's state. Both delivery paths — SSE and
-// cursor polling — funnel every PointResult through apply, which verifies,
-// dedupes by PointID, and updates the outcome exactly once per point; that
-// shared idempotent sink is why the two paths (and any mid-run switch
-// between them) converge to identical outcomes.
+// sweepRun accumulates one RunSweep's state. Every PointResult — live
+// result events, snapshots, and the replays that follow a redial or a
+// resubmission — funnels through apply, which verifies, dedupes by PointID,
+// and updates the outcome exactly once per point.
 type sweepRun struct {
 	c        *Client
 	out      *scalablebulk.SweepOutcome
@@ -296,18 +281,25 @@ func (r *sweepRun) apply(pr PointResult) error {
 
 // terminal reports whether every point has been applied.
 func (r *sweepRun) terminal() bool {
-	return r.out.Completed+len(r.out.Failures) >= r.out.Points
+	return r.applied() >= r.out.Points
+}
+
+func (r *sweepRun) applied() int {
+	return r.out.Completed + len(r.out.Failures)
 }
 
 // RunSweep is the thin-client driver the CLIs' -server mode uses: submit
-// the spec, then consume the result stream until every point is terminal,
-// returning a SweepOutcome shaped exactly like Session.SweepContext's.
+// the spec, then follow the sweep's SSE stream (GET
+// /api/v1/sweeps/{id}/events) until every point is terminal, returning a
+// SweepOutcome shaped exactly like Session.SweepContext's.
 //
-// The stream arrives over SSE (GET /api/v1/sweeps/{id}/events) with
-// Last-Event-ID resume; when the transport proves SSE-hostile — repeated
-// silent streams, a proxy that strips the content type — the client falls
-// back permanently to cursor polling. Either way every result passes the
-// same verify-dedupe-apply sink, so the two paths converge byte-identically.
+// The stream fails the way Client.do does. A transport error, a cut stream
+// or one silent past SSEIdle is redialed with Last-Event-ID after
+// RetryInterval until ctx ends (the outcome is then marked Aborted). A 404
+// means the server restarted and lost the sweep: RunSweep resubmits and
+// rewinds to the start of the stream. Any other non-2xx answer, a
+// Content-Type other than text/event-stream, a result that does not verify,
+// or an end event before every point arrived is returned as an error.
 // onResult, when non-nil, observes each completed point once, with the
 // restored flag distinguishing journal hits from fresh runs.
 func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p Point, res *scalablebulk.Result, restored bool)) (*scalablebulk.SweepOutcome, error) {
@@ -326,26 +318,6 @@ func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p 
 		seen:     make(map[int]bool, sub.Points),
 		onResult: onResult,
 	}
-	if !c.NoSSE {
-		done, err := c.runSweepSSE(ctx, spec, sub.SweepID, run)
-		if done || err != nil {
-			return run.out, err
-		}
-		c.logInfo("sse_fallback", "sweep", sub.SweepID,
-			"detail", "transport breaks SSE; switching to cursor polling")
-	}
-	return c.runSweepPoll(ctx, spec, sub.SweepID, run)
-}
-
-// sseFallbackAfter is how many consecutive connection attempts may die
-// without delivering a single event before the client declares the
-// transport SSE-hostile and falls back to polling.
-const sseFallbackAfter = 5
-
-// runSweepSSE consumes the sweep over SSE. Returns done=true when the sweep
-// reached terminal (or ctx died — run.out is marked aborted); done=false
-// with nil error means SSE is unusable here and the caller should poll.
-func (c *Client) runSweepSSE(ctx context.Context, spec *SweepSpec, sweepID string, run *sweepRun) (done bool, err error) {
 	idle := c.SSEIdle
 	if idle <= 0 {
 		idle = 30 * time.Second
@@ -355,68 +327,55 @@ func (c *Client) runSweepSSE(ctx context.Context, spec *SweepSpec, sweepID strin
 		backoff = 250 * time.Millisecond
 	}
 	var lastID uint64
-	silentConnects := 0
 	for {
+		redial, err := c.stream(ctx, sub.SweepID, idle, run, &lastID)
+		if run.terminal() {
+			return run.out, nil
+		}
 		if ctx.Err() != nil {
 			run.out.Aborted = true
-			return true, nil
+			return run.out, nil
 		}
-		gotEvent, fatal, err := c.sseAttempt(ctx, sweepID, lastID, idle, run, &lastID)
-		if run.terminal() {
-			return true, nil
-		}
-		if fatal != nil {
-			return true, fatal
-		}
-		if err != nil {
-			var he *httpError
-			if errors.As(err, &he) {
-				if he.Status == http.StatusNotFound {
-					// Server restarted and lost the sweep: resubmit
-					// (idempotent; journaled points restore) and rewind.
-					if _, serr := c.Submit(ctx, spec); serr != nil {
-						return true, serr
-					}
-					lastID = 0
-					continue
-				}
-				// The server (or something impersonating it) answered
-				// non-2xx: SSE is not going to work on this path.
-				return false, nil
+		var he *httpError
+		if errors.As(err, &he) && he.Status == http.StatusNotFound {
+			// Server restarted and lost the sweep: resubmit (idempotent;
+			// journaled points restore) and rewind.
+			if _, err := c.Submit(ctx, spec); err != nil {
+				return run.out, err
 			}
+			lastID = 0
+			continue
 		}
-		if gotEvent {
-			silentConnects = 0
-		} else {
-			silentConnects++
-			if silentConnects >= sseFallbackAfter {
-				return false, nil
-			}
+		if !redial {
+			return run.out, err
 		}
+		c.logInfo("sse_redial", "sweep", sub.SweepID, "after", lastID, "error", err)
 		select {
 		case <-ctx.Done():
 			run.out.Aborted = true
-			return true, nil
+			return run.out, nil
 		case <-time.After(backoff):
 		}
 	}
 }
 
-// sseAttempt runs one SSE connection until the stream ends, errors, goes
-// idle past the watchdog, or the sweep finishes. gotEvent reports whether
-// at least one event arrived; fatal carries unrecoverable errors (divergent
-// fingerprints, undecodable results).
-func (c *Client) sseAttempt(ctx context.Context, sweepID string, after uint64, idle time.Duration, run *sweepRun, lastID *uint64) (gotEvent bool, fatal, connErr error) {
+// stream follows one SSE connection until the sweep is terminal, the
+// connection breaks, or the server answers something the client cannot use.
+// redial reports a broken connection — a transport error, a cut stream, or
+// one the idle watchdog cut — with err saying what broke. Otherwise a
+// non-nil err is final (an *httpError for a non-2xx answer). lastID tracks
+// the newest event id applied, the resume point for the next connection.
+func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration, run *sweepRun, lastID *uint64) (redial bool, err error) {
 	connCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(connCtx, http.MethodGet,
 		c.Base+"/api/v1/sweeps/"+sweepID+"/events", nil)
 	if err != nil {
-		return false, err, nil
+		return false, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	if after > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
+	if *lastID > 0 {
+		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
 	}
 	if c.Corr != "" {
 		req.Header.Set(CorrHeader, c.Corr)
@@ -430,7 +389,7 @@ func (c *Client) sseAttempt(ctx context.Context, sweepID string, after uint64, i
 
 	resp, err := c.sseHTTP().Do(req)
 	if err != nil {
-		return false, nil, err
+		return true, err
 	}
 	defer func() {
 		// Cancel first: the stream may still be live (early terminal exit),
@@ -440,21 +399,20 @@ func (c *Client) sseAttempt(ctx context.Context, sweepID string, after uint64, i
 	}()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return false, nil, &httpError{Status: resp.StatusCode,
+		return false, &httpError{Status: resp.StatusCode,
 			Body: string(bytes.TrimSpace(body))}
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		// A proxy rewrote the stream into something else: poll instead.
-		return false, nil, &httpError{Status: resp.StatusCode, Body: "not an event stream: " + ct}
+		// Something between client and server rewrote the stream.
+		return false, fmt.Errorf("farm: %s answered %q, not an event stream", req.URL.Path, ct)
 	}
 
 	rd := newSSEReader(bufio.NewReader(resp.Body), func() { watchdog.Reset(idle) })
 	for {
 		ev, err := rd.next()
 		if err != nil {
-			return gotEvent, nil, err
+			return true, err
 		}
-		gotEvent = true
 		if ev.ID != "" {
 			if id, perr := strconv.ParseUint(ev.ID, 10, 64); perr == nil {
 				*lastID = id
@@ -464,84 +422,35 @@ func (c *Client) sseAttempt(ctx context.Context, sweepID string, after uint64, i
 		case sseResult:
 			var pr PointResult
 			if err := json.Unmarshal(ev.Data, &pr); err != nil {
-				return gotEvent, fmt.Errorf("farm: undecodable SSE result: %w", err), nil
+				return false, fmt.Errorf("farm: undecodable SSE result: %w", err)
 			}
 			if err := run.apply(pr); err != nil {
-				return gotEvent, err, nil
+				return false, err
 			}
 		case sseSnapshot:
 			var st SweepStatus
 			if err := json.Unmarshal(ev.Data, &st); err != nil {
-				return gotEvent, fmt.Errorf("farm: undecodable SSE snapshot: %w", err), nil
+				return false, fmt.Errorf("farm: undecodable SSE snapshot: %w", err)
 			}
 			for _, pr := range st.Results {
 				if err := run.apply(pr); err != nil {
-					return gotEvent, err, nil
+					return false, err
 				}
 			}
 		case sseEnd:
 			if !run.terminal() {
-				// The server says terminal but we missed results (should be
-				// impossible — end follows the drained stream). Resync via
-				// the polling path rather than trust a broken stream.
-				return gotEvent, nil, fmt.Errorf("farm: SSE end with %d/%d points applied",
-					run.out.Completed+len(run.out.Failures), run.out.Points)
+				// end follows the drained stream, so a server that sends it
+				// early has lost results; redialing would only repeat it.
+				return false, fmt.Errorf("farm: SSE end with %d/%d points applied",
+					run.applied(), run.out.Points)
 			}
-			return gotEvent, nil, nil
+			return false, nil
 		default:
 			// farm/progress events are telemetry here; they also reset the
 			// watchdog via onActivity.
 		}
 		if run.terminal() {
-			return gotEvent, nil, nil
-		}
-	}
-}
-
-// runSweepPoll is the cursor-polling driver (and the SSE fallback). On
-// reconnect (any successful resubmission after a transport gap) the cursor
-// resets to zero and results dedupe by point — the stream is append-only, so
-// nothing is lost or double-counted.
-func (c *Client) runSweepPoll(ctx context.Context, spec *SweepSpec, sweepID string, run *sweepRun) (*scalablebulk.SweepOutcome, error) {
-	cursor := 0
-	poll := c.RetryInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	for {
-		st, err := c.Status(ctx, sweepID, cursor)
-		if err != nil {
-			var he *httpError
-			if errors.As(err, &he) && he.Status == http.StatusNotFound {
-				// The server restarted and lost the in-memory sweep:
-				// resubmit (idempotent — journaled points restore) and
-				// rewind the cursor; seen dedupes replayed results.
-				if _, err := c.Submit(ctx, spec); err != nil {
-					return run.out, err
-				}
-				cursor = 0
-				continue
-			}
-			if ctx.Err() != nil {
-				run.out.Aborted = true
-				return run.out, nil
-			}
-			return run.out, err
-		}
-		cursor = st.NextCursor
-		for _, pr := range st.Results {
-			if err := run.apply(pr); err != nil {
-				return run.out, err
-			}
-		}
-		if st.Terminal() {
-			return run.out, nil
-		}
-		select {
-		case <-ctx.Done():
-			run.out.Aborted = true
-			return run.out, nil
-		case <-time.After(poll):
+			return false, nil
 		}
 	}
 }

@@ -403,7 +403,7 @@ func TestWorkerKilledMidLease(t *testing.T) {
 	if _, err := c.Submit(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	job, _, err := c.Lease(ctx, "w-dead")
+	job, err := c.Lease(ctx, "w-dead")
 	if err != nil || job == nil {
 		t.Fatalf("dead worker's lease: %+v, %v", job, err)
 	}
@@ -477,12 +477,11 @@ func TestPoisonedPointQuarantined(t *testing.T) {
 	deaths := 0
 	for i := 0; deaths < 2; i++ {
 		worker := fmt.Sprintf("w-%d", i)
-		job, wait, err := c.Lease(ctx, worker)
+		job, err := c.Lease(ctx, worker)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job == nil { // poison point inside its requeue backoff window
-			time.Sleep(max(wait, 5*time.Millisecond))
+		if job == nil { // the hold ended before the poison point's backoff did
 			continue
 		}
 		if job.Point != poisonPoint {
@@ -503,7 +502,7 @@ func TestPoisonedPointQuarantined(t *testing.T) {
 	// lease comes back nil — and the quarantined point must never be among
 	// the grants.
 	for {
-		job, _, err := c.Lease(ctx, "w-healthy")
+		job, err := c.Lease(ctx, "w-healthy")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -710,7 +709,7 @@ func TestDrainRejectsLeases(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain with no live leases did not complete")
 	}
-	if _, _, err := c.Lease(ctx, "w1"); !errors.Is(err, ErrDraining) {
+	if _, err := c.Lease(ctx, "w1"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("lease on draining server: %v, want ErrDraining", err)
 	}
 }
@@ -752,6 +751,62 @@ func TestOrphanResultAccepted(t *testing.T) {
 	}
 	if sub.Restored != 1 {
 		t.Fatalf("restored = %d, want 1 (the orphan)", sub.Restored)
+	}
+}
+
+// TestResultMustNameItsPoint: a ConfigHash does not name the application,
+// so Radix and FFT at the same protocol and core count share one. A result
+// posted under the wrong label or slot must be refused with 400, not filed
+// under another point: for a live sweep that would resolve Radix's slot
+// with FFT's result, and for an orphan it would journal FFT under Radix.
+func TestResultMustNameItsPoint(t *testing.T) {
+	radix := Point{App: "Radix", Protocol: "ScalableBulk", Cores: 8}
+	fft := Point{App: "FFT", Protocol: "ScalableBulk", Cores: 8}
+	spec := &SweepSpec{ChunksPerCore: 1, Seed: 42, Points: []Point{radix, fft}}
+	hash := scalablebulk.ConfigHash(spec.Config(radix))
+	if h := scalablebulk.ConfigHash(spec.Config(fft)); h != hash {
+		t.Fatalf("premise: Radix and FFT hash %s and %s, want one hash", hash, h)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	prof, cfg, err := spec.Resolve(fft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scalablebulk.RunContext(ctx, prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base, _, stop := startServer(t, quickOpts(), filepath.Join(t.TempDir(), "farm.jsonl"), "")
+	defer stop()
+	c := fastClient(base)
+	post := func(name string, job *Job) {
+		t.Helper()
+		job.SweepID, job.LeaseID, job.ConfigHash = spec.ID(), "l-ghost", hash
+		err := c.Result(ctx, job, "w-ghost", res, time.Second)
+		var he *httpError
+		if !errors.As(err, &he) || he.Status != http.StatusBadRequest {
+			t.Errorf("%s: FFT's result posted as %s (point %d): err %v, want 400",
+				name, pointLabel(job.Point), job.PointID, err)
+		}
+	}
+	post("orphan", &Job{PointID: 0, Point: radix})
+	sub, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.Restored != 0 {
+		t.Errorf("restored = %d after a refused orphan, want 0", sub.Restored)
+	}
+	post("label names another slot", &Job{PointID: 0, Point: fft})
+	post("result names another point", &Job{PointID: 0, Point: radix})
+	p, err := c.Progress(ctx, spec.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Done != 0 {
+		t.Errorf("done = %d after refused results, want 0", p.Done)
 	}
 }
 

@@ -19,10 +19,9 @@ import (
 
 // leaseOutcome is one Client.Lease call's answer and when it arrived.
 type leaseOutcome struct {
-	job   *Job
-	retry time.Duration
-	err   error
-	at    time.Time
+	job *Job
+	err error
+	at  time.Time
 }
 
 // heldLease starts a lease request for worker and returns once the server
@@ -32,8 +31,8 @@ func heldLease(ctx context.Context, t *testing.T, c *Client, worker string) <-ch
 	t.Helper()
 	ch := make(chan leaseOutcome, 1)
 	go func() {
-		job, retry, err := c.Lease(ctx, worker)
-		ch <- leaseOutcome{job, retry, err, time.Now()}
+		job, err := c.Lease(ctx, worker)
+		ch <- leaseOutcome{job, err, time.Now()}
 	}()
 	for {
 		fs, err := c.FarmStatus(ctx, 0)
@@ -124,7 +123,7 @@ func leaseAll(ctx context.Context, t *testing.T, c *Client) []*Job {
 	}
 	var jobs []*Job
 	for range spec.Points {
-		job, _, err := c.Lease(ctx, "w-busy")
+		job, err := c.Lease(ctx, "w-busy")
 		if err != nil || job == nil {
 			t.Fatalf("lease: %+v, %v", job, err)
 		}
@@ -134,8 +133,8 @@ func leaseAll(ctx context.Context, t *testing.T, c *Client) []*Job {
 }
 
 // TestEmptyHoldLastsTheHint: with nothing to grant, a lease request comes
-// back empty after the hint (LeaseTTL/10), not before and not much later,
-// and asks the worker for no further wait.
+// back empty after the hold bound (LeaseTTL/10), not before and not much
+// later.
 func TestEmptyHoldLastsTheHint(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -156,10 +155,10 @@ func TestEmptyHoldLastsTheHint(t *testing.T) {
 			c := fastClient(base)
 			tc.setup(ctx, t, c)
 			start := time.Now()
-			job, retry, err := c.Lease(ctx, "w1")
+			job, err := c.Lease(ctx, "w1")
 			d := time.Since(start)
-			if err != nil || job != nil || retry != 0 {
-				t.Fatalf("empty hold: job %+v, retry %v, err %v; want no job, no retry", job, retry, err)
+			if err != nil || job != nil {
+				t.Fatalf("empty hold: job %+v, err %v; want no job", job, err)
 			}
 			if d < hint || d > hint+400*time.Millisecond {
 				t.Errorf("empty hold took %v, want within [%v, %v]", d, hint, hint+400*time.Millisecond)

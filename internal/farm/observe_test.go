@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,9 +22,9 @@ import (
 
 // TestSSESweepConvergesUnderLossyRPC: the headline SSE contract — a client
 // consuming a sweep over SSE through a lossy fault-injecting transport
-// (drops, duplicates, delays) and a cursor-polling client on the same sweep
-// both converge to byte-identical ResultFingerprints against the in-process
-// reference, with zero divergent results.
+// (drops, duplicates, delays) converges to byte-identical
+// ResultFingerprints against the in-process reference, with zero divergent
+// results.
 func TestSSESweepConvergesUnderLossyRPC(t *testing.T) {
 	spec := testSpec()
 	want := inProcessFingerprints(t, spec)
@@ -41,54 +42,30 @@ func TestSSESweepConvergesUnderLossyRPC(t *testing.T) {
 	wg := startWorker(wctx, fastClient(base), "w1", nil)
 	defer wg.Wait()
 
-	lossy := func(seed int64) *http.Client {
-		prof, err := RPCFaultByName("lossy", seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &http.Client{Transport: NewFaultTransport(nil, *prof)}
+	prof, err := RPCFaultByName("lossy", 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sseClient := fastClient(base)
-	sseClient.HTTP = lossy(7)
-	sseClient.SSEIdle = 2 * time.Second
-	pollClient := fastClient(base)
-	pollClient.HTTP = lossy(11)
-	pollClient.NoSSE = true
-
-	type outcome struct {
-		got map[Point]string
-		out *scalablebulk.SweepOutcome
-		err error
-	}
-	runOne := func(c *Client) outcome {
-		got := map[Point]string{}
-		var mu sync.Mutex
-		out, err := c.RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
-			mu.Lock()
-			got[p] = scalablebulk.FingerprintSHA(res)
-			mu.Unlock()
-		})
-		return outcome{got, out, err}
-	}
-	results := make(chan outcome, 2)
-	go func() { results <- runOne(sseClient) }()
-	go func() { results <- runOne(pollClient) }()
-	for i := 0; i < 2; i++ {
-		oc := <-results
-		if oc.err != nil {
-			t.Fatal(oc.err)
-		}
-		if oc.out.Completed != len(spec.Points) || len(oc.out.Failures) > 0 || oc.out.Aborted {
-			t.Fatalf("outcome: %+v", oc.out)
-		}
-		for p, fp := range want {
-			if oc.got[p] != fp {
-				t.Errorf("%s/%s/%d: fingerprint %s != in-process %s",
-					p.App, p.Protocol, p.Cores, oc.got[p], fp)
-			}
-		}
-	}
+	c := fastClient(base)
+	c.HTTP = &http.Client{Transport: NewFaultTransport(nil, *prof)}
+	c.SSEIdle = 2 * time.Second
+	got := map[Point]string{}
+	out, err := c.RunSweep(ctx, spec, func(p Point, res *scalablebulk.Result, _ bool) {
+		got[p] = scalablebulk.FingerprintSHA(res)
+	})
 	wcancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed != len(spec.Points) || len(out.Failures) > 0 || out.Aborted {
+		t.Fatalf("outcome: %+v", out)
+	}
+	for p, fp := range want {
+		if got[p] != fp {
+			t.Errorf("%s/%s/%d: fingerprint %s != in-process %s",
+				p.App, p.Protocol, p.Cores, got[p], fp)
+		}
+	}
 
 	snap := reg.Snapshot()
 	if snap.Counters["farm_sse_connects"] == 0 {
@@ -187,11 +164,11 @@ func TestSSEResumeAfterStreamKill(t *testing.T) {
 	// Let the sweep finish (and the tiny ring evict) while disconnected.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		st, err := c.Status(ctx, sub.SweepID, 0)
+		p, err := c.Progress(ctx, sub.SweepID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Terminal() {
+		if p.Terminal {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -249,6 +226,102 @@ done:
 			t.Errorf("%s/%s/%d: fingerprint %s != in-process %s",
 				p.App, p.Protocol, p.Cores, got[p], fp)
 		}
+	}
+}
+
+// TestHostileEventStreamsFail: an events route that answers something a
+// redial cannot fix ends RunSweep with an error, promptly and without
+// marking the outcome aborted. The rest of the API is a real server with no
+// workers, so nothing else could finish the sweep.
+func TestHostileEventStreamsFail(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events http.HandlerFunc
+	}{
+		{"premature end", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprint(w, "event: end\ndata: {}\n\n")
+		}},
+		{"rewritten to text/plain", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain")
+			fmt.Fprint(w, "event: progress\ndata: {}\n\n")
+		}},
+		{"500", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "upstream broke", http.StatusInternalServerError)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			api := NewServer(quickOpts()).Handler()
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/events") {
+					tc.events(w, r)
+					return
+				}
+				api.ServeHTTP(w, r)
+			}))
+			defer hs.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			out, err := fastClient(hs.URL).RunSweep(ctx, testSpec(), nil)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("RunSweep took %v, want ≤ 1s", d)
+			}
+			if err == nil {
+				t.Errorf("RunSweep returned no error (outcome %+v)", out)
+			}
+			if out != nil && out.Aborted {
+				t.Errorf("outcome marked aborted: %+v", out)
+			}
+		})
+	}
+}
+
+// TestEndFollowsEveryResult: "end" comes only after every result. Here
+// the last point turns terminal inside the stream's own check: its lease
+// expires there and it is poisoned, which emits its result. A stream that
+// drained before that check would send "end" without the result, and the
+// client would fail the sweep.
+func TestEndFollowsEveryResult(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Now()
+	reg := metrics.NewRegistry()
+	opts := quickOpts()
+	opts.Metrics = reg
+	opts.PoisonAfter, opts.MaxAttempts = 1, 1
+	opts.SSEPing = 10 * time.Millisecond
+	opts.Clock = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	base, _, stop := startServer(t, opts, "", "")
+	defer stop()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	c := fastClient(base)
+	spec := testSpec()
+	spec.Points = spec.Points[:1]
+	if _, err := c.Submit(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if job, err := c.Lease(ctx, "w-dead"); err != nil || job == nil {
+		t.Fatalf("lease: job %+v, err %v", job, err)
+	}
+	// Once the stream has connected and drained, let the lease lapse; the
+	// stream's next keepalive round is the first to see it.
+	go func() {
+		for reg.Counter("farm_sse_connects").Value() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond)
+		mu.Lock()
+		now = now.Add(time.Hour)
+		mu.Unlock()
+	}()
+	out, err := c.RunSweep(ctx, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Failures) != 1 || out.Completed != 0 {
+		t.Fatalf("outcome: %+v, want the one point poisoned", out)
 	}
 }
 
@@ -567,7 +640,7 @@ func TestEventPointIDOnlyWhenNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, _, err := c.Lease(ctx, "w1")
+	job, err := c.Lease(ctx, "w1")
 	if err != nil || job == nil || job.PointID != 0 {
 		t.Fatalf("lease: job %+v, err %v; want point 0", job, err)
 	}

@@ -18,7 +18,8 @@ import (
 )
 
 // sweep is one submitted spec's live state: its lease table plus the
-// append-only, completion-ordered result stream clients page through.
+// append-only, completion-ordered result stream that SSE result events and
+// snapshots serve.
 type sweep struct {
 	id   string
 	spec *SweepSpec
@@ -98,7 +99,6 @@ func (s *Server) emit(e Event) {
 // Handler returns the farm API mux:
 //
 //	POST /v1/sweep                     submit a spec (idempotent by spec ID)
-//	GET  /v1/sweep                     status + result stream (?id=...&after=N)
 //	POST /v1/lease                     acquire a point lease
 //	POST /v1/heartbeat                 renew a lease (410 when the lease is gone)
 //	POST /v1/result                    deliver a completed point (orphans accepted)
@@ -110,7 +110,6 @@ func (s *Server) emit(e Event) {
 func (s *Server) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweep", s.handleSubmit)
-	mux.HandleFunc("GET /v1/sweep", s.handleStatus)
 	mux.HandleFunc("POST /v1/lease", s.handleLease)
 	mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/result", s.handleResult)
@@ -244,36 +243,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, SubmitResponse{SweepID: id, Points: len(spec.Points), Restored: restored})
 }
 
-// handleStatus reports counts plus the completion-ordered result stream
-// from the caller's cursor, and the live progress aggregation.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	after, _ := strconv.Atoi(r.URL.Query().Get("after"))
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		http.Error(w, "unknown sweep "+id, http.StatusNotFound)
-		return
-	}
-	s.expireLocked(sw)
-	if after < 0 {
-		after = 0
-	}
-	writeJSON(w, s.statusLocked(sw, after))
-}
-
-// statusLocked builds the SweepStatus from the caller's cursor. Caller holds
-// s.mu and has already run expireLocked.
-func (s *Server) statusLocked(sw *sweep, after int) *SweepStatus {
+// statusLocked builds the SweepStatus with the full result stream: the
+// payload of an SSE snapshot. Caller holds s.mu and has already run
+// expireLocked.
+func (s *Server) statusLocked(sw *sweep) *SweepStatus {
 	st := &SweepStatus{SweepID: sw.id, Corr: sw.corr,
 		Total: len(sw.spec.Points), Draining: s.draining.Load()}
 	st.Pending, st.Leased, st.Done, st.Failed, st.Poisoned = sw.table.counts()
-	if after < len(sw.results) {
-		st.Results = append(st.Results, sw.results[after:]...)
-	}
-	st.NextCursor = len(sw.results)
+	st.Results = slices.Clone(sw.results)
 	st.Progress = s.progressLocked(sw)
 	return st
 }
@@ -371,10 +348,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 // awaitLease answers a lease request. With no work to grant it holds the
 // request, lock released, until a waker closes s.wake, the earliest
-// re-queue backoff window opens, or the hold bound passes: LeaseTTL/10 (the
-// idle-poll interval an older server hints), at most maxHold. Expiry stays
-// lazy; the bound is what catches a lease that lapses during the hold.
-// ok is false when the client went away mid-hold.
+// re-queue backoff window opens, or the hold bound passes: LeaseTTL/10, at
+// most maxHold. Expiry stays lazy; the bound is what catches a lease that
+// lapses during the hold, and an empty answer tells the worker to ask
+// again at once. ok is false when the client went away mid-hold.
 func (s *Server) awaitLease(ctx context.Context, req *leaseRequest) (resp leaseResponse, ok bool) {
 	deadline := time.Now().Add(min(s.opts.LeaseTTL/10, maxHold))
 	s.mu.Lock()
@@ -475,7 +452,10 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // handleResult accepts a completed point. The server never trusts the
 // worker's digest alone: it restores the result and re-derives the
-// fingerprint before journaling. Orphan results — unknown lease or even
+// fingerprint before journaling. Nor does it trust the labels: the result
+// must name the point it is posted for, and that point must be the spec's
+// point at PointID — a ConfigHash alone does not tell apart points that
+// differ only in their application. Orphan results — unknown lease or even
 // unknown sweep, the signature of a server restart — are verified and
 // journaled too, so no completed work is ever lost.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -493,6 +473,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.count("farm_results_divergent")
 		http.Error(w, "fingerprint mismatch: result does not hash to the digest shipped with it",
 			http.StatusConflict)
+		return
+	}
+	if named := (Point{App: res.App, Protocol: res.Protocol, Cores: res.Cores}); named != req.Point {
+		http.Error(w, fmt.Sprintf("result is for %s, posted as %s", pointLabel(named), pointLabel(req.Point)),
+			http.StatusBadRequest)
 		return
 	}
 	s.mu.Lock()
@@ -513,6 +498,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.expireLocked(sw)
 	if req.PointID < 0 || req.PointID >= len(sw.spec.Points) {
 		http.Error(w, "point id out of range", http.StatusBadRequest)
+		return
+	}
+	if p := sw.spec.Points[req.PointID]; p != req.Point {
+		http.Error(w, fmt.Sprintf("point %d is %s, posted as %s", req.PointID, pointLabel(p), pointLabel(req.Point)),
+			http.StatusBadRequest)
 		return
 	}
 	if sw.hashes[req.PointID] != req.ConfigHash {

@@ -71,13 +71,17 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	filter := func(e Event) bool { return e.Sweep == id || e.Sweep == "" }
 
 	// Immediate progress so a fresh connection has proof of life before the
-	// first event (and a poll-fallback heuristic can tell "SSE works, sweep
-	// is idle" from "transport ate the stream").
+	// first event.
 	if out.send(0, sseProgress, s.sweepProgress(id)) != nil {
 		return
 	}
 
 	for {
+		// Observe the sweep before draining: every event that made it
+		// terminal was emitted under s.mu before this observation (some,
+		// like an expiry's poisoned result, inside it), so the drain below
+		// sends them all before "end".
+		p := s.sweepProgress(id)
 		for {
 			evs, gapped := s.hub.since(after, filter)
 			if gapped {
@@ -113,10 +117,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Events are emitted under s.mu before the sweep's counts change
-		// hands, so once the drain runs dry a terminal observation means the
-		// client has everything.
-		if p := s.sweepProgress(id); p != nil && p.Terminal {
+		if p != nil && p.Terminal {
 			out.send(0, sseEnd, p)
 			return
 		}
@@ -162,7 +163,7 @@ func (s *Server) sweepSnapshot(id string) (*SweepStatus, uint64, bool) {
 		return nil, 0, false
 	}
 	s.expireLocked(sw)
-	return s.statusLocked(sw, 0), s.hub.last(), true
+	return s.statusLocked(sw), s.hub.last(), true
 }
 
 // sweepResult fetches one point's terminal record from the result stream.

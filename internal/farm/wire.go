@@ -193,13 +193,8 @@ type leaseRequest struct {
 type leaseResponse struct {
 	// Job is nil when no work is available.
 	Job *Job `json:"job,omitempty"`
-	// Draining tells workers the server is shutting down: stop polling.
+	// Draining tells workers the server is shutting down: stop asking.
 	Draining bool `json:"draining,omitempty"`
-	// RetryMS is how long to wait before asking again. Only an older
-	// server sets it: it answered an empty request at once. A current
-	// server holds an empty request until work arrives or the hold bound
-	// passes, leaves RetryMS zero, and the worker asks again at once.
-	RetryMS int64 `json:"retry_ms,omitempty"`
 }
 
 type heartbeatRequest struct {
@@ -257,11 +252,9 @@ type PointResult struct {
 	Restored bool `json:"restored,omitempty"`
 }
 
-// SweepStatus answers GET /v1/sweep: aggregate counts plus the result
-// stream after the client's cursor. A client that reconnects resets its
-// cursor to zero and dedupes by PointID — results are append-only. The same
-// shape is the payload of the SSE "snapshot" event, where Results always
-// holds the full stream.
+// SweepStatus is the payload of the SSE "snapshot" event: aggregate counts
+// plus the sweep's whole completion-ordered result stream. A client applies
+// it like any other results, deduping by PointID.
 type SweepStatus struct {
 	SweepID  string `json:"sweep_id"`
 	Corr     string `json:"corr,omitempty"`
@@ -272,18 +265,11 @@ type SweepStatus struct {
 	Failed   int    `json:"failed"`
 	Poisoned int    `json:"poisoned"`
 	Draining bool   `json:"draining,omitempty"`
-	// Results holds the terminal points from the request's cursor onward;
-	// NextCursor is the cursor to pass next time.
-	Results    []PointResult `json:"results,omitempty"`
-	NextCursor int           `json:"next_cursor"`
+	// Results holds every terminal point so far.
+	Results []PointResult `json:"results,omitempty"`
 	// Progress is the server's live aggregation for this sweep (rates,
 	// histograms, ETA).
 	Progress *SweepProgress `json:"progress,omitempty"`
-}
-
-// Terminal reports whether every point has reached a terminal state.
-func (s *SweepStatus) Terminal() bool {
-	return s.Done+s.Failed+s.Poisoned >= s.Total
 }
 
 // Dist is a small self-describing distribution: fixed histogram buckets
@@ -299,8 +285,8 @@ type Dist struct {
 }
 
 // SweepProgress is the server-side per-sweep aggregation exposed over
-// GET /api/v1/sweeps/{id}/progress, folded into SweepStatus, and streamed as
-// SSE "progress" events: state counts, throughput, live lease ages, the
+// GET /api/v1/sweeps/{id}/progress, folded into SSE snapshots, and streamed
+// as SSE "progress" events: state counts, throughput, live lease ages, the
 // requeue picture and an ETA.
 type SweepProgress struct {
 	SweepID  string `json:"sweep_id"`

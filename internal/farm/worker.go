@@ -16,12 +16,11 @@ import (
 // Worker is the farm's execution side. It asks for a lease only when one
 // of its Parallel slots is free, runs the point while heartbeating the
 // lease, delivers the result (or the failure, with a crash report when the
-// run panicked), and asks again. A current server holds an empty lease
-// request until work arrives, so the worker asks again at once; it sleeps
-// only on the RetryMS hint of an older server that answers at once. The
-// worker keeps the specs of the sweeps it leased from recently and lists
-// them in each request, so the server sends a sweep's spec once, not with
-// every job. It also keeps the warm image of the latest machine it warmed
+// run panicked), and asks again. The server holds an empty lease request
+// until work arrives or the hold bound passes, so the worker asks again at
+// once. The worker keeps the specs of the sweeps it leased from recently
+// and lists them in each request, so the server sends a sweep's spec once,
+// not with every job. It also keeps the warm image of the latest machine it warmed
 // up: the server leases a worker the points of one warm unit in a row, so
 // the unit's later points restore that image instead of warming up.
 type Worker struct {
@@ -77,7 +76,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return nil
 		}
-		job, retry, err := w.Client.Lease(ctx, w.ID, specs.ids...)
+		job, err := w.Client.Lease(ctx, w.ID, specs.ids...)
 		if job == nil {
 			<-sem
 		}
@@ -91,13 +90,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		if job == nil {
-			if retry > 0 {
-				select {
-				case <-ctx.Done():
-					return nil
-				case <-time.After(retry):
-				}
-			}
 			continue
 		}
 		if job.Spec == nil {
