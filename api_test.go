@@ -87,7 +87,7 @@ func TestSessionResultsDoNotPinMachines(t *testing.T) {
 	for _, check := range []bool{false, true} {
 		before := heap()
 		s := NewSession(1, 1, nil)
-		s.Configure = func(c *Config) { c.Check = check }
+		s.Check = check
 		var results []*Result
 		for _, app := range apps {
 			r, err := s.Result(app, ProtoScalableBulk, 64)
@@ -163,7 +163,7 @@ func TestSweepRestoredPointsMatchRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ResultFingerprint(res) != standalone(t, p, detChunks, seed, nil) {
+		if ResultFingerprint(res) != standalone(t, p, s.SweepSpec) {
 			t.Errorf("%v differs from a standalone run", p)
 		}
 	}

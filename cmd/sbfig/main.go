@@ -57,10 +57,7 @@ func run() int {
 	defer stop()
 
 	s := scalablebulk.NewSession(*chunks, *seed, os.Stdout)
-	if *wl != "" {
-		wlName := *wl
-		s.Configure = func(cfg *scalablebulk.Config) { cfg.Workload = wlName }
-	}
+	s.Workload = *wl
 	if *journal != "" && *server == "" {
 		n, err := s.AttachJournal(*journal)
 		if err != nil {
@@ -77,14 +74,12 @@ func run() int {
 		var out *scalablebulk.SweepOutcome
 		if *server != "" {
 			fmt.Fprintln(os.Stderr, "prefetching simulations via", *server, "...")
-			spec := &farm.SweepSpec{
-				ChunksPerCore: *chunks, Seed: *seed, Workload: *wl,
-				Points: s.SweepPoints(),
-			}
+			spec := s.SweepSpec
+			spec.Points = s.SweepPoints()
 			client := &farm.Client{Base: *server, Corr: farm.NewCorrID()}
 			fmt.Fprintf(os.Stderr, "farm sweep corr=%s\n", client.Corr)
 			var err error
-			out, err = client.RunSweep(ctx, spec, func(p farm.Point, res *scalablebulk.Result, _ bool) {
+			out, err = client.RunSweep(ctx, &spec, func(p farm.Point, res *scalablebulk.Result, _ bool) {
 				s.Inject(p, res)
 			})
 			if err != nil {

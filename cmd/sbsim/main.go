@@ -85,22 +85,38 @@ func run() int {
 		return cliutil.ExitError
 	}
 
-	if *server != "" {
-		return runOnFarm(*server, *app, *protocol, *cores, *chunks, *seed,
-			*faults, *faultSeed, *checkInv, *wl, *record,
-			timeout.Milliseconds(), *asJSON)
+	if err := cliutil.CheckTimeout(*timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "sbsim:", err)
+		return cliutil.ExitError
 	}
+	if _, err := fault.ByName(*faults); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return cliutil.ExitError
+	}
+	// A workload source sweeps under its own name; a replay keeps the -app
+	// label until the trace header names the run below.
+	appLabel := *app
+	if _, ok := scalablebulk.WorkloadProfile(*wl); ok {
+		appLabel = *wl
+	}
+	spec := scalablebulk.SweepSpec{
+		ChunksPerCore: *chunks,
+		Scaling:       scalablebulk.ScalingFixed,
+		Seed:          *seed,
+		Workload:      *wl,
+		Faults:        *faults,
+		FaultSeed:     *faultSeed,
+		RunTimeoutMS:  timeout.Milliseconds(),
+		Check:         *checkInv,
+		Points:        []scalablebulk.Point{{App: appLabel, Protocol: *protocol, Cores: *cores}},
+	}
+	if *server != "" {
+		return runOnFarm(*server, &spec, *record, *asJSON)
+	}
+	prof, cfg, err := spec.Resolve(spec.Points[0])
 
-	cfg := scalablebulk.DefaultConfig(*cores, *protocol)
-	cfg.ChunksPerCore = *chunks
-	cfg.Seed = *seed
-	cfg.Workload = *wl
-
-	// Resolve the run's profile label: the -app model for the synthetic
-	// source, the source's own name for adversarial generators, the recorded
-	// header for a replayed trace (which also pins the machine shape, so the
-	// replay is bit-identical to the recording under any protocol).
-	var prof scalablebulk.Profile
+	// A replayed trace names its own profile and pins the machine shape, so
+	// the replay is bit-identical to the recording under any protocol.
 	if path, isReplay := strings.CutPrefix(*wl, workload.ReplayPrefix); isReplay {
 		tr, err := tracefmt.ReadFile(path)
 		if err != nil {
@@ -114,9 +130,7 @@ func run() int {
 		cfg.WorkloadFactory = workload.Replay(tr)
 		fmt.Fprintf(os.Stderr, "sbsim: replaying %s: %s/%s, %d cores, %d chunks/core (recorded under %s)\n",
 			path, h.App, h.Source, h.Threads, h.ChunksPerCore, h.Protocol)
-	} else if lbl, ok := scalablebulk.WorkloadProfile(*wl); ok {
-		prof = lbl
-	} else if prof, ok = scalablebulk.AppByName(*app); !ok {
+	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown app %q; try -list\n", *app)
 		return cliutil.ExitError
 	}
@@ -130,38 +144,16 @@ func run() int {
 		}
 		rec, cfg.WorkloadFactory = r, factory
 	}
-	prof2, err := fault.ByName(*faults)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return cliutil.ExitError
-	}
-	cfg.Faults = prof2
-	cfg.FaultSeed = *faultSeed
-	cfg.Check = *checkInv
-	cfg.RunTimeout = *timeout
 
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 
-	var res *scalablebulk.Result
-	err = func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				pt := scalablebulk.Point{App: prof.Name, Protocol: *protocol, Cores: cfg.Cores}
-				cr := scalablebulk.NewCrashReport(pt, cfg, rec)
-				if *crashDir != "" {
-					if path, werr := scalablebulk.WriteCrashBundle(*crashDir, cr); werr == nil {
-						fmt.Fprintln(os.Stderr, "sbsim: crash bundle:", path)
-					} else {
-						fmt.Fprintln(os.Stderr, "sbsim: crash bundle write failed:", werr)
-					}
-				}
-				err = fmt.Errorf("panic: %s", cr.Panic)
-			}
-		}()
-		res, err = scalablebulk.RunContext(ctx, prof, cfg)
-		return err
-	}()
+	pt := scalablebulk.Point{App: prof.Name, Protocol: *protocol, Cores: cfg.Cores}
+	res, _, err := new(scalablebulk.WarmRunner).Run(ctx, pt, prof, cfg, false, nil)
+	var ce *scalablebulk.CrashError
+	if errors.As(err, &ce) && *crashDir != "" {
+		ce.BundlePath, ce.WriteErr = scalablebulk.WriteCrashBundle(*crashDir, ce.Report)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if errors.Is(err, scalablebulk.ErrAborted) {
@@ -194,29 +186,11 @@ func run() int {
 // exactly as a local run would. Trace record and replay stay local-only —
 // they write and read files on this machine, and a replay adopts the trace's
 // machine shape, which a farm spec cannot carry.
-func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
-	faults string, faultSeed int64, check bool, wl, record string,
-	timeoutMS int64, asJSON bool) int {
-	if record != "" || strings.HasPrefix(wl, workload.ReplayPrefix) {
+func runOnFarm(server string, spec *scalablebulk.SweepSpec, record string, asJSON bool) int {
+	if record != "" || strings.HasPrefix(spec.Workload, workload.ReplayPrefix) {
 		fmt.Fprintln(os.Stderr, "sbsim: -record and -workload replay:PATH are local-only and cannot combine with -server")
 		return cliutil.ExitError
 	}
-	appLabel := app
-	if _, ok := scalablebulk.WorkloadProfile(wl); ok {
-		appLabel = wl
-	}
-	spec := &farm.SweepSpec{
-		ChunksPerCore: chunks,
-		Scaling:       farm.ScalingFixed,
-		Seed:          seed,
-		Workload:      wl,
-		Faults:        faults,
-		FaultSeed:     faultSeed,
-		RunTimeoutMS:  timeoutMS,
-		Check:         check,
-		Points:        []farm.Point{{App: appLabel, Protocol: protocol, Cores: cores}},
-	}
-
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
 	client := &farm.Client{Base: server, Corr: farm.NewCorrID()}
@@ -239,7 +213,8 @@ func runOnFarm(server, app, protocol string, cores, chunks int, seed int64,
 	if asJSON {
 		return emitJSON(res)
 	}
-	printResult(appLabel, protocol, spec.Config(spec.Points[0]), res)
+	p := spec.Points[0]
+	printResult(p.App, p.Protocol, spec.Config(p), res)
 	return cliutil.ExitOK
 }
 

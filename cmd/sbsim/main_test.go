@@ -50,3 +50,24 @@ func TestServerRejectsLocalOnlyWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// TestSubMillisecondTimeoutRejected: the spec carries -timeout in whole
+// milliseconds, so a positive budget under 1 ms would silently mean no
+// budget. sbsim refuses it before running anything, locally or on a farm.
+func TestSubMillisecondTimeoutRejected(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		http.Error(w, "no farm here", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	for _, mode := range [][]string{nil, {"-server", srv.URL}} {
+		code := runArgs(t, append([]string{"-timeout", "500us", "-cores", "2", "-chunks", "1"}, mode...)...)
+		if code != cliutil.ExitError {
+			t.Errorf("%v: exit code %d, want %d", mode, code, cliutil.ExitError)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("sbsim sent %d request(s) to the farm server", n)
+	}
+}

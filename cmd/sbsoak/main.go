@@ -33,7 +33,6 @@ import (
 
 	"scalablebulk"
 	"scalablebulk/internal/cliutil"
-	"scalablebulk/internal/event"
 	"scalablebulk/internal/explore"
 	"scalablebulk/internal/farm"
 	"scalablebulk/internal/fault"
@@ -92,6 +91,10 @@ func run() int {
 	flag.Parse()
 	if *maxCycles < 0 {
 		fmt.Fprintln(os.Stderr, "sbsoak: -maxcycles must be ≥ 0")
+		return cliutil.ExitError
+	}
+	if err := cliutil.CheckTimeout(*timeout); err != nil {
+		fmt.Fprintln(os.Stderr, "sbsoak:", err)
 		return cliutil.ExitError
 	}
 
@@ -179,54 +182,47 @@ func run() int {
 	var failures []string
 	for r := 0; r < *rounds; r++ {
 		roundSeed := *seed + int64(r)
-		s := scalablebulk.NewSession(*chunks, roundSeed, nil)
-		s.CrashDir = *crashDir
-		s.Metrics = reg
-		if *progress > 0 {
-			round := r + 1
-			s.ProgressInterval = *progress
-			s.OnProgress = func(p scalablebulk.SweepProgress) {
-				if p.Final {
-					return // the per-round summary line covers completion
-				}
-				fmt.Fprintf(os.Stderr,
-					"round %d: %d/%d points (%d failed), %s elapsed, ETA %s, last %s/%s/%d fp=%s\n",
-					round, p.Done, p.Total, p.Failed,
-					p.Elapsed.Round(time.Second), p.ETA.Round(time.Second),
-					p.LastPoint.App, p.LastPoint.Protocol, p.LastPoint.Cores, p.LastFingerprint)
-			}
-		}
-		s.Configure = func(cfg *scalablebulk.Config) {
-			cfg.Faults = profile
-			cfg.FaultSeed = *faultSeed
-			cfg.RunTimeout = *timeout
-			if *maxCycles > 0 {
-				cfg.MaxCycles = event.Time(*maxCycles)
-			}
-		}
-		if journal != nil {
-			s.UseJournal(journal)
+		spec := scalablebulk.SweepSpec{
+			ChunksPerCore: *chunks, Seed: roundSeed,
+			Faults: *faults, FaultSeed: *faultSeed,
+			MaxCycles: uint64(*maxCycles), RunTimeoutMS: timeout.Milliseconds(),
+			Points: points,
 		}
 		start := time.Now()
 		var out *scalablebulk.SweepOutcome
 		if *server != "" {
 			// Farm mode: the round's sweep runs on sbworkers; the server owns
 			// the journal, so restores and dedup happen there.
-			spec := &farm.SweepSpec{
-				ChunksPerCore: *chunks, Seed: roundSeed,
-				Faults: *faults, FaultSeed: *faultSeed,
-				MaxCycles: uint64(*maxCycles), RunTimeoutMS: timeout.Milliseconds(),
-				Points: points,
-			}
 			client := &farm.Client{Base: *server, Corr: farm.NewCorrID()}
 			fmt.Fprintf(os.Stderr, "sbsoak: round seed=%d corr=%s\n", roundSeed, client.Corr)
 			var rerr error
-			out, rerr = client.RunSweep(ctx, spec, nil)
+			out, rerr = client.RunSweep(ctx, &spec, nil)
 			if rerr != nil {
 				fmt.Fprintln(os.Stderr, "sbsoak:", rerr)
 				return cliutil.ExitError
 			}
 		} else {
+			s := scalablebulk.NewSession(*chunks, roundSeed, nil)
+			s.SweepSpec = spec
+			s.CrashDir = *crashDir
+			s.Metrics = reg
+			if *progress > 0 {
+				round := r + 1
+				s.ProgressInterval = *progress
+				s.OnProgress = func(p scalablebulk.SweepProgress) {
+					if p.Final {
+						return // the per-round summary line covers completion
+					}
+					fmt.Fprintf(os.Stderr,
+						"round %d: %d/%d points (%d failed), %s elapsed, ETA %s, last %s/%s/%d fp=%s\n",
+						round, p.Done, p.Total, p.Failed,
+						p.Elapsed.Round(time.Second), p.ETA.Round(time.Second),
+						p.LastPoint.App, p.LastPoint.Protocol, p.LastPoint.Cores, p.LastFingerprint)
+				}
+			}
+			if journal != nil {
+				s.UseJournal(journal)
+			}
 			out = s.SweepContext(ctx, points, parallelism)
 		}
 		rr := roundReport{

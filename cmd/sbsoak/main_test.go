@@ -71,12 +71,27 @@ func TestFailureThenAbortExitsPointFailures(t *testing.T) {
 // anything runs, in-process and farm mode alike, rather than silently
 // meaning the default budget locally and ~1.8e19 cycles on the farm.
 func TestNegativeMaxCyclesRejected(t *testing.T) {
+	rejectedBeforeRunning(t, []string{"-maxcycles", "-1"}, "sbsoak: -maxcycles must be ≥ 0")
+}
+
+// TestSubMillisecondTimeoutRejected: the sweep spec carries -timeout in
+// whole milliseconds, so a positive budget under 1 ms would silently mean
+// no budget, locally as on the farm. It is an error before anything runs.
+func TestSubMillisecondTimeoutRejected(t *testing.T) {
+	rejectedBeforeRunning(t, []string{"-timeout", "500us"}, "sbsoak: -timeout 500µs is under 1ms")
+}
+
+// rejectedBeforeRunning runs a one-point soak with flags, in-process and in
+// farm mode, and fails the test unless each exits 1 with msg on stderr and
+// nothing on stdout.
+func rejectedBeforeRunning(t *testing.T, flags []string, msg string) {
+	t.Helper()
 	for _, mode := range [][]string{nil, {"-server", "http://127.0.0.1:1"}} {
 		args := append([]string{
 			"-apps", "Radix", "-proto", "TCC", "-cores", "8", "-chunks", "1",
-			"-rounds", "1", "-j", "1", "-faults", "off", "-maxcycles", "-1",
-			"-progress", "0", "-journal", "", "-crashdir", ""}, mode...)
-		cmd := exec.Command(os.Args[0], args...)
+			"-rounds", "1", "-j", "1", "-faults", "off",
+			"-progress", "0", "-journal", "", "-crashdir", ""}, flags...)
+		cmd := exec.Command(os.Args[0], append(args, mode...)...)
 		cmd.Env = append(os.Environ(), "SBSOAK_RUN_MAIN=1")
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -85,8 +100,8 @@ func TestNegativeMaxCyclesRejected(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != cliutil.ExitError {
 			t.Fatalf("%v: exit %v, want code %d", mode, err, cliutil.ExitError)
 		}
-		if !strings.Contains(stderr.String(), "sbsoak: -maxcycles must be ≥ 0") {
-			t.Errorf("%v: stderr %q lacks the -maxcycles message", mode, stderr.String())
+		if !strings.Contains(stderr.String(), msg) {
+			t.Errorf("%v: stderr %q lacks %q", mode, stderr.String(), msg)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: a sweep ran before the flag was rejected:\n%s", mode, stdout.String())

@@ -15,7 +15,7 @@ import (
 	"scalablebulk/internal/workload"
 )
 
-// detChunks sizes the determinism runs: TotalWork = 64 × detChunks chunks
+// detChunks sizes the determinism runs: 64 × detChunks chunks in all,
 // spread over the machine, small enough to keep the matrix fast.
 const detChunks = 1
 

@@ -13,15 +13,18 @@ import (
 	"scalablebulk/internal/metrics"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/stats"
-	"scalablebulk/internal/system"
-	"scalablebulk/internal/workload"
 )
 
 // Session runs and caches simulations for the figure generators, so figures
-// that share configurations (most of them) do not repeat runs. A Session is
-// sized by ChunksPerCore at 64 processors; smaller machines get
-// proportionally more chunks per core (strong scaling over the same total
-// work), exactly like running the paper's reference inputs on fewer threads.
+// that share configurations (most of them) do not repeat runs. Its
+// SweepSpec describes every point it runs (Points aside: SweepContext takes
+// its own list); each point's Config comes from SweepSpec.Config, the same
+// derivation the farm uses. NewSession gives the figure sweep's strong
+// scaling: ChunksPerCore at 64 processors, and smaller machines get
+// proportionally more chunks per core over the same total work, exactly
+// like running the paper's reference inputs on fewer threads. Set the
+// spec's fields before the first Result/Sweep call: the checkpoint journal
+// keys entries by the point's ConfigHash.
 //
 // A Session is safe for concurrent use: the cache is a single-flight map, so
 // any number of goroutines can ask for any mix of points and each simulation
@@ -30,16 +33,8 @@ import (
 // only wall-clock time. The determinism tests in determinism_test.go hold
 // serial and parallel sweeps to byte-identical output.
 type Session struct {
-	// ChunksPerCore at 64 cores; the whole-problem work is 64× this.
-	ChunksPerCore int
-	// Seed makes every run deterministic.
-	Seed int64
+	SweepSpec
 
-	// Configure, when non-nil, adjusts each point's materialized Config
-	// before it runs (fault profiles, budgets, RunTimeout). It must be set
-	// before the first Result/Sweep call and be deterministic: the
-	// checkpoint journal keys entries by the configured Config's hash.
-	Configure func(*Config)
 	// CrashDir, when non-empty, receives one JSON crash bundle per
 	// panicking point (panics are isolated per point either way — a panic
 	// becomes that point's *CrashError while the rest of the sweep keeps
@@ -70,9 +65,10 @@ type Session struct {
 	warmRestores atomic.Int64
 
 	// testPointHook, when non-nil, runs at the start of each point's
-	// simulation inside the worker's panic isolation — the test seam for
-	// injected panics and mid-sweep cancellation.
-	testPointHook func(Point)
+	// simulation inside the point's panic isolation and may adjust its
+	// Config — the test seam for injected panics, trace sinks and
+	// mid-sweep cancellation.
+	testPointHook func(Point, *Config)
 }
 
 type runKey struct {
@@ -97,16 +93,17 @@ type Point struct {
 	Cores    int
 }
 
-// NewSession builds a figure-generation session. chunksPerCore ≤ 0 selects
-// a default sized for minutes-scale regeneration of every figure.
+// NewSession builds a figure-generation session: strong scaling of
+// chunksPerCore (≤ 0 selects DefaultChunksPerCore) and seed.
 func NewSession(chunksPerCore int, seed int64, out io.Writer) *Session {
 	if chunksPerCore <= 0 {
-		chunksPerCore = 16
+		chunksPerCore = DefaultChunksPerCore
 	}
 	if out == nil {
 		out = io.Discard
 	}
-	return &Session{ChunksPerCore: chunksPerCore, Seed: seed, out: out, cache: map[runKey]*cacheEntry{}}
+	return &Session{SweepSpec: SweepSpec{ChunksPerCore: chunksPerCore, Seed: seed},
+		out: out, cache: map[runKey]*cacheEntry{}}
 }
 
 // SetOut redirects the generated rows to w (nil selects io.Discard). It may
@@ -126,9 +123,6 @@ func (s *Session) printf(format string, args ...any) {
 	s.mu.Unlock()
 	fmt.Fprintf(w, format, args...)
 }
-
-// TotalWork is the whole-problem chunk count shared by all machine sizes.
-func (s *Session) TotalWork() int { return 64 * s.ChunksPerCore }
 
 // UseJournal attaches an open checkpoint journal: completed points are
 // recorded to it and verified-complete entries are restored instead of
@@ -162,11 +156,11 @@ func (s *Session) Journal() *Journal {
 // Safe for concurrent use; concurrent requests for the same point share one
 // run (single flight).
 func (s *Session) Result(app, protocol string, cores int) (*Result, error) {
-	return s.result(context.Background(), Point{app, protocol, cores}, nil, false)
+	return s.result(context.Background(), Point{app, protocol, cores}, new(WarmRunner), false)
 }
 
-// result runs p in its cache slot; img and more are as for run.
-func (s *Session) result(ctx context.Context, p Point, img **system.WarmImage, more bool) (*Result, error) {
+// result runs p in its cache slot; wr and keep are as for run.
+func (s *Session) result(ctx context.Context, p Point, wr *WarmRunner, keep bool) (*Result, error) {
 	k := runKey{p.App, p.Protocol, p.Cores}
 	s.mu.Lock()
 	if s.cache == nil {
@@ -187,7 +181,7 @@ func (s *Session) result(ctx context.Context, p Point, img **system.WarmImage, m
 				Cores: p.Cores, Cause: ctx.Err()}
 		}
 	}
-	e.res, e.err = s.run(ctx, k, img, more)
+	e.res, e.err = s.run(ctx, p, wr, keep)
 	if e.err != nil && errors.Is(e.err, ErrAborted) {
 		// An abort is a withdrawn budget, not a result: drop the cache slot
 		// so a later call — e.g. a resumed sweep on this session — re-runs
@@ -200,62 +194,12 @@ func (s *Session) result(ctx context.Context, p Point, img **system.WarmImage, m
 	return e.res, e.err
 }
 
-// SweepPointConfig materializes the Config a Session-style sweep gives point
-// p: the Table 2 defaults for the point's machine, the shared seed, and the
-// strong-scaling work division (chunksPerCore is the per-core chunk count at
-// 64 processors; smaller machines get proportionally more chunks over the
-// same total work). The farm workers build remote points through this same
-// function, so a point computed by a worker process hashes — and therefore
-// journals, dedups, and fingerprints — identically to the same point run
-// in-process.
-func SweepPointConfig(p Point, chunksPerCore int, seed int64) Config {
-	cfg := DefaultConfig(p.Cores, p.Protocol)
-	cfg.Seed = seed
-	cfg.ChunksPerCore = 64 * chunksPerCore / p.Cores
-	if cfg.ChunksPerCore < 1 {
-		cfg.ChunksPerCore = 1
-	}
-	return cfg
-}
-
-// ResolvePointProfile resolves a sweep point's App label: an application
-// model by name, or a registered workload source sweeping under its own name
-// (in which case cfg.Workload is set to the source, matching how the point
-// would hash when run through a Session).
-func ResolvePointProfile(app string, cfg *Config) (Profile, error) {
-	if prof, ok := workload.ByName(app); ok {
-		return prof, nil
-	}
-	if prof, ok := workload.SourceProfile(app); ok {
-		if cfg.Workload == "" {
-			cfg.Workload = app
-		}
-		return prof, nil
-	}
-	return Profile{}, fmt.Errorf("unknown application or workload %q", app)
-}
-
-// pointConfig materializes one point's Config: Table 2 defaults, the
-// session's strong-scaling work division and seed, then the Configure hook.
-func (s *Session) pointConfig(k runKey) Config {
-	cfg := SweepPointConfig(Point{k.app, k.protocol, k.cores}, s.ChunksPerCore, s.Seed)
-	if s.Configure != nil {
-		s.Configure(&cfg)
-	}
-	return cfg
-}
-
-// run builds and runs k, or restores it from the journal. img, when non-nil,
-// holds the warm image of k's sweep unit (see warm.go): run restores *img if
-// it is set, and otherwise warms up and, if more points of the unit follow,
-// stores its machine's image there. The unit's last point clears *img before
-// it runs, so the image is garbage while that point runs.
-func (s *Session) run(ctx context.Context, k runKey, img **system.WarmImage, more bool) (res *Result, err error) {
-	p := Point{k.app, k.protocol, k.cores}
-	cfg := s.pointConfig(k)
-	prof, rerr := ResolvePointProfile(k.app, &cfg)
-	if rerr != nil {
-		return nil, rerr
+// run builds and runs p through wr (keep as for WarmRunner.Run), or
+// restores it from the journal.
+func (s *Session) run(ctx context.Context, p Point, wr *WarmRunner, keep bool) (*Result, error) {
+	prof, cfg, err := s.Resolve(p)
+	if err != nil {
+		return nil, err
 	}
 	hash := ConfigHash(cfg)
 	if j := s.Journal(); j != nil {
@@ -268,39 +212,18 @@ func (s *Session) run(ctx context.Context, k runKey, img **system.WarmImage, mor
 		}
 	}
 	start := time.Now()
-	// Panic isolation: a panicking point resolves to a *CrashError (with a
-	// crash bundle when CrashDir is set) instead of unwinding the worker.
-	defer func() {
-		if rec := recover(); rec != nil {
-			cr := NewCrashReport(p, cfg, rec)
-			ce := &CrashError{Point: p, Report: cr}
-			if s.CrashDir != "" {
-				ce.BundlePath, ce.WriteErr = WriteCrashBundle(s.CrashDir, cr)
-			}
-			res, err = nil, ce
-		}
-	}()
+	var before func(*Config)
 	if s.testPointHook != nil {
-		s.testPointHook(p)
+		before = func(cfg *Config) { s.testPointHook(p, cfg) }
 	}
-	var warm *system.WarmImage
-	if img != nil {
-		warm = *img
-		if !more {
-			*img = nil
-		}
-	}
-	m, err := system.BuildFrom(prof, cfg, warm)
-	if err != nil {
-		return nil, err
-	}
-	if m.Restored() {
+	res, restored, err := wr.Run(ctx, p, prof, cfg, keep, before)
+	if restored {
 		s.warmRestores.Add(1)
 	}
-	if warm == nil && more {
-		*img = m.WarmImage()
+	var ce *CrashError
+	if errors.As(err, &ce) && s.CrashDir != "" {
+		ce.BundlePath, ce.WriteErr = WriteCrashBundle(s.CrashDir, ce.Report)
 	}
-	res, err = m.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -494,12 +417,12 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 		go func() {
 			defer wg.Done()
 			for u := range work {
-				var img *system.WarmImage
+				var wr WarmRunner
 				for n, i := range u {
 					if ctx.Err() != nil {
 						return // unrun points stay !ran
 					}
-					r, err := s.result(ctx, points[i], &img, n < len(u)-1)
+					r, err := s.result(ctx, points[i], &wr, n < len(u)-1)
 					slots[i] = slot{ran: true, err: err}
 					if err != nil {
 						failed.Add(1)

@@ -1,6 +1,6 @@
 // Package cliutil holds small helpers shared by the cmd/ front-ends:
 // rendering the protocol table for every CLI's -protocols list flag,
-// validating -protocol selections before a machine is built, the shared
+// validating -protocol and -timeout selections before a machine is built, the shared
 // process exit-code contract, and the SIGINT/SIGTERM cancellation context
 // every long-running tool installs.
 package cliutil
@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	scalablebulk "scalablebulk"
 	"scalablebulk/internal/system"
@@ -131,4 +132,14 @@ func WorkloadList() string {
 func CheckWorkload(spec string) error {
 	_, err := workload.Resolve(spec)
 	return err
+}
+
+// CheckTimeout validates a per-run -timeout budget. A SweepSpec carries it in
+// whole milliseconds, so a positive value under 1 ms would silently mean no
+// budget at all.
+func CheckTimeout(d time.Duration) error {
+	if d > 0 && d < time.Millisecond {
+		return fmt.Errorf("-timeout %v is under 1ms (0 disables the budget)", d)
+	}
+	return nil
 }

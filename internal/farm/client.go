@@ -446,8 +446,9 @@ func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration,
 			}
 			return false, nil
 		default:
-			// farm/progress events are telemetry here; they also reset the
-			// watchdog via onActivity.
+			// Other event types (an older server's farm and progress
+			// telemetry) are ignored; like pings they reset the watchdog
+			// via onActivity.
 		}
 		if run.terminal() {
 			return false, nil

@@ -23,7 +23,10 @@
 // Determinism is the acceptance contract: a farm sweep — with workers
 // killed and the server restarted mid-run — produces byte-identical
 // ResultFingerprints to the same spec run in-process through
-// Session.SweepContext.
+// Session.SweepContext. It holds by construction: SweepSpec is the root
+// package's sweep description, whose Config is the one derivation of a
+// point's Config, and workers run points through the root WarmRunner as
+// the Session does.
 package farm
 
 import (
@@ -71,8 +74,6 @@ type Options struct {
 	// point_id, point, corr and detail. It is the farm's only event record;
 	// with a JSON handler each line carries every Event field.
 	Logger *slog.Logger
-	// Clock replaces time.Now for tests.
-	Clock func() time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -99,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SSEPing <= 0 {
 		o.SSEPing = 5 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
 	}
 	return o
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	scalablebulk "scalablebulk"
-	"scalablebulk/internal/fault"
 	"scalablebulk/internal/metrics"
 )
 
@@ -40,12 +39,7 @@ func testSpec() *SweepSpec {
 func inProcessFingerprints(t *testing.T, spec *SweepSpec) map[Point]string {
 	t.Helper()
 	s := scalablebulk.NewSession(spec.ChunksPerCore, spec.Seed, nil)
-	s.Configure = func(cfg *scalablebulk.Config) {
-		if prof, _ := fault.ByName(spec.Faults); prof != nil {
-			cfg.Faults, cfg.FaultSeed = prof, spec.FaultSeed
-		}
-		cfg.Check = spec.Check
-	}
+	s.SweepSpec = *spec
 	out := s.SweepContext(context.Background(), spec.Points, 2)
 	if len(out.Failures) > 0 || out.Aborted {
 		t.Fatalf("reference sweep failed: %+v", out)
@@ -125,7 +119,8 @@ func fastClient(base string) *Client {
 // same spec swept in-process. Each spec holds a warm unit of three
 // protocols, so the worker restores machines from its warm image; the
 // warm key leaves out faults and the checker, so the chaos spec checks
-// that restored machines match under both.
+// that restored machines match under both. The defaulted spec leaves
+// ChunksPerCore at 0, so both sides must pick the same default budget.
 func TestFarmSweepMatchesInProcess(t *testing.T) {
 	plain := testSpec()
 	plain.Points = append(plain.Points,
@@ -133,7 +128,9 @@ func TestFarmSweepMatchesInProcess(t *testing.T) {
 		Point{App: "FFT", Protocol: "BulkSC", Cores: 8})
 	chaos := *plain
 	chaos.Faults, chaos.Check = "chaos", true
-	for name, spec := range map[string]*SweepSpec{"plain": plain, "chaos": &chaos} {
+	defaulted := *plain
+	defaulted.ChunksPerCore = 0
+	for name, spec := range map[string]*SweepSpec{"plain": plain, "chaos": &chaos, "defaulted": &defaulted} {
 		t.Run(name, func(t *testing.T) {
 			want := inProcessFingerprints(t, spec)
 
@@ -213,10 +210,10 @@ func TestFarmWarmsUpOncePerUnit(t *testing.T) {
 	}
 }
 
-// TestWorkerWarmImageShared: a worker's slots share its one warm image.
-// Builds of one warm key restore it concurrently; builds of two keys,
-// interleaved, replace and restore it concurrently; every run matches a
-// standalone one.
+// TestWorkerWarmImageShared: a worker's slots share its one WarmRunner
+// and so its one warm image. Runs of one warm key restore it concurrently;
+// runs of two keys, interleaved, replace and restore it concurrently;
+// every run matches a standalone one.
 func TestWorkerWarmImageShared(t *testing.T) {
 	spec := &SweepSpec{ChunksPerCore: 1, Seed: 3}
 	radix := []Point{{App: "Radix", Protocol: "ScalableBulk", Cores: 4}, {App: "Radix", Protocol: "TCC", Cores: 4}}
@@ -230,9 +227,9 @@ func TestWorkerWarmImageShared(t *testing.T) {
 		}
 		want[p] = scalablebulk.FingerprintSHA(res)
 	}
-	var w Worker
-	// run builds and runs each point on its own goroutine and reports how
-	// many of the machines were restored.
+	var wr scalablebulk.WarmRunner
+	// run runs each point on its own goroutine, as a worker's slots do, and
+	// reports how many of the machines were restored.
 	run := func(points ...Point) int {
 		var wg sync.WaitGroup
 		var restored atomic.Int64
@@ -241,22 +238,17 @@ func TestWorkerWarmImageShared(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				prof, cfg, _ := spec.Resolve(p)
-				m, err := w.build(prof, cfg)
+				res, rest, err := wr.Run(context.Background(), p, prof, cfg, true, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				res, err := m.RunContext(context.Background())
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if m.Restored() {
+				if rest {
 					restored.Add(1)
 				}
 				if got := scalablebulk.FingerprintSHA(res); got != want[p] {
 					t.Errorf("%s/%s/%d (restored %v): fingerprint %s, standalone %s",
-						p.App, p.Protocol, p.Cores, m.Restored(), got, want[p])
+						p.App, p.Protocol, p.Cores, rest, got, want[p])
 				}
 			}()
 		}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -12,22 +13,18 @@ import (
 // consumer can never make the hub drop or block; it just catches up (or
 // takes a snapshot when the ring has already evicted its resume point).
 type eventHub struct {
-	mu    sync.Mutex
-	seq   uint64
-	ring  []Event // ring[i] holds seq (minSeq+i); append-only window
-	cap   int
-	clock func() time.Time
-	subs  map[chan struct{}]struct{}
+	mu   sync.Mutex
+	seq  uint64
+	ring []Event // ring[i] holds seq (minSeq+i); append-only window
+	cap  int
+	subs map[chan struct{}]struct{}
 }
 
-func newEventHub(capacity int, clock func() time.Time) *eventHub {
+func newEventHub(capacity int) *eventHub {
 	if capacity <= 0 {
 		capacity = 8192
 	}
-	if clock == nil {
-		clock = time.Now
-	}
-	return &eventHub{cap: capacity, clock: clock, subs: map[chan struct{}]struct{}{}}
+	return &eventHub{cap: capacity, subs: map[chan struct{}]struct{}{}}
 }
 
 // emit stamps and publishes one event, returning it with seq and time set.
@@ -35,7 +32,7 @@ func (h *eventHub) emit(e Event) Event {
 	h.mu.Lock()
 	h.seq++
 	e.Seq = h.seq
-	e.Time = h.clock().UTC().Format(time.RFC3339Nano)
+	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	h.ring = append(h.ring, e)
 	if len(h.ring) > h.cap {
 		h.ring = h.ring[len(h.ring)-h.cap:]
@@ -69,14 +66,14 @@ func (h *eventHub) subscribe() (chan struct{}, func()) {
 	}
 }
 
-// since returns the retained events with seq > after that pass filter, plus
-// gapped=true when the caller cannot be caught up by replay — the signal to
-// send a snapshot instead of pretending the stream is contiguous. That is
+// since returns the retained events with seq > after, plus gapped=true
+// when the caller cannot be caught up by replay — the signal to send a
+// snapshot instead of pretending the stream is contiguous. That is
 // when the ring has already evicted events the caller never saw (its resume
 // point predates the window), or when the resume point is above the newest
 // seq: seqs restart at 1 with each server process, so such a point comes
 // from an earlier run and the caller has seen none of this run's events.
-func (h *eventHub) since(after uint64, filter func(Event) bool) (evs []Event, gapped bool) {
+func (h *eventHub) since(after uint64) (evs []Event, gapped bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if after > h.seq {
@@ -84,12 +81,8 @@ func (h *eventHub) since(after uint64, filter func(Event) bool) (evs []Event, ga
 	}
 	minSeq := h.seq - uint64(len(h.ring)) + 1 // seq of ring[0]
 	gapped = after+1 < minSeq
-	for i := range h.ring {
-		e := h.ring[i]
-		if e.Seq <= after {
-			continue
-		}
-		if filter == nil || filter(e) {
+	for _, e := range h.ring {
+		if e.Seq > after {
 			evs = append(evs, e)
 		}
 	}
@@ -103,19 +96,9 @@ func (h *eventHub) last() uint64 {
 	return h.seq
 }
 
-// tail returns the newest n retained events (oldest first), optionally
-// filtered.
-func (h *eventHub) tail(n int, filter func(Event) bool) []Event {
+// tail returns the newest n retained events (oldest first).
+func (h *eventHub) tail(n int) []Event {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var evs []Event
-	for i := len(h.ring) - 1; i >= 0 && len(evs) < n; i-- {
-		if filter == nil || filter(h.ring[i]) {
-			evs = append(evs, h.ring[i])
-		}
-	}
-	for i, j := 0, len(evs)-1; i < j; i, j = i+1, j-1 {
-		evs[i], evs[j] = evs[j], evs[i]
-	}
-	return evs
+	return slices.Clone(h.ring[max(len(h.ring)-n, 0):])
 }

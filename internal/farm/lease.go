@@ -192,12 +192,6 @@ func (t *leaseTable) heartbeat(leaseID string) bool {
 	return true
 }
 
-// lookup resolves a live lease ID.
-func (t *leaseTable) lookup(leaseID string) (*leaseAt, bool) {
-	la, ok := t.leases[leaseID]
-	return la, ok
-}
-
 // complete resolves a lease's point as Done. The lease may already be gone
 // (expired while the result was in flight) — the point still completes if
 // it is not already terminal.

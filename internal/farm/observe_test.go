@@ -283,14 +283,9 @@ func TestHostileEventStreamsFail(t *testing.T) {
 // drained before that check would send "end" without the result, and the
 // client would fail the sweep.
 func TestEndFollowsEveryResult(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Now()
-	reg := metrics.NewRegistry()
 	opts := quickOpts()
-	opts.Metrics = reg
 	opts.PoisonAfter, opts.MaxAttempts = 1, 1
 	opts.SSEPing = 10 * time.Millisecond
-	opts.Clock = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	base, _, stop := startServer(t, opts, "", "")
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -305,17 +300,9 @@ func TestEndFollowsEveryResult(t *testing.T) {
 	if job, err := c.Lease(ctx, "w-dead"); err != nil || job == nil {
 		t.Fatalf("lease: job %+v, err %v", job, err)
 	}
-	// Once the stream has connected and drained, let the lease lapse; the
-	// stream's next keepalive round is the first to see it.
-	go func() {
-		for reg.Counter("farm_sse_connects").Value() == 0 && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		time.Sleep(50 * time.Millisecond)
-		mu.Lock()
-		now = now.Add(time.Hour)
-		mu.Unlock()
-	}()
+	// The stream connects and drains well inside the lease's 500 ms TTL;
+	// nothing else observes the sweep, so the stream's keepalive round
+	// after the lease lapses is the first to see it.
 	out, err := c.RunSweep(ctx, spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -329,8 +316,8 @@ func TestEndFollowsEveryResult(t *testing.T) {
 // gap when it cannot — a resume point evicted from the ring, or one above
 // the newest seq (left over from an earlier server run).
 func TestEventHubSince(t *testing.T) {
-	h := newEventHub(2, nil)
-	if evs, gapped := h.since(0, nil); len(evs) != 0 || gapped {
+	h := newEventHub(2)
+	if evs, gapped := h.since(0); len(evs) != 0 || gapped {
 		t.Errorf("empty hub: since(0) = %d events, gapped=%v", len(evs), gapped)
 	}
 	for _, k := range []string{"a", "b", "c"} {
@@ -348,7 +335,7 @@ func TestEventHubSince(t *testing.T) {
 		{4, 0, true},   // from an earlier run
 		{500, 0, true}, // from an earlier run
 	} {
-		evs, gapped := h.since(c.after, nil)
+		evs, gapped := h.since(c.after)
 		if len(evs) != c.n || gapped != c.gapped {
 			t.Errorf("since(%d) = %d events, gapped=%v; want %d, %v",
 				c.after, len(evs), gapped, c.n, c.gapped)
@@ -621,8 +608,9 @@ func TestProgressAndFarmStatus(t *testing.T) {
 }
 
 // TestEventPointIDOnlyWhenNamed: an event carries point_id exactly when it
-// names a point. Point 0's lease_granted has "point_id":0 in its SSE JSON
-// and in its log line; sweep_submitted has no point_id in either.
+// names a point. Point 0's lease_granted has "point_id":0 in its JSON (the
+// FarmStatus event tail) and in its log line; sweep_submitted has no
+// point_id in either.
 func TestEventPointIDOnlyWhenNamed(t *testing.T) {
 	var logMu sync.Mutex
 	var serverLog bytes.Buffer
@@ -636,8 +624,7 @@ func TestEventPointIDOnlyWhenNamed(t *testing.T) {
 	c := fastClient(base)
 	spec := testSpec()
 	spec.Points = spec.Points[:1]
-	sub, err := c.Submit(ctx, spec)
-	if err != nil {
+	if _, err := c.Submit(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
 	job, err := c.Lease(ctx, "w1")
@@ -645,27 +632,22 @@ func TestEventPointIDOnlyWhenNamed(t *testing.T) {
 		t.Fatalf("lease: job %+v, err %v; want point 0", job, err)
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/sweeps/"+sub.SweepID+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(base + "/api/v1/farm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sse := map[string]string{} // kind → the farm event's JSON
-	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
-	for sse["sweep_submitted"] == "" || sse["lease_granted"] == "" {
-		ev, err := rd.next()
-		if err != nil {
-			t.Fatalf("SSE stream: %v", err)
-		}
+	var fs struct{ Events []json.RawMessage }
+	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+		t.Fatal(err)
+	}
+	tail := map[string]string{} // kind → the event's JSON
+	for _, raw := range fs.Events {
 		var e Event
-		if ev.Type != sseFarm || json.Unmarshal(ev.Data, &e) != nil {
-			continue
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Fatal(err)
 		}
-		sse[e.Kind] = string(ev.Data)
+		tail[e.Kind] = string(raw)
 	}
 
 	logMu.Lock()
@@ -680,7 +662,7 @@ func TestEventPointIDOnlyWhenNamed(t *testing.T) {
 	}
 
 	for _, out := range []struct{ name, submitted, granted string }{
-		{"SSE", sse["sweep_submitted"], sse["lease_granted"]},
+		{"FarmStatus", tail["sweep_submitted"], tail["lease_granted"]},
 		{"log", logged["sweep_submitted"], logged["lease_granted"]},
 	} {
 		if !strings.Contains(out.granted, `"point_id":0`) {

@@ -36,7 +36,7 @@ var attemptBounds = []float64{1, 2, 3, 5, 8}
 // progressLocked computes the live SweepProgress for one sweep. Caller holds
 // s.mu and has already run expireLocked.
 func (s *Server) progressLocked(sw *sweep) *SweepProgress {
-	now := s.opts.Clock()
+	now := time.Now()
 	p := &SweepProgress{
 		SweepID: sw.id,
 		Corr:    sw.corr,
@@ -82,7 +82,7 @@ func (s *Server) progressLocked(sw *sweep) *SweepProgress {
 // farmStatusLocked builds the whole-server view for GET /api/v1/farm.
 // Caller holds s.mu and has already expired every sweep.
 func (s *Server) farmStatusLocked(eventTail int) *FarmStatus {
-	now := s.opts.Clock()
+	now := time.Now()
 	fs := &FarmStatus{
 		Now:      now.UTC().Format(time.RFC3339Nano),
 		Seq:      s.hub.last(),
@@ -134,7 +134,7 @@ func (s *Server) farmStatusLocked(eventTail int) *FarmStatus {
 		})
 	}
 	if eventTail > 0 {
-		fs.Events = s.hub.tail(eventTail, nil)
+		fs.Events = s.hub.tail(eventTail)
 	}
 	return fs
 }
@@ -157,6 +157,6 @@ func (s *Server) touchWorker(id string) *workerInfo {
 		wi = &workerInfo{}
 		s.workers[id] = wi
 	}
-	wi.lastSeen = s.opts.Clock()
+	wi.lastSeen = time.Now()
 	return wi
 }

@@ -72,7 +72,7 @@ func NewServer(opts Options) *Server {
 	return &Server{
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed*0x9e3779b9 + 1)),
-		hub:     newEventHub(opts.EventHistory, opts.Clock),
+		hub:     newEventHub(opts.EventHistory),
 		log:     opts.Logger,
 		sweeps:  map[string]*sweep{},
 		workers: map[string]*workerInfo{},
@@ -192,8 +192,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:       id,
 		spec:     &spec,
 		corr:     corr,
-		created:  s.opts.Clock(),
-		table:    newLeaseTable(spec.Points, s.opts, s.opts.Clock, s.rng),
+		created:  time.Now(),
+		table:    newLeaseTable(spec.Points, s.opts, time.Now, s.rng),
 		resolved: make([]bool, len(spec.Points)),
 	}
 	restored := 0
@@ -251,7 +251,6 @@ func (s *Server) statusLocked(sw *sweep) *SweepStatus {
 		Total: len(sw.spec.Points), Draining: s.draining.Load()}
 	st.Pending, st.Leased, st.Done, st.Failed, st.Poisoned = sw.table.counts()
 	st.Results = slices.Clone(sw.results)
-	st.Progress = s.progressLocked(sw)
 	return st
 }
 
@@ -372,7 +371,7 @@ func (s *Server) awaitLease(ctx context.Context, req *leaseRequest) (resp leaseR
 			return leaseResponse{}, true
 		}
 		if !next.IsZero() {
-			wait = min(wait, next.Sub(s.opts.Clock()))
+			wait = min(wait, time.Until(next))
 		}
 		wake := s.wake
 		s.mu.Unlock()

@@ -11,25 +11,23 @@ import (
 	"time"
 )
 
-// SSE event types on GET /api/v1/sweeps/{id}/events. Every event's data is
-// one line of JSON; "result" and "snapshot" carry an id: line (the hub seq)
-// so Last-Event-ID resume replays nothing the client already applied.
+// SSE event types on GET /api/v1/sweeps/{id}/events: exactly what
+// Client.RunSweep applies. Every event's data is one line of JSON; "result"
+// and "snapshot" carry an id: line (the hub seq) so Last-Event-ID resume
+// replays nothing the client already applied. Live progress is at
+// /api/v1/sweeps/{id}/progress and in FarmStatus, not on the stream.
 const (
 	sseResult   = "result"   // data: PointResult (full result bytes)
-	sseFarm     = "farm"     // data: Event (non-result lifecycle event)
-	sseProgress = "progress" // data: SweepProgress (after each batch; no id)
 	sseSnapshot = "snapshot" // data: SweepStatus with the full result stream
 	sseEnd      = "end"      // data: SweepProgress; the sweep is terminal
 )
 
-// handleSweepEvents streams one sweep's live telemetry as Server-Sent
-// Events. Results stream as full PointResults; other lifecycle events stream
-// as "farm" events; a "progress" aggregation follows each batch. A client
-// that reconnects with Last-Event-ID behind the hub's retained ring gets a
-// "snapshot" (full SweepStatus) instead of a pretend-contiguous replay —
-// result application is idempotent by PointID, so replay and snapshot both
-// converge. The stream ends with an "end" event once every point is
-// terminal.
+// handleSweepEvents streams one sweep's results as Server-Sent Events, as
+// full PointResults. A client that reconnects with Last-Event-ID behind the
+// hub's retained ring gets a "snapshot" (full SweepStatus) instead of a
+// pretend-contiguous replay — result application is idempotent by PointID,
+// so replay and snapshot both converge. The stream ends with an "end" event
+// once every point is terminal.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	fl, ok := w.(http.Flusher)
@@ -60,6 +58,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	h.Set("X-Accel-Buffering", "no") // defeat buffering proxies
 	w.WriteHeader(http.StatusOK)
+	fl.Flush() // the client sees the stream open before the first event
 	out := &sseWriter{w: w, fl: fl}
 
 	// Subscribe before the first drain so no emit between drain and wait is
@@ -68,13 +67,6 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	defer unsub()
 	ping := time.NewTicker(s.opts.SSEPing)
 	defer ping.Stop()
-	filter := func(e Event) bool { return e.Sweep == id || e.Sweep == "" }
-
-	// Immediate progress so a fresh connection has proof of life before the
-	// first event.
-	if out.send(0, sseProgress, s.sweepProgress(id)) != nil {
-		return
-	}
 
 	for {
 		// Observe the sweep before draining: every event that made it
@@ -83,7 +75,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		// sends them all before "end".
 		p := s.sweepProgress(id)
 		for {
-			evs, gapped := s.hub.since(after, filter)
+			evs, gapped := s.hub.since(after)
 			if gapped {
 				st, seq, ok := s.sweepSnapshot(id)
 				if !ok {
@@ -98,23 +90,19 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 			if len(evs) == 0 {
 				break
 			}
+			// Advance past every event, sent or not, so the resume point
+			// stays inside the ring.
 			for _, e := range evs {
 				after = e.Seq
-				s.count("farm_sse_events")
-				if e.Kind == "result" && e.Sweep == id {
-					if pr, ok := s.sweepResult(id, e.PointID); ok {
-						if out.send(e.Seq, sseResult, pr) != nil {
-							return
-						}
-						continue
+				if e.Kind != "result" || e.Sweep != id {
+					continue
+				}
+				if pr, ok := s.sweepResult(id, e.PointID); ok {
+					s.count("farm_sse_events")
+					if out.send(e.Seq, sseResult, pr) != nil {
+						return
 					}
 				}
-				if out.send(e.Seq, sseFarm, e) != nil {
-					return
-				}
-			}
-			if out.send(0, sseProgress, s.sweepProgress(id)) != nil {
-				return
 			}
 		}
 		if p != nil && p.Terminal {

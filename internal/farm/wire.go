@@ -1,148 +1,23 @@
 package farm
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"time"
 
 	scalablebulk "scalablebulk"
-	"scalablebulk/internal/event"
-	"scalablebulk/internal/fault"
 )
 
 // Point aliases the root sweep point so farm wire types and Session-side
 // thin clients speak the same identity.
 type Point = scalablebulk.Point
 
+// SweepSpec is the root sweep description; the farm ships it as JSON.
+type SweepSpec = scalablebulk.SweepSpec
+
 // Scaling names for SweepSpec.Scaling.
 const (
-	// ScalingStrong divides the Session's fixed total work budget
-	// (64×ChunksPerCore chunks) across the cores of each point — the
-	// strong-scaling semantics every figure sweep uses.
-	ScalingStrong = "strong"
-	// ScalingFixed gives every point ChunksPerCore chunks per core
-	// verbatim — sbsim's literal semantics.
-	ScalingFixed = "fixed"
+	ScalingStrong = scalablebulk.ScalingStrong
+	ScalingFixed  = scalablebulk.ScalingFixed
 )
-
-// SweepSpec is the wire description of one sweep: every knob that feeds the
-// canonical config of its points, plus the point list itself. Two specs that
-// marshal identically have the same ID, which makes submission idempotent —
-// a reconnecting client resubmits and the server recognizes the sweep it
-// already holds.
-type SweepSpec struct {
-	// ChunksPerCore sizes the work budget (interpreted per Scaling);
-	// ≤0 selects the Session default of 64.
-	ChunksPerCore int `json:"chunks_per_core,omitempty"`
-	// Scaling is ScalingStrong (default) or ScalingFixed.
-	Scaling string `json:"scaling,omitempty"`
-	// Seed is the base PRNG seed shared by every point.
-	Seed int64 `json:"seed,omitempty"`
-	// Workload optionally overrides the chunk-stream source by registry
-	// spec (Config.Workload) for points whose App is an application model.
-	Workload string `json:"workload,omitempty"`
-	// Faults names a fault-injection profile ("", "off", "none" disable).
-	Faults string `json:"faults,omitempty"`
-	// FaultSeed seeds the injector; zero reuses Seed.
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// MaxCycles overrides the deadlock-guard budget when nonzero.
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// RunTimeoutMS bounds each run's wall-clock time when nonzero.
-	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
-	// Check wires the online invariant checker into every run.
-	Check bool `json:"check,omitempty"`
-	// Points is the sweep's point list, in submission order.
-	Points []Point `json:"points"`
-}
-
-// ID is the sweep's identity: the SHA-256 of the spec's canonical JSON,
-// truncated to 16 hex characters. Identical specs — same knobs, same points
-// in the same order — collapse to the same sweep on resubmission.
-func (s *SweepSpec) ID() string {
-	data, _ := json.Marshal(s)
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:8])
-}
-
-// Validate rejects a spec whose points could not run: unknown protocols,
-// unresolvable app labels, unknown fault profiles, or a bad scaling name.
-// Validation happens server-side at submit so a typo fails the POST, not a
-// worker attempt minutes later.
-func (s *SweepSpec) Validate() error {
-	if len(s.Points) == 0 {
-		return fmt.Errorf("farm: sweep spec has no points")
-	}
-	switch s.Scaling {
-	case "", ScalingStrong, ScalingFixed:
-	default:
-		return fmt.Errorf("farm: unknown scaling %q (want %q or %q)",
-			s.Scaling, ScalingStrong, ScalingFixed)
-	}
-	if _, err := fault.ByName(s.Faults); err != nil {
-		return fmt.Errorf("farm: %w", err)
-	}
-	for _, p := range s.Points {
-		if !scalablebulk.IsProtocol(p.Protocol) {
-			return fmt.Errorf("farm: point %s/%s/%d: unknown protocol %q",
-				p.App, p.Protocol, p.Cores, p.Protocol)
-		}
-		if p.Cores < 1 {
-			return fmt.Errorf("farm: point %s/%s/%d: cores must be ≥ 1",
-				p.App, p.Protocol, p.Cores)
-		}
-		cfg := s.Config(p)
-		if _, err := scalablebulk.ResolvePointProfile(p.App, &cfg); err != nil {
-			return fmt.Errorf("farm: point %s/%s/%d: %w", p.App, p.Protocol, p.Cores, err)
-		}
-	}
-	return nil
-}
-
-// Config materializes the exact Config a point runs under — the same
-// derivation the in-process Session uses, so a farm sweep's ConfigHash (and
-// therefore its journal keys and ResultFingerprints) is byte-identical to a
-// local SweepContext over the same spec.
-func (s *SweepSpec) Config(p Point) scalablebulk.Config {
-	var cfg scalablebulk.Config
-	if s.Scaling == ScalingFixed {
-		cfg = scalablebulk.DefaultConfig(p.Cores, p.Protocol)
-		cfg.Seed = s.Seed
-		if s.ChunksPerCore > 0 {
-			cfg.ChunksPerCore = s.ChunksPerCore
-		}
-	} else {
-		cpc := s.ChunksPerCore
-		if cpc <= 0 {
-			cpc = 64
-		}
-		cfg = scalablebulk.SweepPointConfig(p, cpc, s.Seed)
-	}
-	if s.Workload != "" {
-		cfg.Workload = s.Workload
-	}
-	if s.MaxCycles > 0 {
-		cfg.MaxCycles = event.Time(s.MaxCycles)
-	}
-	if s.RunTimeoutMS > 0 {
-		cfg.RunTimeout = time.Duration(s.RunTimeoutMS) * time.Millisecond
-	}
-	if prof, err := fault.ByName(s.Faults); err == nil && prof != nil {
-		cfg.Faults = prof
-		cfg.FaultSeed = s.FaultSeed
-	}
-	cfg.Check = s.Check
-	return cfg
-}
-
-// Resolve returns the profile and config for one point, with App resolved
-// through the same application/workload-source registries the Session uses.
-func (s *SweepSpec) Resolve(p Point) (scalablebulk.Profile, scalablebulk.Config, error) {
-	cfg := s.Config(p)
-	prof, err := scalablebulk.ResolvePointProfile(p.App, &cfg)
-	return prof, cfg, err
-}
 
 // SubmitResponse answers POST /v1/sweep.
 type SubmitResponse struct {
@@ -267,9 +142,6 @@ type SweepStatus struct {
 	Draining bool   `json:"draining,omitempty"`
 	// Results holds every terminal point so far.
 	Results []PointResult `json:"results,omitempty"`
-	// Progress is the server's live aggregation for this sweep (rates,
-	// histograms, ETA).
-	Progress *SweepProgress `json:"progress,omitempty"`
 }
 
 // Dist is a small self-describing distribution: fixed histogram buckets
@@ -285,8 +157,8 @@ type Dist struct {
 }
 
 // SweepProgress is the server-side per-sweep aggregation exposed over
-// GET /api/v1/sweeps/{id}/progress, folded into SSE snapshots, and streamed
-// as SSE "progress" events: state counts, throughput, live lease ages, the
+// GET /api/v1/sweeps/{id}/progress and in FarmStatus, and sent as the SSE
+// "end" event's data: state counts, throughput, live lease ages, the
 // requeue picture and an ETA.
 type SweepProgress struct {
 	SweepID  string `json:"sweep_id"`

@@ -82,8 +82,9 @@ func TestSpecConfigMatchesSession(t *testing.T) {
 	// Defaulted chunks (≤0) must match the Session default too.
 	d := testSpec()
 	d.ChunksPerCore = 0
+	s := scalablebulk.NewSession(0, d.Seed, nil)
 	for _, p := range d.Points {
-		want := scalablebulk.ConfigHash(scalablebulk.SweepPointConfig(p, 64, d.Seed))
+		want := scalablebulk.ConfigHash(s.Config(p))
 		if got := scalablebulk.ConfigHash(d.Config(p)); got != want {
 			t.Errorf("defaulted chunks: %s/%s/%d hash mismatch", p.App, p.Protocol, p.Cores)
 		}

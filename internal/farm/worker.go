@@ -10,7 +10,6 @@ import (
 	"time"
 
 	scalablebulk "scalablebulk"
-	"scalablebulk/internal/system"
 )
 
 // Worker is the farm's execution side. It asks for a lease only when one
@@ -20,9 +19,10 @@ import (
 // until work arrives or the hold bound passes, so the worker asks again at
 // once. The worker keeps the specs of the sweeps it leased from recently
 // and lists them in each request, so the server sends a sweep's spec once,
-// not with every job. It also keeps the warm image of the latest machine it warmed
-// up: the server leases a worker the points of one warm unit in a row, so
-// the unit's later points restore that image instead of warming up.
+// not with every job. Its slots run points through one WarmRunner, which
+// keeps the warm image of the latest machine it warmed up: the server leases
+// a worker the points of one warm unit in a row, so the unit's later points
+// restore that image instead of warming up.
 type Worker struct {
 	Client *Client
 	// ID names this worker to the server; it is the unit the poison
@@ -31,19 +31,15 @@ type Worker struct {
 	// Parallel is the number of concurrent leases (≤0 selects 1).
 	Parallel int
 	// OnPoint, when non-nil, observes every leased point before it runs,
-	// inside the run's panic-isolation scope — the failure-mode tests use
-	// it to kill workers mid-lease or inject panics that become real crash
-	// bundles.
+	// inside the run's panic isolation (WarmRunner.Run) — the failure-mode
+	// tests use it to kill workers mid-lease or inject panics that become
+	// real crash bundles.
 	OnPoint func(workerID string, p Point)
 	// Log, when non-nil, receives structured progress lines; every
 	// job-scoped line carries the sweep's correlation ID.
 	Log *slog.Logger
 
-	// warmMu guards warmKey and warmImg, the one warm image the worker's
-	// slots share.
-	warmMu  sync.Mutex
-	warmKey system.WarmKey
-	warmImg *system.WarmImage
+	warm scalablebulk.WarmRunner
 }
 
 // logJob emits one structured line about a leased job, stamped with the
@@ -186,8 +182,12 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 		}
 	}()
 
+	var before func(*scalablebulk.Config)
+	if w.OnPoint != nil {
+		before = func(*scalablebulk.Config) { w.OnPoint(w.ID, job.Point) }
+	}
 	start := time.Now()
-	res, restored, runErr := w.runPoint(runCtx, job, prof, cfg)
+	res, restored, runErr := w.warm.Run(runCtx, job.Point, prof, cfg, true, before)
 	cancelRun()
 	<-hbDone
 	if leaseGone {
@@ -201,6 +201,7 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 		var crash *scalablebulk.CrashReport
 		if errors.As(runErr, &ce) {
 			crash = ce.Report
+			crash.Corr = job.Corr
 		}
 		w.failJob(job, runErr.Error(), crash)
 		return
@@ -218,52 +219,6 @@ func (w *Worker) runJob(ctx context.Context, job *Job) {
 		warm = "restored"
 	}
 	w.logJob(job, "completed", "warm", warm)
-}
-
-// runPoint executes the simulation with panic isolation: a panic becomes a
-// *CrashError carrying the crash report (stamped with the sweep's
-// correlation ID), exactly like the in-process sweep worker's recovery.
-// OnPoint runs inside this scope, so a test hook that panics produces a
-// genuine crash bundle rather than killing the worker. restored reports
-// whether the machine was restored from the worker's warm image.
-func (w *Worker) runPoint(ctx context.Context, job *Job, prof scalablebulk.Profile, cfg scalablebulk.Config) (res *scalablebulk.Result, restored bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			report := scalablebulk.NewCrashReport(job.Point, cfg, r)
-			report.Corr = job.Corr
-			res, err = nil, &scalablebulk.CrashError{Point: job.Point, Report: report}
-		}
-	}()
-	if w.OnPoint != nil {
-		w.OnPoint(w.ID, job.Point)
-	}
-	m, err := w.build(prof, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err = m.RunContext(ctx)
-	return res, m.Restored(), err
-}
-
-// build restores the worker's warm image when it has the point's warm key.
-// Otherwise it warms up and keeps the new machine's image in its place.
-func (w *Worker) build(prof scalablebulk.Profile, cfg scalablebulk.Config) (*system.Machine, error) {
-	key, ok := system.WarmKeyOf(prof, cfg)
-	w.warmMu.Lock()
-	img := w.warmImg
-	if !ok || key != w.warmKey {
-		img = nil
-	}
-	w.warmMu.Unlock()
-	m, err := system.BuildFrom(prof, cfg, img)
-	if err != nil || img != nil || !ok {
-		return m, err
-	}
-	img = m.WarmImage()
-	w.warmMu.Lock()
-	w.warmKey, w.warmImg = key, img
-	w.warmMu.Unlock()
-	return m, nil
 }
 
 // failJob reports a failure, best-effort and bounded.

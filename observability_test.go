@@ -99,7 +99,7 @@ func TestSweepCanceledAfterLastPointCompletes(t *testing.T) {
 // point's crash report.
 func TestCrashBundleCarriesFlightRecorder(t *testing.T) {
 	s := NewSession(1, 1, nil)
-	s.Configure = func(cfg *Config) {
+	s.testPointHook = func(_ Point, cfg *Config) {
 		cfg.FlightRecorder = 32
 		cfg.TraceSink = panicSink("injected for flight-recorder test")
 	}

@@ -36,7 +36,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 	dir := t.TempDir()
 	s := NewSession(detChunks, 2, nil)
 	s.CrashDir = dir
-	s.testPointHook = func(p Point) {
+	s.testPointHook = func(p Point, _ *Config) {
 		if p == victim {
 			panic("injected sweep panic")
 		}
@@ -96,7 +96,7 @@ func (panicSink) Close() error { return nil }
 // truncated machine dump.
 func TestCrashBundleFromRunPanic(t *testing.T) {
 	s := NewSession(detChunks, 2, nil)
-	s.Configure = func(cfg *Config) {
+	s.testPointHook = func(_ Point, cfg *Config) {
 		if cfg.Protocol == ProtoTCC {
 			cfg.TraceSink = panicSink("mid-simulation fault")
 		}
@@ -162,7 +162,7 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	var started atomic.Int64
-	s1.testPointHook = func(Point) {
+	s1.testPointHook = func(Point, *Config) {
 		if started.Add(1) == 6 {
 			cancel()
 		}

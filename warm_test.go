@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"scalablebulk/internal/fault"
 )
 
 // warmPoints is the figure sweep's shape on apps: each under every protocol
@@ -30,28 +28,10 @@ func warmPoints(apps ...string) []Point {
 	return pts
 }
 
-// soakConfigure is what sbsoak's Configure does under -check -faults chaos.
-func soakConfigure(t *testing.T) func(*Config) {
-	prof, err := fault.ByName("chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(cfg *Config) {
-		cfg.Faults = prof
-		cfg.FaultSeed = 5
-		cfg.Check = true
-	}
-}
-
-// standalone runs p the way a Session of chunksPerCore and seed would,
-// through RunContext.
-func standalone(t *testing.T, p Point, chunksPerCore int, seed int64, configure func(*Config)) string {
+// standalone runs p the way a Session of spec would, through RunContext.
+func standalone(t *testing.T, p Point, spec SweepSpec) string {
 	t.Helper()
-	cfg := SweepPointConfig(p, chunksPerCore, seed)
-	if configure != nil {
-		configure(&cfg)
-	}
-	prof, err := ResolvePointProfile(p.App, &cfg)
+	prof, cfg, err := spec.Resolve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +47,22 @@ func TestSweepSharedWarmupMatchesRun(t *testing.T) {
 	// zipf is an adversarial source that sweeps under its own name.
 	pts := warmPoints("Radix", "Ocean", "zipf")
 	for _, tc := range []struct {
-		name      string
-		configure func(*Config)
+		name string
+		spec SweepSpec
 	}{
-		{"plain", nil},
-		{"check-chaos", soakConfigure(t)},
+		{"plain", SweepSpec{ChunksPerCore: detChunks, Seed: seed}},
+		// What sbsoak -check -faults chaos -faultseed 5 sweeps.
+		{"check-chaos", SweepSpec{ChunksPerCore: detChunks, Seed: seed,
+			Faults: "chaos", FaultSeed: 5, Check: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := map[Point]string{}
 			for _, p := range pts {
-				want[p] = standalone(t, p, detChunks, seed, tc.configure)
+				want[p] = standalone(t, p, tc.spec)
 			}
 			for _, par := range []int{1, 2, 4} {
 				s := NewSession(detChunks, seed, nil)
-				s.Configure = tc.configure
+				s.SweepSpec = tc.spec
 				if err := s.SweepContext(context.Background(), pts, par).Err(); err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -133,7 +115,7 @@ func TestSweepWarmUnits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ResultFingerprint(res) != standalone(t, p, detChunks, seed, nil) {
+			if ResultFingerprint(res) != standalone(t, p, s.SweepSpec) {
 				t.Errorf("%v differs from a standalone run", p)
 			}
 		}
@@ -141,7 +123,7 @@ func TestSweepWarmUnits(t *testing.T) {
 
 	t.Run("first-point-panics", func(t *testing.T) {
 		s := NewSession(detChunks, seed, nil)
-		s.testPointHook = func(p Point) {
+		s.testPointHook = func(p Point, _ *Config) {
 			if p == radix32[0] {
 				panic("injected first-point panic")
 			}
@@ -168,7 +150,7 @@ func TestSweepWarmUnits(t *testing.T) {
 		// Cancel as the third point of the Radix-32 unit starts, with the
 		// unit's image taken and restored once.
 		s := NewSession(detChunks, seed, nil)
-		s.testPointHook = func(p Point) {
+		s.testPointHook = func(p Point, _ *Config) {
 			if p == radix32[2] {
 				cancel()
 			}
