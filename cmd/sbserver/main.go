@@ -37,7 +37,6 @@ func run() int {
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "max wait for in-flight leases on shutdown")
 		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
 		ssePing      = flag.Duration("sseping", 5*time.Second, "SSE keepalive-comment interval")
-		eventRing    = flag.Int("eventring", 8192, "in-memory event ring size for SSE Last-Event-ID resume")
 	)
 	flag.Parse()
 
@@ -48,14 +47,13 @@ func run() int {
 	}
 
 	opts := farm.Options{
-		LeaseTTL:     *leaseTTL,
-		PoisonAfter:  *poisonAfter,
-		MaxAttempts:  *maxAttempts,
-		Seed:         *seed,
-		CrashDir:     *crashDir,
-		SSEPing:      *ssePing,
-		EventHistory: *eventRing,
-		Logger:       logger,
+		LeaseTTL:    *leaseTTL,
+		PoisonAfter: *poisonAfter,
+		MaxAttempts: *maxAttempts,
+		Seed:        *seed,
+		CrashDir:    *crashDir,
+		SSEPing:     *ssePing,
+		Logger:      logger,
 	}
 	if *journalPath != "" {
 		j, err := scalablebulk.OpenJournal(*journalPath)

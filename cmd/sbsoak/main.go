@@ -180,6 +180,9 @@ func run() int {
 		},
 	}
 	var failures []string
+	// One client for every round: once the server has answered, a refused
+	// connection means it is restarting, and later rounds retry through it.
+	client := &farm.Client{Base: *server}
 	for r := 0; r < *rounds; r++ {
 		roundSeed := *seed + int64(r)
 		spec := scalablebulk.SweepSpec{
@@ -193,7 +196,7 @@ func run() int {
 		if *server != "" {
 			// Farm mode: the round's sweep runs on sbworkers; the server owns
 			// the journal, so restores and dedup happen there.
-			client := &farm.Client{Base: *server, Corr: farm.NewCorrID()}
+			client.Corr = farm.NewCorrID()
 			fmt.Fprintf(os.Stderr, "sbsoak: round seed=%d corr=%s\n", roundSeed, client.Corr)
 			var rerr error
 			out, rerr = client.RunSweep(ctx, &spec, nil)

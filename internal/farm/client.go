@@ -9,10 +9,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	scalablebulk "scalablebulk"
@@ -31,7 +34,10 @@ var ErrDraining = errors.New("farm: server is draining")
 // connection refused, reset, timeout — are retried with backoff until the
 // context dies, which is what lets a thin client or worker ride through a
 // server restart: the server comes back, replays its journal, and the
-// retried call lands on the recovered state.
+// retried call lands on the recovered state. The one exception is Submit
+// before the Client has had any answer: a refused connection or an
+// unresolvable host then means a wrong address, not a restart, and fails
+// at once.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8356".
 	Base string
@@ -53,6 +59,9 @@ type Client struct {
 	// selects 250ms); MaxRetryWait bounds the backoff (0 selects 5s).
 	RetryInterval time.Duration
 	MaxRetryWait  time.Duration
+
+	// answered is set by the first HTTP answer the server gives.
+	answered atomic.Bool
 }
 
 func (c *Client) http() *http.Client {
@@ -92,8 +101,9 @@ func (e *httpError) Error() string {
 
 // do POSTs (or GETs when body is nil) path with a JSON body and decodes the
 // JSON response into out, retrying transport errors with capped backoff
-// until ctx is done.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// until ctx is done. With failFast, and before the Client's first answer, a
+// server that cannot be reached at all returns at once.
+func (c *Client) do(ctx context.Context, method, path string, body, out any, failFast bool) error {
 	var payload []byte
 	if body != nil {
 		var err error
@@ -122,6 +132,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 		resp, err := c.http().Do(req)
 		if err == nil {
+			c.answered.Store(true)
 			data, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if rerr == nil {
@@ -135,6 +146,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 				return json.Unmarshal(data, out)
 			}
 			err = rerr
+		}
+		if failFast && !c.answered.Load() && unreachable(err) {
+			return fmt.Errorf("farm: %s %s: server unreachable: %w", method, path, err)
 		}
 		// Transport failure: the server may be restarting. Back off and
 		// retry until the caller gives up.
@@ -151,11 +165,19 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
+// unreachable reports a transport error that no restart explains: the
+// connection was refused or the host name does not resolve.
+func unreachable(err error) bool {
+	var dns *net.DNSError
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.As(err, &dns)
+}
+
 // Submit registers spec with the server (idempotent: resubmitting an
-// identical spec attaches to the live sweep).
+// identical spec attaches to the live sweep). Before the Client has had any
+// answer, a refused connection or an unresolvable host fails at once.
 func (c *Client) Submit(ctx context.Context, spec *SweepSpec) (*SubmitResponse, error) {
 	var resp SubmitResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sweep", spec, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sweep", spec, &resp, true); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -164,7 +186,7 @@ func (c *Client) Submit(ctx context.Context, spec *SweepSpec) (*SubmitResponse, 
 // Progress fetches the server's live per-sweep aggregation.
 func (c *Client) Progress(ctx context.Context, sweepID string) (*SweepProgress, error) {
 	var p SweepProgress
-	if err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+sweepID+"/progress", nil, &p); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+sweepID+"/progress", nil, &p, false); err != nil {
 		return nil, err
 	}
 	return &p, nil
@@ -175,7 +197,7 @@ func (c *Client) Progress(ctx context.Context, sweepID string) (*SweepProgress, 
 func (c *Client) FarmStatus(ctx context.Context, events int) (*FarmStatus, error) {
 	var fs FarmStatus
 	q := url.Values{"events": {strconv.Itoa(events)}}
-	if err := c.do(ctx, http.MethodGet, "/api/v1/farm?"+q.Encode(), nil, &fs); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/api/v1/farm?"+q.Encode(), nil, &fs, false); err != nil {
 		return nil, err
 	}
 	return &fs, nil
@@ -188,7 +210,7 @@ func (c *Client) FarmStatus(ctx context.Context, events int) (*FarmStatus, error
 func (c *Client) Lease(ctx context.Context, worker string, haveSpecs ...string) (*Job, error) {
 	var resp leaseResponse
 	req := leaseRequest{Worker: worker, HaveSpecs: haveSpecs}
-	if err := c.do(ctx, http.MethodPost, "/v1/lease", req, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/lease", req, &resp, false); err != nil {
 		return nil, err
 	}
 	if resp.Draining {
@@ -201,7 +223,7 @@ func (c *Client) Lease(ctx context.Context, worker string, haveSpecs ...string) 
 func (c *Client) Heartbeat(ctx context.Context, job *Job, worker string) error {
 	err := c.do(ctx, http.MethodPost, "/v1/heartbeat", heartbeatRequest{
 		SweepID: job.SweepID, LeaseID: job.LeaseID, Worker: worker,
-	}, nil)
+	}, nil, false)
 	var he *httpError
 	if errors.As(err, &he) && he.Status == http.StatusGone {
 		return ErrLeaseGone
@@ -221,7 +243,7 @@ func (c *Client) Result(ctx context.Context, job *Job, worker string, res *scala
 		FingerprintSHA: scalablebulk.FingerprintSHA(res),
 		Result:         data,
 		WallMS:         float64(wall.Microseconds()) / 1000,
-	}, nil)
+	}, nil, false)
 }
 
 // Fail reports a failed (or crashed) run.
@@ -229,12 +251,12 @@ func (c *Client) Fail(ctx context.Context, job *Job, worker, msg string, crash *
 	return c.do(ctx, http.MethodPost, "/v1/fail", failRequest{
 		SweepID: job.SweepID, LeaseID: job.LeaseID, Worker: worker, Corr: job.Corr,
 		PointID: job.PointID, Point: job.Point, Error: msg, Crash: crash,
-	}, nil)
+	}, nil, false)
 }
 
 // sweepRun accumulates one RunSweep's state. Every PointResult — live
-// result events, snapshots, and the replays that follow a redial or a
-// resubmission — funnels through apply, which verifies, dedupes by PointID,
+// result events and the replays that follow a redial or a resubmission —
+// funnels through apply, which verifies, dedupes by PointID,
 // and updates the outcome exactly once per point.
 type sweepRun struct {
 	c        *Client
@@ -326,7 +348,7 @@ func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p 
 	if backoff <= 0 {
 		backoff = 250 * time.Millisecond
 	}
-	var lastID uint64
+	var lastID string
 	for {
 		redial, err := c.stream(ctx, sub.SweepID, idle, run, &lastID)
 		if run.terminal() {
@@ -343,7 +365,7 @@ func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p 
 			if _, err := c.Submit(ctx, spec); err != nil {
 				return run.out, err
 			}
-			lastID = 0
+			lastID = ""
 			continue
 		}
 		if !redial {
@@ -364,8 +386,9 @@ func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p 
 // redial reports a broken connection — a transport error, a cut stream, or
 // one the idle watchdog cut — with err saying what broke. Otherwise a
 // non-nil err is final (an *httpError for a non-2xx answer). lastID tracks
-// the newest event id applied, the resume point for the next connection.
-func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration, run *sweepRun, lastID *uint64) (redial bool, err error) {
+// the newest event id received, an opaque string the next connection sends
+// back as its resume point.
+func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration, run *sweepRun, lastID *string) (redial bool, err error) {
 	connCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(connCtx, http.MethodGet,
@@ -374,8 +397,8 @@ func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration,
 		return false, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	if *lastID > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
+	if *lastID != "" {
+		req.Header.Set("Last-Event-ID", *lastID)
 	}
 	if c.Corr != "" {
 		req.Header.Set(CorrHeader, c.Corr)
@@ -414,9 +437,7 @@ func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration,
 			return true, err
 		}
 		if ev.ID != "" {
-			if id, perr := strconv.ParseUint(ev.ID, 10, 64); perr == nil {
-				*lastID = id
-			}
+			*lastID = ev.ID
 		}
 		switch ev.Type {
 		case sseResult:
@@ -426,16 +447,6 @@ func (c *Client) stream(ctx context.Context, sweepID string, idle time.Duration,
 			}
 			if err := run.apply(pr); err != nil {
 				return false, err
-			}
-		case sseSnapshot:
-			var st SweepStatus
-			if err := json.Unmarshal(ev.Data, &st); err != nil {
-				return false, fmt.Errorf("farm: undecodable SSE snapshot: %w", err)
-			}
-			for _, pr := range st.Results {
-				if err := run.apply(pr); err != nil {
-					return false, err
-				}
 			}
 		case sseEnd:
 			if !run.terminal() {

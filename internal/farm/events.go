@@ -4,8 +4,8 @@ import "encoding/json"
 
 // Event is one farm lease-lifecycle event: sweep submissions, lease
 // grants/renewals/expiries, results, failures, poisonings, drains. The
-// server writes each one as a structured log line (Options.Logger) and
-// fans it out live over SSE (see Server.handleSweepEvents).
+// server writes each one as a structured log line (Options.Logger) and keeps
+// the newest for FarmStatus's event tail.
 type Event struct {
 	// Seq is the hub's monotonic sequence number. It is per-process: a
 	// restarted server starts again from 1.

@@ -20,6 +20,11 @@
 //     finish while the server is down deliver orphan results on reconnect;
 //     the server verifies and journals them even though the lease is gone.
 //
+// A thin client follows a sweep over SSE, served from the sweep's
+// append-only result stream (see Server.handleSweepEvents). A resume point
+// from an earlier server process replays that stream from its start, and the
+// client deduplicates by point, so a restart never loses a result.
+//
 // Determinism is the acceptance contract: a farm sweep — with workers
 // killed and the server restarted mid-run — produces byte-identical
 // ResultFingerprints to the same spec run in-process through
@@ -62,9 +67,8 @@ type Options struct {
 	CrashDir string
 	// Metrics, when non-nil, receives farm counters and gauges.
 	Metrics *metrics.Registry
-	// EventHistory bounds the in-memory event ring SSE clients resume from
-	// (Last-Event-ID); a client further behind than this gets a snapshot
-	// instead of a replay. 0 selects 8192.
+	// EventHistory bounds the in-memory ring of recent events that
+	// FarmStatus's event tail (sbtop) reads. 0 selects 8192.
 	EventHistory int
 	// SSEPing is the keepalive-comment interval on SSE streams (defeats
 	// idle-connection reapers between events). 0 selects 5s.

@@ -7,15 +7,15 @@ import (
 )
 
 // eventHub is the server's live event spine: it stamps every Event with a
-// monotonic seq and wall-clock time, keeps a bounded in-memory ring for SSE
-// resume (Last-Event-ID), and wakes subscribed streams. Subscribers never
-// receive events over channels — they re-read the ring by seq, so a slow
-// consumer can never make the hub drop or block; it just catches up (or
-// takes a snapshot when the ring has already evicted its resume point).
+// monotonic seq and wall-clock time, keeps a bounded in-memory ring for
+// FarmStatus's event tail, and wakes subscribed SSE streams. Subscribers
+// never receive events over channels: a wake only tells a stream to re-read
+// its sweep's results, so a slow consumer can never make the hub drop or
+// block.
 type eventHub struct {
 	mu   sync.Mutex
 	seq  uint64
-	ring []Event // ring[i] holds seq (minSeq+i); append-only window
+	ring []Event // the newest cap events, oldest first
 	cap  int
 	subs map[chan struct{}]struct{}
 }
@@ -46,7 +46,7 @@ func (h *eventHub) emit(e Event) Event {
 	for _, ch := range subs {
 		select {
 		case ch <- struct{}{}:
-		default: // already signaled; the subscriber will re-read the ring
+		default: // already signaled; the subscriber has yet to re-read
 		}
 	}
 	return e
@@ -64,29 +64,6 @@ func (h *eventHub) subscribe() (chan struct{}, func()) {
 		delete(h.subs, ch)
 		h.mu.Unlock()
 	}
-}
-
-// since returns the retained events with seq > after, plus gapped=true
-// when the caller cannot be caught up by replay — the signal to send a
-// snapshot instead of pretending the stream is contiguous. That is
-// when the ring has already evicted events the caller never saw (its resume
-// point predates the window), or when the resume point is above the newest
-// seq: seqs restart at 1 with each server process, so such a point comes
-// from an earlier run and the caller has seen none of this run's events.
-func (h *eventHub) since(after uint64) (evs []Event, gapped bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if after > h.seq {
-		return nil, true
-	}
-	minSeq := h.seq - uint64(len(h.ring)) + 1 // seq of ring[0]
-	gapped = after+1 < minSeq
-	for _, e := range h.ring {
-		if e.Seq > after {
-			evs = append(evs, e)
-		}
-	}
-	return evs, gapped
 }
 
 // last returns the newest seq issued.

@@ -302,7 +302,7 @@ func (t *leaseTable) backoff(attempt int) time.Duration {
 	return pause
 }
 
-// counts tallies the table for SweepStatus.
+// counts tallies the table for SweepProgress.
 func (t *leaseTable) counts() (pending, leased, done, failed, poisoned int) {
 	for _, e := range t.entries {
 		switch e.state {

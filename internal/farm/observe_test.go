@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -76,18 +79,61 @@ func TestSSESweepConvergesUnderLossyRPC(t *testing.T) {
 	}
 }
 
-// TestSSEResumeAfterStreamKill kills an SSE stream mid-sweep, lets the
-// sweep finish while disconnected, and reconnects with Last-Event-ID into a
-// deliberately tiny event ring — forcing the snapshot path — asserting every
-// result lands exactly once and fingerprints match the in-process reference.
+// readSSE connects to a sweep's event stream, resuming after lastID when
+// it is set, and returns every event up to and including "end".
+func readSSE(ctx context.Context, t *testing.T, base, sweepID, lastID string) []*sseEvent {
+	t.Helper()
+	resp := connectSSE(ctx, t, base, sweepID, lastID)
+	defer resp.Body.Close()
+	var evs []*sseEvent
+	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
+	for {
+		ev, err := rd.next()
+		if err != nil {
+			t.Fatalf("stream after %q: %v", lastID, err)
+		}
+		evs = append(evs, ev)
+		if ev.Type == sseEnd {
+			return evs
+		}
+	}
+}
+
+func connectSSE(ctx context.Context, t *testing.T, base, sweepID, lastID string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		base+"/api/v1/sweeps/"+sweepID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("SSE connect: %d", resp.StatusCode)
+	}
+	return resp
+}
+
+// TestSSEResumeAfterStreamKill kills an SSE stream after its first result,
+// lets the sweep finish while disconnected, and reconnects with the last id
+// received. The event ring holds only two events, far fewer than the sweep
+// emits, to show that resuming does not depend on it: the resumed stream
+// starts right after that id, sends no snapshot, and across both streams
+// every result arrives exactly once, with fingerprints matching the
+// in-process reference.
 func TestSSEResumeAfterStreamKill(t *testing.T) {
 	spec := testSpec()
 	want := inProcessFingerprints(t, spec)
 
 	opts := quickOpts()
-	opts.EventHistory = 2 // force Last-Event-ID past the ring on reconnect
+	opts.EventHistory = 2
 	opts.SSEPing = 100 * time.Millisecond
-	base, _, stop := startServer(t, opts, filepath.Join(t.TempDir(), "farm.jsonl"), "")
+	base, srv, stop := startServer(t, opts, filepath.Join(t.TempDir(), "farm.jsonl"), "")
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -97,27 +143,8 @@ func TestSSEResumeAfterStreamKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	// Connect before any worker runs so the first result arrives live.
-	connect := func(after uint64) *http.Response {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			base+"/api/v1/sweeps/"+sub.SweepID+"/events", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after > 0 {
-			req.Header.Set("Last-Event-ID", fmt.Sprintf("%d", after))
-		}
-		resp, err := (&http.Client{}).Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("SSE connect: %d", resp.StatusCode)
-		}
-		return resp
-	}
-	resp := connect(0)
+	resp := connectSSE(ctx, t, base, sub.SweepID, "")
 
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
@@ -131,35 +158,38 @@ func TestSSEResumeAfterStreamKill(t *testing.T) {
 	}
 	got := map[Point]string{}
 	run.onResult = func(p Point, res *scalablebulk.Result, _ bool) {
-		if _, dup := got[p]; dup {
-			t.Errorf("point %s/%s/%d applied twice", p.App, p.Protocol, p.Cores)
-		}
 		got[p] = scalablebulk.FingerprintSHA(res)
+	}
+	sent := map[int]int{} // result events per point, across both streams
+	apply := func(ev *sseEvent) {
+		t.Helper()
+		var pr PointResult
+		if err := json.Unmarshal(ev.Data, &pr); err != nil {
+			t.Fatal(err)
+		}
+		sent[pr.PointID]++
+		if err := run.apply(pr); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Read until the first result, then kill the stream mid-sweep.
-	var lastID uint64
+	var lastID string
 	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
-	for {
+	for lastID == "" {
 		ev, err := rd.next()
 		if err != nil {
 			t.Fatalf("first stream died before a result: %v", err)
 		}
-		if ev.ID != "" {
-			fmt.Sscanf(ev.ID, "%d", &lastID)
-		}
 		if ev.Type == sseResult {
-			var pr PointResult
-			if err := json.Unmarshal(ev.Data, &pr); err != nil {
-				t.Fatal(err)
-			}
-			if err := run.apply(pr); err != nil {
-				t.Fatal(err)
-			}
-			break
+			lastID = ev.ID
+			apply(ev)
 		}
 	}
-	resp.Body.Close() // kill the stream
+	resp.Body.Close()
+	if want := srv.instance + ".1"; lastID != want {
+		t.Fatalf("first result id %q, want %q", lastID, want)
+	}
 
 	// Let the sweep finish (and the tiny ring evict) while disconnected.
 	deadline := time.Now().Add(time.Minute)
@@ -178,45 +208,23 @@ func TestSSEResumeAfterStreamKill(t *testing.T) {
 	}
 	wcancel()
 
-	// Reconnect with Last-Event-ID: the ring has moved past it, so the
-	// server must answer with a snapshot rather than a pretend-contiguous
-	// replay; replayed results dedupe through the same apply sink.
-	resp2 := connect(lastID)
-	defer resp2.Body.Close()
-	sawSnapshot := false
-	rd2 := newSSEReader(bufio.NewReader(resp2.Body), nil)
-	for {
-		ev, err := rd2.next()
-		if err != nil {
-			t.Fatalf("resume stream: %v", err)
-		}
+	evs := readSSE(ctx, t, base, sub.SweepID, lastID)
+	if evs[0].ID != srv.instance+".2" {
+		t.Errorf("resumed stream starts at id %q, want %s.2", evs[0].ID, srv.instance)
+	}
+	for _, ev := range evs {
 		switch ev.Type {
-		case sseSnapshot:
-			sawSnapshot = true
-			var st SweepStatus
-			if err := json.Unmarshal(ev.Data, &st); err != nil {
-				t.Fatal(err)
-			}
-			for _, pr := range st.Results {
-				if err := run.apply(pr); err != nil {
-					t.Fatal(err)
-				}
-			}
 		case sseResult:
-			var pr PointResult
-			if err := json.Unmarshal(ev.Data, &pr); err != nil {
-				t.Fatal(err)
-			}
-			if err := run.apply(pr); err != nil {
-				t.Fatal(err)
-			}
+			apply(ev)
 		case sseEnd:
-			goto done
+		default:
+			t.Errorf("resumed stream sent a %q event", ev.Type)
 		}
 	}
-done:
-	if !sawSnapshot {
-		t.Error("resume past the ring did not produce a snapshot event")
+	for id, n := range sent {
+		if n != 1 {
+			t.Errorf("point %d sent %d times, want once", id, n)
+		}
 	}
 	if run.out.Completed != len(spec.Points) || len(run.out.Failures) > 0 {
 		t.Fatalf("outcome after resume: %+v", run.out)
@@ -226,6 +234,87 @@ done:
 			t.Errorf("%s/%s/%d: fingerprint %s != in-process %s",
 				p.App, p.Protocol, p.Cores, got[p], fp)
 		}
+	}
+}
+
+// TestSSEForeignResumeIDReplaysEveryResult: a resume id this server did not
+// issue replays the whole result stream. Each case restarts the server on a
+// journal that holds the whole sweep, resubmits it (so every point restores)
+// and resumes with the case's id. A bare number is what a server that
+// numbered its events by hub seq issued; on such a server "3" skipped the
+// results before seq 3, and the stream ended with 1 of 3.
+func TestSSEForeignResumeIDReplaysEveryResult(t *testing.T) {
+	spec := testSpec()
+	journal := filepath.Join(t.TempDir(), "farm.jsonl")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	base, _, stop := startServer(t, quickOpts(), journal, "")
+	wctx, wcancel := context.WithCancel(ctx)
+	wg := startWorker(wctx, fastClient(base), "w1", nil)
+	_, err := fastClient(base).RunSweep(ctx, spec, nil)
+	wcancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first result id the first server issued.
+	otherInstance := readSSE(ctx, t, base, spec.ID(), "")[0].ID
+	stop()
+
+	for _, tc := range []struct{ name, lastID string }{
+		{"3", "3"}, {"9999", "9999"}, {"garbage", "garbage"},
+		{"other instance", otherInstance},
+	} {
+		lastID := tc.lastID
+		t.Run(tc.name, func(t *testing.T) {
+			base, _, stop := startServer(t, quickOpts(), journal, "")
+			defer stop()
+			if _, err := fastClient(base).Submit(ctx, spec); err != nil {
+				t.Fatal(err)
+			}
+			got := map[int]bool{}
+			for _, ev := range readSSE(ctx, t, base, spec.ID(), lastID) {
+				switch ev.Type {
+				case sseResult:
+					var pr PointResult
+					if err := json.Unmarshal(ev.Data, &pr); err != nil {
+						t.Fatal(err)
+					}
+					got[pr.PointID] = true
+				case sseEnd:
+				default:
+					t.Errorf("stream sent a %q event", ev.Type)
+				}
+			}
+			if len(got) != len(spec.Points) {
+				t.Errorf("resumed after %q: %d of %d results before end",
+					lastID, len(got), len(spec.Points))
+			}
+		})
+	}
+}
+
+// TestRunSweepFailsFastWhenServerUnreachable: a thin client whose server
+// refuses every connection from the start has the wrong address, not a
+// restarting server, so RunSweep returns the error instead of retrying
+// until its context ends.
+func TestRunSweepFailsFastWhenServerUnreachable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = fastClient(base).RunSweep(ctx, testSpec(), nil)
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("RunSweep took %v, want ≤ 1s", d)
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Errorf("RunSweep error %v, want a refused connection", err)
 	}
 }
 
@@ -309,96 +398,6 @@ func TestEndFollowsEveryResult(t *testing.T) {
 	}
 	if len(out.Failures) != 1 || out.Completed != 0 {
 		t.Fatalf("outcome: %+v, want the one point poisoned", out)
-	}
-}
-
-// TestEventHubSince: since replays what the ring still holds and reports a
-// gap when it cannot — a resume point evicted from the ring, or one above
-// the newest seq (left over from an earlier server run).
-func TestEventHubSince(t *testing.T) {
-	h := newEventHub(2)
-	if evs, gapped := h.since(0); len(evs) != 0 || gapped {
-		t.Errorf("empty hub: since(0) = %d events, gapped=%v", len(evs), gapped)
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		h.emit(Event{Kind: k})
-	}
-	for _, c := range []struct {
-		after  uint64
-		n      int
-		gapped bool
-	}{
-		{0, 2, true},   // seq 1 evicted
-		{1, 2, false},  // replay 2, 3
-		{2, 1, false},  // replay 3
-		{3, 0, false},  // caught up
-		{4, 0, true},   // from an earlier run
-		{500, 0, true}, // from an earlier run
-	} {
-		evs, gapped := h.since(c.after)
-		if len(evs) != c.n || gapped != c.gapped {
-			t.Errorf("since(%d) = %d events, gapped=%v; want %d, %v",
-				c.after, len(evs), gapped, c.n, c.gapped)
-		}
-	}
-}
-
-// TestSSEFutureResumeIDGetsSnapshot: a Last-Event-ID above every seq this
-// server issued (a client reconnecting after a server restart) must get a
-// snapshot holding every result, not an empty replay followed by "end".
-func TestSSEFutureResumeIDGetsSnapshot(t *testing.T) {
-	spec := testSpec()
-	base, _, stop := startServer(t, quickOpts(), filepath.Join(t.TempDir(), "farm.jsonl"), "")
-	defer stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	wg := startWorker(wctx, fastClient(base), "w1", nil)
-	defer wg.Wait()
-
-	c := fastClient(base)
-	sub, err := c.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunSweep(ctx, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	wcancel()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		base+"/api/v1/sweeps/"+sub.SweepID+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Last-Event-ID", "9999")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	results := -1
-	rd := newSSEReader(bufio.NewReader(resp.Body), nil)
-	for {
-		ev, err := rd.next()
-		if err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		if ev.Type == sseSnapshot {
-			var st SweepStatus
-			if err := json.Unmarshal(ev.Data, &st); err != nil {
-				t.Fatal(err)
-			}
-			results = len(st.Results)
-		}
-		if ev.Type == sseEnd {
-			break
-		}
-	}
-	if results != len(spec.Points) {
-		t.Errorf("snapshot before end holds %d results, want %d (-1: no snapshot)",
-			results, len(spec.Points))
 	}
 }
 

@@ -18,8 +18,7 @@ import (
 )
 
 // sweep is one submitted spec's live state: its lease table plus the
-// append-only, completion-ordered result stream that SSE result events and
-// snapshots serve.
+// append-only, completion-ordered result stream that SSE streams serve.
 type sweep struct {
 	id   string
 	spec *SweepSpec
@@ -46,6 +45,10 @@ type Server struct {
 	rng  *rand.Rand
 	hub  *eventHub
 	log  *slog.Logger
+	// instance names this Server in SSE result ids, so a resume point
+	// issued by another process (whose result order may differ) replays
+	// the whole stream instead of skipping results.
+	instance string
 
 	mu       sync.Mutex
 	sweeps   map[string]*sweep
@@ -70,14 +73,15 @@ const maxHold = 10 * time.Second
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	return &Server{
-		opts:    opts,
-		rng:     rand.New(rand.NewSource(opts.Seed*0x9e3779b9 + 1)),
-		hub:     newEventHub(opts.EventHistory),
-		log:     opts.Logger,
-		sweeps:  map[string]*sweep{},
-		workers: map[string]*workerInfo{},
-		drained: make(chan struct{}),
-		wake:    make(chan struct{}),
+		opts:     opts,
+		rng:      rand.New(rand.NewSource(opts.Seed*0x9e3779b9 + 1)),
+		hub:      newEventHub(opts.EventHistory),
+		log:      opts.Logger,
+		instance: strconv.FormatInt(time.Now().UnixNano(), 36),
+		sweeps:   map[string]*sweep{},
+		workers:  map[string]*workerInfo{},
+		drained:  make(chan struct{}),
+		wake:     make(chan struct{}),
 	}
 }
 
@@ -104,7 +108,7 @@ func (s *Server) emit(e Event) {
 //	POST /v1/result                    deliver a completed point (orphans accepted)
 //	POST /v1/fail                      report a failed or crashed run
 //	GET  /v1/healthz                   liveness
-//	GET  /api/v1/sweeps/{id}/events    live SSE stream (Last-Event-ID resume)
+//	GET  /api/v1/sweeps/{id}/events    live SSE result stream (Last-Event-ID resume)
 //	GET  /api/v1/sweeps/{id}/progress  per-sweep progress aggregation
 //	GET  /api/v1/farm                  whole-farm status (sbtop's endpoint)
 func (s *Server) Handler() *http.ServeMux {
@@ -233,25 +237,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.count("farm_sweeps_submitted")
 	s.emit(Event{Kind: "sweep_submitted", Sweep: id, Corr: corr,
 		Detail: fmt.Sprintf("points=%d restored=%d", len(spec.Points), restored)})
-	// Every journal-restored point gets its own result event so SSE
-	// consumers (and the grep trail) see restores like any other completion.
+	// Every journal-restored point gets its own result event so the
+	// structured log and sbtop's event tail show restores like any other
+	// completion.
 	for _, pr := range sw.results {
 		s.emit(Event{Kind: "result", Sweep: id, Corr: corr,
 			PointID: pr.PointID, Point: pointLabel(pr.Point), Detail: "restored"})
 	}
 	w.Header().Set(CorrHeader, corr)
 	writeJSON(w, SubmitResponse{SweepID: id, Points: len(spec.Points), Restored: restored})
-}
-
-// statusLocked builds the SweepStatus with the full result stream: the
-// payload of an SSE snapshot. Caller holds s.mu and has already run
-// expireLocked.
-func (s *Server) statusLocked(sw *sweep) *SweepStatus {
-	st := &SweepStatus{SweepID: sw.id, Corr: sw.corr,
-		Total: len(sw.spec.Points), Draining: s.draining.Load()}
-	st.Pending, st.Leased, st.Done, st.Failed, st.Poisoned = sw.table.counts()
-	st.Results = slices.Clone(sw.results)
-	return st
 }
 
 // handleSweepProgress serves the per-sweep aggregation on its own.

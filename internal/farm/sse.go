@@ -12,22 +12,23 @@ import (
 )
 
 // SSE event types on GET /api/v1/sweeps/{id}/events: exactly what
-// Client.RunSweep applies. Every event's data is one line of JSON; "result"
-// and "snapshot" carry an id: line (the hub seq) so Last-Event-ID resume
-// replays nothing the client already applied. Live progress is at
+// Client.RunSweep applies. Every event's data is one line of JSON. A
+// "result" carries an id: line, "<instance>.<n>": the serving Server's
+// instance token and the number of results sent so far, so Last-Event-ID
+// resume replays nothing the client already applied. Live progress is at
 // /api/v1/sweeps/{id}/progress and in FarmStatus, not on the stream.
 const (
-	sseResult   = "result"   // data: PointResult (full result bytes)
-	sseSnapshot = "snapshot" // data: SweepStatus with the full result stream
-	sseEnd      = "end"      // data: SweepProgress; the sweep is terminal
+	sseResult = "result" // data: PointResult (full result bytes)
+	sseEnd    = "end"    // data: SweepProgress; the sweep is terminal
 )
 
 // handleSweepEvents streams one sweep's results as Server-Sent Events, as
-// full PointResults. A client that reconnects with Last-Event-ID behind the
-// hub's retained ring gets a "snapshot" (full SweepStatus) instead of a
-// pretend-contiguous replay — result application is idempotent by PointID,
-// so replay and snapshot both converge. The stream ends with an "end" event
-// once every point is terminal.
+// full PointResults, read from the sweep's own append-only result slice.
+// A Last-Event-ID (or ?after=) this Server issued resumes after the results
+// it counts; any other value (another process's id, an unparsable one, one
+// past the stream) replays from the first result, which the client
+// deduplicates by PointID. The stream ends with an "end" event once every
+// point is terminal.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	fl, ok := w.(http.Flusher)
@@ -35,21 +36,18 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	if !s.sweepExists(id) {
-		http.Error(w, "unknown sweep "+id, http.StatusNotFound)
-		return
-	}
-	var after uint64
 	lastID := r.Header.Get("Last-Event-ID")
 	if lastID == "" {
 		lastID = r.URL.Query().Get("after") // curl convenience
 	}
-	if lastID != "" {
-		after, _ = strconv.ParseUint(lastID, 10, 64)
+	sw, n := s.resumePoint(id, lastID)
+	if sw == nil {
+		http.Error(w, "unknown sweep "+id, http.StatusNotFound)
+		return
 	}
 	s.count("farm_sse_connects")
 	if s.log != nil {
-		s.log.Info("sse_connect", "sweep", id, "after", after)
+		s.log.Info("sse_connect", "sweep", id, "after", lastID, "from", n)
 	}
 
 	h := w.Header()
@@ -61,7 +59,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush() // the client sees the stream open before the first event
 	out := &sseWriter{w: w, fl: fl}
 
-	// Subscribe before the first drain so no emit between drain and wait is
+	// Subscribe before the first read so no emit between read and wait is
 	// missed; the wake channel is level-triggered (capacity 1).
 	wake, unsub := s.hub.subscribe()
 	defer unsub()
@@ -69,44 +67,18 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	defer ping.Stop()
 
 	for {
-		// Observe the sweep before draining: every event that made it
-		// terminal was emitted under s.mu before this observation (some,
-		// like an expiry's poisoned result, inside it), so the drain below
-		// sends them all before "end".
-		p := s.sweepProgress(id)
-		for {
-			evs, gapped := s.hub.since(after)
-			if gapped {
-				st, seq, ok := s.sweepSnapshot(id)
-				if !ok {
-					return
-				}
-				if out.send(seq, sseSnapshot, st) != nil {
-					return
-				}
-				after = seq
-				continue
-			}
-			if len(evs) == 0 {
-				break
-			}
-			// Advance past every event, sent or not, so the resume point
-			// stays inside the ring.
-			for _, e := range evs {
-				after = e.Seq
-				if e.Kind != "result" || e.Sweep != id {
-					continue
-				}
-				if pr, ok := s.sweepResult(id, e.PointID); ok {
-					s.count("farm_sse_events")
-					if out.send(e.Seq, sseResult, pr) != nil {
-						return
-					}
-				}
+		// The results and the terminal check come from one read under one
+		// lock, so "end" can never precede a result.
+		rs, end := s.resultsFrom(sw, n)
+		for _, pr := range rs {
+			n++
+			s.count("farm_sse_events")
+			if out.send(fmt.Sprintf("%s.%d", s.instance, n), sseResult, pr) != nil {
+				return
 			}
 		}
-		if p != nil && p.Terminal {
-			out.send(0, sseEnd, p)
+		if end != nil {
+			out.send("", sseEnd, end)
 			return
 		}
 		select {
@@ -121,51 +93,37 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) sweepExists(id string) bool {
+// resumePoint finds the sweep (nil when unknown) and the result index a
+// stream resuming after lastID starts at: the count in an id this Server
+// issued for a result the sweep holds, else 0.
+func (s *Server) resumePoint(id, lastID string) (*sweep, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.sweeps[id]
-	return ok
+	sw := s.sweeps[id]
+	if sw == nil {
+		return nil, 0
+	}
+	inst, count, _ := strings.Cut(lastID, ".")
+	n, err := strconv.ParseUint(count, 10, 64)
+	if inst != s.instance || err != nil || n > uint64(len(sw.results)) {
+		return sw, 0
+	}
+	return sw, int(n)
 }
 
-// sweepProgress computes the live progress for one sweep (nil when unknown),
-// running the expiry sweep first so a stalled farm still advances.
-func (s *Server) sweepProgress(id string) *SweepProgress {
+// resultsFrom runs the expiry sweep, so pings still advance a farm with no
+// live worker, then returns sw's results from index n on and, once every
+// point is terminal, the final progress. The slice is shared, not copied:
+// results is append-only and no record in it is ever modified.
+func (s *Server) resultsFrom(sw *sweep, n int) ([]PointResult, *SweepProgress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil
-	}
 	s.expireLocked(sw)
-	return s.progressLocked(sw)
-}
-
-// sweepSnapshot builds the full-stream SweepStatus plus the hub seq it is
-// current as of — the resume point an SSE client adopts after a gap.
-func (s *Server) sweepSnapshot(id string) (*SweepStatus, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, 0, false
+	rs := sw.results[n:]
+	if len(sw.results) < len(sw.spec.Points) {
+		return rs, nil
 	}
-	s.expireLocked(sw)
-	return s.statusLocked(sw), s.hub.last(), true
-}
-
-// sweepResult fetches one point's terminal record from the result stream.
-func (s *Server) sweepResult(id string, pointID int) (PointResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return PointResult{}, false
-	}
-	if pr := s.findResult(sw, pointID); pr != nil {
-		return *pr, true
-	}
-	return PointResult{}, false
+	return rs, s.progressLocked(sw)
 }
 
 // sseWriter frames SSE events. json.Marshal output never contains a raw
@@ -175,13 +133,13 @@ type sseWriter struct {
 	fl http.Flusher
 }
 
-func (o *sseWriter) send(id uint64, typ string, data any) error {
+func (o *sseWriter) send(id, typ string, data any) error {
 	payload, err := json.Marshal(data)
 	if err != nil {
 		return err
 	}
-	if id > 0 {
-		if _, err := fmt.Fprintf(o.w, "id: %d\n", id); err != nil {
+	if id != "" {
+		if _, err := fmt.Fprintf(o.w, "id: %s\n", id); err != nil {
 			return err
 		}
 	}

@@ -106,7 +106,7 @@ type failRequest struct {
 	Crash *scalablebulk.CrashReport `json:"crash,omitempty"`
 }
 
-// Point terminal states reported in SweepStatus results.
+// Point terminal states, as PointResult.Status.
 const (
 	StatusDone     = "done"
 	StatusFailed   = "failed"   // exhausted the retry budget with run errors
@@ -125,23 +125,6 @@ type PointResult struct {
 	Error          string          `json:"error,omitempty"`
 	// Restored marks a point satisfied from the journal without a run.
 	Restored bool `json:"restored,omitempty"`
-}
-
-// SweepStatus is the payload of the SSE "snapshot" event: aggregate counts
-// plus the sweep's whole completion-ordered result stream. A client applies
-// it like any other results, deduping by PointID.
-type SweepStatus struct {
-	SweepID  string `json:"sweep_id"`
-	Corr     string `json:"corr,omitempty"`
-	Total    int    `json:"total"`
-	Pending  int    `json:"pending"`
-	Leased   int    `json:"leased"`
-	Done     int    `json:"done"`
-	Failed   int    `json:"failed"`
-	Poisoned int    `json:"poisoned"`
-	Draining bool   `json:"draining,omitempty"`
-	// Results holds every terminal point so far.
-	Results []PointResult `json:"results,omitempty"`
 }
 
 // Dist is a small self-describing distribution: fixed histogram buckets
