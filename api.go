@@ -109,8 +109,8 @@ func RunScaled(prof Profile, cfg Config, totalChunks int) (*Result, error) {
 
 // ErrInvariantViolation marks a run failed by the I1–I5 invariant checker
 // (errors.Is); the concrete *InvariantViolationError carries the individual
-// violations, the machine dump, and the flight-recorder tail, and also
-// matches a bare invariant target (errors.Is(err, check.I2)).
+// violations and the machine dump, and also matches a bare invariant target
+// (errors.Is(err, check.I2)).
 var ErrInvariantViolation = check.ErrViolation
 
 // InvariantViolationError is the structured invariant-failure report.

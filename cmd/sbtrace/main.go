@@ -43,7 +43,8 @@ type traceOpts struct {
 	chunk         string // "P3.7", "" = all
 }
 
-// buildSink assembles the format sink wrapped in any requested filters.
+// buildSink assembles the format sink behind a Filter: the run hands the sink
+// every event, and the Filter keeps read-path messages only with -reads.
 func buildSink(w io.Writer, o traceOpts) (trace.Sink, error) {
 	var sink trace.Sink
 	switch o.format {
@@ -56,10 +57,8 @@ func buildSink(w io.Writer, o traceOpts) (trace.Sink, error) {
 	default:
 		return nil, fmt.Errorf("unknown format %q (want text, jsonl or perfetto)", o.format)
 	}
-	if o.coreF < 0 && o.kinds == "" && o.chunk == "" {
-		return sink, nil
-	}
 	f := trace.NewFilter(sink)
+	f.Reads = o.reads
 	f.Core = o.coreF
 	if o.kinds != "" {
 		f.Kinds = make(map[trace.Kind]bool)
@@ -95,7 +94,6 @@ func runTrace(o traceOpts, sink trace.Sink) (*system.Result, error) {
 	cfg.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4}
 	cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
 	cfg.TraceSink = sink
-	cfg.TraceReads = o.reads
 	return system.Run(prof, cfg)
 }
 

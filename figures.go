@@ -54,7 +54,7 @@ type Session struct {
 
 	mu      sync.Mutex
 	out     io.Writer
-	cache   map[runKey]*cacheEntry
+	cache   map[Point]*cacheEntry
 	journal *Journal
 
 	// nRestored counts points satisfied from the journal (SweepOutcome
@@ -69,12 +69,6 @@ type Session struct {
 	// Config — the test seam for injected panics, trace sinks and
 	// mid-sweep cancellation.
 	testPointHook func(Point, *Config)
-}
-
-type runKey struct {
-	app      string
-	protocol string
-	cores    int
 }
 
 // cacheEntry is a single-flight cache slot: the goroutine that creates the
@@ -103,7 +97,7 @@ func NewSession(chunksPerCore int, seed int64, out io.Writer) *Session {
 		out = io.Discard
 	}
 	return &Session{SweepSpec: SweepSpec{ChunksPerCore: chunksPerCore, Seed: seed},
-		out: out, cache: map[runKey]*cacheEntry{}}
+		out: out, cache: map[Point]*cacheEntry{}}
 }
 
 // SetOut redirects the generated rows to w (nil selects io.Discard). It may
@@ -161,15 +155,14 @@ func (s *Session) Result(app, protocol string, cores int) (*Result, error) {
 
 // result runs p in its cache slot; wr and keep are as for run.
 func (s *Session) result(ctx context.Context, p Point, wr *WarmRunner, keep bool) (*Result, error) {
-	k := runKey{p.App, p.Protocol, p.Cores}
 	s.mu.Lock()
 	if s.cache == nil {
-		s.cache = map[runKey]*cacheEntry{}
+		s.cache = map[Point]*cacheEntry{}
 	}
-	e, ok := s.cache[k]
+	e, ok := s.cache[p]
 	if !ok {
 		e = &cacheEntry{done: make(chan struct{})}
-		s.cache[k] = e
+		s.cache[p] = e
 	}
 	s.mu.Unlock()
 	if ok {
@@ -187,7 +180,7 @@ func (s *Session) result(ctx context.Context, p Point, wr *WarmRunner, keep bool
 		// so a later call — e.g. a resumed sweep on this session — re-runs
 		// the point instead of replaying the abort.
 		s.mu.Lock()
-		delete(s.cache, k)
+		delete(s.cache, p)
 		s.mu.Unlock()
 	}
 	close(e.done)
@@ -470,15 +463,14 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 // cache slot keeps it (injection never overwrites a run in flight or a
 // completed result).
 func (s *Session) Inject(p Point, res *Result) {
-	k := runKey{p.App, p.Protocol, p.Cores}
 	e := &cacheEntry{done: make(chan struct{}), res: res}
 	close(e.done)
 	s.mu.Lock()
 	if s.cache == nil {
-		s.cache = map[runKey]*cacheEntry{}
+		s.cache = map[Point]*cacheEntry{}
 	}
-	if _, ok := s.cache[k]; !ok {
-		s.cache[k] = e
+	if _, ok := s.cache[p]; !ok {
+		s.cache[p] = e
 	}
 	s.mu.Unlock()
 }

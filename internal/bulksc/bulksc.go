@@ -238,7 +238,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 		if p.env.Cores[node].MaybeDefer(m) {
 			return
 		}
-		p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, nil)
+		p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, nil)
 		p.env.Net.Send(msg.Msg{Kind: msg.ArbInvAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID})
 	case msg.ArbInvAck:
 		p.onInvAck(node, m)

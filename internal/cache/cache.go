@@ -34,14 +34,12 @@ const (
 
 // Cache is a set-associative, LRU, single-line-size cache model.
 type Cache struct {
-	tags   []uint64 // way w of set s at s*assoc+w
-	meta   []uint64 // parallel to tags
-	assoc  int
-	mask   uint64
-	clock  uint64
-	lines  int
-	misses uint64
-	hits   uint64
+	tags  []uint64 // way w of set s at s*assoc+w
+	meta  []uint64 // parallel to tags
+	assoc int
+	mask  uint64
+	clock uint64
+	lines int
 }
 
 // New builds a cache. SizeBytes/Assoc must yield a power-of-two set count.
@@ -86,21 +84,19 @@ func flags(dirty, spec bool) uint64 {
 	return f
 }
 
-// Lookup reports whether the line is present, updating LRU state and hit
-// counters. If write is true and the line is present, it is marked dirty
-// and speculative (chunk writes are speculative until commit).
+// Lookup reports whether the line is present, updating LRU state. If write
+// is true and the line is present, it is marked dirty and speculative (chunk
+// writes are speculative until commit).
 func (c *Cache) Lookup(l sig.Line, write bool) bool {
 	c.clock++
 	if i := c.find(l); i >= 0 {
 		c.meta[i] = c.meta[i]&^metaLRU | flags(write, write) | c.clock
-		c.hits++
 		return true
 	}
-	c.misses++
 	return false
 }
 
-// Contains reports presence without perturbing LRU or counters.
+// Contains reports presence without perturbing LRU state.
 func (c *Cache) Contains(l sig.Line) bool { return c.find(l) >= 0 }
 
 // Fill inserts a line, evicting the LRU way if needed. It returns the
@@ -171,15 +167,6 @@ func (c *Cache) IsDirty(l sig.Line) bool {
 
 // Len returns the number of valid lines.
 func (c *Cache) Len() int { return c.lines }
-
-// HitRate returns hits/(hits+misses) since construction.
-func (c *Cache) HitRate() float64 {
-	tot := c.hits + c.misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(tot)
-}
 
 // Level identifies where an access was satisfied.
 type Level int

@@ -172,16 +172,6 @@ func TestWritebackCounting(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	c := small()
-	c.Fill(1, false, false)
-	c.Lookup(1, false)
-	c.Lookup(2, false)
-	if hr := c.HitRate(); hr != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", hr)
-	}
-}
-
 // Property: the cache never exceeds capacity, and a line just filled is
 // always present until something else in its set evicts it.
 func TestPropertyCapacityAndPresence(t *testing.T) {

@@ -12,12 +12,11 @@ import (
 // word per valid way: the line's bits above the set index in the high 32
 // bits, its LRU stamp in the low 32.
 type Image struct {
-	assoc        int
-	count        []uint8  // valid ways of each set
-	ways         []uint64 // line>>setBits<<32 | stamp, set by set, way by way
-	clock        uint64
-	lines        int
-	hits, misses uint64
+	assoc int
+	count []uint8  // valid ways of each set
+	ways  []uint64 // line>>setBits<<32 | stamp, set by set, way by way
+	clock uint64
+	lines int
 }
 
 // Snapshot encodes the cache as an Image, or returns nil when the encoding
@@ -34,7 +33,7 @@ func (c *Cache) Snapshot() *Image {
 		assoc: c.assoc,
 		count: make([]uint8, nsets),
 		ways:  make([]uint64, 0, c.lines),
-		clock: c.clock, lines: c.lines, hits: c.hits, misses: c.misses,
+		clock: c.clock, lines: c.lines,
 	}
 	for s := 0; s < nsets; s++ {
 		base, n := s*c.assoc, 0
@@ -78,5 +77,5 @@ func (c *Cache) Restore(im *Image) {
 		clear(c.tags[base+int(n) : base+c.assoc])
 		clear(c.meta[base+int(n) : base+c.assoc])
 	}
-	c.clock, c.lines, c.hits, c.misses = im.clock, im.lines, im.hits, im.misses
+	c.clock, c.lines = im.clock, im.lines
 }

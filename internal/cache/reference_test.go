@@ -11,12 +11,10 @@ import (
 // refCache is the array-of-structs cache the tag-packed Cache replaced,
 // kept as the reference its every return value is compared against.
 type refCache struct {
-	sets   [][]refWay
-	mask   uint64
-	clock  uint64
-	lines  int
-	misses uint64
-	hits   uint64
+	sets  [][]refWay
+	mask  uint64
+	clock uint64
+	lines int
 }
 
 type refWay struct {
@@ -61,10 +59,8 @@ func (c *refCache) Lookup(l sig.Line, write bool) bool {
 			w.dirty = true
 			w.spec = true
 		}
-		c.hits++
 		return true
 	}
-	c.misses++
 	return false
 }
 
@@ -130,14 +126,6 @@ func (c *refCache) IsDirty(l sig.Line) bool {
 
 func (c *refCache) Len() int { return c.lines }
 
-func (c *refCache) HitRate() float64 {
-	tot := c.hits + c.misses
-	if tot == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(tot)
-}
-
 // TestMatchesReference drives Cache and refCache with the same seeded
 // random operation sequences and compares every return value. The 1-set
 // and 2-way geometries keep the sets full, so most fills evict.
@@ -196,9 +184,9 @@ func TestMatchesReference(t *testing.T) {
 						t.Fatalf("geom %d seed %d op %d: Contains(%d) = %v, want %v", gi, seed, op, l, got, want)
 					}
 				}
-				if c.Len() != ref.Len() || c.HitRate() != ref.HitRate() {
-					t.Fatalf("geom %d seed %d op %d: Len/HitRate = %d/%v, want %d/%v",
-						gi, seed, op, c.Len(), c.HitRate(), ref.Len(), ref.HitRate())
+				if c.Len() != ref.Len() {
+					t.Fatalf("geom %d seed %d op %d: Len = %d, want %d",
+						gi, seed, op, c.Len(), ref.Len())
 				}
 			}
 		}

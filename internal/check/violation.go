@@ -60,9 +60,6 @@ type ViolationError struct {
 	// Dump is the machine state at the end of the run (stuck processors +
 	// protocol module state), attached by the system layer.
 	Dump string
-	// Flight is the flight recorder's tail (rendered trace lines, oldest
-	// first) when the run kept one, attached by the system layer.
-	Flight []string
 }
 
 func (e *ViolationError) Error() string {
@@ -73,10 +70,6 @@ func (e *ViolationError) Error() string {
 	}
 	if e.Dump != "" {
 		s += "\nmachine state:\n" + e.Dump
-	}
-	if len(e.Flight) > 0 {
-		s += fmt.Sprintf("\nflight recorder (last %d events):\n%s",
-			len(e.Flight), strings.Join(e.Flight, "\n"))
 	}
 	return s
 }

@@ -159,8 +159,10 @@ func (mod *module) failedAt(tag msg.CTag, try int) bool {
 
 // Config tunes the protocol.
 type Config struct {
-	// OCI enables Optimistic Commit Initiation (§3.3). Disabling it yields
-	// the conservative Figure 4(c) behavior — an ablation knob.
+	// OCI is read by no code: Optimistic Commit Initiation (§3.3) on or off
+	// is the protocol row's processor Tuning (system.Descriptors). The field
+	// stays because journal config hashes render the option block with %+v,
+	// so deleting it would move the pinned ScalableBulk and NoOCI hashes.
 	OCI bool
 	// MaxSquashes is the §3.2.2 MAX threshold after which the group's
 	// modules reserve themselves for a starving chunk.

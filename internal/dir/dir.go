@@ -227,7 +227,7 @@ type Core interface {
 	// only acknowledgements are outstanding): its cached copies are still
 	// invalidated, but the chunk itself is not squashed — the invalidating
 	// writer serializes after it.
-	BulkInvalidate(w *sig.Sig, lines []sig.Line, committer int, immune *msg.CTag) *msg.CTag
+	BulkInvalidate(w *sig.Sig, lines []sig.Line, immune *msg.CTag) *msg.CTag
 	// InvalidateLine is the per-line variant used by Scalable TCC, whose
 	// invalidations are individual cache-line messages (exact, no
 	// signature aliasing). immune, when non-nil, names a chunk past its
@@ -235,7 +235,7 @@ type Core interface {
 	// is still invalidated, but that chunk is not squashed — the writer
 	// holds a younger TID, so its write does not invalidate the immune
 	// chunk's reads. Semantics otherwise match BulkInvalidate.
-	InvalidateLine(l sig.Line, committer int, immune *msg.CTag) *msg.CTag
+	InvalidateLine(l sig.Line, immune *msg.CTag) *msg.CTag
 	// MaybeDefer lets a conservative core buffer an incoming invalidation
 	// while it awaits its commit decision (BulkSC's pre-OCI behavior,
 	// §3.3); it reports whether the message was deferred. Deferred

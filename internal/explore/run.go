@@ -13,6 +13,7 @@ import (
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/system"
+	"scalablebulk/internal/trace"
 )
 
 // controller implements mesh.Scheduler: it captures every delivery off the
@@ -123,7 +124,8 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	cfg.Seed = spec.Seed
 	cfg.MaxCycles = spec.MaxCycles
 	cfg.Check = true
-	cfg.FlightRecorder = 96
+	ring := trace.NewRing(96)
+	cfg.TraceSink = trace.NewFilter(ring)
 
 	m, err := system.Build(spec.Profile, cfg)
 	if err != nil {
@@ -140,9 +142,7 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 			}
 			if m != nil {
 				out.dump = m.Dump()
-				if m.Flight != nil {
-					out.flight = m.Flight.Dump()
-				}
+				out.flight = ring.Dump()
 			}
 			err = nil
 		}
@@ -155,9 +155,7 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	fail := func(kind, format string, args ...any) {
 		out.violation = &Violation{Kind: kind, Step: len(out.choices), Msg: fmt.Sprintf(format, args...)}
 		out.dump = m.Dump()
-		if m.Flight != nil {
-			out.flight = m.Flight.Dump()
-		}
+		out.flight = ring.Dump()
 	}
 
 	// pathSeen detects state recurrence in the run's default-continuation
@@ -262,9 +260,7 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	// flight recorder's tail: if the run later turns out to diverge from the
 	// reference multiset (checked post-run, when m is gone), the message
 	// history is the diagnostic.
-	if m.Flight != nil {
-		out.flight = m.Flight.Dump()
-	}
+	out.flight = ring.Dump()
 	return out, nil
 }
 

@@ -650,7 +650,7 @@ func (p *Proc) squashInFlight(trueConflict bool) *msg.RecallInfo {
 // local chunks. A committing chunk named by immune is past its
 // serialization point and survives (its copies still die, its younger
 // siblings still squash).
-func (p *Proc) BulkInvalidate(w *sig.Sig, lines []sig.Line, committer int, immune *msg.CTag) *msg.CTag {
+func (p *Proc) BulkInvalidate(w *sig.Sig, lines []sig.Line, immune *msg.CTag) *msg.CTag {
 	r := p.bulkInvalidate(w, lines, immune)
 	if r == nil {
 		return nil
@@ -684,7 +684,7 @@ func (p *Proc) bulkInvalidate(w *sig.Sig, lines []sig.Line, immune *msg.CTag) *m
 // by immune is past its serialization point and survives: the invalidating
 // writer serializes after it, so the conflict is not a violation of the
 // immune chunk's atomicity (its cached copy still dies, above).
-func (p *Proc) InvalidateLine(l sig.Line, committer int, immune *msg.CTag) *msg.CTag {
+func (p *Proc) InvalidateLine(l sig.Line, immune *msg.CTag) *msg.CTag {
 	p.hier.Invalidate(l)
 	one := []sig.Line{l}
 	if p.committing != nil && p.committing.TrulyConflictsWith(one) &&

@@ -209,16 +209,16 @@ func TestInvalidateLineExactness(t *testing.T) {
 	settle(eng, 50_000)
 	ck := fp.requests[0]
 	// A line NOT in the chunk: no squash (per-line disambiguation is exact).
-	if got := p.InvalidateLine(999999, 2, nil); got != nil {
+	if got := p.InvalidateLine(999999, nil); got != nil {
 		t.Fatal("phantom per-line conflict")
 	}
 	// The chunk is immune (past its serialization point): cached copy dies,
 	// but no squash.
 	tag := ck.Tag
-	if got := p.InvalidateLine(ck.WriteLines[0], 2, &tag); got != nil {
+	if got := p.InvalidateLine(ck.WriteLines[0], &tag); got != nil {
 		t.Fatal("immune committing chunk was squashed")
 	}
-	if got := p.InvalidateLine(ck.WriteLines[0], 2, nil); got == nil {
+	if got := p.InvalidateLine(ck.WriteLines[0], nil); got == nil {
 		t.Fatal("true per-line conflict missed")
 	}
 }

@@ -196,7 +196,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			t := j.ck.Tag
 			immune = &t
 		}
-		squashed := p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, m.Tag.Proc, immune)
+		squashed := p.env.Cores[node].BulkInvalidate(m.W(), m.WriteLines, immune)
 		p.env.Net.Send(msg.Msg{Kind: msg.SeqInvalAck, Src: node, Dst: m.Src, Tag: m.Tag})
 		if squashed != nil {
 			// The squashed chunk's occupation chain must unwind so other

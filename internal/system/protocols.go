@@ -52,7 +52,7 @@ var Descriptors = []Descriptor{
 		Doc:            "the paper's protocol: distributed group formation, overlapped commits, OCI (§3)",
 		Evaluated:      true,
 		DefaultOptions: func() any { return core.DefaultConfig() },
-		New:            engine(ProtoScalableBulk, coreWithOCI(true)),
+		New:            engine(ProtoScalableBulk, core.New),
 		Tuning:         protocol.Tuning{OCIRecall: true},
 	},
 	{
@@ -80,10 +80,10 @@ var Descriptors = []Descriptor{
 	{
 		Name: ProtoNoOCI,
 		Doc:  "ScalableBulk ablation: Optimistic Commit Initiation off, conservative invalidation (Figure 4(c))",
-		// The default block keeps OCI:true; the constructor forces it off.
-		// Journal config hashes cover the default block as written.
+		// OCI is off through Tuning; the option block, OCI:true included,
+		// is ScalableBulk's, and journal config hashes cover it as written.
 		DefaultOptions: func() any { return core.DefaultConfig() },
-		New:            engine(ProtoNoOCI, coreWithOCI(false)),
+		New:            engine(ProtoNoOCI, core.New),
 		Tuning:         protocol.Tuning{ConservativeInv: true},
 	},
 }
@@ -128,14 +128,5 @@ func engine[C any, E protocol.Engine](name string, build func(*dir.Env, C) E) fu
 			return nil, fmt.Errorf("%s: options must be %T, got %T", name, cfg, opts)
 		}
 		return build(env, cfg), nil
-	}
-}
-
-// coreWithOCI builds the ScalableBulk engine with OCI forced to oci; the rest
-// of the option block (MAX threshold, rotation, deadline) is the caller's.
-func coreWithOCI(oci bool) func(*dir.Env, core.Config) *core.Protocol {
-	return func(env *dir.Env, cfg core.Config) *core.Protocol {
-		cfg.OCI = oci
-		return core.New(env, cfg)
 	}
 }

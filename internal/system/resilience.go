@@ -55,9 +55,6 @@ type RunPanic struct {
 	Dump     string // truncated machine dump (MaxDumpLines)
 	Stack    string // Go stack at the panic
 	Value    any    // the original panic value
-	// Flight is the flight recorder's tail (rendered text lines, oldest
-	// first) when Config.FlightRecorder was enabled.
-	Flight []string
 }
 
 func (p *RunPanic) String() string {

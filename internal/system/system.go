@@ -82,18 +82,13 @@ type Config struct {
 	Check bool
 
 	// TraceSink, when non-nil, receives every structured lifecycle, NoC and
-	// fault event of the run (package trace). The sink is closed by the
-	// caller, not by Run: a caller may reuse one sink across runs.
-	// Tracing observes the run without perturbing it — fingerprints are
-	// bit-identical with and without a sink.
+	// fault event of the run (package trace), read-path messages included;
+	// wrap it in a trace.Filter to drop those. A flight recorder is a
+	// trace.Ring passed here. The sink is closed by the caller, not by Run:
+	// a caller may reuse one sink across runs. Tracing observes the run
+	// without perturbing it — fingerprints are bit-identical with and
+	// without a sink.
 	TraceSink trace.Sink
-	// FlightRecorder, when > 0, keeps the last N trace events in a ring
-	// buffer whose rendered tail is attached to DeadlockError aborts, RunPanic
-	// reports and crash bundles. It works with or without a TraceSink.
-	FlightRecorder int
-	// TraceReads includes read-path NoC messages in the trace —
-	// by far the most numerous events; off by default.
-	TraceReads bool
 }
 
 // DefaultConfig returns the Table 2 machine.
@@ -133,10 +128,6 @@ type DeadlockError struct {
 	// so re-running it with a larger MaxCycles replays the same prefix and
 	// carries on — there is nothing to retry.
 	BudgetExhausted bool
-	// Flight is the flight recorder's tail (rendered text lines, oldest
-	// first) when Config.FlightRecorder was enabled: the last trace events
-	// before the machine stopped.
-	Flight []string
 }
 
 func (e *DeadlockError) Error() string {
@@ -144,10 +135,6 @@ func (e *DeadlockError) Error() string {
 		e.App, e.Protocol, e.Cores, e.Cycle, e.Reason)
 	if e.Dump != "" {
 		s += "\n" + e.Dump
-	}
-	if len(e.Flight) > 0 {
-		s += fmt.Sprintf("\nflight recorder (last %d events):\n%s",
-			len(e.Flight), strings.Join(e.Flight, "\n"))
 	}
 	return s
 }
@@ -275,8 +262,6 @@ type Machine struct {
 	Proto protocol.Engine
 	// Check is the online invariant checker, nil unless Config.Check.
 	Check *check.Checker
-	// Flight is the flight-recorder ring, nil unless Config.FlightRecorder.
-	Flight *trace.Ring
 	// Inj is the fault injector, nil unless Config.Faults enabled.
 	Inj *fault.Injector
 
@@ -336,18 +321,7 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 	}
 	m.Env = env
 
-	// Assemble the tracer: the caller's sink, the flight recorder, or both.
-	sink := cfg.TraceSink
-	if cfg.FlightRecorder > 0 {
-		m.Flight = trace.NewRing(cfg.FlightRecorder)
-		if sink != nil {
-			sink = trace.Multi{sink, m.Flight}
-		} else {
-			sink = m.Flight
-		}
-	}
-	if tr := trace.New(eng, sink); tr != nil {
-		tr.Reads = cfg.TraceReads
+	if tr := trace.New(eng, cfg.TraceSink); tr != nil {
 		env.Trace = tr
 		env.Coll.Trace = tr
 		net.Trace = tr
@@ -482,15 +456,11 @@ func (m *Machine) Dump() string { return dumpMachine(m.Procs, m.Proto) }
 // Deadlock builds the structured no-progress abort for the machine's current
 // state.
 func (m *Machine) Deadlock(reason string, budget bool) error {
-	de := &DeadlockError{
+	return &DeadlockError{
 		App: m.prof.Name, Protocol: m.cfg.Protocol, Cores: m.cfg.Cores,
 		Cycle: m.Now(), Reason: reason, Dump: m.Dump(),
 		BudgetExhausted: budget,
 	}
-	if m.Flight != nil {
-		de.Flight = m.Flight.Dump()
-	}
-	return de
 }
 
 // Abort builds the structured cancellation/deadline abort.
@@ -511,9 +481,6 @@ func (m *Machine) runPanic(v any, stack string) *RunPanic {
 	if len(m.Procs) > 0 && m.Proto != nil {
 		rp.Dump = m.Dump()
 	}
-	if m.Flight != nil {
-		rp.Flight = m.Flight.Dump()
-	}
 	return rp
 }
 
@@ -521,7 +488,7 @@ func (m *Machine) runPanic(v any, stack string) *RunPanic {
 // the checker enabled it drains protocol stragglers (late acks, watchdog
 // no-ops) to a quiescent state and runs the end-of-run invariant checks,
 // then builds the Result. A checker violation returns the Result alongside a
-// *check.ViolationError carrying the machine dump and flight-recorder tail.
+// *check.ViolationError carrying the machine dump.
 func (m *Machine) Finish() (*Result, error) {
 	cfg, chk := m.cfg, m.Check
 	if chk != nil {
@@ -557,9 +524,6 @@ func (m *Machine) Finish() (*Result, error) {
 			var ve *check.ViolationError
 			if errors.As(err, &ve) {
 				ve.Dump = m.Dump()
-				if m.Flight != nil {
-					ve.Flight = m.Flight.Dump()
-				}
 			}
 			return res, err
 		}
@@ -618,11 +582,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}
 	return m.Finish()
 }
-
-// TotalWork is the whole-problem chunk count for a sweep: cores ×
-// chunks-per-core is held constant across machine sizes so speedups are
-// measured on the same work.
-func TotalWork(cfg Config) int { return cfg.Cores * cfg.ChunksPerCore }
 
 // RunScaled runs prof on `cores` processors with the whole-problem work
 // `totalChunks` divided evenly (the paper's strong-scaling setup: the same

@@ -2,7 +2,6 @@ package system
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"scalablebulk/internal/event"
@@ -29,7 +28,6 @@ func TestTraceDeterministic(t *testing.T) {
 				cfg := quickCfg(8, protocol)
 				cfg.ChunksPerCore = 4
 				cfg.TraceSink = trace.NewJSONL(&buf)
-				cfg.TraceReads = true
 				mustRun(t, prof, cfg)
 				return buf.Bytes()
 			}
@@ -45,16 +43,14 @@ func TestTraceDeterministic(t *testing.T) {
 }
 
 // TestTraceDoesNotPerturbResults holds the observability layer to its
-// zero-interference contract: attaching a sink must not change a single
-// deterministic measurement.
+// zero-interference contract: attaching a raw sink, which sees every event
+// including read traffic, must not change a single deterministic measurement.
 func TestTraceDoesNotPerturbResults(t *testing.T) {
 	prof, _ := workload.ByName("FFT")
 	for _, protocol := range Protocols {
 		plain := mustRun(t, prof, quickCfg(8, protocol))
 		cfg := quickCfg(8, protocol)
 		cfg.TraceSink = &collectSink{}
-		cfg.TraceReads = true
-		cfg.FlightRecorder = 64
 		traced := mustRun(t, prof, cfg)
 		if plain.Cycles != traced.Cycles ||
 			plain.Traffic.Messages != traced.Traffic.Messages ||
@@ -176,41 +172,6 @@ func TestTraceSpanBalance(t *testing.T) {
 					commitOK, res.ChunksCommitted)
 			}
 		})
-	}
-}
-
-// TestFlightRecorderOnDeadlock forces a MaxCycles abort and checks the
-// flight recorder tail rides along on the DeadlockError.
-func TestFlightRecorderOnDeadlock(t *testing.T) {
-	prof, _ := workload.ByName("Barnes")
-	cfg := quickCfg(8, ProtoScalableBulk)
-	cfg.MaxCycles = event.Time(2000)
-	cfg.FlightRecorder = 16
-	_, err := Run(prof, cfg)
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("got %v, want *DeadlockError", err)
-	}
-	if len(de.Flight) == 0 || len(de.Flight) > 16 {
-		t.Fatalf("flight recorder tail has %d lines, want 1..16", len(de.Flight))
-	}
-	if s := de.Error(); !bytes.Contains([]byte(s), []byte("flight recorder")) {
-		t.Fatalf("DeadlockError text lacks the flight recorder tail:\n%s", s)
-	}
-}
-
-// TestFlightRecorderComposesWithSink checks Multi fan-out: an explicit sink
-// still sees the full stream when the flight recorder is also on.
-func TestFlightRecorderComposesWithSink(t *testing.T) {
-	prof, _ := workload.ByName("FFT")
-	sink := &collectSink{}
-	cfg := quickCfg(4, ProtoScalableBulk)
-	cfg.ChunksPerCore = 2
-	cfg.TraceSink = sink
-	cfg.FlightRecorder = 8
-	mustRun(t, prof, cfg)
-	if len(sink.evs) == 0 {
-		t.Fatal("explicit sink saw no events with the flight recorder enabled")
 	}
 }
 

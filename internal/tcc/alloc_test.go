@@ -28,12 +28,12 @@ func (c *fakeCore) CommitFinished(tag msg.CTag) {
 	c.env.Coll.CommitEnded(c.id, tag.Seq, c.ck.Retries, c.env.Eng.Now(), true)
 }
 func (c *fakeCore) CommitRefused(msg.CTag) { panic("tcc test: commit refused") }
-func (c *fakeCore) BulkInvalidate(*sig.Sig, []sig.Line, int, *msg.CTag) *msg.CTag {
+func (c *fakeCore) BulkInvalidate(*sig.Sig, []sig.Line, *msg.CTag) *msg.CTag {
 	panic("tcc test: bulk invalidation")
 }
-func (c *fakeCore) InvalidateLine(sig.Line, int, *msg.CTag) *msg.CTag { return nil }
-func (c *fakeCore) MaybeDefer(*msg.Msg) bool                          { return false }
-func (c *fakeCore) ResumeInvalidations()                              {}
+func (c *fakeCore) InvalidateLine(sig.Line, *msg.CTag) *msg.CTag { return nil }
+func (c *fakeCore) MaybeDefer(*msg.Msg) bool                     { return false }
+func (c *fakeCore) ResumeInvalidations()                         {}
 
 // TestWarmCommitAllocs commits one chunk from P0 over and over on a 2×2
 // machine: it writes a line homed at module 1 that P3 shares and a line

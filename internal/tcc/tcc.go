@@ -427,7 +427,7 @@ func (p *Protocol) HandleProc(node int, m *msg.Msg) {
 			t := j.ck.Tag
 			immune = &t
 		}
-		squashed := p.env.Cores[node].InvalidateLine(m.Line, m.Tag.Proc, immune)
+		squashed := p.env.Cores[node].InvalidateLine(m.Line, immune)
 		p.env.Net.Send(msg.Msg{Kind: msg.TCCInvalAck, Src: node, Dst: m.Src, Tag: m.Tag, TID: m.TID, Line: m.Line})
 		if squashed != nil {
 			p.Abort(node, *squashed)

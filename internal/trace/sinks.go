@@ -48,9 +48,9 @@ func (s *JSONLSink) Event(e Event) {
 func (s *JSONLSink) Close() error { return nil }
 
 // Ring is the flight recorder: a fixed-size circular buffer that keeps the
-// last N events. Its Dump is attached to DeadlockError machine dumps and to
-// crash bundles, so a failed run carries the moments leading up to the
-// failure without paying for a full trace.
+// last N events. Pass it (usually behind a Filter) as a run's sink and read
+// its Dump after a failure: the moments leading up to it, without paying for
+// a full trace.
 type Ring struct {
 	buf  []Event
 	next int
@@ -110,10 +110,14 @@ func (r *Ring) Dump() []string {
 	return out
 }
 
-// Filter passes through only matching events. Zero-value fields match
-// everything: Core < 0 or unset via NewFilter, nil Kinds, nil Chunk.
+// Filter passes through only matching events. It drops read-path message
+// events unless Reads is set; its other zero-value fields match everything:
+// Core < 0 or unset via NewFilter, nil Kinds, nil Chunk.
 type Filter struct {
 	Next Sink
+	// Reads keeps read-path NoC traffic (msg.Kind.ReadPath()), by far the
+	// most numerous messages in a run.
+	Reads bool
 	// Core keeps events touching this tile (Node, message endpoint, or the
 	// subject chunk's owner); -1 keeps all.
 	Core int
@@ -123,11 +127,14 @@ type Filter struct {
 	Chunk *msg.CTag
 }
 
-// NewFilter wraps next with a match-everything filter.
+// NewFilter wraps next with a filter that drops only read-path messages.
 func NewFilter(next Sink) *Filter { return &Filter{Next: next, Core: -1} }
 
 // Event implements Sink.
 func (f *Filter) Event(e Event) {
+	if !f.Reads && e.MsgKind.ReadPath() {
+		return
+	}
 	if f.Core >= 0 && e.Node != f.Core && e.Tag.Proc != f.Core {
 		switch e.Kind {
 		case KSend, KDeliver, KFaultDelay, KFaultDup, KFaultRetransmit, KFaultHot:
@@ -149,24 +156,3 @@ func (f *Filter) Event(e Event) {
 
 // Close implements Sink.
 func (f *Filter) Close() error { return f.Next.Close() }
-
-// Multi fans every event out to all sinks.
-type Multi []Sink
-
-// Event implements Sink.
-func (m Multi) Event(e Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
-}
-
-// Close implements Sink, closing every sink and returning the first error.
-func (m Multi) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -10,11 +10,12 @@
 // Event struct is all-scalar (no strings, no fmt) and handed to the Sink by
 // value.
 //
+// A tracer hands its sink every event, read-path NoC traffic included.
 // Sinks (sinks.go, perfetto.go): a text formatter compatible with the old
 // printf trace, a deterministic JSONL writer, a Chrome trace-event/Perfetto
-// JSON exporter, a fixed-size ring-buffer flight recorder whose tail is
-// attached to deadlock dumps and crash bundles, plus filter and fan-out
-// combinators.
+// JSON exporter, a fixed-size ring-buffer flight recorder, and a filter
+// combinator that also drops read-path messages, by far the most numerous
+// events, unless asked to keep them.
 package trace
 
 import (
@@ -248,9 +249,6 @@ type Sink interface {
 type Tracer struct {
 	eng  *event.Engine
 	sink Sink
-	// Reads gates read-path NoC traffic (msg.Kind.ReadPath()), by far the
-	// most numerous messages in a run; off unless explicitly requested.
-	Reads bool
 }
 
 // New builds a tracer over the engine clock. A nil sink yields a nil (i.e.
@@ -292,7 +290,7 @@ func (t *Tracer) Instant(k Kind, node int, dir bool, tag msg.CTag, try int) {
 
 // MsgSend records a message injection (on the source tile's track).
 func (t *Tracer) MsgSend(m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
+	if t == nil {
 		return
 	}
 	t.sink.Event(Event{
@@ -305,7 +303,7 @@ func (t *Tracer) MsgSend(m *msg.Msg) {
 // its actual delivery time — after contention retiming and fault rewrites —
 // so printed cycle numbers match arrival order.
 func (t *Tracer) MsgDeliver(m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
+	if t == nil {
 		return
 	}
 	t.sink.Event(Event{
@@ -316,7 +314,7 @@ func (t *Tracer) MsgDeliver(m *msg.Msg) {
 
 // Fault records a fault-injection action on message m.
 func (t *Tracer) Fault(k Kind, m *msg.Msg) {
-	if t == nil || (!t.Reads && m.Kind.ReadPath()) {
+	if t == nil {
 		return
 	}
 	t.sink.Event(Event{

@@ -55,9 +55,15 @@ func TestNewNilSinkIsDisabled(t *testing.T) {
 	}
 }
 
+// pair fans every event out to two sinks.
+type pair [2]Sink
+
+func (p pair) Event(e Event) { p[0].Event(e); p[1].Event(e) }
+func (p pair) Close() error  { return nil }
+
 func TestTextAndJSONFormats(t *testing.T) {
 	var text, jsonl bytes.Buffer
-	tr := testTracer(Multi{NewText(&text), NewJSONL(&jsonl)})
+	tr := testTracer(pair{NewText(&text), NewJSONL(&jsonl)})
 	tag := msg.CTag{Proc: 3, Seq: 7}
 	other := msg.CTag{Proc: 4, Seq: 2}
 	tr.Span(KCommit, PhaseBegin, 3, false, tag, 1)
@@ -96,14 +102,15 @@ func TestTextAndJSONFormats(t *testing.T) {
 
 func TestReadsGate(t *testing.T) {
 	var buf bytes.Buffer
-	tr := testTracer(NewText(&buf))
+	f := NewFilter(NewText(&buf))
+	tr := testTracer(f)
 	read := &msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1}
 	tr.MsgSend(read)
 	tr.MsgDeliver(read)
 	if buf.Len() != 0 {
 		t.Fatalf("read-path traffic leaked through with Reads off:\n%s", buf.String())
 	}
-	tr.Reads = true
+	f.Reads = true
 	tr.MsgSend(read)
 	tr.MsgDeliver(read)
 	if got := strings.Count(buf.String(), "\n"); got != 2 {

@@ -93,22 +93,3 @@ func TestSweepCanceledAfterLastPointCompletes(t *testing.T) {
 			out.Aborted, out.Completed, out.Err())
 	}
 }
-
-// TestCrashBundleCarriesFlightRecorder checks the flight recorder tail
-// travels from a panic inside a traced run, through the *RunPanic, into the
-// point's crash report.
-func TestCrashBundleCarriesFlightRecorder(t *testing.T) {
-	s := NewSession(1, 1, nil)
-	s.testPointHook = func(_ Point, cfg *Config) {
-		cfg.FlightRecorder = 32
-		cfg.TraceSink = panicSink("injected for flight-recorder test")
-	}
-	_, err := s.Result("FFT", ProtoScalableBulk, 4)
-	ce, ok := err.(*CrashError)
-	if !ok {
-		t.Fatalf("got %v, want *CrashError", err)
-	}
-	if n := len(ce.Report.FlightRecorder); n == 0 || n > 32 {
-		t.Fatalf("crash report flight recorder tail has %d lines, want 1..32", n)
-	}
-}

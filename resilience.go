@@ -29,10 +29,9 @@ import (
 // journal keys entries by its hash, so a journal is only reused against the
 // exact machine, workload sizing, seed and fault schedule that produced it.
 // MaxCycles and RunTimeout are deliberately excluded: they are budgets, and
-// the measurements of a run that completed do not depend on them. The trace
-// fields (TraceSink, FlightRecorder, TraceReads) are excluded too: tracing
-// observes a run without perturbing its results, so a traced run may reuse an
-// untraced run's journal entry and vice versa.
+// the measurements of a run that completed do not depend on them. TraceSink is
+// excluded too: tracing observes a run without perturbing its results, so a
+// traced run may reuse an untraced run's journal entry and vice versa.
 func configSignature(cfg Config) string {
 	faults := "off"
 	if cfg.Faults.Enabled() {
@@ -97,9 +96,6 @@ type CrashReport struct {
 	Panic       string     `json:"panic"`
 	MachineDump string     `json:"machine_dump,omitempty"` // truncated (system.MaxDumpLines)
 	Stack       string     `json:"stack"`
-	// FlightRecorder is the trace ring's tail (oldest first) when the run had
-	// Config.FlightRecorder enabled: the last events before the crash.
-	FlightRecorder []string `json:"flight_recorder,omitempty"`
 }
 
 // NewCrashReport builds the crash bundle for a panic value recovered while
@@ -125,7 +121,6 @@ func NewCrashReport(p Point, cfg Config, recovered any) *CrashReport {
 		cr.MachineDump = rp.Dump
 		cr.Stack = rp.Stack
 		cr.Panic = fmt.Sprint(rp.Value)
-		cr.FlightRecorder = rp.Flight
 	}
 	return cr
 }

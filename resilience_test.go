@@ -441,7 +441,8 @@ func TestJournalLockContended(t *testing.T) {
 // so an edit to Config, configSignature or a protocol's default option block
 // that changes either silently orphans every existing journal entry. Update
 // the pins only with a deliberate signature version bump. The NoOCI block
-// reads OCI:true because its constructor, not its defaults, turns OCI off.
+// reads OCI:true because its processor Tuning, not its option block, turns
+// OCI off.
 func TestConfigHashPinned(t *testing.T) {
 	const sig = "v3 cores=8 proto=%s wl=synthetic chunks=4 warmup=64 seed=11 link=7 mem=300 dir=2 cont=true l1=32768/4 l2=524288/8 opts=%s faults=off fseed=0 check=false"
 	for _, tc := range []struct{ proto, opts, hash string }{
