@@ -26,6 +26,7 @@ import (
 	"scalablebulk/internal/check"
 	"scalablebulk/internal/stats"
 	"scalablebulk/internal/system"
+	"scalablebulk/internal/tracefmt"
 	"scalablebulk/internal/workload"
 )
 
@@ -60,7 +61,9 @@ type ProtocolInfo struct {
 }
 
 // RegisteredProtocols enumerates every runnable protocol, the paper's four
-// in Table 3 order first, variants after. The CLIs' -protocols flags print it.
+// in Table 3 order first, variants after: the rows of the protocol table,
+// which the CLIs' -protocols listings also read. The conformance,
+// determinism and replay suites iterate it.
 func RegisteredProtocols() []ProtocolInfo {
 	var out []ProtocolInfo
 	for _, d := range system.Descriptors {
@@ -137,11 +140,6 @@ func RunContext(ctx context.Context, prof Profile, cfg Config) (*Result, error) 
 	return system.RunContext(ctx, prof, cfg)
 }
 
-// RunScaledContext is RunScaled with cancellation.
-func RunScaledContext(ctx context.Context, prof Profile, cfg Config, totalChunks int) (*Result, error) {
-	return system.RunScaledContext(ctx, prof, cfg, totalChunks)
-}
-
 // Splash2 returns the 11 SPLASH-2 application models.
 func Splash2() []Profile { return workload.Splash2() }
 
@@ -167,8 +165,9 @@ type WorkloadInfo struct {
 }
 
 // RegisteredWorkloads enumerates every named workload source in table
-// order, the synthetic default first. The CLIs' -workloads listing and the
-// conformance/differential suites iterate it.
+// order, the synthetic default first: the rows of the workload table, which
+// the CLIs' -workloads listings also read. The conformance, determinism and
+// differential suites iterate it.
 func RegisteredWorkloads() []WorkloadInfo {
 	var out []WorkloadInfo
 	for _, d := range workload.Descriptors {
@@ -183,6 +182,18 @@ func RegisteredWorkloads() []WorkloadInfo {
 func IsWorkload(spec string) bool {
 	_, err := workload.Resolve(spec)
 	return err == nil
+}
+
+// AdoptReplay sets cfg up to replay tr: the recording's core count, seed,
+// and measured and warm-up chunks per core, with tr as the workload. It
+// returns the label Profile the recording ran under. With this shape a
+// replay reproduces the recording bit for bit under its protocol.
+func AdoptReplay(cfg *Config, tr *tracefmt.Trace) Profile {
+	h := tr.Header
+	cfg.Cores, cfg.Seed = h.Threads, h.Seed
+	cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
+	cfg.WorkloadFactory = workload.Replay(tr)
+	return Profile{Name: h.App, Suite: "TRACE"}
 }
 
 // WorkloadProfile returns the label Profile a named non-synthetic workload

@@ -2,9 +2,13 @@ package scalablebulk
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"strings"
 	"testing"
+
+	"scalablebulk/internal/dir"
+	"scalablebulk/internal/mesh"
 )
 
 // TestDefaultConfigMatchesTable2 pins the paper's Table 2 parameters.
@@ -13,11 +17,14 @@ func TestDefaultConfigMatchesTable2(t *testing.T) {
 	if cfg.Cores != 64 {
 		t.Error("cores")
 	}
-	if cfg.LinkLatency != 7 {
+	if mesh.LinkLatency != 7 {
 		t.Error("interconnect link latency must be 7 cycles")
 	}
-	if cfg.MemLatency != 300 {
+	if dir.MemLatency != 300 {
 		t.Error("memory roundtrip must be 300 cycles")
+	}
+	if dir.LookupLatency != 2 {
+		t.Error("directory lookup must be 2 cycles")
 	}
 	if cfg.L1.SizeBytes != 32<<10 || cfg.L1.Assoc != 4 {
 		t.Error("L1 must be 32KB/4-way")
@@ -150,7 +157,7 @@ func TestSweepRestoredPointsMatchRun(t *testing.T) {
 	}
 	const seed = 1
 	s := NewSession(detChunks, seed, nil)
-	if err := s.Sweep(4); err != nil {
+	if err := s.SweepContext(context.Background(), s.SweepPoints(), 4).Err(); err != nil {
 		t.Fatal(err)
 	}
 	// 18 applications × 2 machine sizes, three restores per unit of four.

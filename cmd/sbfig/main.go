@@ -59,13 +59,14 @@ func run() int {
 	s := scalablebulk.NewSession(*chunks, *seed, os.Stdout)
 	s.Workload = *wl
 	if *journal != "" && *server == "" {
-		n, err := s.AttachJournal(*journal)
+		j, err := scalablebulk.OpenJournal(*journal)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return cliutil.ExitError
 		}
-		defer s.Journal().Close()
-		fmt.Fprintf(os.Stderr, "journal %s: %d checkpointed point(s)\n", *journal, n)
+		defer j.Close()
+		s.UseJournal(j)
+		fmt.Fprintf(os.Stderr, "journal %s: %d checkpointed point(s)\n", *journal, j.Len())
 	}
 	if *fig == 0 || *server != "" {
 		// Regenerating everything: run the simulations in parallel first —

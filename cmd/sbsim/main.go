@@ -124,10 +124,7 @@ func run() int {
 			return 1
 		}
 		h := tr.Header
-		prof = scalablebulk.Profile{Name: h.App, Suite: "TRACE"}
-		cfg.Cores, cfg.Seed = h.Threads, h.Seed
-		cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
-		cfg.WorkloadFactory = workload.Replay(tr)
+		prof = scalablebulk.AdoptReplay(&cfg, tr)
 		fmt.Fprintf(os.Stderr, "sbsim: replaying %s: %s/%s, %d cores, %d chunks/core (recorded under %s)\n",
 			path, h.App, h.Source, h.Threads, h.ChunksPerCore, h.Protocol)
 	} else if err != nil {

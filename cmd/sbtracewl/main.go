@@ -21,7 +21,6 @@ import (
 
 	"scalablebulk"
 	"scalablebulk/internal/tracefmt"
-	"scalablebulk/internal/workload"
 )
 
 func main() {
@@ -114,10 +113,7 @@ func verify(args []string) int {
 		return 1
 	}
 	cfg := scalablebulk.DefaultConfig(h.Threads, h.Protocol)
-	cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
-	cfg.Seed = h.Seed
-	cfg.WorkloadFactory = workload.Replay(tr)
-	prof := scalablebulk.Profile{Name: h.App, Suite: "TRACE"}
+	prof := scalablebulk.AdoptReplay(&cfg, tr)
 	res, err := scalablebulk.Run(prof, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sbtracewl:", err)

@@ -8,6 +8,7 @@ package scalablebulk
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestDeterminismEveryProtocolWorkload(t *testing.T) {
 		}
 	}
 	swept := NewSession(detChunks, seed, nil)
-	if err := swept.SweepList(pts, 4); err != nil {
+	if err := swept.SweepContext(context.Background(), pts, 4).Err(); err != nil {
 		t.Fatal(err)
 	}
 	for _, pt := range pts {
@@ -96,7 +97,7 @@ func TestDeterminismEveryProtocol(t *testing.T) {
 			pts = append(pts, Point{app, protocol, cores})
 		}
 	}
-	if err := par.SweepList(pts, 4); err != nil {
+	if err := par.SweepContext(context.Background(), pts, 4).Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,9 +124,8 @@ func TestDeterminismEveryProtocol(t *testing.T) {
 // session and from a session populated by a parallel sweep, and requires
 // byte-identical output.
 func TestDeterminismFigureOutput(t *testing.T) {
-	render := func(s *Session) string {
-		var buf bytes.Buffer
-		s.SetOut(&buf)
+	// render draws Figures 9 and 11 from s, whose output is buf.
+	render := func(s *Session, buf *bytes.Buffer) string {
 		if err := s.Figure(9); err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +143,15 @@ func TestDeterminismFigureOutput(t *testing.T) {
 		}
 	}
 
-	serial := NewSession(detChunks, 3, nil)
-	serialOut := render(serial) // Result() calls run points one at a time
+	var serialBuf, sweptBuf bytes.Buffer
+	serial := NewSession(detChunks, 3, &serialBuf)
+	serialOut := render(serial, &serialBuf) // Result() calls run points one at a time
 
-	swept := NewSession(detChunks, 3, nil)
-	if err := swept.SweepList(pts, 4); err != nil {
+	swept := NewSession(detChunks, 3, &sweptBuf)
+	if err := swept.SweepContext(context.Background(), pts, 4).Err(); err != nil {
 		t.Fatal(err)
 	}
-	sweptOut := render(swept) // all points come from the sweep-filled cache
+	sweptOut := render(swept, &sweptBuf) // all points come from the sweep-filled cache
 
 	if serialOut != sweptOut {
 		t.Errorf("figure output differs between serial and swept sessions:\n--- serial\n%s--- swept\n%s",
@@ -171,7 +172,7 @@ func TestSweepSingleFlight(t *testing.T) {
 	for i := range pts {
 		pts[i] = Point{"FFT", ProtoScalableBulk, 16} // same point 32 times
 	}
-	if err := s.SweepList(pts, 8); err != nil {
+	if err := s.SweepContext(context.Background(), pts, 8).Err(); err != nil {
 		t.Fatal(err)
 	}
 	r1, err := s.Result("FFT", ProtoScalableBulk, 16)

@@ -36,7 +36,7 @@ func withDeadline(t *testing.T, proto string, d event.Time) any {
 	if !ok {
 		t.Fatalf("unknown protocol %q", proto)
 	}
-	switch o := desc.DefaultOptions().(type) {
+	switch o := desc.DefaultOptions.(type) {
 	case core.Config:
 		o.CommitDeadline = d
 		return o

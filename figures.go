@@ -23,8 +23,8 @@ import (
 // scaling: ChunksPerCore at 64 processors, and smaller machines get
 // proportionally more chunks per core over the same total work, exactly
 // like running the paper's reference inputs on fewer threads. Set the
-// spec's fields before the first Result/Sweep call: the checkpoint journal
-// keys entries by the point's ConfigHash.
+// spec's fields before the first Result/SweepContext call: the checkpoint
+// journal keys entries by the point's ConfigHash.
 //
 // A Session is safe for concurrent use: the cache is a single-flight map, so
 // any number of goroutines can ask for any mix of points and each simulation
@@ -100,43 +100,18 @@ func NewSession(chunksPerCore int, seed int64, out io.Writer) *Session {
 		out: out, cache: map[Point]*cacheEntry{}}
 }
 
-// SetOut redirects the generated rows to w (nil selects io.Discard). It may
-// be called between figure renders from any goroutine.
-func (s *Session) SetOut(w io.Writer) {
-	if w == nil {
-		w = io.Discard
-	}
-	s.mu.Lock()
-	s.out = w
-	s.mu.Unlock()
-}
-
 func (s *Session) printf(format string, args ...any) {
-	s.mu.Lock()
-	w := s.out
-	s.mu.Unlock()
-	fmt.Fprintf(w, format, args...)
+	fmt.Fprintf(s.out, format, args...)
 }
 
 // UseJournal attaches an open checkpoint journal: completed points are
 // recorded to it and verified-complete entries are restored instead of
 // re-run. A journal may be shared by several Sessions (entries are keyed by
-// point and config hash). Attach before the first Result/Sweep call.
+// point and config hash). Attach before the first Result/SweepContext call.
 func (s *Session) UseJournal(j *Journal) {
 	s.mu.Lock()
 	s.journal = j
 	s.mu.Unlock()
-}
-
-// AttachJournal opens (or creates) the JSONL checkpoint journal at path and
-// attaches it, returning the number of entries loaded.
-func (s *Session) AttachJournal(path string) (int, error) {
-	j, err := OpenJournal(path)
-	if err != nil {
-		return 0, err
-	}
-	s.UseJournal(j)
-	return j.Len(), nil
 }
 
 // Journal returns the attached journal, if any.
@@ -250,22 +225,6 @@ func (s *Session) SweepPoints() []Point {
 	return pts
 }
 
-// Sweep populates the cache with every SweepPoints simulation, executing the
-// points on a bounded worker pool. Workers claim warm units (see warm.go) in
-// whatever order scheduling allows; results land keyed by point, so the
-// outcome is identical to running the same points serially. parallelism ≤ 0
-// selects GOMAXPROCS. The returned error, if any, is the error of the
-// earliest failing point in SweepPoints order, independent of worker
-// interleaving.
-func (s *Session) Sweep(parallelism int) error {
-	return s.SweepList(s.SweepPoints(), parallelism)
-}
-
-// SweepList is Sweep over an arbitrary point list.
-func (s *Session) SweepList(points []Point, parallelism int) error {
-	return s.SweepContext(context.Background(), points, parallelism).Err()
-}
-
 // PointFailure is one failed sweep point (its error may be a *CrashError).
 type PointFailure struct {
 	Point Point
@@ -293,9 +252,9 @@ type SweepOutcome struct {
 	Aborted bool
 }
 
-// Err reduces the outcome to the historical Sweep contract: the error of the
-// earliest failing point in input order, ErrAborted for a clean-but-aborted
-// sweep, nil otherwise.
+// Err reduces the outcome to one error: the error of the earliest failing
+// point in input order, ErrAborted for a clean-but-aborted sweep, nil
+// otherwise.
 func (o *SweepOutcome) Err() error {
 	if len(o.Failures) > 0 {
 		return o.Failures[0].Err

@@ -36,8 +36,9 @@ type Config struct {
 	RetryBackoff event.Time
 	// CommitDeadline is the stall watchdog: an attempt still awaiting its
 	// arbiter decision this many cycles after the request is abandoned and
-	// retried. Zero selects protocol.DefaultCommitDeadline;
-	// protocol.WatchdogDisabled turns it off.
+	// retried. It must be nonzero (DefaultConfig sets
+	// protocol.DefaultCommitDeadline); protocol.WatchdogDisabled turns it
+	// off.
 	CommitDeadline event.Time
 }
 
@@ -91,12 +92,6 @@ var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a BulkSC engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
-	if cfg.ServiceTime == 0 {
-		cfg.ServiceTime = 6
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 30
-	}
 	p := &Protocol{env: env, cfg: cfg, arbNode: env.Net.Center(), jobs: make(map[int]*commitJob)}
 	p.k = kernel.New(env, cfg.CommitDeadline, p)
 	p.decideFn = func() {

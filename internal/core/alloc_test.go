@@ -46,10 +46,10 @@ func (loserGen) NextChunk(p int, seq uint64) *chunk.Chunk {
 func TestFailedAttemptAllocatesOnlyMessages(t *testing.T) {
 	const nodes = 4
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
+	net := mesh.New(eng, mesh.Config{Nodes: nodes})
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	sb := New(env, DefaultConfig())
 	env.Map.Home(hotLine, 1)
@@ -58,7 +58,7 @@ func TestFailedAttemptAllocatesOnlyMessages(t *testing.T) {
 	}
 	loser := proc.New(env, sb, loserGen{}, 0, 1<<30,
 		cache.Config{SizeBytes: 4 << 10, Assoc: 4}, cache.Config{SizeBytes: 32 << 10, Assoc: 8},
-		proc.DefaultConfig())
+		proc.Config{OCIRecall: true})
 	env.Cores = []dir.Core{loser, nil, nil, nil}
 	rp := &dir.ReadPath{Env: env, Proto: sb}
 	for i := 0; i < nodes; i++ {

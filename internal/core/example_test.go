@@ -62,10 +62,10 @@ func (f *procSim) handle(m *msg.Msg) {
 // machine.
 func Example_groupFormation() {
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: 6, LinkLatency: 7})
+	net := mesh.New(eng, mesh.Config{Nodes: 6})
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(6), State: dir.NewState(6),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	// Structured protocol trace, rendered as text lines on stdout.
 	env.Trace = trace.New(eng, trace.NewText(os.Stdout))

@@ -159,8 +159,9 @@ func (mod *module) failedAt(tag msg.CTag, try int) bool {
 
 // Config tunes the protocol.
 type Config struct {
-	// OCI is read by no code: Optimistic Commit Initiation (§3.3) on or off
-	// is the protocol row's processor Tuning (system.Descriptors). The field
+	// OCI is read by no engine code: Optimistic Commit Initiation (§3.3)
+	// on or off is the protocol row's processor Tuning (system.Descriptors),
+	// and both ScalableBulk rows reject a block with OCI false. The field
 	// stays because journal config hashes render the option block with %+v,
 	// so deleting it would move the pinned ScalableBulk and NoOCI hashes.
 	OCI bool
@@ -175,8 +176,9 @@ type Config struct {
 	// this many cycles after its commit_request is failed machine-wide (a
 	// synthesized g_failure + commit_failure) so the processor retries with
 	// backoff instead of hanging to MaxCycles. Generous enough never to
-	// fire on a fault-free run; zero selects protocol.DefaultCommitDeadline
-	// and protocol.WatchdogDisabled turns the watchdog off.
+	// fire on a fault-free run. It must be nonzero (DefaultConfig sets
+	// protocol.DefaultCommitDeadline); protocol.WatchdogDisabled turns the
+	// watchdog off.
 	CommitDeadline event.Time
 }
 
@@ -231,9 +233,6 @@ var (
 
 // New builds a ScalableBulk engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
-	if cfg.MaxSquashes <= 0 {
-		cfg.MaxSquashes = 12
-	}
 	n := env.Net.Nodes()
 	p := &Protocol{env: env, cfg: cfg, watch: make([][]watched, n)}
 	p.k = kernel.New(env, cfg.CommitDeadline, p)
@@ -543,10 +542,10 @@ func (p *Protocol) onCommitRequest(mod *module, m *msg.Msg) {
 	e.leader = len(m.GVec) > 0 && m.GVec[0] == mod.id
 
 	// Expand the W signature against the local directory to find sharers.
-	// This takes DirLookup cycles but typically completes before the g
-	// message arrives, keeping it off the critical path (§3.2.1).
+	// This takes dir.LookupLatency cycles but typically completes before the
+	// g message arrives, keeping it off the critical path (§3.2.1).
 	e.expanding = true
-	p.env.Eng.AtArg(p.env.Eng.Now()+p.env.DirLookup, p.expandFn, e)
+	p.env.Eng.AtArg(p.env.Eng.Now()+dir.LookupLatency, p.expandFn, e)
 }
 
 // expand is the W-expansion event of a CST entry.

@@ -104,10 +104,10 @@ func (s rigSink) Close() error        { return nil }
 func newRig(t *testing.T, nodes int, cfg Config) *rig {
 	t.Helper()
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
+	net := mesh.New(eng, mesh.Config{Nodes: nodes})
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	r := &rig{eng: eng, net: net, env: env}
 	env.Trace = trace.New(eng, rigSink{r})

@@ -305,13 +305,16 @@ type Env struct {
 	// Trace, when non-nil, receives structured lifecycle events (package
 	// trace). Nil on performance runs — emission sites pay one nil check.
 	Trace *trace.Tracer
-
-	// DirLookup is the directory-module processing latency charged per
-	// transaction step (signature expansion, CST lookup).
-	DirLookup event.Time
-	// MemLatency is the memory round-trip latency (Table 2: 300 cycles).
-	MemLatency event.Time
 }
+
+// Table 2 latencies of a directory module.
+const (
+	// LookupLatency is the directory-module processing latency charged per
+	// transaction step (signature expansion, CST lookup).
+	LookupLatency event.Time = 2
+	// MemLatency is the memory round-trip latency.
+	MemLatency event.Time = 300
+)
 
 // ApplyCommitWrite applies one committed written line to the directory
 // state, reporting it to the Probe first. Every engine applies its commits
@@ -365,7 +368,7 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	}
 
 	li := env.State.Touch(l)
-	delay := env.DirLookup
+	delay := LookupLatency
 	switch {
 	case li.Dirty && li.Owner != requester && li.Owner >= 0:
 		// Served by the remote dirty owner (RemoteDirtyRd). The forward
@@ -383,7 +386,7 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 		// Served from memory (MemRd).
 		r.Kind = msg.ReadMemReply
 		li.Sharers.Add(requester)
-		delay += env.MemLatency
+		delay += MemLatency
 	}
 	env.Net.SendAt(env.Eng.Now()+delay, r)
 }

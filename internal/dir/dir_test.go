@@ -88,10 +88,10 @@ var _ Protocol = (*fakeProto)(nil)
 func testEnv(t *testing.T, nodes int) (*Env, *mesh.Network, *event.Engine) {
 	t.Helper()
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7})
+	net := mesh.New(eng, mesh.Config{Nodes: nodes})
 	env := &Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: NewState(nodes),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	return env, net, eng
 }

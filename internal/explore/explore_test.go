@@ -206,7 +206,7 @@ func TestReductionSoundness(t *testing.T) {
 // newTestNet builds a minimal live network for controller unit tests.
 func newTestNet() *mesh.Network {
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: 4, LinkLatency: 1})
+	net := mesh.New(eng, mesh.Config{Nodes: 4})
 	for i := 0; i < 4; i++ {
 		net.Register(i, func(m *msg.Msg) {})
 	}

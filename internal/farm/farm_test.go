@@ -304,10 +304,12 @@ func TestWorkloadSourcePointMatchesSession(t *testing.T) {
 		},
 	}
 	dir := t.TempDir()
-	sess := scalablebulk.NewSession(spec.ChunksPerCore, spec.Seed, nil)
-	if _, err := sess.AttachJournal(filepath.Join(dir, "session.jsonl")); err != nil {
+	sj, err := scalablebulk.OpenJournal(filepath.Join(dir, "session.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	sess := scalablebulk.NewSession(spec.ChunksPerCore, spec.Seed, nil)
+	sess.UseJournal(sj)
 	if out := sess.SweepContext(context.Background(), spec.Points, 1); len(out.Failures) > 0 || out.Aborted {
 		t.Fatalf("reference sweep failed: %+v", out)
 	}
@@ -319,8 +321,8 @@ func TestWorkloadSourcePointMatchesSession(t *testing.T) {
 		}
 		want[p] = scalablebulk.FingerprintSHA(res)
 	}
-	wantKeys := journalKeys(sess.Journal())
-	sess.Journal().Close()
+	wantKeys := journalKeys(sj)
+	sj.Close()
 
 	farmJournal := filepath.Join(dir, "farm.jsonl")
 	base, _, stop := startServer(t, quickOpts(), farmJournal, "")

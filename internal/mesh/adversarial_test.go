@@ -73,35 +73,6 @@ func TestInterposerDuplicatesAtNode(t *testing.T) {
 	}
 }
 
-// TestResetStatsMidRun: counters restart from zero mid-run and the post-reset
-// totals account exactly the post-reset traffic, including deliveries.
-func TestResetStatsMidRun(t *testing.T) {
-	eng, n := newNet(t, 16, true)
-	n.Register(2, func(m *msg.Msg) {})
-	for s := 0; s < 7; s++ {
-		n.Send(msg.Msg{Kind: msg.Grab, Src: 0, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
-	}
-	eng.Run()
-	if st := n.Stats(); st.Messages != 7 || st.Delivered != 7 {
-		t.Fatalf("pre-reset stats: %+v", st)
-	}
-	n.ResetStats()
-	if st := n.Stats(); st != (Stats{}) {
-		t.Fatalf("ResetStats left residue: %+v", st)
-	}
-	for s := 0; s < 3; s++ {
-		n.Send(msg.Msg{Kind: msg.CommitRequest, Src: 4, Dst: 2, Tag: msg.CTag{Seq: uint64(s)}})
-	}
-	eng.Run()
-	st := n.Stats()
-	if st.Messages != 3 || st.Delivered != 3 {
-		t.Fatalf("post-reset stats: %+v", st)
-	}
-	if st.ByKind[msg.CommitRequest] != 3 || st.ByKind[msg.Grab] != 0 {
-		t.Fatalf("post-reset ByKind: %+v", st.ByKind)
-	}
-}
-
 // TestPerClassAccountingTotals: ByKind totals bucket into the five traffic
 // classes exactly as injected, and sum to Messages.
 func TestPerClassAccountingTotals(t *testing.T) {

@@ -19,12 +19,18 @@ import (
 	"scalablebulk/internal/trace"
 )
 
+// Table 2 latencies of the torus.
+const (
+	// LinkLatency is the per-hop link latency in cycles.
+	LinkLatency event.Time = 7
+	// LocalDelay is the latency of a node talking to itself.
+	LocalDelay event.Time = 1
+)
+
 // Config configures a torus network.
 type Config struct {
-	Nodes       int        // number of tiles; factored into a near-square torus
-	LinkLatency event.Time // per-hop latency in cycles (paper: 7)
-	Contention  bool       // model per-link occupancy and queueing
-	LocalDelay  event.Time // latency of a node talking to itself (default 1)
+	Nodes      int  // number of tiles; factored into a near-square torus
+	Contention bool // model per-link occupancy and queueing
 }
 
 // Handler receives messages delivered to a node. It never keeps m past its
@@ -71,8 +77,6 @@ type Stats struct {
 type Network struct {
 	eng      *event.Engine
 	w, h     int
-	linkLat  event.Time
-	localLat event.Time
 	cont     bool
 	handlers []Handler
 	// busy[node][dir] is the time a directed output link is free again.
@@ -133,19 +137,11 @@ func New(eng *event.Engine, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("mesh: need at least one node")
 	}
-	if cfg.LinkLatency == 0 {
-		cfg.LinkLatency = 7
-	}
-	if cfg.LocalDelay == 0 {
-		cfg.LocalDelay = 1
-	}
 	w, h := dims(cfg.Nodes)
 	n := &Network{
 		eng:      eng,
 		w:        w,
 		h:        h,
-		linkLat:  cfg.LinkLatency,
-		localLat: cfg.LocalDelay,
 		cont:     cfg.Contention,
 		handlers: make([]Handler, cfg.Nodes),
 		busy:     make([][4]event.Time, cfg.Nodes),
@@ -235,7 +231,7 @@ func (n *Network) send(m *msg.Msg) {
 	flits := event.Time(m.Kind.FlitsOf())
 
 	if m.Src == m.Dst {
-		n.deliverAt(n.eng.Now()+n.localLat, m)
+		n.deliverAt(n.eng.Now()+LocalDelay, m)
 		return
 	}
 
@@ -301,7 +297,7 @@ func (n *Network) hop(node, dir int, t, flits event.Time) event.Time {
 		}
 		*b = t + flits
 	}
-	return t + n.linkLat
+	return t + LinkLatency
 }
 
 func (n *Network) deliverAt(t event.Time, m *msg.Msg) {
@@ -357,13 +353,10 @@ func (n *Network) deliver(arg any) {
 // message of the given kind (used by analytic models and tests).
 func (n *Network) Latency(a, b int, k msg.Kind) event.Time {
 	if a == b {
-		return n.localLat
+		return LocalDelay
 	}
-	return event.Time(n.Hops(a, b))*n.linkLat + event.Time(k.FlitsOf()) - 1
+	return event.Time(n.Hops(a, b))*LinkLatency + event.Time(k.FlitsOf()) - 1
 }
 
 // Stats returns a copy of the traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
-
-// ResetStats zeroes the traffic counters (used to exclude warm-up).
-func (n *Network) ResetStats() { n.stats = Stats{} }

@@ -14,7 +14,7 @@ import (
 func newNet(t *testing.T, nodes int, cont bool) (*event.Engine, *Network) {
 	t.Helper()
 	eng := event.New()
-	n := New(eng, Config{Nodes: nodes, LinkLatency: 7, Contention: cont})
+	n := New(eng, Config{Nodes: nodes, Contention: cont})
 	return eng, n
 }
 
@@ -146,10 +146,6 @@ func TestStatsCounting(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("delivered %d, want 2", got)
 	}
-	n.ResetStats()
-	if n.Stats().Messages != 0 {
-		t.Fatal("ResetStats did not zero")
-	}
 }
 
 func TestSameCycleFIFODelivery(t *testing.T) {
@@ -192,7 +188,7 @@ func TestPropertyRoutedLatencyMatchesAnalytic(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src, dst := int(a)%32, int(b)%32
 		eng := event.New()
-		n := New(eng, Config{Nodes: 32, LinkLatency: 7})
+		n := New(eng, Config{Nodes: 32})
 		var at event.Time
 		n.Register(dst, func(m *msg.Msg) { at = eng.Now() })
 		if src != dst {
@@ -220,7 +216,7 @@ func TestDoubleRegisterPanics(t *testing.T) {
 
 func BenchmarkSend64(b *testing.B) {
 	eng := event.New()
-	n := New(eng, Config{Nodes: 64, LinkLatency: 7, Contention: true})
+	n := New(eng, Config{Nodes: 64, Contention: true})
 	for i := 0; i < 64; i++ {
 		n.Register(i, func(m *msg.Msg) {})
 	}
@@ -238,7 +234,7 @@ func TestContentionPreservesPerLinkFIFO(t *testing.T) {
 	// Two messages on the same source→destination path must arrive in
 	// injection order even when the first congests the links.
 	eng := event.New()
-	n := New(eng, Config{Nodes: 16, LinkLatency: 7, Contention: true})
+	n := New(eng, Config{Nodes: 16, Contention: true})
 	var order []msg.Kind
 	n.Register(3, func(m *msg.Msg) { order = append(order, m.Kind) })
 	n.Register(0, func(m *msg.Msg) {})
@@ -254,7 +250,7 @@ func TestLatencyGrowsUnderSaturation(t *testing.T) {
 	// Saturating one link makes later messages arrive later: the queueing
 	// behavior behind the BulkSC/TCC congestion effects.
 	eng := event.New()
-	n := New(eng, Config{Nodes: 16, LinkLatency: 7, Contention: true})
+	n := New(eng, Config{Nodes: 16, Contention: true})
 	var last event.Time
 	n.Register(1, func(m *msg.Msg) { last = eng.Now() })
 	n.Register(0, func(m *msg.Msg) {})
@@ -400,9 +396,9 @@ type link struct{ node, dir int }
 // with contention on, as it was before the once-per-dimension route. It
 // reserves links in busy the way send does and returns the links taken, in
 // order, and the delivery time of a message of the given flits sent at now.
-func refRoute(w, h int, busy [][4]event.Time, src, dst int, now, linkLat, localLat, flits event.Time) ([]link, event.Time) {
+func refRoute(w, h int, busy [][4]event.Time, src, dst int, now, flits event.Time) ([]link, event.Time) {
 	if src == dst {
-		return nil, now + localLat
+		return nil, now + LocalDelay
 	}
 	t := now
 	var hops []link
@@ -412,7 +408,7 @@ func refRoute(w, h int, busy [][4]event.Time, src, dst int, now, linkLat, localL
 			t = busy[node][dir]
 		}
 		busy[node][dir] = t + flits
-		t += linkLat
+		t += LinkLatency
 	}
 	x, y := src%w, src/w
 	dx, dy := dst%w, dst/w
@@ -443,7 +439,7 @@ func TestRouteMatchesStepwiseReference(t *testing.T) {
 	kinds := []msg.Kind{msg.Grab, msg.CommitRequest}
 	for _, nodes := range []int{1, 2, 3, 5, 6, 8, 12, 16, 64, 256} {
 		eng := event.New()
-		n := New(eng, Config{Nodes: nodes, LinkLatency: 7, Contention: true})
+		n := New(eng, Config{Nodes: nodes, Contention: true})
 		capt := &captureAt{}
 		n.Sched = capt
 		for i := 0; i < nodes; i++ {
@@ -465,7 +461,7 @@ func TestRouteMatchesStepwiseReference(t *testing.T) {
 				k := kinds[(src+dst)%len(kinds)]
 				flits := event.Time(k.FlitsOf())
 				copy(want, pre)
-				wantHops, wantAt := refRoute(n.w, n.h, want, src, dst, eng.Now(), n.linkLat, n.localLat, flits)
+				wantHops, wantAt := refRoute(n.w, n.h, want, src, dst, eng.Now(), flits)
 
 				// The hop sequence, read off idle links: the i-th link's
 				// reservation ends at i·linkLat + flits.

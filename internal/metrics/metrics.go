@@ -67,16 +67,6 @@ func (h *Histogram) Snapshot() (counts []uint64, count uint64, sum float64) {
 	return append([]uint64(nil), h.counts...), h.count, h.sum
 }
 
-// Reset zeroes the histogram (per-round soaks reuse registries).
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count, h.sum = 0, 0
-}
-
 // Registry holds named instruments. Get-or-create accessors make wiring
 // one-liners; names are reported in sorted order for determinism.
 type Registry struct {

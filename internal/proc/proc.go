@@ -62,9 +62,6 @@ type Config struct {
 	OnDone func(core int)
 }
 
-// DefaultConfig returns the ScalableBulk processor configuration.
-func DefaultConfig() Config { return Config{OCIRecall: true} }
-
 // Proc is one processor. It implements dir.Core.
 type Proc struct {
 	ID    int

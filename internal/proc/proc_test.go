@@ -49,10 +49,10 @@ func (g fixedGen) NextChunk(proc int, seq uint64) *chunk.Chunk {
 func rig(t *testing.T, cfg Config) (*Proc, *scriptProto, *event.Engine) {
 	t.Helper()
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: 4, LinkLatency: 7})
+	net := mesh.New(eng, mesh.Config{Nodes: 4})
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(4), State: dir.NewState(4),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	fp := &scriptProto{env: env}
 	p := New(env, fp, fixedGen{accesses: 8}, 0, 4,
@@ -83,7 +83,7 @@ func settle(eng *event.Engine, d event.Time) {
 }
 
 func TestPipelineKeepsTwoChunksInFlight(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	if len(fp.requests) != 1 {
@@ -112,7 +112,7 @@ func TestPipelineKeepsTwoChunksInFlight(t *testing.T) {
 }
 
 func TestRetryBacksOffExponentially(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	first := fp.requests[0]
@@ -149,7 +149,7 @@ func TestRetryBacksOffExponentially(t *testing.T) {
 }
 
 func TestBulkInvalidateSquashesInFlightCommit(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	ck := fp.requests[0]
@@ -183,7 +183,7 @@ func TestBulkInvalidateSquashesInFlightCommit(t *testing.T) {
 }
 
 func TestBulkInvalidateSquashesExecutingChunk(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	// The finished-waiting chunk is the younger active chunk here.
@@ -204,7 +204,7 @@ func TestBulkInvalidateSquashesExecutingChunk(t *testing.T) {
 }
 
 func TestInvalidateLineExactness(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	ck := fp.requests[0]
@@ -224,7 +224,7 @@ func TestInvalidateLineExactness(t *testing.T) {
 }
 
 func TestConservativeDeferral(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := Config{OCIRecall: true}
 	cfg.ConservativeInv = true
 	cfg.OCIRecall = false
 	p, fp, eng := rig(t, cfg)
@@ -255,7 +255,7 @@ func TestConservativeDeferral(t *testing.T) {
 }
 
 func TestLateSuccessAbandonsReexecution(t *testing.T) {
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	settle(eng, 50_000)
 	ck := fp.requests[0]
@@ -278,7 +278,7 @@ func TestLateSuccessAbandonsReexecution(t *testing.T) {
 }
 
 func TestDoneStopsAtTarget(t *testing.T) {
-	p, _, eng := rig(t, DefaultConfig())
+	p, _, eng := rig(t, Config{OCIRecall: true})
 	p.Start()
 	for i := 0; i < 10 && !p.Done(); i++ {
 		settle(eng, 50_000)
@@ -316,7 +316,7 @@ func (g *countingGen) NextChunk(proc int, seq uint64) *chunk.Chunk {
 // chunk 0 in flight, which abandons chunk 1. It returns chunk 1.
 func abandonYounger(t *testing.T) (*Proc, *countingGen, *event.Engine, *chunk.Chunk) {
 	t.Helper()
-	p, fp, eng := rig(t, DefaultConfig())
+	p, fp, eng := rig(t, Config{OCIRecall: true})
 	g := &countingGen{fixedGen: fixedGen{accesses: 8}, calls: map[uint64]int{}}
 	p.gen = g
 	p.Start()

@@ -29,11 +29,15 @@ type Kernel struct {
 	WD  Watchdog
 }
 
-// New builds a kernel over env with the given commit-stall deadline (zero
-// selects protocol.DefaultCommitDeadline, protocol.WatchdogDisabled turns
-// the watchdog off); probe decides the attempts whose deadlines expire.
+// New builds a kernel over env with the given commit-stall deadline
+// (protocol.WatchdogDisabled turns the watchdog off); probe decides the
+// attempts whose deadlines expire. A zero deadline panics: engines take the
+// deadline from their option block, whose DefaultConfig sets it.
 func New(env *dir.Env, deadline event.Time, probe Prober) *Kernel {
-	k := &Kernel{Env: env, WD: Watchdog{env: env, probe: probe, Deadline: protocol.EffectiveDeadline(deadline)}}
+	if deadline == 0 {
+		panic("kernel: zero commit deadline")
+	}
+	k := &Kernel{Env: env, WD: Watchdog{env: env, probe: probe, Deadline: deadline}}
 	k.WD.fireFn = k.WD.fire
 	return k
 }
@@ -110,8 +114,8 @@ type Prober interface {
 type Watchdog struct {
 	env   *dir.Env
 	probe Prober
-	// Deadline is the effective stall deadline (never zero; WatchdogDisabled
-	// disarms Arm entirely).
+	// Deadline is the stall deadline (never zero; WatchdogDisabled disarms
+	// Arm entirely).
 	Deadline event.Time
 	// Fired counts attempts failed by the watchdog; exported through the
 	// engine's Stats().

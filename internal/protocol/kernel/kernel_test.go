@@ -31,16 +31,21 @@ func (f funcProber) Probe(node int, tag msg.CTag, try int) Disposition {
 
 func (f funcProber) Stall(node int, tag msg.CTag, try int) { f.stall(node, tag, try) }
 
-func TestNewNormalizesDeadline(t *testing.T) {
-	if k := New(testEnv(), 0, nil); k.WD.Deadline != protocol.DefaultCommitDeadline || !k.WD.Enabled() {
-		t.Errorf("New(env, 0): deadline %d enabled=%t", k.WD.Deadline, k.WD.Enabled())
-	}
+// TestNewDeadline: the deadline is used as given, WatchdogDisabled turns
+// the watchdog off, and zero (a default that was never applied) panics.
+func TestNewDeadline(t *testing.T) {
 	if k := New(testEnv(), 123, nil); k.WD.Deadline != 123 {
 		t.Errorf("New(env, 123): deadline %d", k.WD.Deadline)
 	}
 	if k := New(testEnv(), protocol.WatchdogDisabled, nil); k.WD.Enabled() {
 		t.Error("New(env, WatchdogDisabled): watchdog still enabled")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New(env, 0) did not panic")
+		}
+	}()
+	New(testEnv(), 0, nil)
 }
 
 func TestWatchdogDisabledArmIsNoOp(t *testing.T) {
@@ -177,7 +182,7 @@ func TestWatchdogLaneKeepsEventOrder(t *testing.T) {
 // tracer: milestones must land in the collector and nothing may panic.
 func TestLifecycleHelpersTraceOff(t *testing.T) {
 	env := testEnv()
-	k := New(env, 0, nil)
+	k := New(env, protocol.DefaultCommitDeadline, nil)
 	ck := &chunk.Chunk{Tag: msg.CTag{Proc: 2, Seq: 5}, Retries: 1}
 	k.Started(2, ck)
 	k.Formed(2, 5, 1)

@@ -11,7 +11,7 @@
 //		Name:           ProtoTCC,
 //		Doc:            "Scalable TCC: global TID order, per-directory probe/mark before write-set push (§2.2)",
 //		Evaluated:      true,
-//		DefaultOptions: func() any { return tcc.DefaultConfig() },
+//		DefaultOptions: tcc.DefaultConfig(),
 //		New:            engine(ProtoTCC, tcc.New),
 //	},
 //
@@ -39,15 +39,6 @@ const DefaultCommitDeadline event.Time = 200_000
 // the stall watchdog (event.Time is unsigned, so a sentinel stands in
 // for -1).
 const WatchdogDisabled event.Time = ^event.Time(0)
-
-// EffectiveDeadline normalizes a CommitDeadline option: zero selects
-// DefaultCommitDeadline, WatchdogDisabled passes through.
-func EffectiveDeadline(d event.Time) event.Time {
-	if d == 0 {
-		return DefaultCommitDeadline
-	}
-	return d
-}
 
 // Engine is a chunk-commit protocol engine as the processor and system
 // layers consume it: the dir.Protocol message/commit entry points plus the

@@ -23,8 +23,9 @@ import (
 type Config struct {
 	// CommitDeadline is the stall watchdog: an occupation chain still
 	// incomplete this many cycles after its request unwinds (occupied
-	// modules release) and the processor retries. Zero selects
-	// protocol.DefaultCommitDeadline; protocol.WatchdogDisabled turns it off.
+	// modules release) and the processor retries. It must be nonzero
+	// (DefaultConfig sets protocol.DefaultCommitDeadline);
+	// protocol.WatchdogDisabled turns it off.
 	CommitDeadline event.Time
 }
 
@@ -147,7 +148,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 		if ms.occupant == nil {
 			ms.occupant = &occupancy{tag: m.Tag, try: m.TID, wsig: m.W()}
 			p.k.HoldBegin(node, m.Tag, int(m.TID))
-			p.env.Net.SendAt(p.env.Eng.Now()+p.env.DirLookup, msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
+			p.env.Net.SendAt(p.env.Eng.Now()+dir.LookupLatency, msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: m.Tag.Proc, Tag: m.Tag, TID: m.TID})
 		} else {
 			// The transaction blocks if the directory is taken (§2.1).
 			ms.queue = append(ms.queue, *m)
@@ -171,7 +172,7 @@ func (p *Protocol) HandleDir(node int, m *msg.Msg) {
 			ms.queue = ms.queue[1:]
 			ms.occupant = &occupancy{tag: next.Tag, try: next.TID, wsig: next.W()}
 			p.k.HoldBegin(node, next.Tag, int(next.TID))
-			p.env.Net.SendAt(p.env.Eng.Now()+p.env.DirLookup, msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: next.Tag.Proc, Tag: next.Tag, TID: next.TID})
+			p.env.Net.SendAt(p.env.Eng.Now()+dir.LookupLatency, msg.Msg{Kind: msg.SeqGrant, Src: node, Dst: next.Tag.Proc, Tag: next.Tag, TID: next.TID})
 		}
 	default:
 		panic(fmt.Sprintf("seqpro: unexpected directory message %s", m))

@@ -34,9 +34,11 @@ type Descriptor struct {
 	// compare; variants (ablations) leave it false and are excluded from
 	// the figure sweeps but runnable everywhere else.
 	Evaluated bool
-	// DefaultOptions returns a fresh copy of the protocol's typed option
-	// block (e.g. core.Config). Config.ProtoOptions overrides it per run.
-	DefaultOptions func() any
+	// DefaultOptions is the protocol's typed option block (e.g.
+	// core.Config), the only home of its defaults. Config.ProtoOptions
+	// replaces it per run. The blocks are plain values, so a type
+	// assertion hands each caller its own copy.
+	DefaultOptions any
 	// New builds the engine over env with the given option block, which is
 	// always non-nil; a block of the wrong concrete type is an error.
 	New func(env *dir.Env, opts any) (protocol.Engine, error)
@@ -51,29 +53,29 @@ var Descriptors = []Descriptor{
 		Name:           ProtoScalableBulk,
 		Doc:            "the paper's protocol: distributed group formation, overlapped commits, OCI (§3)",
 		Evaluated:      true,
-		DefaultOptions: func() any { return core.DefaultConfig() },
-		New:            engine(ProtoScalableBulk, core.New),
+		DefaultOptions: core.DefaultConfig(),
+		New:            scalableBulk(ProtoScalableBulk),
 		Tuning:         protocol.Tuning{OCIRecall: true},
 	},
 	{
 		Name:           ProtoTCC,
 		Doc:            "Scalable TCC: global TID order, per-directory probe/mark before write-set push (§2.2)",
 		Evaluated:      true,
-		DefaultOptions: func() any { return tcc.DefaultConfig() },
+		DefaultOptions: tcc.DefaultConfig(),
 		New:            engine(ProtoTCC, tcc.New),
 	},
 	{
 		Name:           ProtoSEQ,
 		Doc:            "SEQ-PRO: sequential directory occupation in ascending order, fully serialized commits (§2.2)",
 		Evaluated:      true,
-		DefaultOptions: func() any { return seqpro.DefaultConfig() },
+		DefaultOptions: seqpro.DefaultConfig(),
 		New:            engine(ProtoSEQ, seqpro.New),
 	},
 	{
 		Name:           ProtoBulkSC,
 		Doc:            "BulkSC: centralized arbiter serializes commits, conservative invalidation (§2.2)",
 		Evaluated:      true,
-		DefaultOptions: func() any { return bulksc.DefaultConfig() },
+		DefaultOptions: bulksc.DefaultConfig(),
 		New:            engine(ProtoBulkSC, bulksc.New),
 		Tuning:         protocol.Tuning{ConservativeInv: true},
 	},
@@ -82,8 +84,8 @@ var Descriptors = []Descriptor{
 		Doc:  "ScalableBulk ablation: Optimistic Commit Initiation off, conservative invalidation (Figure 4(c))",
 		// OCI is off through Tuning; the option block, OCI:true included,
 		// is ScalableBulk's, and journal config hashes cover it as written.
-		DefaultOptions: func() any { return core.DefaultConfig() },
-		New:            engine(ProtoNoOCI, core.New),
+		DefaultOptions: core.DefaultConfig(),
+		New:            scalableBulk(ProtoNoOCI),
 		Tuning:         protocol.Tuning{ConservativeInv: true},
 	},
 }
@@ -128,5 +130,18 @@ func engine[C any, E protocol.Engine](name string, build func(*dir.Env, C) E) fu
 			return nil, fmt.Errorf("%s: options must be %T, got %T", name, cfg, opts)
 		}
 		return build(env, cfg), nil
+	}
+}
+
+// scalableBulk builds either ScalableBulk row. No engine code reads
+// core.Config.OCI (OCI on or off is the row's Tuning), so a block with OCI
+// off is an error rather than a run that silently keeps OCI on.
+func scalableBulk(name string) func(*dir.Env, any) (protocol.Engine, error) {
+	build := engine(name, core.New)
+	return func(env *dir.Env, opts any) (protocol.Engine, error) {
+		if c, ok := opts.(core.Config); ok && !c.OCI {
+			return nil, fmt.Errorf("%s: core.Config.OCI=false has no effect; the OCI-off ablation is the %s protocol", name, ProtoNoOCI)
+		}
+		return build(env, opts)
 	}
 }

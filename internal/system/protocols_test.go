@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalablebulk/internal/core"
 	"scalablebulk/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func TestTables(t *testing.T) {
 		t.Run("options/"+d.Name, func(t *testing.T) {
 			cfg := DefaultConfig(4, d.Name)
 			cfg.WarmupChunks = 1
-			cfg.ProtoOptions = d.DefaultOptions()
+			cfg.ProtoOptions = d.DefaultOptions
 			if _, err := Build(prof, cfg); err != nil {
 				t.Errorf("default options rejected: %v", err)
 			}
@@ -66,5 +67,22 @@ func TestTables(t *testing.T) {
 				t.Errorf("wrong option type: err = %v, want an option-type error", err)
 			}
 		})
+	}
+}
+
+// TestOCIOffRejected: no engine code reads core.Config.OCI, so an option
+// block that turns it off would run with OCI on under a new config hash.
+// Both ScalableBulk rows refuse it and name the OCI-off ablation instead.
+func TestOCIOffRejected(t *testing.T) {
+	prof, _ := workload.ByName("Radix")
+	for _, name := range []string{ProtoScalableBulk, ProtoNoOCI} {
+		cfg := DefaultConfig(4, name)
+		cfg.WarmupChunks = 1
+		opts := core.DefaultConfig()
+		opts.OCI = false
+		cfg.ProtoOptions = opts
+		if _, err := Build(prof, cfg); err == nil || !strings.Contains(err.Error(), ProtoNoOCI) {
+			t.Errorf("%s with OCI off: err = %v, want an error naming %s", name, err, ProtoNoOCI)
+		}
 	}
 }

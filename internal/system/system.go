@@ -51,15 +51,15 @@ type Config struct {
 	// journaled runs should use Workload specs.
 	WorkloadFactory workload.Factory
 
-	LinkLatency event.Time // torus link (7)
-	MemLatency  event.Time // memory round trip (300)
-	DirLookup   event.Time // directory/signature processing (2)
-	Contention  bool       // per-link occupancy modeling
+	// Contention models per-link occupancy. The Table 2 latencies are
+	// constants: mesh.LinkLatency, dir.LookupLatency and dir.MemLatency.
+	Contention bool
 
 	L1, L2 cache.Config
 
 	// ProtoOptions is the selected protocol's typed option block (e.g.
-	// core.Config for ScalableBulk). Nil selects the protocol table's
+	// core.Config for ScalableBulk), used as written: start from the
+	// protocol row's DefaultOptions to change one field. Nil selects
 	// DefaultOptions; a wrong concrete type is an error at Run.
 	ProtoOptions any
 
@@ -100,13 +100,23 @@ func DefaultConfig(cores int, protocol string) Config {
 		WarmupChunks:  64,
 		Seed:          1,
 		Contention:    true,
-		LinkLatency:   7,
-		MemLatency:    300,
-		DirLookup:     2,
 		L1:            cache.Config{SizeBytes: 32 << 10, Assoc: 4},
 		L2:            cache.Config{SizeBytes: 512 << 10, Assoc: 8},
 		MaxCycles:     2_000_000_000,
 	}
+}
+
+// Options returns the option block cfg's protocol runs with:
+// cfg.ProtoOptions, or the protocol row's DefaultOptions when that is nil
+// (nil for an unknown protocol).
+func Options(cfg Config) any {
+	if cfg.ProtoOptions != nil {
+		return cfg.ProtoOptions
+	}
+	if d, ok := LookupProtocol(cfg.Protocol); ok {
+		return d.DefaultOptions
+	}
+	return nil
 }
 
 // ErrDeadlock marks a run that stopped making progress; test for it with
@@ -311,13 +321,11 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 	}
 	eng := event.New()
 	m := &Machine{Eng: eng, prof: prof, cfg: cfg}
-	net := mesh.New(eng, mesh.Config{
-		Nodes: cfg.Cores, LinkLatency: cfg.LinkLatency, Contention: cfg.Contention,
-	})
+	net := mesh.New(eng, mesh.Config{Nodes: cfg.Cores, Contention: cfg.Contention})
 	m.Net = net
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(cfg.Cores),
-		Coll: stats.New(), DirLookup: cfg.DirLookup, MemLatency: cfg.MemLatency,
+		Coll: stats.New(),
 	}
 	m.Env = env
 
@@ -344,25 +352,22 @@ func BuildFrom(prof workload.Profile, cfg Config, img *WarmImage) (*Machine, err
 		net.OnDeliver = chk.Delivered
 	}
 
-	pcfg := proc.DefaultConfig()
-	pcfg.Seed = cfg.Seed
-	pcfg.OnDone = func(int) { m.done++ }
 	desc, ok := LookupProtocol(cfg.Protocol)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown protocol %q (registered: %s)",
 			cfg.Protocol, strings.Join(ProtocolNames(), ", "))
 	}
-	opts := cfg.ProtoOptions
-	if opts == nil {
-		opts = desc.DefaultOptions()
-	}
-	proto, err := desc.New(env, opts)
+	proto, err := desc.New(env, Options(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("system: %w", err)
 	}
 	m.Proto = proto
-	pcfg.ConservativeInv = desc.Tuning.ConservativeInv
-	pcfg.OCIRecall = desc.Tuning.OCIRecall
+	pcfg := proc.Config{
+		ConservativeInv: desc.Tuning.ConservativeInv,
+		OCIRecall:       desc.Tuning.OCIRecall,
+		Seed:            cfg.Seed,
+		OnDone:          func(int) { m.done++ },
+	}
 
 	factory := cfg.WorkloadFactory
 	if factory == nil {
@@ -587,14 +592,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 // `totalChunks` divided evenly (the paper's strong-scaling setup: the same
 // reference input on 1, 32 or 64 threads).
 func RunScaled(prof workload.Profile, cfg Config, totalChunks int) (*Result, error) {
-	return RunScaledContext(context.Background(), prof, cfg, totalChunks)
-}
-
-// RunScaledContext is RunScaled with cancellation (see RunContext).
-func RunScaledContext(ctx context.Context, prof workload.Profile, cfg Config, totalChunks int) (*Result, error) {
 	cfg.ChunksPerCore = totalChunks / cfg.Cores
 	if cfg.ChunksPerCore < 1 {
 		cfg.ChunksPerCore = 1
 	}
-	return RunContext(ctx, prof, cfg)
+	return RunContext(context.Background(), prof, cfg)
 }

@@ -48,10 +48,10 @@ func (c *fakeCore) ResumeInvalidations()                         {}
 func TestWarmCommitAllocs(t *testing.T) {
 	const nodes = 4
 	eng := event.New()
-	net := mesh.New(eng, mesh.Config{Nodes: nodes, LinkLatency: 7, Contention: true})
+	net := mesh.New(eng, mesh.Config{Nodes: nodes, Contention: true})
 	env := &dir.Env{
 		Eng: eng, Net: net, Map: mem.NewMapper(nodes), State: dir.NewState(nodes),
-		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
+		Coll: stats.New(),
 	}
 	w1, w2, r3 := sig.Line(0), sig.Line(1<<20), sig.Line(2<<20)
 	env.Map.Home(w1, 1)

@@ -37,8 +37,9 @@ type Config struct {
 	VendorServiceTime event.Time
 	// CommitDeadline is the stall watchdog: a commit still in phase 1 this
 	// many cycles after its request is aborted (probes become skips) and the
-	// processor retries. Zero selects protocol.DefaultCommitDeadline;
-	// protocol.WatchdogDisabled turns it off.
+	// processor retries. It must be nonzero (DefaultConfig sets
+	// protocol.DefaultCommitDeadline); protocol.WatchdogDisabled turns it
+	// off.
 	CommitDeadline event.Time
 }
 
@@ -191,9 +192,6 @@ var _ protocol.Engine = (*Protocol)(nil)
 
 // New builds a Scalable TCC engine over env.
 func New(env *dir.Env, cfg Config) *Protocol {
-	if cfg.VendorServiceTime == 0 {
-		cfg.VendorServiceTime = 4
-	}
 	p := &Protocol{
 		env: env, cfg: cfg,
 		vendorNode: env.Net.Center(),
@@ -334,7 +332,7 @@ func (p *Protocol) drain(mod *tccMod) {
 			e.held = true
 			p.k.HoldBegin(mod.id, e.tag, e.try)
 			p.noteStarted(e)
-			p.env.Net.SendAt(p.env.Eng.Now()+p.env.DirLookup, msg.Msg{
+			p.env.Net.SendAt(p.env.Eng.Now()+dir.LookupLatency, msg.Msg{
 				Kind: msg.TCCProbeAck, Src: mod.id, Dst: e.tag.Proc, Tag: e.tag, TID: mod.next,
 			})
 			return
@@ -348,7 +346,7 @@ func (p *Protocol) drain(mod *tccMod) {
 			// message", §2.1) — the module stays busy while it processes
 			// them, holding every later TID behind it.
 			e.marksProcessed = true
-			delay := p.env.DirLookup * event.Time(len(e.marks)+1)
+			delay := dir.LookupLatency * event.Time(len(e.marks)+1)
 			p.env.Eng.AtArg(p.env.Eng.Now()+delay, p.drainFn, mod)
 			return
 		}

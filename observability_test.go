@@ -30,7 +30,7 @@ func TestSweepProgressAndMetrics(t *testing.T) {
 		{App: "FFT", Protocol: ProtoScalableBulk, Cores: 4},
 		{App: "Radix", Protocol: ProtoScalableBulk, Cores: 4},
 	}
-	if err := s.SweepList(points, 2); err != nil {
+	if err := s.SweepContext(context.Background(), points, 2).Err(); err != nil {
 		t.Fatal(err)
 	}
 

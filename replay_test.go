@@ -43,12 +43,9 @@ func recordRun(t *testing.T, app, protocol string, cores, chunks int, seed int64
 // replayFingerprint replays tr under protocol with the recorded machine shape.
 func replayFingerprint(t *testing.T, tr *tracefmt.Trace, protocol string) string {
 	t.Helper()
-	h := tr.Header
-	cfg := DefaultConfig(h.Threads, protocol)
-	cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
-	cfg.Seed = h.Seed
-	cfg.WorkloadFactory = workload.Replay(tr)
-	res, err := Run(Profile{Name: h.App, Suite: "TRACE"}, cfg)
+	cfg := DefaultConfig(tr.Header.Threads, protocol)
+	prof := AdoptReplay(&cfg, tr)
+	res, err := Run(prof, cfg)
 	if err != nil {
 		t.Fatalf("replay under %s: %v", protocol, err)
 	}
@@ -105,13 +102,10 @@ func TestReplayCrossProtocol(t *testing.T) {
 func TestReplayShapeValidation(t *testing.T) {
 	tr, _ := recordRun(t, "Radix", ProtoScalableBulk, 4, 4, 3)
 	run := func(mutate func(*Config)) error {
-		h := tr.Header
-		cfg := DefaultConfig(h.Threads, ProtoScalableBulk)
-		cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
-		cfg.Seed = h.Seed
-		cfg.WorkloadFactory = workload.Replay(tr)
+		cfg := DefaultConfig(tr.Header.Threads, ProtoScalableBulk)
+		prof := AdoptReplay(&cfg, tr)
 		mutate(&cfg)
-		_, err := Run(Profile{Name: h.App}, cfg)
+		_, err := Run(prof, cfg)
 		return err
 	}
 	if err := run(func(cfg *Config) {}); err != nil {
@@ -139,12 +133,10 @@ func TestReplayFileTamper(t *testing.T) {
 	dir := t.TempDir()
 
 	runFile := func(path string) error {
-		h := tr.Header
-		cfg := DefaultConfig(h.Threads, ProtoScalableBulk)
-		cfg.ChunksPerCore, cfg.WarmupChunks = h.ChunksPerCore, h.WarmupPerCore
-		cfg.Seed = h.Seed
-		cfg.Workload = "replay:" + path
-		_, err := Run(Profile{Name: h.App}, cfg)
+		cfg := DefaultConfig(tr.Header.Threads, ProtoScalableBulk)
+		prof := AdoptReplay(&cfg, tr)
+		cfg.WorkloadFactory, cfg.Workload = nil, "replay:"+path
+		_, err := Run(prof, cfg)
 		return err
 	}
 

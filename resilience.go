@@ -20,7 +20,9 @@ import (
 	"sync"
 	"time"
 
+	"scalablebulk/internal/dir"
 	"scalablebulk/internal/event"
+	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
@@ -37,25 +39,21 @@ func configSignature(cfg Config) string {
 	if cfg.Faults.Enabled() {
 		faults = cfg.Faults.Name
 	}
-	// Resolve nil ProtoOptions to the protocol's default so an explicit
-	// default-valued option block and an omitted one hash identically.
-	opts := cfg.ProtoOptions
-	if opts == nil {
-		if d, ok := system.LookupProtocol(cfg.Protocol); ok {
-			opts = d.DefaultOptions()
-		}
-	}
 	// "" and "synthetic" are the same source; hash them identically.
 	wl := cfg.Workload
 	if wl == "" {
 		wl = workload.SourceName
 	}
+	// system.Options resolves a nil ProtoOptions, so an explicit
+	// default-valued option block and an omitted one hash identically. The
+	// Table 2 latencies are constants; they stay in the text so v3 hashes
+	// do not move.
 	return fmt.Sprintf(
 		"v3 cores=%d proto=%s wl=%s chunks=%d warmup=%d seed=%d link=%d mem=%d dir=%d cont=%t l1=%d/%d l2=%d/%d opts=%+v faults=%s fseed=%d check=%t",
 		cfg.Cores, cfg.Protocol, wl, cfg.ChunksPerCore, cfg.WarmupChunks, cfg.Seed,
-		cfg.LinkLatency, cfg.MemLatency, cfg.DirLookup, cfg.Contention,
+		mesh.LinkLatency, dir.MemLatency, dir.LookupLatency, cfg.Contention,
 		cfg.L1.SizeBytes, cfg.L1.Assoc, cfg.L2.SizeBytes, cfg.L2.Assoc,
-		opts, faults, cfg.FaultSeed, cfg.Check)
+		system.Options(cfg), faults, cfg.FaultSeed, cfg.Check)
 }
 
 // ConfigHash is the short hex digest of the config's canonical signature,

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"scalablebulk/internal/fault"
+	"scalablebulk/internal/protocol"
+	"scalablebulk/internal/tcc"
 	"scalablebulk/internal/trace"
 )
 
@@ -130,9 +132,8 @@ func TestCrashBundleFromRunPanic(t *testing.T) {
 // session from the journal alone, and require figure output byte-identical
 // to an uninterrupted reference session.
 func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
-	render := func(s *Session) string {
-		var buf bytes.Buffer
-		s.SetOut(&buf)
+	// render draws Figures 9 and 11 from s, whose output is buf.
+	render := func(s *Session, buf *bytes.Buffer) string {
 		if err := s.Figure(9); err != nil {
 			t.Fatal(err)
 		}
@@ -150,17 +151,20 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 	}
 	const seed = 3
 
-	ref := NewSession(detChunks, seed, nil)
-	want := render(ref)
+	var refBuf, resumedBuf bytes.Buffer
+	ref := NewSession(detChunks, seed, &refBuf)
+	want := render(ref, &refBuf)
 
 	// First sweep: journaled, canceled after the 6th point starts.
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s1 := NewSession(detChunks, seed, nil)
-	if _, err := s1.AttachJournal(path); err != nil {
+	j1, err := OpenJournal(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	s1 := NewSession(detChunks, seed, nil)
+	s1.UseJournal(j1)
 	var started atomic.Int64
 	s1.testPointHook = func(Point, *Config) {
 		if started.Add(1) == 6 {
@@ -174,7 +178,7 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 	if len(out1.Failures) != 0 {
 		t.Fatalf("cancellation produced point failures: %+v", out1.Failures)
 	}
-	s1.Journal().Close()
+	j1.Close()
 
 	// The journal left behind is consistent: every entry fingerprint-verifies.
 	j, err := OpenJournal(path)
@@ -196,10 +200,12 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 	j.Close()
 
 	// Resume on a fresh session: journaled points restore, the rest run.
-	s2 := NewSession(detChunks, seed, nil)
-	if _, err := s2.AttachJournal(path); err != nil {
+	j2, err := OpenJournal(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := NewSession(detChunks, seed, &resumedBuf)
+	s2.UseJournal(j2)
 	out2 := s2.SweepContext(context.Background(), pts, 4)
 	if err := out2.Err(); err != nil {
 		t.Fatal(err)
@@ -210,9 +216,9 @@ func TestResumeAfterCancelByteIdenticalFigures(t *testing.T) {
 	if out2.Completed != len(pts) {
 		t.Errorf("resumed sweep completed %d/%d points", out2.Completed, len(pts))
 	}
-	s2.Journal().Close()
+	j2.Close()
 
-	if got := render(s2); got != want {
+	if got := render(s2, &resumedBuf); got != want {
 		t.Errorf("resumed session's figures differ from the uninterrupted reference:\n--- reference\n%s--- resumed\n%s", want, got)
 	}
 }
@@ -461,5 +467,31 @@ func TestConfigHashPinned(t *testing.T) {
 		if got := ConfigHash(cfg); got != tc.hash {
 			t.Errorf("%s ConfigHash = %s, want %s", tc.proto, got, tc.hash)
 		}
+	}
+}
+
+// TestOptionBlockUsedAsWritten: an engine applies no defaults of its own, so
+// a TCC block that sets only CommitDeadline runs with a zero vendor service
+// time. It is a different machine from the default block, and both its
+// ConfigHash and its ResultFingerprint say so.
+func TestOptionBlockUsedAsWritten(t *testing.T) {
+	prof, _ := AppByName("Barnes")
+	cfg := DefaultConfig(8, ProtoTCC)
+	cfg.ChunksPerCore = 4
+	def, err := Run(prof, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := cfg
+	partial.ProtoOptions = tcc.Config{CommitDeadline: protocol.DefaultCommitDeadline}
+	got, err := Run(prof, partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ConfigHash(partial) == ConfigHash(cfg) {
+		t.Error("partial option block shares the default block's ConfigHash")
+	}
+	if ResultFingerprint(got) == ResultFingerprint(def) {
+		t.Error("partial option block ran the default machine: VendorServiceTime 0 was replaced by a default")
 	}
 }

@@ -165,20 +165,24 @@ func TestSweepWarmUnits(t *testing.T) {
 
 	t.Run("journal-and-cache", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "sweep.jsonl")
+		j1, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s1 := NewSession(detChunks, seed, nil)
-		if _, err := s1.AttachJournal(path); err != nil {
+		s1.UseJournal(j1)
+		if err := s1.SweepContext(context.Background(), radix32[:1], 1).Err(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s1.SweepList(radix32[:1], 1); err != nil {
-			t.Fatal(err)
-		}
-		s1.Journal().Close()
+		j1.Close()
 
-		s := NewSession(detChunks, seed, nil)
-		if _, err := s.AttachJournal(path); err != nil {
+		j, err := OpenJournal(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Journal().Close()
+		defer j.Close()
+		s := NewSession(detChunks, seed, nil)
+		s.UseJournal(j)
 		p := radix32[1]
 		if _, err := s.Result(p.App, p.Protocol, p.Cores); err != nil {
 			t.Fatal(err)
