@@ -9,6 +9,7 @@
 //
 //	sbcheck                                  # explore all protocols at 2×2
 //	sbcheck -proto ScalableBulk -cores 3     # one protocol, bigger config
+//	sbcheck -proto SEQ -app zipf -chunks 1   # any application model or workload source
 //	sbcheck -unordered                       # adversarial: lift per-pair FIFO
 //	sbcheck -noreduce                        # cross-check the DPOR reduction
 //	sbcheck -schedule ce.json                # replay a recorded schedule
@@ -50,18 +51,19 @@ func main() {
 }
 
 func run() int {
+	def := explore.DefaultOptions("")
 	var (
 		protos    = flag.String("proto", "", "comma-separated protocols to check (default: every registered protocol)")
 		protoList = flag.Bool("protocols", false, "list registered commit protocols and exit")
-		cores     = flag.Int("cores", 2, "cores in the checked configuration (2–4 is the useful range)")
-		chunks    = flag.Int("chunks", 2, "chunks per core")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		profile   = flag.String("profile", "conflict", "checking workload: conflict | free")
-		depth     = flag.Int("depth", 2000, "max scheduling choice steps per run (exceeding it reports a livelock)")
-		budget    = flag.Int("budget", 150_000, "max schedules to execute (hitting it makes the result bounded, not exhaustive)")
-		states    = flag.Int("states", 500_000, "max visited choice-point digests")
+		cores     = flag.Int("cores", def.Cores, "cores in the checked configuration (2–4 is the useful range)")
+		chunks    = flag.Int("chunks", def.Chunks, "chunks per core")
+		seed      = flag.Int64("seed", def.Seed, "workload seed")
+		app       = flag.String("app", def.App, "checking workload: MCConflict | MCFree, or any application model or workload source")
+		depth     = flag.Int("depth", def.MaxDepth, "max scheduling choice steps per run (exceeding it reports a livelock)")
+		budget    = flag.Int("budget", def.MaxRuns, "max schedules to execute (hitting it makes the result bounded, not exhaustive)")
+		states    = flag.Int("states", def.MaxStates, "max visited choice-point digests")
 		unordered = flag.Bool("unordered", false, "lift the per-(src,dst) FIFO delivery order (adversarial over-approximation of the torus)")
-		skips     = flag.Int("skips", explore.DefaultMaxSkips, "fairness bound: times one pending message may be passed over (-1: unlimited — expect starvation livelocks)")
+		skips     = flag.Int("skips", def.MaxSkips, "fairness bound: times one pending message may be passed over (-1: unlimited — expect starvation livelocks)")
 		noreduce  = flag.Bool("noreduce", false, "disable partial-order reduction (exhaustive cross-check; much slower)")
 		schedule  = flag.String("schedule", "", "replay this recorded schedule file instead of exploring")
 		specPath  = flag.String("spec", "", "explore from this spec file (sbsoak writes one per failed point) instead of building a spec from flags")
@@ -86,6 +88,10 @@ func run() int {
 			return 1
 		}
 		fromSpec = &s
+		// The spec's values stand in for the flags, so the report's config
+		// describes what was explored.
+		*cores, *chunks, *seed, *app, *skips = s.Cores, s.Chunks, s.Seed, s.App, s.MaxSkips
+		*unordered = *unordered || s.Unordered
 	}
 
 	names := system.ProtocolNames()
@@ -100,17 +106,10 @@ func run() int {
 			return 1
 		}
 	}
-	profiles := explore.Profiles()
-	prof, ok := profiles[*profile]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sbcheck: unknown profile %q (have: conflict, free)\n", *profile)
-		return 1
-	}
-
 	rep := checkReport{
 		GeneratedBy: "cmd/sbcheck",
 		Config: map[string]any{
-			"cores": *cores, "chunks": *chunks, "seed": *seed, "profile": *profile,
+			"cores": *cores, "chunks": *chunks, "seed": *seed, "app": *app,
 			"depth": *depth, "budget": *budget, "states": *states,
 			"unordered": *unordered, "skips": *skips, "noreduce": *noreduce,
 		},
@@ -120,17 +119,13 @@ func run() int {
 		opts := explore.DefaultOptions(name)
 		if fromSpec != nil {
 			opts.Spec = *fromSpec
-			if *unordered {
-				opts.Unordered = true
-			}
-		} else {
-			opts.Cores = *cores
-			opts.Chunks = *chunks
-			opts.Seed = *seed
-			opts.Profile = prof
-			opts.Unordered = *unordered
-			opts.MaxSkips = *skips
 		}
+		opts.Cores = *cores
+		opts.Chunks = *chunks
+		opts.Seed = *seed
+		opts.App = *app
+		opts.Unordered = *unordered
+		opts.MaxSkips = *skips
 		opts.MaxDepth = *depth
 		opts.MaxRuns = *budget
 		opts.MaxStates = *states

@@ -121,11 +121,9 @@ func run() int {
 		return cliutil.ExitError
 	}
 	for _, app := range strings.Split(*apps, ",") {
-		if _, ok := scalablebulk.AppByName(app); !ok {
-			if _, ok := scalablebulk.WorkloadProfile(app); !ok {
-				fmt.Fprintf(os.Stderr, "sbsoak: unknown app or workload %q (-workloads lists sources)\n", app)
-				return cliutil.ExitError
-			}
+		if _, err := scalablebulk.ResolvePointProfile(app, &scalablebulk.Config{}); err != nil {
+			fmt.Fprintf(os.Stderr, "sbsoak: %v (-workloads lists sources)\n", err)
+			return cliutil.ExitError
 		}
 		for _, protocol := range strings.Split(*protos, ",") {
 			if err := cliutil.CheckProtocol(protocol); err != nil {
@@ -273,11 +271,12 @@ func run() int {
 }
 
 // writeCheckSpec serializes a failed point as an sbcheck starting state: the
-// same protocol and seed on a checker-sized configuration (2–4 cores, ≤3
-// chunks) with the point's application profile. The checker cannot reproduce
-// a fault-injected run, but it can exhaust the interleavings of the failing
-// shape — with unordered mode standing in for the injector's delivery jitter,
-// which is why a faulted point's spec sets it.
+// same protocol, seed and App label (an application model or a workload
+// source) on a checker-sized configuration (2–4 cores, ≤3 chunks). The
+// checker cannot reproduce a fault-injected run, but it can exhaust the
+// interleavings of the failing shape — with unordered mode standing in for
+// the injector's delivery jitter, which is why a faulted point's spec sets
+// it.
 func writeCheckSpec(dir string, p scalablebulk.Point, seed int64, chunks int, faulted bool) (string, error) {
 	if dir == "" {
 		return "", nil
@@ -285,20 +284,11 @@ func writeCheckSpec(dir string, p scalablebulk.Point, seed int64, chunks int, fa
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	prof, ok := scalablebulk.AppByName(p.App)
-	if !ok {
-		// Workload-source points have no synthetic profile the checker could
-		// re-run; skip the spec rather than write an unreproducible one.
-		if _, isWL := scalablebulk.WorkloadProfile(p.App); isWL {
-			return "", nil
-		}
-		return "", fmt.Errorf("unknown app %q", p.App)
-	}
 	spec := explore.DefaultSpec(p.Protocol)
 	spec.Cores = min(p.Cores, 4)
 	spec.Chunks = min(chunks, 3)
 	spec.Seed = seed
-	spec.Profile = prof
+	spec.App = p.App
 	spec.Unordered = faulted
 	path := filepath.Join(dir, fmt.Sprintf("%s-%s-%d.sbcheck.json", p.App, p.Protocol, p.Cores))
 	if err := spec.Save(path); err != nil {

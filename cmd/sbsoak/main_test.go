@@ -6,12 +6,15 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"testing"
 
+	"scalablebulk"
 	"scalablebulk/internal/cliutil"
+	"scalablebulk/internal/explore"
 )
 
 // TestMain lets the test binary stand in for the sbsoak command: with
@@ -106,5 +109,36 @@ func rejectedBeforeRunning(t *testing.T, flags []string, msg string) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: a sweep ran before the flag was rejected:\n%s", mode, stdout.String())
 		}
+	}
+}
+
+// TestCheckSpecForWorkloadSourcePoint: a failed point of a workload source
+// hands off to the model checker like an application model's does — the
+// spec names the source, loads, and explores.
+func TestCheckSpecForWorkloadSourcePoint(t *testing.T) {
+	p := scalablebulk.Point{App: "zipf", Protocol: scalablebulk.ProtoSEQ, Cores: 2}
+	path, err := writeCheckSpec(t.TempDir(), p, 1, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(path) != "zipf-SEQ-2.sbcheck.json" {
+		t.Fatalf("spec written to %q", path)
+	}
+	spec, err := explore.LoadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.App != "zipf" {
+		t.Fatalf("spec %+v names app %q, want zipf", spec, spec.App)
+	}
+	opts := explore.DefaultOptions(spec.Proto)
+	opts.Spec = spec
+	opts.MaxRuns = 50
+	rep, err := explore.Explore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("violation: %s", rep.Violation)
 	}
 }

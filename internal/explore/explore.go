@@ -29,14 +29,17 @@ import (
 // Spec pins everything a run needs to be reconstructed: the machine shape
 // and the workload. It is embedded verbatim in schedule files, so a recorded
 // counterexample replays against the exact configuration that produced it.
+// DefaultSpec is the only home of its defaults.
 type Spec struct {
 	Proto  string `json:"proto"`
 	Cores  int    `json:"cores"`
 	Chunks int    `json:"chunks"` // chunks per core
 	Seed   int64  `json:"seed"`
 	Warmup int    `json:"warmup"` // warm-up chunks per core
-	// Profile is the full workload model (all fields are scalars).
-	Profile workload.Profile `json:"profile"`
+	// App names the workload the way a sweep point does: an application
+	// model (the checking micro-workloads MCConflict and MCFree included)
+	// or a registered workload source (workload.ResolveApp).
+	App string `json:"app"`
 	// Horizon is the engine-event lookahead that separates "let the machine
 	// compute" from "open a scheduling choice point" (see run.go). It is
 	// part of the schedule semantics and therefore of the Spec.
@@ -55,54 +58,46 @@ type Spec struct {
 	// enabled-but-passed-over this many times becomes the only enabled
 	// choice. Without it the DFS converges on starvation schedules (never
 	// deliver message X, retry forever) and reports vacuous livelocks no
-	// real network exhibits. Negative means unlimited; 0 selects the
-	// default.
-	MaxSkips int `json:"max_skips,omitempty"`
+	// real network exhibits. Negative means unlimited; 0 is invalid.
+	MaxSkips int `json:"max_skips"`
 }
 
-// DefaultMaxSkips bounds how often one pending message may be passed over.
-// 3 keeps the 2-core × 2-chunk space fully exhaustible for every registered
-// protocol in minutes while still reordering every pair of concurrent
-// commit messages; raise it for a stronger (slower) adversary.
-const DefaultMaxSkips = 3
-
-// DefaultHorizon comfortably exceeds every near event the machine generates
-// between deliveries (memory at +300, capped commit retry backoff under ~2k)
-// while staying far below the 200k commit watchdog, so watchdogs fire only
-// when no message is in flight — deterministic stall manifestation.
-const DefaultHorizon event.Time = 8192
-
 // DefaultSpec returns the standard tiny checking configuration for a
-// protocol: 2 cores × 2 chunks on the forced-conflict micro-profile.
+// protocol: 2 cores × 2 chunks on the forced-conflict micro-workload.
+//
+// The horizon, 8192 cycles, comfortably exceeds every near event the
+// machine generates between deliveries (memory at +300, capped commit retry
+// backoff under ~2k) while staying far below the 200k commit watchdog, so
+// watchdogs fire only when no message is in flight — deterministic stall
+// manifestation. A fairness bound of 3 skips keeps the 2-core × 2-chunk
+// space fully exhaustible for every registered protocol in minutes while
+// still reordering every pair of concurrent commit messages; raise it for a
+// stronger (slower) adversary.
 func DefaultSpec(proto string) Spec {
 	return Spec{
 		Proto: proto, Cores: 2, Chunks: 2, Seed: 1, Warmup: 2,
-		Profile:   ConflictProfile(),
-		Horizon:   DefaultHorizon,
+		App:       "MCConflict",
+		Horizon:   8192,
 		MaxCycles: 500_000_000,
-		MaxSkips:  DefaultMaxSkips,
+		MaxSkips:  3,
 	}
 }
 
-// normalize fills zero fields with defaults so hand-written schedule files
-// can omit them.
-func (s Spec) normalize() Spec {
-	if s.Horizon == 0 {
-		s.Horizon = DefaultHorizon
-	}
-	if s.MaxCycles == 0 {
-		s.MaxCycles = 500_000_000
-	}
-	if s.Profile.Accesses == 0 {
-		s.Profile = ConflictProfile()
+// validate rejects a spec no run could honor: no protocol, an unknown App,
+// zero cores, chunks, horizon or cycle budget, or a fairness bound of 0.
+func (s Spec) validate() error {
+	if s.Proto == "" || s.Cores <= 0 || s.Chunks <= 0 || s.Horizon == 0 || s.MaxCycles == 0 {
+		return fmt.Errorf("incomplete spec (need proto, and positive cores, chunks, horizon and max_cycles)")
 	}
 	if s.MaxSkips == 0 {
-		s.MaxSkips = DefaultMaxSkips
+		return fmt.Errorf("max_skips 0 would force every choice; a negative value means unlimited")
 	}
-	return s
+	_, err := workload.ResolveApp(s.App, new(string))
+	return err
 }
 
-// Options configures an exploration.
+// Options configures an exploration. DefaultOptions is the only home of its
+// defaults; every budget must be positive.
 type Options struct {
 	Spec
 	// MaxDepth bounds the scheduling choice steps of one run; exceeding it
@@ -226,15 +221,12 @@ func (r *Report) Summary() string {
 // deterministic: the same options always explore the same schedules in the
 // same order and return the same report.
 func Explore(opts Options) (*Report, error) {
-	opts.Spec = opts.Spec.normalize()
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 2000
+	if err := opts.Spec.validate(); err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
-	if opts.MaxRuns <= 0 {
-		opts.MaxRuns = 4000
-	}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = 200_000
+	if opts.MaxDepth <= 0 || opts.MaxRuns <= 0 || opts.MaxStates <= 0 {
+		return nil, fmt.Errorf("explore: budgets must be positive (depth %d, runs %d, states %d)",
+			opts.MaxDepth, opts.MaxRuns, opts.MaxStates)
 	}
 	e := &explorer{opts: opts}
 	return e.run()

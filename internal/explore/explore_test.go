@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -28,6 +29,22 @@ func TestExhaustDefault(t *testing.T) {
 	}
 	if rep.Pruned == 0 {
 		t.Fatal("visited-set pruning never fired on a space this size")
+	}
+}
+
+// TestWorkloadSourceExhausts: a spec may name a workload source. Under zipf,
+// SEQ's occupancy nacks a core's load until a held release arrives; the
+// explorer must deliver that release instead of letting the load's retries
+// run out the cycle budget.
+func TestWorkloadSourceExhausts(t *testing.T) {
+	opts := DefaultOptions("SEQ")
+	opts.App, opts.Chunks = "zipf", 1
+	rep, err := Explore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.Outcome != "exhausted" {
+		t.Fatalf("%s\n%s", rep.Summary(), rep.Dump)
 	}
 }
 
@@ -172,6 +189,48 @@ func TestSpecFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadSpecDefaultsAndValidation: a spec file may omit fields, which
+// keep DefaultSpec's values, but a field it sets to zero is rejected rather
+// than silently replaced.
+func TestLoadSpecDefaultsAndValidation(t *testing.T) {
+	dir := t.TempDir()
+	loadJSON := func(body string) (Spec, error) {
+		path := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadSpec(path)
+	}
+	got, err := loadJSON(`{"proto": "SEQ"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DefaultSpec("SEQ"); got != want {
+		t.Fatalf("omitted fields not defaulted:\n got %+v\nwant %+v", got, want)
+	}
+	for _, bad := range []string{
+		`{"proto": "SEQ", "horizon": 0}`,
+		`{"proto": "SEQ", "max_skips": 0}`,
+		`{"proto": "SEQ", "cores": 0}`,
+		`{"proto": "SEQ", "app": "NoSuchApp"}`,
+		`{"cores": 2}`,
+	} {
+		if _, err := loadJSON(bad); err == nil {
+			t.Errorf("LoadSpec accepted %s", bad)
+		}
+	}
+}
+
+// TestExploreRejectsZeroBudget: a zero budget is an error, not a stand-in
+// for a built-in default.
+func TestExploreRejectsZeroBudget(t *testing.T) {
+	opts := DefaultOptions("SEQ")
+	opts.MaxRuns = 0
+	if rep, err := Explore(opts); err == nil {
+		t.Fatalf("MaxRuns 0 explored: %s", rep.Summary())
+	}
+}
+
 // TestReductionSoundness cross-checks the DPOR reduction against the
 // unreduced exploration on the same space: identical verdict, and the
 // reduction must not have explored more schedules than the full walk.
@@ -261,18 +320,5 @@ func TestControllerFairnessBound(t *testing.T) {
 	// Unlimited skips: no forcing.
 	if en := c.enabled(false, -1); len(en) != 3 {
 		t.Fatalf("maxSkips=-1 enabled = %v, want all three", en)
-	}
-}
-
-// TestProfiles: the checking workloads exist and force what they claim.
-func TestProfiles(t *testing.T) {
-	ps := Profiles()
-	conflict, ok := ps["conflict"]
-	if !ok || conflict.ConflictFrac != 1 {
-		t.Fatalf("conflict profile missing or not forcing conflicts: %+v", conflict)
-	}
-	free, ok := ps["free"]
-	if !ok || free.SharedFrac != 0 {
-		t.Fatalf("free profile missing or sharing lines: %+v", free)
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"scalablebulk/internal/check"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
+	"scalablebulk/internal/protocol"
 	"scalablebulk/internal/sig"
 	"scalablebulk/internal/system"
 	"scalablebulk/internal/trace"
+	"scalablebulk/internal/workload"
 )
 
 // controller implements mesh.Scheduler: it captures every delivery off the
@@ -127,7 +129,11 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	ring := trace.NewRing(96)
 	cfg.TraceSink = trace.NewFilter(ring)
 
-	m, err := system.Build(spec.Profile, cfg)
+	prof, err := workload.ResolveApp(spec.App, &cfg.Workload)
+	if err != nil {
+		return nil, err
+	}
+	m, err := system.Build(prof, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,15 +185,20 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 			break
 		}
 		t, ok := m.Eng.NextAt()
-		if ok && (len(ctrl.pending) == 0 || t <= m.Eng.Now()+spec.Horizon) {
+		if ok && (len(ctrl.pending) == 0 ||
+			t <= min(m.Eng.Now()+spec.Horizon, ctrl.pending[0].At+protocol.DefaultCommitDeadline)) {
 			// Near-future machine work (cache fills, link hops, retry
-			// backoff): not a scheduling decision, let it run.
+			// backoff): not a scheduling decision, let it run — but not
+			// past a commit deadline after the oldest pending message's
+			// arrival, the engines' own bound on a stall: near work that
+			// only a held message can end (a load nacked until a held
+			// release lands) would otherwise starve it for good.
 			m.Eng.Step()
 			continue
 		}
 		if len(ctrl.pending) > 0 {
-			// Choice point: only far-future events (commit watchdogs)
-			// besides the deliverable messages.
+			// Choice point: besides the deliverable messages, only
+			// far-future events (commit watchdogs) or overdue near work.
 			step := len(out.choices)
 			if step >= e.opts.MaxDepth {
 				fail(KindLivelock, "no quiescence within %d scheduling steps", e.opts.MaxDepth)

@@ -8,13 +8,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"scalablebulk/internal/check"
 )
 
-// ScheduleVersion is bumped whenever the schedule semantics change (choice
-// encoding, horizon policy, digest composition).
-const ScheduleVersion = 1
+// ScheduleVersion is bumped whenever the schedule format or semantics
+// change (spec fields, choice encoding, horizon policy, digest composition).
+const ScheduleVersion = 2
 
 // Expect records what replaying the schedule must reproduce. For a
 // counterexample: the violation kind (and invariant); for a clean schedule
@@ -43,24 +41,17 @@ type Schedule struct {
 	Note string `json:"note,omitempty"`
 }
 
-// LoadSchedule reads and validates a schedule file.
+// LoadSchedule reads and validates a schedule file. Spec fields the file
+// omits keep their DefaultSpec values.
 func LoadSchedule(path string) (*Schedule, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
+	s := &Schedule{Spec: DefaultSpec("")}
+	if err := load(path, s, &s.Spec); err != nil {
 		return nil, err
-	}
-	var s Schedule
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
 	if s.Version != ScheduleVersion {
 		return nil, fmt.Errorf("explore: %s: schedule version %d, want %d", path, s.Version, ScheduleVersion)
 	}
-	if s.Spec.Proto == "" || s.Spec.Cores <= 0 || s.Spec.Chunks <= 0 {
-		return nil, fmt.Errorf("explore: %s: incomplete spec %+v", path, s.Spec)
-	}
-	s.Spec = s.Spec.normalize()
-	return &s, nil
+	return s, nil
 }
 
 // Save writes the schedule as indented JSON.
@@ -90,8 +81,7 @@ type ReplayResult struct {
 // returned as an error — the schedule no longer means what it was recorded
 // to mean (a protocol change altered behavior under this interleaving).
 func (s *Schedule) Replay() (*ReplayResult, error) {
-	opts := Options{Spec: s.Spec.normalize(),
-		MaxDepth: 2000, MaxRuns: 1, MaxStates: 1}
+	opts := Options{Spec: s.Spec, MaxDepth: DefaultOptions(s.Spec.Proto).MaxDepth}
 	e := &explorer{opts: opts}
 	if s.Expect != nil && s.Expect.Kind == KindDivergence {
 		// Divergence is relative to the default schedule's committed-write
@@ -145,6 +135,3 @@ func (s *Schedule) Replay() (*ReplayResult, error) {
 	}
 	return rr, nil
 }
-
-// invariantName is a convenience for reports.
-func invariantName(i int) string { return check.Invariant(i).String() }

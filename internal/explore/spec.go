@@ -11,20 +11,30 @@ import (
 	"os"
 )
 
-// LoadSpec reads and validates a spec file.
+// LoadSpec reads and validates a spec file. Fields the file omits keep
+// their DefaultSpec values.
 func LoadSpec(path string) (Spec, error) {
-	var s Spec
+	s := DefaultSpec("")
+	if err := load(path, &s, &s); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// load unmarshals the file at path into v and validates spec, which v's
+// decoding fills: the one validation every spec and schedule file passes.
+func load(path string, v any, spec *Spec) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return s, err
+		return err
 	}
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("explore: %s: %w", path, err)
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("explore: %s: %w", path, err)
 	}
-	if s.Proto == "" || s.Cores <= 0 || s.Chunks <= 0 {
-		return s, fmt.Errorf("explore: %s: incomplete spec (need proto, cores, chunks)", path)
+	if err := spec.validate(); err != nil {
+		return fmt.Errorf("explore: %s: %w", path, err)
 	}
-	return s.normalize(), nil
+	return nil
 }
 
 // Save writes the spec as indented JSON.

@@ -83,9 +83,8 @@ type Network struct {
 	busy  [][4]event.Time
 	stats Stats
 
-	// OnSend, when non-nil, observes every injected message (protocol
-	// conformance tests and the sbtrace tool). It must not mutate the
-	// message.
+	// OnSend, when non-nil, observes every injected message (the
+	// invariant checker and tests). It must not mutate the message.
 	OnSend func(*msg.Msg)
 	// OnDeliver, when non-nil, observes every delivered message at its
 	// delivery time, before the destination handler runs.

@@ -451,14 +451,8 @@ func (p *Proc) CommitFinished(tag msg.CTag) {
 		p.traceExecEnd()
 		p.execEpoch++
 		p.reading = false
-		// The commit stands, so it must land in the collector like any
-		// other success — otherwise the run's commit count and its
-		// latency/directory samples disagree (Result.Validate).
-		now := p.env.Eng.Now()
-		p.commitEnded(ck, now, true)
-		p.env.Coll.CommitLatency(now - p.commitReqAt)
-		p.env.Coll.DirsPerCommit(len(ck.Dirs), len(ck.WriteDirs))
-		p.countCommit(ck)
+		// The commit stands, so it lands in the collector like any other.
+		p.commitSucceeded(ck)
 		p.startNextChunk()
 	}
 }
@@ -468,10 +462,7 @@ func (p *Proc) completeCommit() {
 	p.committing = nil
 	p.awaiting = false
 	now := p.env.Eng.Now()
-	p.commitEnded(ck, now, true)
-	p.env.Coll.CommitLatency(now - p.commitReqAt)
-	p.env.Coll.DirsPerCommit(len(ck.Dirs), len(ck.WriteDirs))
-	p.countCommit(ck)
+	p.commitSucceeded(ck)
 	p.drainDeferred()
 	if p.done {
 		return
@@ -494,11 +485,18 @@ func (p *Proc) commitEnded(ck *chunk.Chunk, now event.Time, success bool) {
 	}
 }
 
-// countCommit retires a chunk: caches finalize its lines and its execution
-// cycles land in the Useful/CacheMiss buckets.
-func (p *Proc) countCommit(ck *chunk.Chunk) {
+// commitSucceeded records ck's successful commit — its attempt's end, its
+// latency and directory samples, which Result.Validate checks against the
+// commit count — and retires it: caches finalize its lines and its
+// execution cycles land in the Useful/CacheMiss buckets. Both success paths
+// of CommitFinished go through it.
+func (p *Proc) commitSucceeded(ck *chunk.Chunk) {
+	now := p.env.Eng.Now()
+	p.commitEnded(ck, now, true)
+	p.env.Coll.CommitLatency(now - p.commitReqAt)
+	p.env.Coll.DirsPerCommit(len(ck.Dirs), len(ck.WriteDirs))
 	if p.env.Probe != nil {
-		p.env.Probe.ChunkCommitted(p.ID, ck.Tag.Seq, p.env.Eng.Now())
+		p.env.Probe.ChunkCommitted(p.ID, ck.Tag.Seq, now)
 	}
 	p.hier.Commit(ck.WriteLines)
 	p.Acct.Useful += ck.ExecUseful

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"reflect"
 
 	"scalablebulk/internal/bulksc"
 	"scalablebulk/internal/core"
@@ -123,11 +124,17 @@ func ProtocolNames() []string {
 }
 
 // engine adapts an engine package's typed constructor to Descriptor.New.
+// Every option block carries the CommitDeadline its engine's kernel needs;
+// a block that leaves it zero is an error here rather than a panic in the
+// constructor.
 func engine[C any, E protocol.Engine](name string, build func(*dir.Env, C) E) func(*dir.Env, any) (protocol.Engine, error) {
 	return func(env *dir.Env, opts any) (protocol.Engine, error) {
 		cfg, ok := opts.(C)
 		if !ok {
 			return nil, fmt.Errorf("%s: options must be %T, got %T", name, cfg, opts)
+		}
+		if reflect.ValueOf(cfg).FieldByName("CommitDeadline").Uint() == 0 {
+			return nil, fmt.Errorf("%s: %T.CommitDeadline is zero; use protocol.DefaultCommitDeadline, or protocol.WatchdogDisabled to turn the watchdog off", name, cfg)
 		}
 		return build(env, cfg), nil
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"scalablebulk/internal/core"
+	"scalablebulk/internal/protocol"
+	"scalablebulk/internal/tcc"
 	"scalablebulk/internal/workload"
 )
 
@@ -67,6 +69,23 @@ func TestTables(t *testing.T) {
 				t.Errorf("wrong option type: err = %v, want an option-type error", err)
 			}
 		})
+	}
+}
+
+// TestZeroCommitDeadlineRejected: an option block that leaves
+// CommitDeadline unset is a build error, not a panic in the engine's
+// kernel; WatchdogDisabled stays a valid deadline.
+func TestZeroCommitDeadlineRejected(t *testing.T) {
+	prof, _ := workload.ByName("Radix")
+	cfg := DefaultConfig(2, ProtoTCC)
+	cfg.WarmupChunks = 1
+	cfg.ProtoOptions = tcc.Config{VendorServiceTime: 4}
+	if _, err := Build(prof, cfg); err == nil || !strings.Contains(err.Error(), "CommitDeadline") {
+		t.Errorf("zero CommitDeadline: err = %v, want an error naming CommitDeadline", err)
+	}
+	cfg.ProtoOptions = tcc.Config{VendorServiceTime: 4, CommitDeadline: protocol.WatchdogDisabled}
+	if _, err := Build(prof, cfg); err != nil {
+		t.Errorf("WatchdogDisabled: %v", err)
 	}
 }
 

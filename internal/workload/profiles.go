@@ -193,12 +193,41 @@ func Parsec() []Profile {
 	}
 }
 
+// checking returns the model checker's micro-workloads (suite CHECK): the
+// differential suite's forced-conflict and conflict-free profiles scaled
+// down until a 2-core run sends a few dozen protocol messages per chunk
+// round — small enough to enumerate interleavings, rich enough to exercise
+// occupation, invalidation, squash and retry paths. ByName finds them; All
+// does not list them, so no figure sweep runs them.
+func checking() []Profile {
+	tiny := func(name string, shared float64, hot int, conflict float64) Profile {
+		return Profile{
+			Name: name, Suite: "CHECK",
+			ChunkInstr: 200, Accesses: 4, WriteFrac: 0.5,
+			SharedFrac: shared, ConflictFrac: conflict, HotLines: hot,
+			RunLen: 2, SharedPagesPerChunk: 1,
+			TotalPrivatePages: 8, SharedPages: 2,
+			PrivateSkew: 2, SharedSkew: 1,
+		}
+	}
+	return []Profile{
+		// Every chunk writes the single hot shared line, so concurrent
+		// chunks always conflict and commits must serialize: the
+		// maximum-contention micro-workload and sbcheck's default.
+		tiny("MCConflict", 0.5, 1, 1),
+		// Every footprint is private to its thread: commits may overlap
+		// freely, so any squash or serialization stall is protocol-induced.
+		tiny("MCFree", 0, 0, 0),
+	}
+}
+
 // All returns every application model, SPLASH-2 first (the paper's order).
 func All() []Profile { return append(Splash2(), Parsec()...) }
 
-// ByName finds a profile; ok is false if the name is unknown.
+// ByName finds an application model, or one of the model checker's
+// micro-workloads; ok is false if the name is unknown.
 func ByName(name string) (Profile, bool) {
-	for _, p := range All() {
+	for _, p := range append(All(), checking()...) {
 		if p.Name == name {
 			return p, true
 		}

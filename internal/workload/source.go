@@ -120,3 +120,20 @@ func SourceProfile(name string) (Profile, bool) {
 	}
 	return Profile{Name: d.Name, Suite: "WORKLOAD"}, true
 }
+
+// ResolveApp resolves an App label, the way a sweep point and a
+// model-checking spec name their workload: an application model by name,
+// or a registered workload source running under its own name. For a source,
+// *source is set to the name unless it already names a source.
+func ResolveApp(app string, source *string) (Profile, error) {
+	if prof, ok := ByName(app); ok {
+		return prof, nil
+	}
+	if prof, ok := SourceProfile(app); ok {
+		if *source == "" {
+			*source = app
+		}
+		return prof, nil
+	}
+	return Profile{}, fmt.Errorf("unknown application or workload %q", app)
+}

@@ -22,7 +22,7 @@ import (
 // Profile characterizes one application's chunk behavior.
 type Profile struct {
 	Name  string
-	Suite string // "SPLASH-2" or "PARSEC"
+	Suite string // "SPLASH-2", "PARSEC", or "CHECK" (the model checker's)
 
 	// ChunkInstr is the dynamic instruction count per chunk (Table 2: 2000).
 	ChunkInstr int

@@ -152,3 +152,22 @@ func TestWorkingSetScalesWithThreads(t *testing.T) {
 		t.Fatal("single-thread run must carry the whole working set (superlinear effect)")
 	}
 }
+
+// TestProfiles: the model checker's micro-workloads resolve by name, stay
+// out of the application list every sweep iterates, and force what they
+// claim.
+func TestProfiles(t *testing.T) {
+	for _, p := range All() {
+		if p.Suite == "CHECK" {
+			t.Errorf("All lists the checking workload %s", p.Name)
+		}
+	}
+	conflict, ok := ByName("MCConflict")
+	if !ok || conflict.ConflictFrac != 1 {
+		t.Fatalf("MCConflict missing or not forcing conflicts: %+v", conflict)
+	}
+	free, ok := ByName("MCFree")
+	if !ok || free.SharedFrac != 0 {
+		t.Fatalf("MCFree missing or sharing lines: %+v", free)
+	}
+}

@@ -156,14 +156,5 @@ func SweepPointConfig(p Point, chunksPerCore int, seed int64) Config {
 // model by name, or a registered workload source sweeping under its own name
 // (in which case cfg.Workload is set to the source unless already set).
 func ResolvePointProfile(app string, cfg *Config) (Profile, error) {
-	if prof, ok := workload.ByName(app); ok {
-		return prof, nil
-	}
-	if prof, ok := workload.SourceProfile(app); ok {
-		if cfg.Workload == "" {
-			cfg.Workload = app
-		}
-		return prof, nil
-	}
-	return Profile{}, fmt.Errorf("unknown application or workload %q", app)
+	return workload.ResolveApp(app, &cfg.Workload)
 }
