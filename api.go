@@ -156,7 +156,8 @@ func AppByName(name string) (Profile, bool) { return workload.ByName(name) }
 
 // WorkloadInfo describes one named workload source.
 type WorkloadInfo struct {
-	// Name is accepted by Config.Workload and -workload.
+	// Name is accepted by Config.Workload and, except for the synthetic
+	// default, as an App label.
 	Name string
 	// Doc is the source's one-line description.
 	Doc string
@@ -174,14 +175,6 @@ func RegisteredWorkloads() []WorkloadInfo {
 		out = append(out, WorkloadInfo{Name: d.Name, Doc: d.Doc, Adversarial: d.Adversarial})
 	}
 	return out
-}
-
-// IsWorkload reports whether spec is a valid Config.Workload value: a
-// source name or a "replay:PATH" spec (the file itself is only
-// read when a run is built).
-func IsWorkload(spec string) bool {
-	_, err := workload.Resolve(spec)
-	return err == nil
 }
 
 // AdoptReplay sets cfg up to replay tr: the recording's core count, seed,

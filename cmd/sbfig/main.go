@@ -33,23 +33,17 @@ func run() int {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	squash := flag.Bool("squash", false, "also print the §6.1 squash classification")
 	par := flag.Int("j", 0, "parallel simulations during prefetch (0 = all CPUs)")
-	journal := flag.String("journal", "", "JSONL checkpoint journal for the prefetch; an interrupted run resumes from it")
+	journal := flag.String("journal", "", "JSONL checkpoint journal for the prefetch; an interrupted run resumes from it (with -server, use sbserver -journal)")
 	server := flag.String("server", "", "prefetch the sweep on a sweep-farm server at this base URL instead of in-process")
 	protoList := flag.Bool("protocols", false, "list registered commit protocols and exit")
-	wl := flag.String("workload", "", "workload source override for every swept point (see -workloads); changes what the figures measure")
-	wlList := flag.Bool("workloads", false, "list registered workload sources and exit")
 	flag.Parse()
 
 	if *protoList {
 		fmt.Print(cliutil.ProtocolList())
 		return 0
 	}
-	if *wlList {
-		fmt.Print(cliutil.WorkloadList())
-		return 0
-	}
-	if err := cliutil.CheckWorkload(*wl); err != nil {
-		fmt.Fprintln(os.Stderr, "sbfig:", err)
+	if *journal != "" && *server != "" {
+		fmt.Fprintln(os.Stderr, "sbfig: -journal cannot combine with -server: the server owns the journal (sbserver -journal)")
 		return cliutil.ExitError
 	}
 
@@ -57,8 +51,7 @@ func run() int {
 	defer stop()
 
 	s := scalablebulk.NewSession(*chunks, *seed, os.Stdout)
-	s.Workload = *wl
-	if *journal != "" && *server == "" {
+	if *journal != "" {
 		j, err := scalablebulk.OpenJournal(*journal)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

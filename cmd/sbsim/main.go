@@ -5,12 +5,12 @@
 // Usage:
 //
 //	sbsim -app Radix -cores 64 -protocol ScalableBulk -chunks 32
-//	sbsim -workload zipf -cores 16                 # adversarial workload source
+//	sbsim -app zipf -cores 16                      # adversarial workload source
 //	sbsim -record run.sbwt -cores 4                # record the workload trace
-//	sbsim -workload replay:run.sbwt -protocol TCC  # replay it under any protocol
+//	sbsim -app replay:run.sbwt -protocol TCC       # replay it under any protocol
 //	sbsim -list        # application models
 //	sbsim -protocols   # registered commit protocols
-//	sbsim -workloads   # registered workload sources
+//	sbsim -workloads   # registered workload sources (also -app labels)
 //
 // Exit codes: 0 success; 1 error (a panic writes a crash bundle when
 // -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout budget;
@@ -40,7 +40,7 @@ func main() {
 }
 
 func run() int {
-	app := flag.String("app", "Radix", "application model (see -list)")
+	app := flag.String("app", "Radix", "application model (see -list), workload source (see -workloads) or replay:PATH")
 	cores := flag.Int("cores", 64, "number of processors (1, 32 or 64 in the paper)")
 	protocol := flag.String("protocol", scalablebulk.ProtoScalableBulk,
 		"commit protocol (see -protocols for the registry)")
@@ -52,7 +52,6 @@ func run() int {
 	checkInv := flag.Bool("check", false, "run the online invariant checker (violations fail the run)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); exceeding it aborts with exit code 2")
 	crashDir := flag.String("crashdir", "", "write a JSON crash bundle here if the run panics")
-	wl := flag.String("workload", "", "workload source (see -workloads) or replay:PATH; empty = synthetic -app model")
 	record := flag.String("record", "", "record the run's chunk streams as a workload trace at FILE")
 	server := flag.String("server", "", "run the point on a sweep-farm server at this base URL instead of in-process")
 	list := flag.Bool("list", false, "list application models and exit")
@@ -80,11 +79,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		return cliutil.ExitError
 	}
-	if err := cliutil.CheckWorkload(*wl); err != nil {
-		fmt.Fprintln(os.Stderr, "sbsim:", err)
-		return cliutil.ExitError
-	}
-
 	if err := cliutil.CheckTimeout(*timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "sbsim:", err)
 		return cliutil.ExitError
@@ -93,31 +87,26 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return cliutil.ExitError
 	}
-	// A workload source sweeps under its own name; a replay keeps the -app
-	// label until the trace header names the run below.
-	appLabel := *app
-	if _, ok := scalablebulk.WorkloadProfile(*wl); ok {
-		appLabel = *wl
-	}
 	spec := scalablebulk.SweepSpec{
 		ChunksPerCore: *chunks,
 		Scaling:       scalablebulk.ScalingFixed,
 		Seed:          *seed,
-		Workload:      *wl,
 		Faults:        *faults,
 		FaultSeed:     *faultSeed,
 		RunTimeoutMS:  timeout.Milliseconds(),
 		Check:         *checkInv,
-		Points:        []scalablebulk.Point{{App: appLabel, Protocol: *protocol, Cores: *cores}},
+		Points:        []scalablebulk.Point{{App: *app, Protocol: *protocol, Cores: *cores}},
 	}
 	if *server != "" {
 		return runOnFarm(*server, &spec, *record, *asJSON)
 	}
 	prof, cfg, err := spec.Resolve(spec.Points[0])
 
-	// A replayed trace names its own profile and pins the machine shape, so
-	// the replay is bit-identical to the recording under any protocol.
-	if path, isReplay := strings.CutPrefix(*wl, workload.ReplayPrefix); isReplay {
+	// A replayed trace is no sweep label: it names its own profile and pins
+	// the machine shape, so the replay is bit-identical to the recording
+	// under any protocol.
+	if path, isReplay := strings.CutPrefix(*app, workload.ReplayPrefix); isReplay {
+		cfg.Workload = *app
 		tr, err := tracefmt.ReadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sbsim:", err)
@@ -128,13 +117,13 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sbsim: replaying %s: %s/%s, %d cores, %d chunks/core (recorded under %s)\n",
 			path, h.App, h.Source, h.Threads, h.ChunksPerCore, h.Protocol)
 	} else if err != nil {
-		fmt.Fprintf(os.Stderr, "unknown app %q; try -list\n", *app)
+		fmt.Fprintf(os.Stderr, "unknown app %q; try -list or -workloads\n", *app)
 		return cliutil.ExitError
 	}
 
 	var rec *workload.Recording
 	if *record != "" {
-		r, factory, err := workload.Record(*wl)
+		r, factory, err := workload.Record(cfg.Workload)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sbsim:", err)
 			return 1
@@ -184,8 +173,8 @@ func run() int {
 // they write and read files on this machine, and a replay adopts the trace's
 // machine shape, which a farm spec cannot carry.
 func runOnFarm(server string, spec *scalablebulk.SweepSpec, record string, asJSON bool) int {
-	if record != "" || strings.HasPrefix(spec.Workload, workload.ReplayPrefix) {
-		fmt.Fprintln(os.Stderr, "sbsim: -record and -workload replay:PATH are local-only and cannot combine with -server")
+	if record != "" || strings.HasPrefix(spec.Points[0].App, workload.ReplayPrefix) {
+		fmt.Fprintln(os.Stderr, "sbsim: -record and -app replay:PATH are local-only and cannot combine with -server")
 		return cliutil.ExitError
 	}
 	ctx, stop := cliutil.SignalContext()

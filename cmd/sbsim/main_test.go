@@ -35,7 +35,7 @@ func TestServerRejectsLocalOnlyWorkloads(t *testing.T) {
 	defer srv.Close()
 
 	for name, args := range map[string][]string{
-		"replay": {"-workload", "replay:" + t.TempDir() + "/run.sbwt"},
+		"replay": {"-app", "replay:" + t.TempDir() + "/run.sbwt"},
 		"record": {"-record", t.TempDir() + "/run.sbwt"},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -66,7 +66,7 @@ func main() {
 
 func run() int {
 	var (
-		journalPath = flag.String("journal", "sbsoak.journal.jsonl", "JSONL checkpoint journal; an interrupted soak resumes from it ('' disables)")
+		journalPath = flag.String("journal", "sbsoak.journal.jsonl", "JSONL checkpoint journal; an interrupted soak resumes from it ('' disables; with -server, use sbserver -journal)")
 		crashDir    = flag.String("crashdir", "crashes", "directory for per-point crash bundles ('' disables)")
 		chunks      = flag.Int("chunks", 4, "Session ChunksPerCore (whole-problem work = 64× this)")
 		seed        = flag.Int64("seed", 1, "base seed; round r uses seed+r")
@@ -95,6 +95,14 @@ func run() int {
 	}
 	if err := cliutil.CheckTimeout(*timeout); err != nil {
 		fmt.Fprintln(os.Stderr, "sbsoak:", err)
+		return cliutil.ExitError
+	}
+	// The default journal path stays out of the way of -server; one the user
+	// names would be silently ignored there, so it is an error.
+	journalSet := false
+	flag.Visit(func(f *flag.Flag) { journalSet = journalSet || f.Name == "journal" })
+	if journalSet && *journalPath != "" && *server != "" {
+		fmt.Fprintln(os.Stderr, "sbsoak: -journal cannot combine with -server: the server owns the journal (sbserver -journal)")
 		return cliutil.ExitError
 	}
 

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -82,6 +85,41 @@ func TestNegativeMaxCyclesRejected(t *testing.T) {
 // no budget, locally as on the farm. It is an error before anything runs.
 func TestSubMillisecondTimeoutRejected(t *testing.T) {
 	rejectedBeforeRunning(t, []string{"-timeout", "500us"}, "sbsoak: -timeout 500µs is under 1ms")
+}
+
+// TestJournalWithServerRejected: in farm mode the server owns the journal,
+// so a -journal the user names would give no durability at all. sbsoak
+// refuses it, pointing at sbserver -journal, before contacting the server
+// or creating the file.
+func TestJournalWithServerRejected(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		hits.Add(1)
+		http.Error(w, "no farm here", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	journal := filepath.Join(t.TempDir(), "soak.jsonl")
+	cmd := exec.Command(os.Args[0],
+		"-apps", "Radix", "-proto", "TCC", "-cores", "8", "-chunks", "1",
+		"-rounds", "1", "-faults", "off", "-progress", "0", "-crashdir", "",
+		"-journal", journal, "-server", srv.URL)
+	cmd.Env = append(os.Environ(), "SBSOAK_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != cliutil.ExitError {
+		t.Fatalf("exit %v, want code %d", err, cliutil.ExitError)
+	}
+	if !strings.Contains(stderr.String(), "sbserver -journal") {
+		t.Errorf("stderr %q does not point at sbserver -journal", stderr.String())
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("sbsoak sent %d request(s) to the farm server", n)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("journal file: %v, want it not created", err)
+	}
 }
 
 // rejectedBeforeRunning runs a one-point soak with flags, in-process and in

@@ -1,5 +1,5 @@
 // Command sbtracewl inspects and verifies workload traces (the
-// internal/tracefmt format that sbsim -record writes and -workload
+// internal/tracefmt format that sbsim -record writes and -app
 // replay:PATH replays).
 //
 // Usage:

@@ -162,15 +162,9 @@ func TestWorkloadRegistryContents(t *testing.T) {
 		t.Errorf("registry has %d adversarial generators, want ≥4", adversarial)
 	}
 	for _, name := range []string{"zipf", "pipeline", "convoy", "stormdir", "kvstore"} {
-		if !IsWorkload(name) {
+		if _, ok := WorkloadProfile(name); !ok {
 			t.Errorf("adversarial generator %q not registered", name)
 		}
-	}
-	if IsWorkload("no-such-source") {
-		t.Error("IsWorkload accepted an unknown name")
-	}
-	if !IsWorkload("") || !IsWorkload("replay:whatever.sbwt") {
-		t.Error("IsWorkload must accept the empty (synthetic) and replay specs without touching the file")
 	}
 }
 

@@ -110,7 +110,7 @@ func CheckProtocol(name string) error {
 	return nil
 }
 
-// WorkloadList renders the workload-source registry for every CLI's
+// WorkloadList renders the workload-source registry for the CLIs'
 // -workloads list flag: the synthetic default first, then the adversarial
 // family, plus the replay spec syntax.
 func WorkloadList() string {
@@ -125,13 +125,6 @@ func WorkloadList() string {
 	fmt.Fprintf(&b, "%-14s %-12s %s\n", "replay:PATH", "trace",
 		"replay the recorded workload trace at PATH bit-identically")
 	return b.String()
-}
-
-// CheckWorkload validates one -workload flag value ("" selects the synthetic
-// default), so a typo fails at flag handling with the registered names.
-func CheckWorkload(spec string) error {
-	_, err := workload.Resolve(spec)
-	return err
 }
 
 // CheckTimeout validates a per-run -timeout budget. A SweepSpec carries it in

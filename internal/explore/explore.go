@@ -92,7 +92,7 @@ func (s Spec) validate() error {
 	if s.MaxSkips == 0 {
 		return fmt.Errorf("max_skips 0 would force every choice; a negative value means unlimited")
 	}
-	_, err := workload.ResolveApp(s.App, new(string))
+	_, _, err := workload.ResolveApp(s.App)
 	return err
 }
 

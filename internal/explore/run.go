@@ -129,7 +129,8 @@ func (e *explorer) execute(prefix []int, expand bool) (out *outcome, err error) 
 	ring := trace.NewRing(96)
 	cfg.TraceSink = trace.NewFilter(ring)
 
-	prof, err := workload.ResolveApp(spec.App, &cfg.Workload)
+	prof, source, err := workload.ResolveApp(spec.App)
+	cfg.Workload = source
 	if err != nil {
 		return nil, err
 	}

@@ -64,6 +64,16 @@ type Client struct {
 	answered atomic.Bool
 }
 
+// defaultRetryInterval is RetryInterval's value when unset.
+const defaultRetryInterval = 250 * time.Millisecond
+
+func (c *Client) retryInterval() time.Duration {
+	if c.RetryInterval > 0 {
+		return c.RetryInterval
+	}
+	return defaultRetryInterval
+}
+
 func (c *Client) http() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -111,10 +121,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, fai
 			return err
 		}
 	}
-	interval := c.RetryInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
+	interval := c.retryInterval()
 	maxWait := c.MaxRetryWait
 	if maxWait <= 0 {
 		maxWait = 5 * time.Second
@@ -344,10 +351,7 @@ func (c *Client) RunSweep(ctx context.Context, spec *SweepSpec, onResult func(p 
 	if idle <= 0 {
 		idle = 30 * time.Second
 	}
-	backoff := c.RetryInterval
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
+	backoff := c.retryInterval()
 	var lastID string
 	for {
 		redial, err := c.stream(ctx, sub.SweepID, idle, run, &lastID)

@@ -748,6 +748,29 @@ func TestOrphanResultAccepted(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownField: a submit naming a field SweepSpec does not
+// have (here "workload", a selector the App label replaced) is refused with
+// 400, not run as a different sweep than the client asked for. The same
+// body without the field is accepted.
+func TestSubmitRejectsUnknownField(t *testing.T) {
+	base, _, stop := startServer(t, quickOpts(), "", "")
+	defer stop()
+	const points = `"points":[{"App":"Radix","Protocol":"TCC","Cores":8}]}`
+	for body, want := range map[string]int{
+		`{"seed":1,"workload":"zipf",` + points: http.StatusBadRequest,
+		`{"seed":1,` + points:                   http.StatusOK,
+	} {
+		resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
 // TestResultMustNameItsPoint: a ConfigHash does not name the application,
 // so Radix and FFT at the same protocol and core count share one. A result
 // posted under the wrong label or slot must be refused with 400, not filed

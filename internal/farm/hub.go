@@ -20,10 +20,9 @@ type eventHub struct {
 	subs map[chan struct{}]struct{}
 }
 
+// newEventHub keeps the newest capacity events, which must be positive
+// (NewServer passes Options.EventHistory after withDefaults).
 func newEventHub(capacity int) *eventHub {
-	if capacity <= 0 {
-		capacity = 8192
-	}
 	return &eventHub{cap: capacity, subs: map[chan struct{}]struct{}{}}
 }
 

@@ -156,8 +156,13 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // arrives in the X-Correlation-ID header; a client that sends none gets one
 // minted here, returned in the response header either way.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// A field this server does not know is a knob it would silently drop,
+	// running a different sweep than the client asked for: refuse it.
 	var spec SweepSpec
-	if !readJSON(w, r, &spec) {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if err := spec.Validate(); err != nil {

@@ -20,7 +20,6 @@ func TestSweepSpecIDStable(t *testing.T) {
 		func(s *SweepSpec) { s.Seed++ },
 		func(s *SweepSpec) { s.ChunksPerCore++ },
 		func(s *SweepSpec) { s.Scaling = ScalingFixed },
-		func(s *SweepSpec) { s.Workload = "uniform" },
 		func(s *SweepSpec) { s.Faults = "flaky" },
 		func(s *SweepSpec) { s.Check = true },
 		func(s *SweepSpec) { s.Points = s.Points[:2] },

@@ -140,57 +140,6 @@ const (
 	numKinds
 )
 
-var kindNames = [...]string{
-	CommitRequest: "commit_request",
-	Grab:          "g",
-	GFailure:      "g_failure",
-	GSuccess:      "g_success",
-	CommitFailure: "commit_failure",
-	CommitSuccess: "commit_success",
-	BulkInv:       "bulk_inv",
-	BulkInvAck:    "bulk_inv_ack",
-	CommitDone:    "commit_done",
-	CommitRecall:  "commit_recall",
-
-	ReadReq:        "read_req",
-	ReadMemReply:   "read_mem_reply",
-	ReadShReply:    "read_sh_reply",
-	ReadDirtyFwd:   "read_dirty_fwd",
-	ReadDirtyReply: "read_dirty_reply",
-	ReadNack:       "read_nack",
-
-	TIDRequest:  "tid_request",
-	TIDReply:    "tid_reply",
-	TCCProbe:    "tcc_probe",
-	TCCProbeAck: "tcc_probe_ack",
-	TCCSkip:     "tcc_skip",
-	TCCCommit:   "tcc_commit",
-	TCCMark:     "tcc_mark",
-	TCCInval:    "tcc_inval",
-	TCCInvalAck: "tcc_inval_ack",
-	TCCAck:      "tcc_ack",
-
-	SeqOccupy:   "seq_occupy",
-	SeqGrant:    "seq_grant",
-	SeqInval:    "seq_inval",
-	SeqInvalAck: "seq_inval_ack",
-	SeqRelease:  "seq_release",
-
-	ArbRequest: "arb_request",
-	ArbGrant:   "arb_grant",
-	ArbDeny:    "arb_deny",
-	ArbInv:     "arb_inv",
-	ArbInvAck:  "arb_inv_ack",
-	ArbDone:    "arb_done",
-}
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
 // NumKinds is the number of defined message kinds.
 const NumKinds = int(numKinds)
 
@@ -206,20 +155,6 @@ const (
 	// SideProc: consumed by the tile's processor.
 	SideProc
 )
-
-// SideOf returns the consuming side for a message kind.
-func (k Kind) SideOf() Side {
-	switch k {
-	case CommitFailure, CommitSuccess, BulkInv,
-		ReadMemReply, ReadShReply, ReadDirtyReply, ReadNack,
-		TIDReply, TCCProbeAck, TCCInval, TCCAck,
-		SeqGrant, SeqInval, SeqInvalAck,
-		ArbGrant, ArbDeny, ArbInv, ArbInvAck:
-		return SideProc
-	default:
-		return SideDir
-	}
-}
 
 // Class buckets messages for the Figure 18/19 traffic characterization.
 type Class int
@@ -248,56 +183,95 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// ReadPath reports whether a kind is read-path traffic — a miss, its
-// replies, forward and nack — rather than commit-protocol traffic.
-func (k Kind) ReadPath() bool {
-	switch k {
-	case ReadReq, ReadMemReply, ReadShReply, ReadDirtyFwd, ReadDirtyReply, ReadNack:
-		return true
-	}
-	return false
-}
-
-// ClassOf returns the traffic class of a message kind. Read requests and
-// nacks are attributed to MemRd here; the stats package reconstructs the
-// exact per-transaction classes from reply counts (see stats.TrafficFrom).
-func (k Kind) ClassOf() Class {
-	switch k {
-	case ReadReq, ReadNack, ReadMemReply:
-		return ClassMemRd
-	case ReadShReply:
-		return ClassRemoteShRd
-	case ReadDirtyFwd, ReadDirtyReply:
-		return ClassRemoteDirtyRd
-	case CommitRequest, BulkInv, ArbRequest, ArbInv, SeqInval:
-		// These carry signatures (Table 1 / §6.5).
-		return ClassLargeC
-	default:
-		return ClassSmallC
-	}
-}
-
 // Flit sizing. A flit is 16 bytes; small control messages fit in one flit,
 // and a compressed 2 Kbit signature adds sigFlits flits. commit_request
 // carries both R and W signatures (Table 1), bulk_inv carries one W.
 const (
 	SmallFlits = 1
 	sigFlits   = 8 // 2 Kbit compressed ≈ 128 B ≈ 8 flits
+
+	twoSigFlits = SmallFlits + 2*sigFlits // R and W signatures
+	oneSigFlits = SmallFlits + sigFlits   // W signature
+	lineFlits   = SmallFlits + 2          // 32 B line data
 )
 
-// FlitsOf returns the size of a message kind in flits.
-func (k Kind) FlitsOf() int {
-	switch k {
-	case CommitRequest, ArbRequest:
-		return SmallFlits + 2*sigFlits // R and W signatures
-	case BulkInv, ArbInv, SeqInval:
-		return SmallFlits + sigFlits // W signature
-	case ReadMemReply, ReadShReply, ReadDirtyReply:
-		return SmallFlits + 2 // 32 B line data
-	default:
-		return SmallFlits
-	}
+// kindInfo is everything fixed about one message kind.
+type kindInfo struct {
+	name  string
+	side  Side
+	class Class
+	flits int
 }
+
+// kinds states each kind's facts once: its trace name, the tile side that
+// consumes it, its traffic class and its size in flits. Messages that carry
+// signatures are LargeC (Table 1 / §6.5). Read requests and nacks are
+// attributed to MemRd here; the stats package reconstructs the exact
+// per-transaction classes from reply counts (see stats.TrafficFrom).
+var kinds = [numKinds]kindInfo{
+	CommitRequest: {"commit_request", SideDir, ClassLargeC, twoSigFlits},
+	Grab:          {"g", SideDir, ClassSmallC, SmallFlits},
+	GFailure:      {"g_failure", SideDir, ClassSmallC, SmallFlits},
+	GSuccess:      {"g_success", SideDir, ClassSmallC, SmallFlits},
+	CommitFailure: {"commit_failure", SideProc, ClassSmallC, SmallFlits},
+	CommitSuccess: {"commit_success", SideProc, ClassSmallC, SmallFlits},
+	BulkInv:       {"bulk_inv", SideProc, ClassLargeC, oneSigFlits},
+	BulkInvAck:    {"bulk_inv_ack", SideDir, ClassSmallC, SmallFlits},
+	CommitDone:    {"commit_done", SideDir, ClassSmallC, SmallFlits},
+	CommitRecall:  {"commit_recall", SideDir, ClassSmallC, SmallFlits},
+
+	ReadReq:        {"read_req", SideDir, ClassMemRd, SmallFlits},
+	ReadMemReply:   {"read_mem_reply", SideProc, ClassMemRd, lineFlits},
+	ReadShReply:    {"read_sh_reply", SideProc, ClassRemoteShRd, lineFlits},
+	ReadDirtyFwd:   {"read_dirty_fwd", SideDir, ClassRemoteDirtyRd, SmallFlits},
+	ReadDirtyReply: {"read_dirty_reply", SideProc, ClassRemoteDirtyRd, lineFlits},
+	ReadNack:       {"read_nack", SideProc, ClassMemRd, SmallFlits},
+
+	TIDRequest:  {"tid_request", SideDir, ClassSmallC, SmallFlits},
+	TIDReply:    {"tid_reply", SideProc, ClassSmallC, SmallFlits},
+	TCCProbe:    {"tcc_probe", SideDir, ClassSmallC, SmallFlits},
+	TCCProbeAck: {"tcc_probe_ack", SideProc, ClassSmallC, SmallFlits},
+	TCCSkip:     {"tcc_skip", SideDir, ClassSmallC, SmallFlits},
+	TCCCommit:   {"tcc_commit", SideDir, ClassSmallC, SmallFlits},
+	TCCMark:     {"tcc_mark", SideDir, ClassSmallC, SmallFlits},
+	TCCInval:    {"tcc_inval", SideProc, ClassSmallC, SmallFlits},
+	TCCInvalAck: {"tcc_inval_ack", SideDir, ClassSmallC, SmallFlits},
+	TCCAck:      {"tcc_ack", SideProc, ClassSmallC, SmallFlits},
+
+	SeqOccupy:   {"seq_occupy", SideDir, ClassSmallC, SmallFlits},
+	SeqGrant:    {"seq_grant", SideProc, ClassSmallC, SmallFlits},
+	SeqInval:    {"seq_inval", SideProc, ClassLargeC, oneSigFlits},
+	SeqInvalAck: {"seq_inval_ack", SideProc, ClassSmallC, SmallFlits},
+	SeqRelease:  {"seq_release", SideDir, ClassSmallC, SmallFlits},
+
+	ArbRequest: {"arb_request", SideDir, ClassLargeC, twoSigFlits},
+	ArbGrant:   {"arb_grant", SideProc, ClassSmallC, SmallFlits},
+	ArbDeny:    {"arb_deny", SideProc, ClassSmallC, SmallFlits},
+	ArbInv:     {"arb_inv", SideProc, ClassLargeC, oneSigFlits},
+	ArbInvAck:  {"arb_inv_ack", SideProc, ClassSmallC, SmallFlits},
+	ArbDone:    {"arb_done", SideDir, ClassSmallC, SmallFlits},
+}
+
+func (k Kind) String() string {
+	if uint(k) < uint(numKinds) {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// SideOf returns the consuming side for a message kind.
+func (k Kind) SideOf() Side { return kinds[k].side }
+
+// ClassOf returns the traffic class of a message kind.
+func (k Kind) ClassOf() Class { return kinds[k].class }
+
+// FlitsOf returns the size of a message kind in flits.
+func (k Kind) FlitsOf() int { return kinds[k].flits }
+
+// ReadPath reports whether a kind is read-path traffic — a miss, its
+// replies, forward and nack — rather than commit-protocol traffic: exactly
+// the kinds of the three read classes.
+func (k Kind) ReadPath() bool { return kinds[k].class <= ClassRemoteDirtyRd }
 
 // RecallInfo is the payload of a piggy-backed commit_recall: the tag of the
 // squashed chunk and the failed group's g_vec, so the winner's leader can

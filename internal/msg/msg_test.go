@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -30,6 +31,74 @@ func TestMessageTable1Complete(t *testing.T) {
 	for k, name := range table1 {
 		if k.String() != name {
 			t.Errorf("kind %d = %q, want %q", int(k), k.String(), name)
+		}
+	}
+}
+
+// TestKindFactsPinned pins every kind's name, consuming side, traffic
+// class, size and read-path flag, in Kind order, so that editing the kind
+// table cannot silently re-route, re-size or re-classify a message.
+func TestKindFactsPinned(t *testing.T) {
+	want := []struct {
+		name     string
+		side     Side
+		class    Class
+		flits    int
+		readPath bool
+	}{
+		{"commit_request", SideDir, ClassLargeC, 17, false},
+		{"g", SideDir, ClassSmallC, 1, false},
+		{"g_failure", SideDir, ClassSmallC, 1, false},
+		{"g_success", SideDir, ClassSmallC, 1, false},
+		{"commit_failure", SideProc, ClassSmallC, 1, false},
+		{"commit_success", SideProc, ClassSmallC, 1, false},
+		{"bulk_inv", SideProc, ClassLargeC, 9, false},
+		{"bulk_inv_ack", SideDir, ClassSmallC, 1, false},
+		{"commit_done", SideDir, ClassSmallC, 1, false},
+		{"commit_recall", SideDir, ClassSmallC, 1, false},
+		{"read_req", SideDir, ClassMemRd, 1, true},
+		{"read_mem_reply", SideProc, ClassMemRd, 3, true},
+		{"read_sh_reply", SideProc, ClassRemoteShRd, 3, true},
+		{"read_dirty_fwd", SideDir, ClassRemoteDirtyRd, 1, true},
+		{"read_dirty_reply", SideProc, ClassRemoteDirtyRd, 3, true},
+		{"read_nack", SideProc, ClassMemRd, 1, true},
+		{"tid_request", SideDir, ClassSmallC, 1, false},
+		{"tid_reply", SideProc, ClassSmallC, 1, false},
+		{"tcc_probe", SideDir, ClassSmallC, 1, false},
+		{"tcc_probe_ack", SideProc, ClassSmallC, 1, false},
+		{"tcc_skip", SideDir, ClassSmallC, 1, false},
+		{"tcc_commit", SideDir, ClassSmallC, 1, false},
+		{"tcc_mark", SideDir, ClassSmallC, 1, false},
+		{"tcc_inval", SideProc, ClassSmallC, 1, false},
+		{"tcc_inval_ack", SideDir, ClassSmallC, 1, false},
+		{"tcc_ack", SideProc, ClassSmallC, 1, false},
+		{"seq_occupy", SideDir, ClassSmallC, 1, false},
+		{"seq_grant", SideProc, ClassSmallC, 1, false},
+		{"seq_inval", SideProc, ClassLargeC, 9, false},
+		{"seq_inval_ack", SideProc, ClassSmallC, 1, false},
+		{"seq_release", SideDir, ClassSmallC, 1, false},
+		{"arb_request", SideDir, ClassLargeC, 17, false},
+		{"arb_grant", SideProc, ClassSmallC, 1, false},
+		{"arb_deny", SideProc, ClassSmallC, 1, false},
+		{"arb_inv", SideProc, ClassLargeC, 9, false},
+		{"arb_inv_ack", SideProc, ClassSmallC, 1, false},
+		{"arb_done", SideDir, ClassSmallC, 1, false},
+	}
+	if len(want) != NumKinds {
+		t.Fatalf("pinned %d kinds, NumKinds = %d", len(want), NumKinds)
+	}
+	for i, w := range want {
+		k := Kind(i)
+		if k.String() != w.name || k.SideOf() != w.side || k.ClassOf() != w.class ||
+			k.FlitsOf() != w.flits || k.ReadPath() != w.readPath {
+			t.Errorf("kind %d = (%s, %d, %s, %d, %v), want (%s, %d, %s, %d, %v)", i,
+				k, k.SideOf(), k.ClassOf(), k.FlitsOf(), k.ReadPath(),
+				w.name, w.side, w.class, w.flits, w.readPath)
+		}
+	}
+	for _, k := range []Kind{numKinds, numKinds + 5} {
+		if want := fmt.Sprintf("kind(%d)", int(k)); k.String() != want {
+			t.Errorf("out-of-range kind prints %q, want %q", k.String(), want)
 		}
 	}
 }

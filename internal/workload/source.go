@@ -47,8 +47,8 @@ const ReplayPrefix = "replay:"
 
 // Descriptor is one row of the workload-source table.
 type Descriptor struct {
-	// Name is matched exactly against Config.Workload and the CLIs'
-	// -workload flags.
+	// Name is matched exactly against Config.Workload; a non-synthetic
+	// source's name is also an App label (SourceProfile).
 	Name string
 	// Doc is the one-line description printed by the CLIs' -workloads list.
 	Doc string
@@ -90,7 +90,7 @@ func Names() []string {
 	return out
 }
 
-// Resolve maps a -workload / Config.Workload spec to a factory: "" and
+// Resolve maps a Config.Workload spec to a factory: "" and
 // "synthetic" select the default generator, "replay:PATH" replays the trace
 // at PATH, anything else is a table lookup.
 func Resolve(spec string) (Factory, error) {
@@ -122,18 +122,15 @@ func SourceProfile(name string) (Profile, bool) {
 }
 
 // ResolveApp resolves an App label, the way a sweep point and a
-// model-checking spec name their workload: an application model by name,
-// or a registered workload source running under its own name. For a source,
-// *source is set to the name unless it already names a source.
-func ResolveApp(app string, source *string) (Profile, error) {
+// model-checking spec name their workload: an application model by name
+// (source ""), or a registered workload source running under its own name
+// (source is that name, the run's Config.Workload).
+func ResolveApp(app string) (prof Profile, source string, err error) {
 	if prof, ok := ByName(app); ok {
-		return prof, nil
+		return prof, "", nil
 	}
 	if prof, ok := SourceProfile(app); ok {
-		if *source == "" {
-			*source = app
-		}
-		return prof, nil
+		return prof, app, nil
 	}
-	return Profile{}, fmt.Errorf("unknown application or workload %q", app)
+	return Profile{}, "", fmt.Errorf("unknown application or workload %q", app)
 }

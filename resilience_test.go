@@ -470,6 +470,31 @@ func TestConfigHashPinned(t *testing.T) {
 	}
 }
 
+// TestSourcePointHashesPinned pins the ConfigHash of points resolved
+// through a SweepSpec, workload-source labels included, and one spec's ID:
+// a point's App label is its whole workload identity, so removing a way to
+// choose the source must leave every journal key and sweep ID where it was.
+func TestSourcePointHashesPinned(t *testing.T) {
+	spec := SweepSpec{ChunksPerCore: 4, Seed: 11}
+	for app, want := range map[string]string{
+		"zipf":   "ced2da4d17d8e817",
+		"convoy": "376b1f3a20faec73",
+		"Radix":  "df928124762a9053",
+	} {
+		_, cfg, err := spec.Resolve(Point{App: app, Protocol: ProtoScalableBulk, Cores: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ConfigHash(cfg); got != want {
+			t.Errorf("%s ConfigHash = %s, want %s", app, got, want)
+		}
+	}
+	id := (&SweepSpec{Seed: 1, Points: []Point{{App: "zipf", Protocol: ProtoTCC, Cores: 8}}}).ID()
+	if id != "728ffe2ad6e10332" {
+		t.Errorf("spec ID = %s, want 728ffe2ad6e10332", id)
+	}
+}
+
 // TestOptionBlockUsedAsWritten: an engine applies no defaults of its own, so
 // a TCC block that sets only CommitDeadline runs with a zero vendor service
 // time. It is a different machine from the default block, and both its

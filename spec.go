@@ -43,9 +43,6 @@ type SweepSpec struct {
 	Scaling string `json:"scaling,omitempty"`
 	// Seed is the base PRNG seed shared by every point.
 	Seed int64 `json:"seed,omitempty"`
-	// Workload optionally overrides the chunk-stream source by registry
-	// spec (Config.Workload) for points whose App is an application model.
-	Workload string `json:"workload,omitempty"`
 	// Faults names a fault-injection profile ("", "off", "none" disable).
 	Faults string `json:"faults,omitempty"`
 	// FaultSeed seeds the injector; zero reuses Seed. It is ignored while
@@ -120,9 +117,6 @@ func (s *SweepSpec) Config(p Point) Config {
 	case s.ChunksPerCore > 0:
 		cfg.ChunksPerCore = s.ChunksPerCore
 	}
-	if s.Workload != "" {
-		cfg.Workload = s.Workload
-	}
 	if s.MaxCycles > 0 {
 		cfg.MaxCycles = event.Time(s.MaxCycles)
 	}
@@ -154,7 +148,9 @@ func SweepPointConfig(p Point, chunksPerCore int, seed int64) Config {
 
 // ResolvePointProfile resolves a sweep point's App label: an application
 // model by name, or a registered workload source sweeping under its own name
-// (in which case cfg.Workload is set to the source unless already set).
-func ResolvePointProfile(app string, cfg *Config) (Profile, error) {
-	return workload.ResolveApp(app, &cfg.Workload)
+// (cfg.Workload is set to the source, "" for a model). The label is the
+// only way a point chooses its chunk source.
+func ResolvePointProfile(app string, cfg *Config) (prof Profile, err error) {
+	prof, cfg.Workload, err = workload.ResolveApp(app)
+	return prof, err
 }
