@@ -28,6 +28,7 @@ func main() {
 }
 
 func run() int {
+	start := time.Now()
 	fig := flag.Int("fig", 0, "figure number 7–19 (0 = all)")
 	chunks := flag.Int("chunks", 16, "chunks per core at 64 processors (whole-problem work = 64× this)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
@@ -98,7 +99,6 @@ func run() int {
 	if *fig != 0 {
 		ids = []int{*fig}
 	}
-	start := time.Now()
 	for _, id := range ids {
 		fmt.Printf("\n================ Figure %d ================\n", id)
 		if err := s.Figure(id); err != nil {
@@ -113,6 +113,6 @@ func run() int {
 			return cliutil.ExitError
 		}
 	}
-	fmt.Printf("\nregenerated in %v\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(os.Stderr, "regenerated in %v\n", time.Since(start).Round(time.Second))
 	return cliutil.ExitOK
 }

@@ -1,6 +1,8 @@
 // Command sbsim runs one simulation of the Table 2 machine and prints its
 // measurements: execution time, cycle breakdown, commit latency,
-// directories per commit, squashes and traffic.
+// directories per commit, squashes and traffic. With -trace it also writes
+// the run's structured event stream — the message-level view of Figures 3,
+// 4 and 5 — for exactly the point it runs.
 //
 // Usage:
 //
@@ -8,9 +10,17 @@
 //	sbsim -app zipf -cores 16                      # adversarial workload source
 //	sbsim -record run.sbwt -cores 4                # record the workload trace
 //	sbsim -app replay:run.sbwt -protocol TCC       # replay it under any protocol
+//	sbsim -app Barnes -cores 8 -chunks 2 -trace trace.json   # Perfetto export
+//	sbsim -cores 8 -trace t.jsonl -trace-kind squash,commit -trace-core 3
 //	sbsim -list        # application models
 //	sbsim -protocols   # registered commit protocols
 //	sbsim -workloads   # registered workload sources (also -app labels)
+//
+// The -trace file's extension picks its format: .json is Chrome trace-event
+// JSON for Perfetto / chrome://tracing, .jsonl is JSON Lines, anything else
+// the text log. Delivery events are emitted at delivery time (after
+// contention retiming and fault rewrites), so with -trace-reads the printed
+// cycle numbers match the actual arrival order.
 //
 // Exit codes: 0 success; 1 error (a panic writes a crash bundle when
 // -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout budget;
@@ -18,11 +28,13 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"scalablebulk"
@@ -31,6 +43,7 @@ import (
 	"scalablebulk/internal/fault"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/stats"
+	"scalablebulk/internal/trace"
 	"scalablebulk/internal/tracefmt"
 	"scalablebulk/internal/workload"
 )
@@ -39,7 +52,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	app := flag.String("app", "Radix", "application model (see -list), workload source (see -workloads) or replay:PATH")
 	cores := flag.Int("cores", 64, "number of processors (1, 32 or 64 in the paper)")
 	protocol := flag.String("protocol", scalablebulk.ProtoScalableBulk,
@@ -53,6 +66,11 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); exceeding it aborts with exit code 2")
 	crashDir := flag.String("crashdir", "", "write a JSON crash bundle here if the run panics")
 	record := flag.String("record", "", "record the run's chunk streams as a workload trace at FILE")
+	traceOut := flag.String("trace", "", "write the run's event trace to FILE: .json is Perfetto, .jsonl is JSON Lines, anything else text")
+	traceReads := flag.Bool("trace-reads", false, "with -trace, also trace read-path messages")
+	traceKind := flag.String("trace-kind", "", "with -trace, keep only these comma-separated event kinds (e.g. commit,squash)")
+	traceCore := flag.Int("trace-core", -1, "with -trace, keep only events touching this tile")
+	traceChunk := flag.String("trace-chunk", "", "with -trace, keep only events about this chunk (e.g. P3.7)")
 	server := flag.String("server", "", "run the point on a sweep-farm server at this base URL instead of in-process")
 	list := flag.Bool("list", false, "list application models and exit")
 	protoList := flag.Bool("protocols", false, "list registered commit protocols and exit")
@@ -87,6 +105,18 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return cliutil.ExitError
 	}
+	filter, err := traceFilter(*traceReads, *traceKind, *traceCore, *traceChunk)
+	if err == nil && *traceOut == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "trace-") {
+				err = fmt.Errorf("-%s needs -trace FILE", f.Name)
+			}
+		})
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sbsim:", err)
+		return cliutil.ExitError
+	}
 	spec := scalablebulk.SweepSpec{
 		ChunksPerCore: *chunks,
 		Scaling:       scalablebulk.ScalingFixed,
@@ -98,7 +128,7 @@ func run() int {
 		Points:        []scalablebulk.Point{{App: *app, Protocol: *protocol, Cores: *cores}},
 	}
 	if *server != "" {
-		return runOnFarm(*server, &spec, *record, *asJSON)
+		return runOnFarm(*server, &spec, *record, *traceOut, *asJSON)
 	}
 	prof, cfg, err := spec.Resolve(spec.Points[0])
 
@@ -119,6 +149,21 @@ func run() int {
 	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown app %q; try -list or -workloads\n", *app)
 		return cliutil.ExitError
+	}
+
+	if *traceOut != "" {
+		closeTrace, err := openTrace(*traceOut, filter)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sbsim:", err)
+			return cliutil.ExitError
+		}
+		defer func() {
+			if err := closeTrace(); err != nil && code == cliutil.ExitOK {
+				fmt.Fprintln(os.Stderr, "sbsim: trace:", err)
+				code = cliutil.ExitError
+			}
+		}()
+		cfg.TraceSink = filter
 	}
 
 	var rec *workload.Recording
@@ -169,12 +214,12 @@ func run() int {
 
 // runOnFarm is sbsim's thin-client mode: the point runs on a sweep-farm
 // server (possibly restored straight from its journal) and prints here
-// exactly as a local run would. Trace record and replay stay local-only —
-// they write and read files on this machine, and a replay adopts the trace's
-// machine shape, which a farm spec cannot carry.
-func runOnFarm(server string, spec *scalablebulk.SweepSpec, record string, asJSON bool) int {
-	if record != "" || strings.HasPrefix(spec.Points[0].App, workload.ReplayPrefix) {
-		fmt.Fprintln(os.Stderr, "sbsim: -record and -app replay:PATH are local-only and cannot combine with -server")
+// exactly as a local run would. Event traces and workload record and replay
+// stay local-only — they write and read files on this machine, and a replay
+// adopts the trace's machine shape, which a farm spec cannot carry.
+func runOnFarm(server string, spec *scalablebulk.SweepSpec, record, traceOut string, asJSON bool) int {
+	if record != "" || traceOut != "" || strings.HasPrefix(spec.Points[0].App, workload.ReplayPrefix) {
+		fmt.Fprintln(os.Stderr, "sbsim: -record, -trace and -app replay:PATH are local-only and cannot combine with -server")
 		return cliutil.ExitError
 	}
 	ctx, stop := cliutil.SignalContext()
@@ -202,6 +247,54 @@ func runOnFarm(server string, spec *scalablebulk.SweepSpec, record string, asJSO
 	p := spec.Points[0]
 	printResult(p.App, p.Protocol, spec.Config(p), res)
 	return cliutil.ExitOK
+}
+
+// traceFilter parses the -trace-* flags into the Filter in front of the
+// -trace sink; openTrace sets its Next. Read-path messages are dropped
+// unless reads is set.
+func traceFilter(reads bool, kinds string, core int, chunk string) (*trace.Filter, error) {
+	f := trace.NewFilter(nil)
+	f.Reads, f.Core = reads, core
+	if kinds != "" {
+		f.Kinds = make(map[trace.Kind]bool)
+		for _, name := range strings.Split(kinds, ",") {
+			k, ok := trace.KindByName(strings.TrimSpace(name))
+			if !ok {
+				return nil, fmt.Errorf("-trace-kind: unknown event kind %q", name)
+			}
+			f.Kinds[k] = true
+		}
+	}
+	if chunk != "" {
+		var tag msg.CTag
+		_, err := fmt.Sscanf(chunk, "P%d.%d", &tag.Proc, &tag.Seq)
+		if err != nil || fmt.Sprintf("P%d.%d", tag.Proc, tag.Seq) != chunk {
+			return nil, fmt.Errorf("-trace-chunk %q: want P<proc>.<seq>", chunk)
+		}
+		f.Chunk = &tag
+	}
+	return f, nil
+}
+
+// openTrace creates path and points f at a sink writing it in the format
+// the extension names: .json is Perfetto, .jsonl is JSON Lines, anything
+// else text. The returned func closes f and the file; a Perfetto file is
+// only complete once it has run.
+func openTrace(path string, f *trace.Filter) (func() error, error) {
+	file, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriter(file)
+	switch filepath.Ext(path) {
+	case ".json":
+		f.Next = trace.NewPerfetto(w)
+	case ".jsonl":
+		f.Next = trace.NewJSONL(w)
+	default:
+		f.Next = trace.NewText(w)
+	}
+	return func() error { return errors.Join(f.Close(), w.Flush(), file.Close()) }, nil
 }
 
 // printResult renders the human-readable measurement block shared by the

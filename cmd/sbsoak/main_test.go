@@ -82,9 +82,11 @@ func TestNegativeMaxCyclesRejected(t *testing.T) {
 
 // TestSubMillisecondTimeoutRejected: the sweep spec carries -timeout in
 // whole milliseconds, so a positive budget under 1 ms would silently mean
-// no budget, locally as on the farm. It is an error before anything runs.
+// no budget, locally as on the farm, and so would a negative one. Both are
+// errors before anything runs.
 func TestSubMillisecondTimeoutRejected(t *testing.T) {
 	rejectedBeforeRunning(t, []string{"-timeout", "500us"}, "sbsoak: -timeout 500µs is under 1ms")
+	rejectedBeforeRunning(t, []string{"-timeout", "-1s"}, "sbsoak: -timeout -1s is negative")
 }
 
 // TestJournalWithServerRejected: in farm mode the server owns the journal,

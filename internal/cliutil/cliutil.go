@@ -129,9 +129,12 @@ func WorkloadList() string {
 
 // CheckTimeout validates a per-run -timeout budget. A SweepSpec carries it in
 // whole milliseconds, so a positive value under 1 ms would silently mean no
-// budget at all.
+// budget at all, and so would a negative one.
 func CheckTimeout(d time.Duration) error {
-	if d > 0 && d < time.Millisecond {
+	switch {
+	case d < 0:
+		return fmt.Errorf("-timeout %v is negative (0 disables the budget)", d)
+	case d > 0 && d < time.Millisecond:
 		return fmt.Errorf("-timeout %v is under 1ms (0 disables the budget)", d)
 	}
 	return nil

@@ -49,6 +49,7 @@ func TestSweepSpecValidate(t *testing.T) {
 		{"bad protocol", func(s *SweepSpec) { s.Points[0].Protocol = "MOESI" }, "protocol"},
 		{"zero cores", func(s *SweepSpec) { s.Points[0].Cores = 0 }, "cores"},
 		{"bad app", func(s *SweepSpec) { s.Points[0].App = "NoSuchApp" }, "NoSuchApp"},
+		{"negative run timeout", func(s *SweepSpec) { s.RunTimeoutMS = -5 }, "negative run timeout"},
 	}
 	for _, tc := range bad {
 		s := testSpec()

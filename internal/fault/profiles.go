@@ -80,9 +80,6 @@ var profiles = []Profile{
 	},
 }
 
-// Profiles returns the built-in profiles.
-func Profiles() []Profile { return append([]Profile(nil), profiles...) }
-
 // Names returns the built-in profile names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(profiles))

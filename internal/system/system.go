@@ -547,12 +547,18 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result
 }
 
 // RunContext starts the machine and runs it to the end: the event loop polls
-// ctx (and the RunTimeout wall-clock deadline, if set) every ctxPollInterval
-// events and aborts with an *AbortError, leaving deadlocks to
-// *DeadlockError. A panic escaping the simulation is re-panicked wrapped in
+// ctx, bounded by the RunTimeout wall-clock budget if set, every
+// ctxPollInterval events and aborts with an *AbortError, leaving deadlocks
+// to *DeadlockError. A panic escaping the simulation is re-panicked wrapped in
 // *RunPanic carrying the machine state, for sweep workers to recover into
 // crash bundles.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
+	cfg := m.cfg
+	if cfg.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.RunTimeout)
+		defer cancel()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*RunPanic); ok {
@@ -563,11 +569,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	}()
 	m.Start()
 
-	cfg := m.cfg
-	var deadline time.Time
-	if cfg.RunTimeout > 0 {
-		deadline = time.Now().Add(cfg.RunTimeout)
-	}
 	steps := 0
 	for !m.AllDone() {
 		if !m.Eng.Step() {
@@ -579,9 +580,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 		if steps++; steps%ctxPollInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, m.Abort(err)
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return nil, m.Abort(context.DeadlineExceeded)
 			}
 		}
 	}

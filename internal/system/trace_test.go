@@ -177,7 +177,7 @@ func TestTraceSpanBalance(t *testing.T) {
 
 // TestPerfettoExportValid runs the full pipeline into the Perfetto exporter
 // and validates the Chrome trace-event schema — the same check the CI
-// trace-smoke job performs via sbtrace.
+// trace-smoke job performs via `sbsim -trace trace.json`.
 func TestPerfettoExportValid(t *testing.T) {
 	prof, _ := workload.ByName("Barnes")
 	var buf bytes.Buffer

@@ -21,7 +21,7 @@ func appendTag(b []byte, proc int, seq uint64) []byte {
 }
 
 // AppendText renders the event as one human-readable line (no trailing
-// newline), in the spirit of the old sbtrace output: a "[  cycle]" gutter,
+// newline), in the spirit of the old printf trace: a "[  cycle]" gutter,
 // then ">"/"<" for NoC send/deliver, "!" for faults, "*" for protocol
 // lifecycle events.
 func (e *Event) AppendText(b []byte) []byte {

@@ -50,7 +50,8 @@ type SweepSpec struct {
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// MaxCycles overrides the deadlock-guard budget when nonzero.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// RunTimeoutMS bounds each run's wall-clock time when nonzero.
+	// RunTimeoutMS bounds each run's wall-clock time when positive; 0 is
+	// no budget and Validate rejects a negative value.
 	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
 	// Check wires the online invariant checker into every run.
 	Check bool `json:"check,omitempty"`
@@ -68,7 +69,8 @@ func (s *SweepSpec) ID() string {
 }
 
 // Validate rejects a spec whose points could not run: unknown protocols,
-// unresolvable app labels, unknown fault profiles, or a bad scaling name.
+// unresolvable app labels, unknown fault profiles, a bad scaling name, or a
+// negative run timeout (which Config would silently read as no budget).
 // The farm validates at submit, so a typo fails the POST, not a worker
 // attempt minutes later.
 func (s *SweepSpec) Validate() error {
@@ -83,6 +85,9 @@ func (s *SweepSpec) Validate() error {
 	}
 	if _, err := fault.ByName(s.Faults); err != nil {
 		return err
+	}
+	if s.RunTimeoutMS < 0 {
+		return fmt.Errorf("negative run timeout %d ms (0 disables the budget)", s.RunTimeoutMS)
 	}
 	for _, p := range s.Points {
 		if !IsProtocol(p.Protocol) {
