@@ -9,6 +9,7 @@
 //	sbsim -app Radix -cores 64 -protocol ScalableBulk -chunks 32
 //	sbsim -app zipf -cores 16                      # adversarial workload source
 //	sbsim -record run.sbwt -cores 4                # record the workload trace
+//	sbsim -app replay:run.sbwt                     # replay it; checks its fingerprint
 //	sbsim -app replay:run.sbwt -protocol TCC       # replay it under any protocol
 //	sbsim -app Barnes -cores 8 -chunks 2 -trace trace.json   # Perfetto export
 //	sbsim -cores 8 -trace t.jsonl -trace-kind squash,commit -trace-core 3
@@ -22,9 +23,15 @@
 // contention retiming and fault rewrites), so with -trace-reads the printed
 // cycle numbers match the actual arrival order.
 //
-// Exit codes: 0 success; 1 error (a panic writes a crash bundle when
-// -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout budget;
-// 3 the point failed on the farm (-server).
+// A recording embeds the run's protocol and, when the run used no fault
+// profile and no -check (the trace records neither), its result
+// fingerprint. A replay under the recorded protocol without either then
+// compares its fingerprint with the embedded one: stderr says whether it
+// was reproduced or why it was not compared, and drift exits 1.
+//
+// Exit codes: 0 success; 1 error or replay drift (a panic writes a crash
+// bundle when -crashdir is set); 2 aborted by SIGINT/SIGTERM or the -timeout
+// budget; 3 the point failed on the farm (-server).
 package main
 
 import (
@@ -135,6 +142,7 @@ func run() (code int) {
 	// A replayed trace is no sweep label: it names its own profile and pins
 	// the machine shape, so the replay is bit-identical to the recording
 	// under any protocol.
+	var replayed *tracefmt.Header
 	if path, isReplay := strings.CutPrefix(*app, workload.ReplayPrefix); isReplay {
 		cfg.Workload = *app
 		tr, err := tracefmt.ReadFile(path)
@@ -142,10 +150,9 @@ func run() (code int) {
 			fmt.Fprintln(os.Stderr, "sbsim:", err)
 			return 1
 		}
-		h := tr.Header
+		replayed = &tr.Header
 		prof = scalablebulk.AdoptReplay(&cfg, tr)
-		fmt.Fprintf(os.Stderr, "sbsim: replaying %s: %s/%s, %d cores, %d chunks/core (recorded under %s)\n",
-			path, h.App, h.Source, h.Threads, h.ChunksPerCore, h.Protocol)
+		printReplaying(path, tr)
 	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown app %q; try -list or -workloads\n", *app)
 		return cliutil.ExitError
@@ -194,7 +201,13 @@ func run() (code int) {
 	}
 
 	if rec != nil {
-		rec.SetRunMeta(*protocol, scalablebulk.FingerprintSHA(res))
+		// The header records neither a fault profile nor -check, and both
+		// change the fingerprint, so only a plain run embeds one.
+		fp := ""
+		if cfg.Faults == nil && !cfg.Check {
+			fp = scalablebulk.FingerprintSHA(res)
+		}
+		rec.SetRunMeta(*protocol, fp)
 		tr := rec.Trace()
 		if err := tracefmt.WriteFile(*record, tr); err != nil {
 			fmt.Fprintln(os.Stderr, "sbsim: record:", err)
@@ -206,10 +219,58 @@ func run() (code int) {
 	}
 
 	if *asJSON {
-		return emitJSON(res)
+		code = emitJSON(res)
+	} else {
+		printResult(prof.Name, *protocol, cfg, res)
 	}
-	printResult(prof.Name, *protocol, cfg, res)
-	return cliutil.ExitOK
+	if replayed != nil && !checkReplay(replayed, *protocol, cfg, scalablebulk.FingerprintSHA(res)) {
+		return cliutil.ExitError
+	}
+	return code
+}
+
+// printReplaying summarises a trace about to be replayed on stderr: its
+// provenance, machine shape and each section's size.
+func printReplaying(path string, tr *tracefmt.Trace) {
+	h := tr.Header
+	fmt.Fprintf(os.Stderr, "sbsim: replaying %s: %s/%s, %d cores, %d chunks/core + %d warm-up, seed %d, %d pages/thread (recorded under %s)",
+		path, h.App, h.Source, h.Threads, h.ChunksPerCore, h.WarmupPerCore, h.Seed, h.PagesPerThread, h.Protocol)
+	for _, sec := range []struct {
+		name string
+		recs []tracefmt.Rec
+	}{{"warm-up", tr.Warmup}, {"chunks", tr.Chunks}} {
+		st := tracefmt.SectionStats(sec.recs)
+		fmt.Fprintf(os.Stderr, "; %s %d records, %d accesses (%d writes), %d pages",
+			sec.name, st.Records, st.Accesses, st.Writes, st.Pages)
+	}
+	fmt.Fprintln(os.Stderr)
+}
+
+// checkReplay compares a replay's fingerprint got with the one its trace
+// header embeds, when the replay reruns the recorded point: the header's
+// protocol, no fault profile and no -check. It says on stderr whether the
+// fingerprint was reproduced, or why it was not compared, and returns false
+// only on drift.
+func checkReplay(h *tracefmt.Header, protocol string, cfg scalablebulk.Config, got string) bool {
+	var why string
+	switch {
+	case h.Fingerprint == "":
+		why = "the trace embeds none (a run recorded with a fault profile or -check embeds none)"
+	case protocol != h.Protocol:
+		why = fmt.Sprintf("replaying under %s, recorded under %s", protocol, h.Protocol)
+	case cfg.Faults != nil:
+		why = "-faults " + cfg.Faults.Name + " changes it"
+	case cfg.Check:
+		why = "-check changes it"
+	case got != h.Fingerprint:
+		fmt.Fprintf(os.Stderr, "sbsim: replay drifted: fingerprint sha256 %s, recorded %s\n", got, h.Fingerprint)
+		return false
+	default:
+		fmt.Fprintf(os.Stderr, "sbsim: replay reproduced the recorded fingerprint sha256 %s\n", got)
+		return true
+	}
+	fmt.Fprintln(os.Stderr, "sbsim: fingerprint not compared:", why)
+	return true
 }
 
 // runOnFarm is sbsim's thin-client mode: the point runs on a sweep-farm

@@ -18,6 +18,7 @@ import (
 	"scalablebulk/internal/cache"
 	"scalablebulk/internal/cliutil"
 	"scalablebulk/internal/trace"
+	"scalablebulk/internal/tracefmt"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden trace")
@@ -33,32 +34,117 @@ func runArgs(t *testing.T, args ...string) int {
 	return run()
 }
 
+// runOutput runs the CLI with args and returns its exit code, stdout and
+// stderr.
+func runOutput(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [2]*os.File
+	for i, name := range []string{"stdout", "stderr"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	oldStdout, oldStderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	code = runArgs(t, args...)
+	os.Stdout, os.Stderr = oldStdout, oldStderr
+	var out [2]string
+	for i, f := range files {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return code, out[0], out[1]
+}
+
 // runFingerprint runs the CLI with args, requires exit 0, and returns the
 // result fingerprint it prints.
 func runFingerprint(t *testing.T, args ...string) string {
 	t.Helper()
-	out, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	oldStdout := os.Stdout
-	os.Stdout = out
-	code := runArgs(t, args...)
-	os.Stdout = oldStdout
+	code, stdout, stderr := runOutput(t, args...)
 	if code != cliutil.ExitOK {
-		t.Fatalf("sbsim %v: exit code %d", args, code)
+		t.Fatalf("sbsim %v: exit code %d\n%s", args, code, stderr)
 	}
-	stdout, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fp, ok := strings.Cut(string(stdout), "result fingerprint:    sha256 ")
+	_, fp, ok := strings.Cut(stdout, "result fingerprint:    sha256 ")
 	if !ok {
 		t.Fatalf("sbsim %v printed no fingerprint:\n%s", args, stdout)
 	}
 	fp, _, _ = strings.Cut(fp, "\n")
 	return fp
+}
+
+// recordArgs records a small zipf run at path.
+func recordArgs(path string, extra ...string) []string {
+	return append([]string{"-app", "zipf", "-cores", "4", "-chunks", "8", "-record", path}, extra...)
+}
+
+// TestReplayChecksItsFingerprint: a replay of the recorded point (its
+// protocol, no fault profile, no -check) reproduces the embedded fingerprint
+// and says so; any other replay runs and says why it was not compared.
+func TestReplayChecksItsFingerprint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.sbwt")
+	recorded := runFingerprint(t, recordArgs(path)...)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "sbsim: replay reproduced the recorded fingerprint sha256 " + recorded},
+		{[]string{"-protocol", "TCC"}, "sbsim: fingerprint not compared: replaying under TCC, recorded under ScalableBulk"},
+		{[]string{"-faults", "chaos"}, "sbsim: fingerprint not compared: -faults chaos changes it"},
+		{[]string{"-check"}, "sbsim: fingerprint not compared: -check changes it"},
+	} {
+		code, _, stderr := runOutput(t, append([]string{"-app", "replay:" + path}, tc.args...)...)
+		if code != cliutil.ExitOK || !strings.Contains(stderr, tc.want+"\n") {
+			t.Errorf("replay %v: exit code %d, stderr:\n%s\nwant exit 0 and %q", tc.args, code, stderr, tc.want)
+		}
+	}
+}
+
+// TestReplayDriftExitsOne: a trace whose embedded fingerprint does not match
+// its replay fails the run and names both digests.
+func TestReplayDriftExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.sbwt")
+	replayed := runFingerprint(t, recordArgs(path)...)
+	tr, err := tracefmt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Header.Fingerprint = strings.Repeat("0", 64)
+	if err := tracefmt.WriteFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runOutput(t, "-app", "replay:"+path)
+	if code != cliutil.ExitError || !strings.Contains(stderr, replayed) || !strings.Contains(stderr, tr.Header.Fingerprint) {
+		t.Errorf("exit code %d, stderr:\n%s\nwant exit %d naming %s and %s",
+			code, stderr, cliutil.ExitError, replayed, tr.Header.Fingerprint)
+	}
+}
+
+// TestUnreproducibleRecordingReplaysPlainly: the trace header records neither
+// a fault profile nor -check, and both change the fingerprint, so a run
+// recorded with either embeds none and its plain replay reports no drift.
+func TestUnreproducibleRecordingReplaysPlainly(t *testing.T) {
+	for _, extra := range [][]string{{"-faults", "chaos"}, {"-check"}} {
+		path := filepath.Join(t.TempDir(), "run.sbwt")
+		runFingerprint(t, recordArgs(path, extra...)...)
+		tr, err := tracefmt.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Header.Fingerprint != "" {
+			t.Errorf("recorded with %v: header embeds fingerprint %s", extra, tr.Header.Fingerprint)
+		}
+		code, _, stderr := runOutput(t, "-app", "replay:"+path)
+		if code != cliutil.ExitOK || !strings.Contains(stderr, "sbsim: fingerprint not compared: the trace embeds none") {
+			t.Errorf("recorded with %v, replayed plainly: exit code %d, stderr:\n%s", extra, code, stderr)
+		}
+	}
 }
 
 // TestServerRejectsLocalOnlyWorkloads: a replay spec or a recording cannot

@@ -4,13 +4,16 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"scalablebulk/internal/msg"
 )
 
-// Perfetto buffers events and, on Close, writes Chrome trace-event JSON
-// (the legacy JSON format Perfetto and chrome://tracing both load).
+// Perfetto streams Chrome trace-event JSON (the legacy JSON format Perfetto
+// and chrome://tracing both load), one event at a time.
 //
 // Track model: pid 1 is the "cores" process and pid 2 the "directories"
-// process, with one thread per tile on each side. Execution spans are
+// process, with one thread per tile on each side; a track's thread_name
+// record is written when its first event arrives. Execution spans are
 // synchronous B/E slices on their core's thread (a core executes one chunk
 // at a time, so they nest trivially). Commit attempts and directory holds
 // are nestable async b/e pairs keyed by chunk attempt — commit attempts
@@ -18,15 +21,63 @@ import (
 // each other, so synchronous slices would violate Chrome's nesting rules.
 // Cycles map 1:1 to microseconds (ts is in μs).
 type Perfetto struct {
-	w      io.Writer
-	events []Event
+	w   io.Writer
+	buf []byte
+	err error // first write error, returned by Close
+	// syncOpen holds every track seen so far with its open B depth;
+	// asyncOpen the begin event of each open b span. Close balances both:
+	// runs stop the moment the workload finishes, legitimately leaving holds
+	// (and the last chunks' attempts) open.
+	syncOpen  map[track2]int
+	asyncOpen map[spanKey]Event
+	maxT      uint64
 }
 
-// NewPerfetto builds a Perfetto sink over w. Nothing is written until Close.
-func NewPerfetto(w io.Writer) *Perfetto { return &Perfetto{w: w} }
+// perfettoHead opens the document with the two process_name records, so
+// every later record starts with a comma.
+const perfettoHead = `{"displayTimeUnit":"ms","traceEvents":[` +
+	`{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"cores"}},` +
+	`{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"directories"}}`
+
+// NewPerfetto builds a Perfetto sink over w and writes the document's
+// opening; each event is written as it arrives, and the document is
+// complete once Close has run.
+func NewPerfetto(w io.Writer) *Perfetto {
+	p := &Perfetto{w: w, syncOpen: map[track2]int{}, asyncOpen: map[spanKey]Event{}}
+	p.buf = append(p.buf, perfettoHead...)
+	p.flush()
+	return p
+}
 
 // Event implements Sink.
-func (p *Perfetto) Event(e Event) { p.events = append(p.events, e) }
+func (p *Perfetto) Event(e Event) {
+	pid, tid := e.track()
+	if _, seen := p.syncOpen[track2{pid, tid}]; !seen {
+		p.syncOpen[track2{pid, tid}] = 0
+		side := "core "
+		if pid == pidDirs {
+			side = "dir "
+		}
+		p.buf = append(p.buf, `,{"ph":"M","pid":`...)
+		p.buf = strconv.AppendInt(p.buf, int64(pid), 10)
+		p.buf = append(p.buf, `,"tid":`...)
+		p.buf = strconv.AppendInt(p.buf, int64(tid), 10)
+		p.buf = append(p.buf, `,"name":"thread_name","args":{"name":"`...)
+		p.buf = append(p.buf, side...)
+		p.buf = strconv.AppendInt(p.buf, int64(tid), 10)
+		p.buf = append(p.buf, `"}}`...)
+	}
+	p.maxT = max(p.maxT, uint64(e.T))
+	p.buf = p.renderEvent(p.buf, &e)
+	p.flush()
+}
+
+func (p *Perfetto) flush() {
+	if _, err := p.w.Write(p.buf); err != nil && p.err == nil {
+		p.err = err
+	}
+	p.buf = p.buf[:0]
+}
 
 const (
 	pidCores = 1
@@ -41,19 +92,13 @@ func (e *Event) track() (pid, tid int) {
 	return pid, e.Node
 }
 
-// Close renders the buffered events and writes the JSON document.
+// Close ends every span still open at the last observed cycle — sync spans
+// by track (cores then directories, by tile), then async spans by id — and
+// ends the document. It returns the first write error.
 func (p *Perfetto) Close() error {
-	var b []byte
-	b = append(b, `{"displayTimeUnit":"ms","traceEvents":[`...)
-
-	// Track metadata, deterministic order: cores then directories.
-	seen := map[track2]bool{}
 	var tracks []track2
-	for i := range p.events {
-		pid, tid := p.events[i].track()
-		tr := track2{pid, tid}
-		if !seen[tr] {
-			seen[tr] = true
+	for tr, d := range p.syncOpen {
+		if d > 0 {
 			tracks = append(tracks, tr)
 		}
 	}
@@ -63,88 +108,51 @@ func (p *Perfetto) Close() error {
 		}
 		return tracks[i].tid < tracks[j].tid
 	})
-	first := true
-	meta := func(pid, tid int, key, name string) {
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, `{"ph":"M","pid":`...)
-		b = strconv.AppendInt(b, int64(pid), 10)
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid), 10)
-		b = append(b, `,"name":"`...)
-		b = append(b, key...)
-		b = append(b, `","args":{"name":"`...)
-		b = append(b, name...)
-		b = append(b, `"}}`...)
-	}
-	meta(pidCores, 0, "process_name", "cores")
-	meta(pidDirs, 0, "process_name", "directories")
+	b := p.buf
 	for _, tr := range tracks {
-		side := "core "
-		if tr.pid == pidDirs {
-			side = "dir "
-		}
-		meta(tr.pid, tr.tid, "thread_name", side+strconv.Itoa(tr.tid))
-	}
-
-	// Body. Track open spans so the file is always balanced: runs stop the
-	// moment the workload finishes, legitimately leaving holds (and the
-	// last chunks' attempts) open — those are closed at the final cycle.
-	var maxT uint64
-	syncOpen := map[track2]int{}
-	asyncOpen := map[string]asyncKey{}
-	for i := range p.events {
-		e := &p.events[i]
-		if uint64(e.T) > maxT {
-			maxT = uint64(e.T)
-		}
-		b = p.renderEvent(b, e, &first, syncOpen, asyncOpen)
-	}
-
-	// Close dangling spans at the last observed cycle.
-	for _, tr := range tracks {
-		for d := syncOpen[tr]; d > 0; d-- {
-			b = appendDur(b, &first, "E", tr.pid, tr.tid, maxT)
+		for d := p.syncOpen[tr]; d > 0; d-- {
+			b = appendDur(b, "E", tr.pid, tr.tid, p.maxT)
 			b = append(b, '}')
 		}
 	}
-	ids := make([]string, 0, len(asyncOpen))
-	for id := range asyncOpen {
-		ids = append(ids, id)
+	open := make([]Event, 0, len(p.asyncOpen))
+	for _, e := range p.asyncOpen {
+		open = append(open, e)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		k := asyncOpen[id]
-		b = appendDur(b, &first, "e", k.pid, k.tid, maxT)
-		b = append(b, `,"cat":"`...)
-		b = append(b, k.cat...)
-		b = append(b, `","id":"`...)
-		b = append(b, id...)
-		b = append(b, `","name":"`...)
-		b = append(b, k.name...)
-		b = append(b, `"}`...)
+	sort.Slice(open, func(i, j int) bool {
+		return string(appendSpanID(nil, &open[i])) < string(appendSpanID(nil, &open[j]))
+	})
+	for i := range open {
+		b = appendAsync(b, "e", &open[i], p.maxT)
 	}
-
-	b = append(b, "]}\n"...)
-	_, err := p.w.Write(b)
-	return err
+	p.buf = append(b, "]}\n"...)
+	p.flush()
+	return p.err
 }
 
-type asyncKey struct {
-	pid, tid  int
-	cat, name string
+// spanKey identifies one chunk attempt's async span: its commit attempt,
+// or its hold at one directory module.
+type spanKey struct {
+	kind Kind
+	tag  msg.CTag
+	try  int
+	node int  // holds only
+	dir  bool // holds only
 }
 
-// appendDur opens one event object with the common ph/pid/tid/ts fields;
-// the caller appends any extra fields and the closing brace.
-func appendDur(b []byte, first *bool, ph string, pid, tid int, ts uint64) []byte {
-	if !*first {
-		b = append(b, ',')
+func (e *Event) spanKey() spanKey {
+	k := spanKey{kind: e.Kind, tag: e.Tag, try: e.Try}
+	if e.Kind == KHold {
+		k.node, k.dir = e.Node, e.Dir
 	}
-	*first = false
-	b = append(b, `{"ph":"`...)
+	return k
+}
+
+// appendDur opens one event object, after its separating comma, with the
+// common ph/pid/tid/ts fields; the caller appends any extra fields and the
+// closing brace.
+func appendDur(b []byte, ph string, pid, tid int, ts uint64) []byte {
+	b = append(b, `,{"ph":"`...)
 	b = append(b, ph...)
 	b = append(b, `","pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
@@ -155,66 +163,72 @@ func appendDur(b []byte, first *bool, ph string, pid, tid int, ts uint64) []byte
 	return b
 }
 
-// spanID is the async-event id of one chunk attempt's span at one module:
-// "P3.7/1@D5" — unique per (kind instance), shared between its b and e.
-func spanID(e *Event) string {
-	b := appendTag(nil, e.Tag.Proc, e.Tag.Seq)
+// appendAsync renders one b or e record of e's async span at cycle ts.
+func appendAsync(b []byte, ph string, e *Event, ts uint64) []byte {
+	pid, tid := e.track()
+	b = appendDur(b, ph, pid, tid, ts)
+	b = append(b, `,"cat":"`...)
+	b = append(b, e.Kind.String()...)
+	b = append(b, `","id":"`...)
+	b = appendSpanID(b, e)
+	b = append(b, `","name":"`...)
+	b = appendSpanName(b, e)
+	return append(b, `"}`...)
+}
+
+// appendSpanID renders the async-event id of one chunk attempt's span at
+// one module: "P3.7/1@D5" — unique per (kind instance), shared between its
+// b and e.
+func appendSpanID(b []byte, e *Event) []byte {
+	b = appendTag(b, e.Tag.Proc, e.Tag.Seq)
 	b = append(b, '/')
 	b = strconv.AppendInt(b, int64(e.Try), 10)
 	if e.Kind == KHold {
 		b = append(b, '@')
 		b = e.appendTile(b)
 	}
-	return string(b)
+	return b
 }
 
-func spanName(e *Event) string {
-	b := append([]byte(e.Kind.String()), ' ')
-	return string(appendTag(b, e.Tag.Proc, e.Tag.Seq))
+func appendSpanName(b []byte, e *Event) []byte {
+	b = append(b, e.Kind.String()...)
+	b = append(b, ' ')
+	return appendTag(b, e.Tag.Proc, e.Tag.Seq)
 }
 
-func (p *Perfetto) renderEvent(b []byte, e *Event, first *bool, syncOpen map[track2]int, asyncOpen map[string]asyncKey) []byte {
+func (p *Perfetto) renderEvent(b []byte, e *Event) []byte {
 	pid, tid := e.track()
 	ts := uint64(e.T)
 	switch {
 	case e.Kind == KExec:
 		tr := track2{pid, tid}
 		if e.Phase == PhaseBegin {
-			syncOpen[tr]++
-			b = appendDur(b, first, "B", pid, tid, ts)
+			p.syncOpen[tr]++
+			b = appendDur(b, "B", pid, tid, ts)
 			b = append(b, `,"cat":"exec","name":"`...)
-			b = append(b, spanName(e)...)
+			b = appendSpanName(b, e)
 			b = append(b, `"}`...)
 		} else {
-			if syncOpen[tr] == 0 {
+			if p.syncOpen[tr] == 0 {
 				return b // end without begin (trace started mid-span): drop
 			}
-			syncOpen[tr]--
-			b = appendDur(b, first, "E", pid, tid, ts)
+			p.syncOpen[tr]--
+			b = appendDur(b, "E", pid, tid, ts)
 			b = append(b, '}')
 		}
 	case e.Kind == KCommit || e.Kind == KHold:
-		id := spanID(e)
-		cat := e.Kind.String()
+		k := e.spanKey()
 		if e.Phase == PhaseBegin {
-			asyncOpen[id] = asyncKey{pid, tid, cat, spanName(e)}
-			b = appendDur(b, first, "b", pid, tid, ts)
-		} else {
-			if _, ok := asyncOpen[id]; !ok {
-				return b
-			}
-			delete(asyncOpen, id)
-			b = appendDur(b, first, "e", pid, tid, ts)
+			p.asyncOpen[k] = *e
+			return appendAsync(b, "b", e, ts)
 		}
-		b = append(b, `,"cat":"`...)
-		b = append(b, cat...)
-		b = append(b, `","id":"`...)
-		b = append(b, id...)
-		b = append(b, `","name":"`...)
-		b = append(b, spanName(e)...)
-		b = append(b, `"}`...)
+		if _, ok := p.asyncOpen[k]; !ok {
+			return b
+		}
+		delete(p.asyncOpen, k)
+		return appendAsync(b, "e", e, ts)
 	default:
-		b = appendDur(b, first, "i", pid, tid, ts)
+		b = appendDur(b, "i", pid, tid, ts)
 		b = append(b, `,"s":"t","cat":"`...)
 		switch e.Kind {
 		case KSend, KDeliver:
@@ -225,7 +239,7 @@ func (p *Perfetto) renderEvent(b []byte, e *Event, first *bool, syncOpen map[tra
 			b = append(b, "lifecycle"...)
 		}
 		b = append(b, `","name":"`...)
-		b = append(b, instantName(e)...)
+		b = appendInstantName(b, e)
 		b = append(b, `"}`...)
 	}
 	return b
@@ -233,8 +247,7 @@ func (p *Perfetto) renderEvent(b []byte, e *Event, first *bool, syncOpen map[tra
 
 type track2 = struct{ pid, tid int }
 
-func instantName(e *Event) string {
-	var b []byte
+func appendInstantName(b []byte, e *Event) []byte {
 	b = append(b, e.Kind.String()...)
 	switch e.Kind {
 	case KSend, KDeliver, KFaultDelay, KFaultDup, KFaultRetransmit, KFaultHot:
@@ -253,5 +266,5 @@ func instantName(e *Event) string {
 			b = appendTag(b, e.Other.Proc, e.Other.Seq)
 		}
 	}
-	return string(b)
+	return b
 }

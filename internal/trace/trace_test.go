@@ -192,6 +192,19 @@ func TestPerfettoValid(t *testing.T) {
 	}
 }
 
+// TestPerfettoStreams: each event reaches the writer as it arrives, with its
+// track's thread_name record, rather than being held until Close.
+func TestPerfettoStreams(t *testing.T) {
+	var buf bytes.Buffer
+	tr := testTracer(NewPerfetto(&buf))
+	tr.Span(KCommit, PhaseBegin, 3, false, msg.CTag{Proc: 3, Seq: 7}, 0)
+	for _, want := range []string{`"thread_name","args":{"name":"core 3"}`, `"name":"commit P3.7"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("before Close, output lacks %s:\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestValidatePerfettoRejectsBadDocs exercises the validator's own failure
 // paths on handcrafted documents.
 func TestValidatePerfettoRejectsBadDocs(t *testing.T) {

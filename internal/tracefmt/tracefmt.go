@@ -50,8 +50,10 @@ var (
 // Header carries the trace's identity and replay-validation parameters.
 // App/Source/Seed/Protocol/Fingerprint are provenance: which application
 // model and generator produced the stream, under which protocol it was
-// recorded, and the SHA-256 of that run's ResultFingerprint (empty when the
-// recording tool did not capture one). Threads, PagesPerThread,
+// recorded, and the SHA-256 of that run's ResultFingerprint. A fingerprint
+// is embedded only when the header alone reproduces the run: the recording
+// used no fault profile and no invariant checker, which the header does not
+// record and which change the fingerprint. Threads, PagesPerThread,
 // ChunksPerCore and WarmupPerCore are load-bearing: replay validates the
 // machine shape against them.
 type Header struct {

@@ -61,8 +61,12 @@ func Record(spec string) (*Recording, Factory, error) {
 	return rec, factory, nil
 }
 
-// SetRunMeta attaches the recording run's provenance — its protocol and the
-// SHA-256 hex of its ResultFingerprint — for later `sbtracewl verify`.
+// SetRunMeta attaches the recording run's provenance: its protocol and the
+// SHA-256 hex of its ResultFingerprint. Pass "" for the fingerprint when the
+// run used a fault profile or the invariant checker: the header records
+// neither, so a replay could not reproduce it. A replay under the recorded
+// protocol compares its own fingerprint with a non-empty one (sbsim exits 1
+// on drift).
 func (r *Recording) SetRunMeta(protocol, fingerprintSHA string) {
 	r.hdr.Protocol = protocol
 	r.hdr.Fingerprint = fingerprintSHA
